@@ -3,9 +3,9 @@
 Unlike the figure benches (one-shot reproductions), these measure the hot
 paths with real repetition: the event kernel's throughput, maximum-clique
 search at controller-batch scale, k-means on campus-sized profile
-matrices, churn extraction over a week of sessions, and a full replay of
-one evaluation day.  Regressions here translate directly into slower
-experiment turnaround.
+matrices, churn extraction over a week of sessions, S³'s exhaustive
+clique placement, and a full replay of one evaluation day.  Regressions
+here translate directly into slower experiment turnaround.
 """
 
 import itertools
@@ -15,6 +15,10 @@ import pytest
 
 from repro.analysis.churn import extract_churn
 from repro.cluster.kmeans import KMeans
+from repro.core.demand import DemandEstimator
+from repro.core.selection import APState, S3Selector
+from repro.core.social import PairStats, SocialModel
+from repro.core.typing import TypeModel
 from repro.graph.clique import max_clique
 from repro.graph.graph import Graph
 from repro.sim.kernel import Simulator
@@ -85,6 +89,66 @@ def test_bench_churn_extraction_week(benchmark, paper_workload, engine):
         warmup_rounds=1,
     )
     assert len(churn.co_leavings) > 0
+
+
+def test_bench_place_exhaustive(benchmark, report_writer):
+    # Algorithm 1's clique step at its PAPER-scale worst case: a 6-member
+    # clique over 5 APs (5**6 = 15,625 distributions) with 3 residents
+    # per AP, some of them socially tied to the clique.
+    rng = np.random.default_rng(7)
+    members = [f"m{i}" for i in range(6)]
+    residents = [f"r{i}" for i in range(15)]
+    types = {user: i % 3 for i, user in enumerate(members + residents)}
+    pairs = {
+        pair: PairStats(encounters=9, co_leavings=6)
+        for pair in itertools.combinations(members, 2)
+    }
+    for member in members:
+        for resident in residents:
+            if rng.random() < 0.3:
+                encounters = int(rng.integers(2, 10))
+                pairs[(member, resident)] = PairStats(
+                    encounters=encounters,
+                    co_leavings=int(rng.integers(0, encounters + 1)),
+                )
+    social = SocialModel(
+        pairs,
+        TypeModel(
+            centroids=np.zeros((3, 6)),
+            assignments=types,
+            affinity=rng.random((3, 3)),
+        ),
+    )
+    demand = DemandEstimator(smoothing=1.0, default_rate=50e3)
+    for member in members:
+        demand.observe(member, float(rng.uniform(20e3, 200e3)))
+    aps = [
+        APState(
+            ap_id=f"ap{a}",
+            bandwidth=2.5e6,
+            load=float(rng.uniform(0.0, 1.5e6)),
+            users=tuple(residents[3 * a : 3 * a + 3]),
+        )
+        for a in range(5)
+    ]
+    selector = S3Selector(social, demand)
+
+    placement = benchmark.pedantic(
+        lambda: selector._place_exhaustive(members, aps),
+        rounds=10,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    report_writer(
+        "micro_place_exhaustive",
+        f"exhaustive clique placement: {len(members)} members over "
+        f"{len(aps)} APs, {len(aps) ** len(members)} distributions",
+        benchmark=benchmark,
+        metrics={"distributions": len(aps) ** len(members)},
+    )
+    assert sorted(placement) == members
+    per_ap = [list(placement.values()).count(ap.ap_id) for ap in aps]
+    assert max(per_ap) <= 2  # the clique is spread, not stacked
 
 
 @pytest.mark.parametrize("engine", ["python", "numpy"])

@@ -27,10 +27,13 @@ alike; it never mutates caller state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.balance import normalized_balance_index
 from repro.core.demand import DemandEstimator
@@ -89,6 +92,22 @@ class SelectionConfig:
             raise ValueError("max_enumeration must be >= 1")
         if self.edge_threshold < 0:
             raise ValueError("edge_threshold must be non-negative")
+
+
+@functools.lru_cache(maxsize=64)
+def _distributions(n_aps: int, n_members: int) -> np.ndarray:
+    """Every user->AP distribution of ``n_members`` users over ``n_aps``
+    APs as an ``(n_aps ** n_members, n_members)`` index array.
+
+    Rows follow ``itertools.product`` order (the last member varies
+    fastest), so row order is the combos' lexicographic order.  Cached
+    and read-only: ``max_enumeration`` bounds every array the exhaustive
+    placement asks for.
+    """
+    grid = np.indices((n_aps,) * n_members).reshape(n_members, -1).T
+    combos = np.ascontiguousarray(grid, dtype=np.intp)
+    combos.setflags(write=False)
+    return combos
 
 
 def least_loaded(aps: Sequence[APState]) -> APState:
@@ -211,51 +230,62 @@ class S3Selector:
     def _place_exhaustive(
         self, members: List[str], aps: Sequence[APState]
     ) -> Dict[str, str]:
-        rates = [self.demand.estimate(user) for user in members]
-        # delta between clique members, precomputed once.
-        internal = {
-            (i, j): self.social.social_index(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        }
-        scored: List[Tuple[float, float, Tuple[int, ...]]] = []
-        for combo in itertools.product(range(len(aps)), repeat=len(members)):
-            cost = 0.0
-            added_load = [0.0] * len(aps)
-            feasible = True
-            for i, ap_index in enumerate(combo):
-                ap = aps[ap_index]
-                cost += self.added_social_cost(members[i], ap)
-                added_load[ap_index] += rates[i]
-            for (i, j), delta in internal.items():
-                if combo[i] == combo[j]:
-                    cost += delta
-            for ap_index, extra in enumerate(added_load):
-                ap = aps[ap_index]
-                if extra > 0 and ap.load + extra > ap.bandwidth:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            loads_after = [
-                ap.load + added_load[ap_index] for ap_index, ap in enumerate(aps)
-            ]
-            beta = normalized_balance_index(loads_after)
-            scored.append((cost, -beta, combo))
+        combos = _distributions(len(aps), len(members))
+        rows = np.arange(len(combos))
+        # C(AP_a) increment of member i: one social-cost sum per
+        # (member, AP) pair rather than per distribution.
+        member_costs = np.array(
+            [[self.added_social_cost(user, ap) for ap in aps] for user in members],
+            dtype=float,
+        )
+        # Every distribution's cost and added load, summed in one fixed
+        # order from 0.0: member costs in member order, then the internal
+        # delta of each co-located member pair in (i, j) order.  Each
+        # element therefore takes exactly the float additions a
+        # per-distribution loop would, so ties and cuts are bit-identical.
+        cost = np.zeros(len(combos))
+        added_load = np.zeros((len(combos), len(aps)))
+        for i, user in enumerate(members):
+            column = combos[:, i]
+            cost += member_costs[i, column]
+            added_load[rows, column] += self.demand.estimate(user)
+        for i, j in itertools.combinations(range(len(members)), 2):
+            delta = self.social.social_index(members[i], members[j])
+            np.add(cost, delta, out=cost, where=combos[:, i] == combos[:, j])
+        loads_after = np.array([ap.load for ap in aps]) + added_load
+        bandwidth = np.array([ap.bandwidth for ap in aps])
+        overloaded = (added_load > 0) & (loads_after > bandwidth)
+        feasible = np.flatnonzero(~overloaded.any(axis=1))
 
-        if not scored:
+        if not len(feasible):
             # Bandwidth rules everything out; admit greedily anyway.
             return self._place_greedy(members, aps, ignore_bandwidth=True)
 
+        keep = max(1, int(math.ceil(len(feasible) * self.config.top_fraction)))
+        # Only distributions no dearer than the keep-th cheapest can enter
+        # the top band, ties at the cut included; only they need a
+        # balance index.  ``band`` stays in enumeration order so the
+        # stable sort breaks (cost, balance) ties as the full ranking would.
+        feasible_cost = cost[feasible]
+        cut = np.partition(feasible_cost, keep - 1)[keep - 1]
+        band = feasible[feasible_cost <= cut]
+        scored: List[Tuple[float, float, int]] = [
+            (
+                float(cost[row]),
+                -normalized_balance_index(loads_after[row].tolist()),
+                int(row),
+            )
+            for row in band
+        ]
         scored.sort(key=lambda item: (item[0], item[1]))
-        keep = max(1, int(math.ceil(len(scored) * self.config.top_fraction)))
         top = scored[:keep]
         # Among the cheapest distributions, maximize the balance index
-        # (stored negated), breaking remaining ties by cost then combo for
+        # (stored negated), breaking remaining ties by cost then by
+        # enumeration order (the combo's lexicographic order) for
         # determinism.
         best = min(top, key=lambda item: (item[1], item[0], item[2]))
-        combo = best[2]
-        return {members[i]: aps[ap_index].ap_id for i, ap_index in enumerate(combo)}
+        combo = combos[best[2]].tolist()
+        return {member: aps[combo[i]].ap_id for i, member in enumerate(members)}
 
     def _place_greedy(
         self,

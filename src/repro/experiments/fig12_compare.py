@@ -77,7 +77,7 @@ class Fig12Result:
         s3 = np.mean([ci for _, ci in self.outcomes["s3"].per_controller.values()])
         if llf <= 0:
             return 0.0
-        return 100.0 * (llf - s3) / llf
+        return float(100.0 * (llf - s3) / llf)
 
     def render(self) -> str:
         """The report text the paper's figure/table corresponds to."""

@@ -21,7 +21,7 @@ arrives as immutable :class:`~repro.core.selection.APState` snapshots.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -265,6 +265,9 @@ class S3Strategy(SelectionStrategy):
         self._clock = model_trained_at
         self._llf = LeastLoadedFirst()
         self._note: Optional[str] = None
+        # Users of a batch whose ``assign_batch`` raised: each one's
+        # sequential ``select`` carries the batch-error note once.
+        self._batch_failed: Set[str] = set()
         if model_max_age is not None:
             if model_max_age <= 0:
                 raise ValueError(
@@ -305,6 +308,9 @@ class S3Strategy(SelectionStrategy):
     ) -> str:
         """Pick the AP per this strategy's policy (or its fallback)."""
         self._note = None
+        if user_id in self._batch_failed:
+            self._batch_failed.discard(user_id)
+            self._note = "fallback:s3:batch-error"
         if not aps:
             if rssi:
                 self._note = "fallback:rssi:no-candidates"
@@ -329,14 +335,19 @@ class S3Strategy(SelectionStrategy):
 
         Declines (returns ``None``) when degraded: the engine's
         sequential path then takes over, and each per-user ``select``
-        call records its own fallback note.
+        call records its own fallback note.  When the selector's batch
+        step raises, each of those per-user decisions carries
+        ``fallback:s3:batch-error`` (a further fallback inside ``select``
+        overrides it with its own note).
         """
         self._note = None
+        self._batch_failed.clear()
         if not aps or self._model_stale():
             return None
         try:
             return self.selector.assign_batch(user_ids, aps)
         except Exception:
+            self._batch_failed.update(user_ids)
             return None
 
     def score_candidates(

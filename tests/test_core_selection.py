@@ -1,11 +1,13 @@
 """Tests for Algorithm 1: APState, single select, batch clique placement."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.balance import normalized_balance_index
 from repro.core.demand import DemandEstimator
 from repro.core.selection import (
     APState,
@@ -221,6 +223,166 @@ class TestAssignBatch:
         placement = selector.assign_batch(users, states)
         assert sorted(placement) == sorted(users)
         assert all(ap in {"ap0", "ap1", "ap2"} for ap in placement.values())
+
+
+def reference_place_exhaustive(selector, members, aps):
+    """The per-distribution loop of Algorithm 1's clique step, kept as the
+    oracle for :meth:`S3Selector._place_exhaustive`: every distribution
+    re-sums its social cost and is scored by balance index in turn."""
+    rates = [selector.demand.estimate(user) for user in members]
+    # delta between clique members, precomputed once.
+    internal = {
+        (i, j): selector.social.social_index(members[i], members[j])
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    }
+    scored = []
+    for combo in itertools.product(range(len(aps)), repeat=len(members)):
+        cost = 0.0
+        added_load = [0.0] * len(aps)
+        feasible = True
+        for i, ap_index in enumerate(combo):
+            ap = aps[ap_index]
+            cost += selector.added_social_cost(members[i], ap)
+            added_load[ap_index] += rates[i]
+        for (i, j), delta in internal.items():
+            if combo[i] == combo[j]:
+                cost += delta
+        for ap_index, extra in enumerate(added_load):
+            ap = aps[ap_index]
+            if extra > 0 and ap.load + extra > ap.bandwidth:
+                feasible = False
+                break
+        if not feasible:
+            continue
+        loads_after = [
+            ap.load + added_load[ap_index] for ap_index, ap in enumerate(aps)
+        ]
+        beta = normalized_balance_index(loads_after)
+        scored.append((cost, -beta, combo))
+
+    if not scored:
+        # Bandwidth rules everything out; admit greedily anyway.
+        return selector._place_greedy(members, aps, ignore_bandwidth=True)
+
+    scored.sort(key=lambda item: (item[0], item[1]))
+    keep = max(1, int(math.ceil(len(scored) * selector.config.top_fraction)))
+    top = scored[:keep]
+    best = min(top, key=lambda item: (item[1], item[0], item[2]))
+    combo = best[2]
+    return {members[i]: aps[ap_index].ap_id for i, ap_index in enumerate(combo)}
+
+
+def random_clique_case(seed, n_members, n_aps, top_fraction, affinity, regime):
+    """A clique, resident-holding APs and a selector drawn from ``seed``.
+
+    ``regime`` sets the bandwidth: ``"roomy"`` admits every distribution,
+    ``"tight"`` rules some out, ``"exact"`` leaves each AP room for
+    exactly some subset of the clique (the constraint's boundary) and
+    ``"full"`` rules out every distribution.
+    """
+    rng = np.random.default_rng(seed)
+    members = [f"m{i}" for i in range(n_members)]
+    rates = {m: float(rng.choice([5.0, 10.0, rng.uniform(1.0, 40.0)])) for m in members}
+    residents = [f"r{i}" for i in range(int(rng.integers(0, 9)))]
+    pairs = {}
+    for u, v in itertools.combinations(members + residents, 2):
+        if rng.random() < 0.5:
+            encounters = int(rng.integers(2, 10))
+            pairs[(u, v)] = (encounters, int(rng.integers(0, encounters + 1)))
+    states = []
+    for a in range(n_aps):
+        users = [r for r in residents if rng.integers(n_aps) == a]
+        load = float(rng.choice([0.0, rng.uniform(0.0, 60.0)]))
+        if regime == "roomy":
+            bandwidth = load + sum(rates.values()) + 1.0
+        elif regime == "tight":
+            bandwidth = load + float(rng.uniform(0.5, 1.2)) * sum(rates.values())
+        elif regime == "exact":
+            fits = 0.0
+            for member in members:
+                if rng.random() < 0.5:
+                    fits += rates[member]
+            bandwidth = load + (fits or rates[members[0]])
+        else:
+            bandwidth = load + 0.5 * min(rates.values())
+        states.append(APState(f"ap{a}", bandwidth, load, tuple(users)))
+    selector = S3Selector(
+        make_social(pairs=pairs, affinity=affinity),
+        estimator(rates=rates),
+        SelectionConfig(top_fraction=top_fraction),
+    )
+    return selector, members, states
+
+
+class TestPlaceExhaustive:
+    """The vectorized clique step decides exactly as the per-distribution
+    loop does, ties and bandwidth fall-backs included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_members=st.integers(min_value=1, max_value=6),
+        n_aps=st.integers(min_value=2, max_value=5),
+        top_fraction=st.sampled_from([0.1, 0.3, 1.0]),
+        affinity=st.sampled_from([0.0, 0.3]),
+        regime=st.sampled_from(["roomy", "tight", "exact", "full"]),
+    )
+    def test_matches_reference_loop(
+        self, seed, n_members, n_aps, top_fraction, affinity, regime
+    ):
+        selector, members, states = random_clique_case(
+            seed, n_members, n_aps, top_fraction, affinity, regime
+        )
+        assert selector._place_exhaustive(members, states) == (
+            reference_place_exhaustive(selector, members, states)
+        )
+
+    @pytest.mark.parametrize("top_fraction", [0.1, 0.3, 1.0])
+    def test_equal_cost_ties_at_the_cut(self, top_fraction):
+        # Zero-affinity strangers: every distribution costs 0.0, so the
+        # cut falls inside one tie and the balance index alone decides.
+        members = ["s0", "s1", "s2", "s3"]
+        selector = S3Selector(
+            make_social(affinity=0.0),
+            estimator(rates={m: 10.0 for m in members}),
+            SelectionConfig(top_fraction=top_fraction),
+        )
+        states = aps(
+            ("a", 1000, 0.0, ["x"]),
+            ("b", 1000, 10.0, []),
+            ("c", 1000, 20.0, ["y", "z"]),
+        )
+        placement = selector._place_exhaustive(members, states)
+        assert placement == reference_place_exhaustive(selector, members, states)
+
+    def test_enumeration_cap_is_inclusive(self, monkeypatch):
+        members = ["p", "q", "r"]
+        pairs = {(a, b): (9, 9) for a, b in itertools.combinations(members, 2)}
+        states = aps(("a", 1000, 0.0, []), ("b", 1000, 5.0, []))
+        selector = S3Selector(
+            make_social(pairs=pairs),
+            estimator(),
+            SelectionConfig(max_enumeration=len(states) ** len(members)),
+        )
+
+        def forbidden(path):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{path} path taken")
+
+            return fail
+
+        monkeypatch.setattr(selector, "_place_greedy", forbidden("greedy"))
+        assert selector._place_clique(members, states) == (
+            reference_place_exhaustive(selector, members, states)
+        )
+        one_over = S3Selector(
+            selector.social,
+            selector.demand,
+            SelectionConfig(max_enumeration=len(states) ** len(members) - 1),
+        )
+        monkeypatch.setattr(one_over, "_place_exhaustive", forbidden("exhaustive"))
+        assert sorted(one_over._place_clique(members, states)) == members
 
 
 class TestSelectionConfig:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.selection import APState
 from repro.faults import (
     ApDown,
@@ -20,6 +21,7 @@ from repro.faults import (
     FrameDuplicate,
     FrameLoss,
 )
+from repro.obs.tracer import get_tracer
 from repro.prototype.messages import AssocRequest, ProbeRequest
 from repro.prototype.station import Station
 from repro.prototype.testbed import Testbed
@@ -45,6 +47,24 @@ class BoomSelector:
 
     def select(self, user_id, candidates):
         raise RuntimeError("boom")
+
+    def assign_batch(self, user_ids, candidates):
+        raise RuntimeError("boom")
+
+
+class BatchBoomSelector:
+    """A selector whose batch step raises while single decisions work."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+
+    def select(self, user_id, candidates):
+        if self.inner is None:
+            return candidates[0].ap_id
+        return self.inner.select(user_id, candidates)
+
+    def added_social_cost(self, user_id, ap):
+        return self.inner.added_social_cost(user_id, ap)
 
     def assign_batch(self, user_ids, candidates):
         raise RuntimeError("boom")
@@ -76,6 +96,43 @@ def test_selector_error_falls_back_to_llf():
     candidates = aps(5e6, 1e6)
     assert strategy.select("u1", candidates) == "ap-1"
     assert strategy.consume_degradation() == "fallback:llf:selector-error"
+
+
+def test_batch_error_notes_each_sequential_decision_once():
+    strategy = S3Strategy(BatchBoomSelector())
+    candidates = aps(5e6, 1e6)
+    assert strategy.assign_batch(["u1", "u2"], candidates) is None
+    for user in ("u1", "u2"):
+        assert strategy.select(user, candidates) == "ap-0"  # S³, not LLF
+        assert strategy.consume_degradation() == "fallback:s3:batch-error"
+        assert strategy.consume_degradation() is None
+        # One-shot: a second decision for the same user is undegraded.
+        strategy.select(user, candidates)
+        assert strategy.consume_degradation() is None
+    # Users outside the failed batch, and leftovers once the next batch
+    # starts, carry no note.
+    assert strategy.assign_batch(["u3"], candidates) is None
+    strategy.select("u4", candidates)
+    assert strategy.consume_degradation() is None
+    strategy.assign_batch(["u5"], [])
+    strategy.select("u3", candidates)
+    assert strategy.consume_degradation() is None
+
+
+def test_batch_error_leaves_provenance_in_replay(tiny_workload, tiny_model):
+    strategy = S3Strategy(BatchBoomSelector(tiny_model.selector()))
+    tracer = obs.enable(reset=True)
+    try:
+        tiny_workload.replay_test(strategy)
+        decisions = [
+            r for r in tracer.records if type(r).__name__ == "DecisionRecord"
+        ]
+    finally:
+        obs.disable()
+        get_tracer().reset()
+    assert decisions
+    assert all(d.mode == "single" for d in decisions)
+    assert {d.note for d in decisions} == {"fallback:s3:batch-error"}
 
 
 def test_no_candidates_falls_back_to_strongest_signal():

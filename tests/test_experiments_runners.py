@@ -162,6 +162,7 @@ class TestFig12:
         assert result.outcomes["s3"].per_controller
         rendered = result.render()
         assert "S3 gain over LLF" in rendered
+        assert type(result.errorbar_reduction_percent) is float
 
     def test_s3_beats_llf_at_small_scale(self):
         result = fig12_compare.run(SMALL, include_extra_baselines=False)
