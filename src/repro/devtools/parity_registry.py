@@ -90,13 +90,16 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
         # byte-identically (post-``strip_wall``) to the same run with
         # the crash events removed from its plan, and to the plain
         # unsupervised service when the plan is empty (ISSUE 10
-        # kill-and-restore parity).
+        # kill-and-restore parity) — for a crash at every event time of
+        # a small stream, and with a torn journal tail past the snapshot.
         reference="repro.service.workload.run_journaled_service",
         tests=(
             "tests/test_service_recovery.py::test_kill_and_restore_byte_identical",
             "tests/test_service_recovery.py::test_multi_crash_with_stall_and_duplicate_byte_identical",
             "tests/test_service_recovery.py::test_metrics_on_same_plan_runs_byte_identical",
             "tests/test_service_recovery.py::test_supervised_empty_plan_matches_plain_service_run",
+            "tests/test_service_recovery.py::test_crash_at_every_event_time_byte_identical",
+            "tests/test_service_recovery.py::test_torn_journal_tail_is_truncated_on_restore",
         ),
     ),
     "repro.runtime.sweep.run_sweep": ParityEntry(

@@ -19,7 +19,8 @@ did the time go", obs answers "what happened, and why".  Three pieces:
   ``python -m repro.obs.metrics``;
 * **JSONL journal** (:mod:`repro.obs.journal`) — deterministic
   serialization of the whole run (wall-clock values isolated under a
-  strippable ``"wall"`` key) plus a reader and the
+  strippable ``"wall"`` key), written at exit or streamed record by
+  record as the run goes, plus a reader and the
   ``python -m repro.obs.report`` renderer (:mod:`repro.obs.report`).
 
 Typical use::
@@ -39,10 +40,14 @@ from typing import TYPE_CHECKING, Any
 from repro.obs import journal
 from repro.obs.journal import (
     Journal,
+    JournalWriter,
+    close_journal,
+    open_journal,
     parse_journal,
     perf_snapshot,
     read_journal,
     render_journal,
+    streamed_journal,
     strip_wall,
     write_journal,
 )
@@ -62,6 +67,7 @@ from repro.obs.records import (
 )
 from repro.obs.tracer import (
     NULL_SPAN,
+    JournalSink,
     Span,
     Tracer,
     TracerState,
@@ -112,6 +118,8 @@ __all__ = [
     "DecisionRecord",
     "FaultRecord",
     "Journal",
+    "JournalSink",
+    "JournalWriter",
     "METRIC_REGISTRY",
     "MemoryProbe",
     "MetaRecord",
@@ -129,6 +137,7 @@ __all__ = [
     "Tracer",
     "TracerState",
     "candidates_from_states",
+    "close_journal",
     "decision",
     "disable",
     "enable",
@@ -136,6 +145,7 @@ __all__ = [
     "get_tracer",
     "journal",
     "metrics",
+    "open_journal",
     "parse_journal",
     "perf_snapshot",
     "read_journal",
@@ -144,6 +154,7 @@ __all__ = [
     "sample",
     "span",
     "spec_for",
+    "streamed_journal",
     "strip_wall",
     "write_journal",
 ]

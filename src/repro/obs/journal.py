@@ -13,6 +13,15 @@ reassembles them (:mod:`repro.runtime.merge`) into the exact stream the
 serial engine would have traced, so journals stay ``strip_wall``-byte-
 identical whichever engine produced them.
 
+There is one writing path.  :func:`open_journal` writes the meta line
+and attaches a :class:`JournalWriter` to the tracer, which from then on
+writes every record as its line the moment the record completes;
+:func:`close_journal` appends the metric block and the perf footer and
+closes the file.  Long-running services stream this way, so their
+memory stays flat and their checkpoints hold a byte offset instead of a
+copy of the history.  :func:`write_journal` is the same path run at
+exit over the records an unstreamed tracer kept in memory:
+
     from repro import obs, perf
     from repro.obs.journal import write_journal, read_journal
 
@@ -26,9 +35,10 @@ identical whichever engine produced them.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.obs import metrics as metrics_module
@@ -82,6 +92,117 @@ def render_journal(records: List[JournalRecord]) -> str:
     return "".join(dumps_record(record) + "\n" for record in records)
 
 
+class JournalWriter:
+    """A journal file open for streaming: the tracer's :class:`JournalSink`.
+
+    Lines go through one buffered binary handle; :meth:`tell` is the
+    byte offset of the next line, so a checkpoint can record how far the
+    journal had got and :meth:`truncate` can roll it back there.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self._handle = self.path.open("wb")
+
+    def write(self, record: JournalRecord) -> None:
+        self._handle.write(dumps_record(record).encode("utf-8") + b"\n")
+
+    def tell(self) -> int:
+        return self._handle.tell()
+
+    def flush(self) -> None:
+        self._handle.flush()
+
+    def truncate(self, offset: int) -> None:
+        # truncate() leaves the position where it was; without the seek
+        # the next write would land past the end and leave a NUL hole.
+        self._handle.truncate(offset)
+        self._handle.seek(offset)
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def open_journal(
+    path: Union[str, Path],
+    meta: Optional[Dict[str, Any]] = None,
+    tracer: Optional[Tracer] = None,
+) -> JournalWriter:
+    """Start streaming ``tracer`` (global by default) into ``path``.
+
+    Writes the meta header, then attaches the writer: every record the
+    tracer completes from here on is written as it completes.
+    """
+    tracer = tracer if tracer is not None else TRACER
+    if tracer.sink is not None:
+        raise RuntimeError("the tracer already streams to a journal")
+    writer = JournalWriter(path)
+    writer.write(MetaRecord(fields=dict(meta or {})))
+    tracer.attach(writer)
+    return writer
+
+
+def close_journal(
+    tracer: Optional[Tracer] = None,
+    perf_registry: Optional[perf_module.PerfRegistry] = None,
+    metrics_registry: Optional["metrics_module.MetricsRegistry"] = None,
+) -> Path:
+    """Finish the journal ``tracer`` streams to; returns its path.
+
+    Appends the metric block (per-window records sorted by
+    name/labels/window, then the ``metrics`` rollup — only when the
+    registry holds series, so metrics-off journals keep their byte
+    layout) and the perf footer, then detaches and closes the file.
+    Registries default to the global ones.
+    """
+    from repro.obs import metrics as metrics_module
+
+    tracer = tracer if tracer is not None else TRACER
+    writer = tracer.sink
+    if not isinstance(writer, JournalWriter):
+        raise RuntimeError("the tracer is not streaming to a journal")
+    registry = (
+        metrics_registry
+        if metrics_registry is not None
+        else metrics_module.REGISTRY
+    )
+    try:
+        if registry:
+            for record in metrics_module.metric_records(registry):
+                writer.write(record)
+            writer.write(metrics_module.metrics_rollup(registry))
+        writer.write(perf_snapshot(perf_registry))
+    finally:
+        tracer.detach()
+        writer.close()
+    return writer.path
+
+
+@contextmanager
+def streamed_journal(
+    path: Union[str, Path],
+    meta: Optional[Dict[str, Any]] = None,
+    tracer: Optional[Tracer] = None,
+    perf_registry: Optional[perf_module.PerfRegistry] = None,
+    metrics_registry: Optional["metrics_module.MetricsRegistry"] = None,
+) -> Iterator[JournalWriter]:
+    """:func:`open_journal` on entry, :func:`close_journal` on exit.
+
+    If the block raises, the writer is detached and closed without the
+    footers — the journal ends where the failed run stopped, and no later
+    run can write into it.
+    """
+    tracer = tracer if tracer is not None else TRACER
+    writer = open_journal(path, meta, tracer)
+    try:
+        yield writer
+    except BaseException:
+        tracer.detach()
+        writer.close()
+        raise
+    close_journal(tracer, perf_registry, metrics_registry)
+
+
 def write_journal(
     path: Union[str, Path],
     tracer: Optional[Tracer] = None,
@@ -91,29 +212,19 @@ def write_journal(
 ) -> Path:
     """Write header + tracer records + metric windows + footers to ``path``.
 
-    Defaults to the global tracer, metrics registry and perf registry;
-    returns the path written.  The metric block (per-window records
-    sorted by name/labels/window, then the ``metrics`` rollup) only
-    appears when the registry holds series, so metrics-off journals keep
-    their existing byte layout.
+    The at-exit form of a streamed journal: opens ``path``, writes the
+    records ``tracer`` kept in memory, and closes it — the same framing
+    and the same bytes as if the run had streamed.  Defaults to the
+    global tracer, metrics registry and perf registry; returns the path
+    written.  The tracer's records are left in place.
     """
-    from repro.obs import metrics as metrics_module
-
     tracer = tracer if tracer is not None else TRACER
-    registry = (
-        metrics_registry
-        if metrics_registry is not None
-        else metrics_module.REGISTRY
-    )
-    records: List[JournalRecord] = [MetaRecord(fields=dict(meta or {}))]
-    records.extend(tracer.records)
-    if registry:
-        records.extend(metrics_module.metric_records(registry))
-        records.append(metrics_module.metrics_rollup(registry))
-    records.append(perf_snapshot(perf_registry))
-    path = Path(path)
-    path.write_text(render_journal(records), encoding="utf-8")
-    return path
+    with streamed_journal(
+        path, meta, tracer, perf_registry, metrics_registry
+    ) as writer:
+        for record in tracer.records:
+            writer.write(record)
+    return writer.path
 
 
 @dataclass

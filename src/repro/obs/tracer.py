@@ -1,9 +1,13 @@
 """Span tracing with an explicit simulation clock.
 
 The tracer is the collection point of :mod:`repro.obs`: spans, decision
-records and balance samples are appended to one process-global
-:class:`Tracer` in completion order, and the journal writer serializes
-that list verbatim — which is what makes seeded runs byte-reproducible.
+records and balance samples reach one process-global :class:`Tracer` in
+completion order, and the journal writer serializes them verbatim —
+which is what makes seeded runs byte-reproducible.  By default the
+tracer keeps them in :attr:`Tracer.records` until the journal is written
+at exit; with a :class:`JournalSink` attached (a streamed journal, see
+:func:`repro.obs.journal.open_journal`) each record is written as its
+journal line the moment it completes and nothing accumulates in memory.
 
 Two clocks, two rules:
 
@@ -25,9 +29,9 @@ site.  Enable it (``obs.enable()``) before a run you want journaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Callable, Dict, List, Optional, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Type, Union
 
 from repro.obs._clock import wall_time
 from repro.obs.records import (
@@ -145,13 +149,38 @@ NULL_SPAN = _NullSpan()
 AnySpan = Union[Span, _NullSpan]
 
 
+class JournalSink(Protocol):
+    """Where a streaming tracer writes each record as it completes.
+
+    Implemented by :class:`repro.obs.journal.JournalWriter`; the tracer
+    only ever calls these four methods.
+    """
+
+    def write(self, record: TracedRecord) -> None:
+        """Append ``record`` as one journal line."""
+
+    def tell(self) -> int:
+        """The byte offset the next line will be written at."""
+
+    def flush(self) -> None:
+        """Hand every written line to the operating system."""
+
+    def truncate(self, offset: int) -> None:
+        """Drop every byte past ``offset`` and continue writing there."""
+
+
 @dataclass
 class TracerState:
-    """A point-in-time copy of a tracer's record state (checkpointable)."""
+    """A point-in-time capture of a tracer (checkpointable).
+
+    Holds no records: a checkpointed tracer streams its journal, so the
+    byte ``offset`` the journal had reached stands for everything
+    recorded up to the capture.
+    """
 
     enabled: bool = False
-    records: List["TracedRecord"] = field(default_factory=list)
     next_id: int = 0
+    offset: int = 0
 
 
 class Tracer:
@@ -159,8 +188,11 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: Completed records in completion order — the journal body.
+        #: Completed records in completion order — the journal body,
+        #: kept in memory only while no sink is attached.
         self.records: List[TracedRecord] = []
+        #: The streamed journal records are written to, if any.
+        self.sink: Optional[JournalSink] = None
         self._stack: List[Span] = []
         self._next_id = 0
 
@@ -206,7 +238,7 @@ class Tracer:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
-        self.records.append(
+        self._emit(
             SpanRecord(
                 span_id=span.span_id,
                 parent_id=span.parent_id,
@@ -230,32 +262,42 @@ class Tracer:
         """
         if not self.enabled:
             return
-        self.records.extend(records)
         for record in records:
+            self._emit(record)
             if isinstance(record, SpanRecord) and record.span_id >= self._next_id:
                 self._next_id = record.span_id + 1
 
     def decision(self, record: DecisionRecord) -> None:
         """Journal one association decision (no-op when disabled)."""
         if self.enabled:
-            self.records.append(record)
+            self._emit(record)
 
     def sample(self, record: SampleRecord) -> None:
         """Journal one balance-index sample (no-op when disabled)."""
         if self.enabled:
-            self.records.append(record)
+            self._emit(record)
 
     def fault(self, record: FaultRecord) -> None:
         """Journal one fault firing (no-op when disabled)."""
         if self.enabled:
-            self.records.append(record)
+            self._emit(record)
 
     def recovery(self, record: RecoveryRecord) -> None:
         """Journal one crash/restore cycle (no-op when disabled)."""
         if self.enabled:
+            self._emit(record)
+
+    def _emit(self, record: TracedRecord) -> None:
+        """Stream ``record`` to the sink, or keep it when there is none."""
+        if self.sink is None:
             self.records.append(record)
+        else:
+            self.sink.write(record)
 
     # ------------------------------------------------------------- querying
+
+    # The queries below read the in-memory records; a streaming tracer
+    # has none — read its journal back instead.
 
     def spans(self) -> List[SpanRecord]:
         """All closed spans, in completion order."""
@@ -281,25 +323,57 @@ class Tracer:
         self._stack.clear()
         self._next_id = 0
 
-    def export_state(self) -> "TracerState":
-        """A checkpointable copy of the tracer's record state.
+    def attach(self, sink: JournalSink) -> None:
+        """Stream every record completed from now on to ``sink``."""
+        if self.sink is not None:
+            raise RuntimeError("the tracer already streams to a journal")
+        self.sink = sink
 
-        Records are frozen-at-append journal lines, so a shallow list
-        copy is a faithful snapshot; half-open spans are deliberately
-        not captured — a checkpoint boundary never falls inside one in
-        the supervised service, and a restored tracer must start with a
-        clean stack.
+    def detach(self) -> Optional[JournalSink]:
+        """Stop streaming; returns the sink that was attached, if any."""
+        sink, self.sink = self.sink, None
+        return sink
+
+    def tell(self) -> int:
+        """The journal byte offset the next record lands at (0 unstreamed)."""
+        return self.sink.tell() if self.sink is not None else 0
+
+    def export_state(self) -> "TracerState":
+        """A checkpointable capture: lifecycle, id allocator, journal offset.
+
+        The sink is flushed first, so every line before the offset has
+        left the process.  Half-open spans are deliberately not captured
+        — a checkpoint boundary never falls inside one in the supervised
+        service, and a restored tracer must start with a clean stack.  An
+        enabled tracer without a sink raises: its history lives only in
+        :attr:`records`, and a capture proportional to history is exactly
+        what streaming exists to avoid.
         """
+        if self.sink is not None:
+            self.sink.flush()
+        elif self.enabled:
+            raise RuntimeError(
+                "an enabled tracer without a journal sink cannot be "
+                "checkpointed; stream its journal (open_journal) first"
+            )
         return TracerState(
-            enabled=self.enabled,
-            records=list(self.records),
-            next_id=self._next_id,
+            enabled=self.enabled, next_id=self._next_id, offset=self.tell()
         )
 
     def restore_state(self, state: "TracerState") -> None:
-        """Reset this tracer to a previously exported state."""
+        """Roll this tracer back to a previously exported state.
+
+        The streamed journal is truncated to the captured offset, so the
+        lines written after the capture are gone and the next record is
+        written where the capture left off.
+        """
+        if self.sink is not None:
+            self.sink.truncate(state.offset)
+        elif state.enabled:
+            raise RuntimeError(
+                "restoring an enabled tracer needs its journal sink attached"
+            )
         self.enabled = state.enabled
-        self.records = list(state.records)
         self._stack.clear()
         self._next_id = state.next_id
 

@@ -3,14 +3,19 @@
 A :class:`ServiceCheckpoint` captures everything a controller process
 would lose if it died: the :class:`~repro.service.loop.ControllerService`
 object graph (reorder buffer, admission queue, fast-path associator,
-online learner — one ``copy.deepcopy``, so the social model shared
-between associator and learner stays shared on restore) plus the
-process-global observability state (tracer records, metrics registry,
-perf registry) as of the same instant.  Restoring a checkpoint and
-replaying the write-ahead log past it is therefore *exactly-once*: the
-events processed between the snapshot and the crash re-execute against
-state that has never seen them, re-emitting the identical journal lines
-the crash destroyed.
+online learner — pickled once, so the social model shared between
+associator and learner stays shared on restore) plus the process-global
+observability state as of the same instant: the tracer's lifecycle and
+the byte offset its streamed journal had reached, the metrics registry
+and the perf registry.  Restoring a checkpoint truncates the journal
+back to that offset, and replaying the write-ahead log past it is
+*exactly-once*: the events processed between the snapshot and the crash
+re-execute against state that has never seen them, re-emitting the
+identical journal lines the truncation removed.
+
+A checkpoint holds state, never history: its size tracks the service
+(users, APs, learned pairs, metric windows), not how many records the
+run has journaled.
 
 Snapshots persist through :class:`~repro.runtime.checkpoint.RunDirectory`
 (``kind="service"``), inheriting its conventions wholesale: atomic
@@ -29,7 +34,7 @@ but wrongly would be far worse than an error.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -41,7 +46,7 @@ from repro.runtime.checkpoint import RunDirectory
 from repro.service.loop import ControllerService
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"
@@ -62,9 +67,9 @@ class ServiceCheckpoint:
     next_seq: int
     #: The service sim clock at capture time.
     last_time: float
-    #: Deep copy of the full service object graph.
-    service: ControllerService
-    #: Tracer records and lifecycle as of the capture.
+    #: The full service object graph, pickled at capture time.
+    service_pickle: bytes
+    #: Tracer lifecycle and journal byte offset as of the capture.
     tracer: TracerState
     #: Metrics registry state as of the capture.
     metrics: RegistryState
@@ -82,10 +87,11 @@ def capture_checkpoint(
 ) -> ServiceCheckpoint:
     """Snapshot ``service`` plus the global observability state.
 
-    The service graph is deep-copied so the checkpoint stays frozen
-    while the live service keeps mutating; the deepcopy memo keeps the
-    social model shared between the associator and the online learner
-    a single object, exactly as constructed.
+    The service graph is pickled, so the checkpoint stays frozen while
+    the live service keeps mutating; the pickle memo keeps the social
+    model shared between the associator and the online learner a single
+    object, exactly as constructed.  An enabled tracer must stream its
+    journal (see :meth:`~repro.obs.tracer.Tracer.export_state`).
     """
     with perf.timer("service.checkpoint.capture"):
         return ServiceCheckpoint(
@@ -93,8 +99,10 @@ def capture_checkpoint(
             fingerprint=fingerprint,
             next_seq=service._next_seq,
             last_time=service._last_time,
-            service=copy.deepcopy(service),
             tracer=TRACER.export_state(),
+            service_pickle=pickle.dumps(
+                service, protocol=pickle.HIGHEST_PROTOCOL
+            ),
             metrics=obs_metrics.get_metrics().export_state(),
             perf=perf.snapshot(),
         )
@@ -106,9 +114,10 @@ def restore_checkpoint(
     """Rebuild the world as of ``checkpoint``; returns the service.
 
     Resets the process-global tracer, metrics registry and perf registry
-    to their captured states — records emitted after the capture (by the
+    to their captured states — the streamed journal is truncated to the
+    captured offset, so records emitted after the capture (by the
     timeline the crash destroyed) are discarded, to be re-emitted by the
-    WAL replay.  The returned service is a fresh deep copy, so restoring
+    WAL replay.  The returned service is unpickled afresh, so restoring
     the same checkpoint twice yields independent services.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
@@ -122,7 +131,12 @@ def restore_checkpoint(
             f"not {fingerprint!r}; refusing to restore foreign state"
         )
     with perf.timer("service.checkpoint.restore"):
-        service = copy.deepcopy(checkpoint.service)
+        service = pickle.loads(checkpoint.service_pickle)
+        if not isinstance(service, ControllerService):
+            raise TypeError(
+                f"service checkpoint holds a {type(service).__name__}, "
+                "not a ControllerService"
+            )
         TRACER.restore_state(checkpoint.tracer)
         obs_metrics.get_metrics().restore_state(checkpoint.metrics)
         perf.reset()

@@ -7,17 +7,21 @@
 durability loop a real deployment needs:
 
 * every produced event is appended to a **write-ahead log** before it is
-  submitted (JSONL, one line per delivery; a torn trailing line from a
-  kill mid-append is tolerated on read);
+  submitted (JSONL, one line per delivery through one append handle
+  flushed after every line; a torn trailing line from a kill mid-append
+  is tolerated on read);
+* the journal is **streamed**: every record is written the moment it
+  completes (:func:`repro.service.workload.service_journal`);
 * every ``snapshot_every`` deliveries the whole service plus the global
-  observability state is checkpointed through
-  :mod:`repro.service.checkpoint` (atomic write, fingerprint-guarded,
-  quarantine-on-corruption — the :mod:`repro.runtime.checkpoint`
-  conventions);
+  observability state — the journal as a byte offset, not a copy — is
+  checkpointed through :mod:`repro.service.checkpoint` (atomic write,
+  fingerprint-guarded, quarantine-on-corruption — the
+  :mod:`repro.runtime.checkpoint` conventions);
 * at each :class:`~repro.faults.ControllerCrash` the in-memory
   controller is **discarded** — state, tracer, metrics, perf, all of it
-  — and rebuilt from the newest readable snapshot, then the WAL suffix
-  past the snapshot is replayed through the very same submission path.
+  — and rebuilt from the newest readable snapshot, the journal is
+  truncated back to the snapshot's offset, then the WAL suffix past the
+  snapshot is replayed through the very same submission path.
   Re-deliveries of events the snapshot had already processed are dropped
   by the reorder buffer's tolerant mode, so recovery is exactly-once.
 
@@ -46,9 +50,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
-from repro import obs, perf
+from repro import perf
 from repro.faults.model import (
     ControllerCrash,
     EventDuplicate,
@@ -76,7 +80,13 @@ from repro.service.events import (
     StationLeave,
     StatsReport,
 )
-from repro.service.workload import WorkloadSpec, make_service, synthetic_events
+from repro.service.workload import (
+    WorkloadSpec,
+    journal_meta,
+    make_service,
+    service_journal,
+    synthetic_events,
+)
 
 #: The write-ahead log's filename inside the supervisor's work directory.
 WAL_NAME = "wal.jsonl"
@@ -203,12 +213,16 @@ class Supervisor:
         self._held: List[ServiceEvent] = []
         self._stall_until: Optional[float] = None
         self._since_snapshot = 0
-        #: Every recovery journaled so far — the supervisor's own ledger.
-        #: A restore rolls the tracer back to the snapshot instant, which
-        #: can erase *earlier* crashes' recovery records (and their metric
-        #: counts) when the newest snapshot predates them; recovery
-        #: re-emits the erased entries from here.
-        self._recovery_ledger: List[RecoveryRecord] = []
+        #: The WAL append handle, open from the first delivery until
+        #: :meth:`close`.
+        self._wal: Optional[TextIO] = None
+        #: Every recovery journaled so far, with the journal byte offset
+        #: its record was written at — the supervisor's own ledger.  A
+        #: restore truncates the journal to the snapshot's offset, which
+        #: erases *earlier* crashes' recovery records (and rolls back
+        #: their metric counts) when the newest snapshot predates them;
+        #: recovery re-emits every entry written at or past that offset.
+        self._recovery_ledger: List[Tuple[int, RecoveryRecord]] = []
         self.snapshots_taken = 0
         self.recoveries = 0
         self.replayed_events = 0
@@ -218,6 +232,18 @@ class Supervisor:
 
     def run(self) -> None:
         """Produce the whole stream, surviving every planned crash."""
+        try:
+            self._run()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Close the WAL append handle (a later delivery reopens it)."""
+        if self._wal is not None:
+            self._wal.close()
+            self._wal = None
+
+    def _run(self) -> None:
         # Genesis snapshot: recovery always has somewhere to restore to,
         # even when the first crash precedes the first cadence snapshot.
         self._snapshot()
@@ -262,8 +288,12 @@ class Supervisor:
             self._deliver(event)
 
     def _deliver(self, event: ServiceEvent) -> None:
-        with self.wal_path.open("a", encoding="utf-8") as handle:
-            handle.write(wal_line(event) + "\n")
+        if self._wal is None:
+            self._wal = self.wal_path.open("a", encoding="utf-8")
+        self._wal.write(wal_line(event) + "\n")
+        # Flushed per line: the line reaches the OS before the submit,
+        # and a replay's read_wal sees every delivery so far.
+        self._wal.flush()
         self.service.submit(event)
         self._since_snapshot += 1
         if self._since_snapshot >= self.snapshot_every:
@@ -318,23 +348,18 @@ class Supervisor:
             base = 0.0
         downtime = max(0.0, crash.time - base)
         if TRACER.enabled:
-            # The restore rolled the tracer back to the snapshot instant;
-            # recovery records from earlier crashes that the snapshot
-            # predates were erased with it.  They describe the supervisor's
-            # own history, not the controller's replayable state, so they
-            # are re-journaled (records and metric counts both).
-            survived = [
-                r for r in TRACER.records if isinstance(r, RecoveryRecord)
-            ]
-            for erased in self._recovery_ledger:
-                if erased not in survived:
-                    TRACER.recovery(erased)
-                    obs_metrics.inc("service.recoveries", 1.0, erased.sim_time)
-                    obs_metrics.inc(
-                        "service.replayed_events",
-                        float(erased.replayed_events),
-                        erased.sim_time,
-                    )
+            # The restore truncated the journal to the snapshot's offset;
+            # recovery records from earlier crashes written past it were
+            # erased with it.  They describe the supervisor's own history,
+            # not the controller's replayable state, so they are
+            # re-journaled (records and metric counts both).
+            restored = checkpoint.tracer.offset
+            ledger: List[Tuple[int, RecoveryRecord]] = []
+            for offset, entry in self._recovery_ledger:
+                if offset >= restored:
+                    offset = self._journal_recovery(entry)
+                ledger.append((offset, entry))
+            self._recovery_ledger = ledger
         record = RecoveryRecord(
             sim_time=crash.time,
             controller_id=service.controller_id,
@@ -344,10 +369,7 @@ class Supervisor:
             rederived_decisions=service.admission.decisions
             - decisions_before,
         )
-        self._recovery_ledger.append(record)
-        TRACER.recovery(record)
-        obs_metrics.inc("service.recoveries", 1.0, crash.time)
-        obs_metrics.inc("service.replayed_events", float(replayed), crash.time)
+        self._recovery_ledger.append((self._journal_recovery(record), record))
         self.recoveries += 1
         self.replayed_events += replayed
         self.total_downtime += downtime
@@ -360,6 +382,19 @@ class Supervisor:
             newly_lost = service.gap_skips - learner.lost_events
             learner.mark_lost_events(newly_lost)
             service.admission.flag_stale(newly_lost)
+
+    @staticmethod
+    def _journal_recovery(record: RecoveryRecord) -> int:
+        """Journal and count ``record``; returns the offset it landed at."""
+        offset = TRACER.tell()
+        TRACER.recovery(record)
+        obs_metrics.inc("service.recoveries", 1.0, record.sim_time)
+        obs_metrics.inc(
+            "service.replayed_events",
+            float(record.replayed_events),
+            record.sim_time,
+        )
+        return offset
 
 
 def run_supervised(
@@ -375,7 +410,8 @@ def run_supervised(
     """Run one crash-supervised synthetic session; return a summary.
 
     Mirrors :func:`repro.service.workload.run_journaled_service` — same
-    journal meta shape, same summary keys — plus the recovery tallies.
+    journal meta shape, same streamed journal path, same summary keys —
+    plus the recovery tallies.
     The meta grows a ``"faults"`` key fingerprinting the plan's
     *non-crash* events only: crashes are recovered exactly-once and must
     leave no deterministic trace, while losses/duplicates/stalls shape
@@ -383,11 +419,6 @@ def run_supervised(
     """
     if metrics and journal is None:
         raise ValueError("metrics require a journal to land in")
-    if journal is not None:
-        obs.enable(reset=True)
-        perf.reset()
-    if metrics:
-        obs_metrics.enable(reset=True)
     supervisor = Supervisor(
         spec,
         plan,
@@ -396,10 +427,19 @@ def run_supervised(
         gap_horizon=gap_horizon,
         snapshot_every=snapshot_every,
     )
-    supervisor.run()
+    meta = journal_meta(spec)
+    survivors = FaultPlan(
+        plan.of_kinds(sorted(SERVICE_KINDS - {ControllerCrash.kind}))
+    )
+    if not survivors.is_empty:
+        meta["faults"] = survivors.fingerprint()
+    # Opened only now: Supervisor(...) creates the work directory, which
+    # the journal may live in.
+    with service_journal(journal, meta, metrics):
+        supervisor.run()
     service = supervisor.service
     queue = service.admission
-    summary: Dict[str, Any] = {
+    return {
         "events": service.events_processed,
         "decisions": queue.decisions,
         "batches": queue.batches,
@@ -418,18 +458,3 @@ def run_supervised(
         "snapshots": supervisor.snapshots_taken,
         "downtime": supervisor.total_downtime,
     }
-    if journal is not None:
-        meta: Dict[str, Any] = {
-            "component": "service",
-            "seed": spec.seed,
-            "events": spec.events,
-            "users": spec.users,
-            "aps": spec.aps,
-        }
-        survivors = FaultPlan(
-            plan.of_kinds(sorted(SERVICE_KINDS - {ControllerCrash.kind}))
-        )
-        if not survivors.is_empty:
-            meta["faults"] = survivors.fingerprint()
-        obs.write_journal(Path(journal), meta=meta)
-    return summary

@@ -6,7 +6,8 @@ same seed yields the same events in every process.  :func:`make_service`
 builds a cold-start controller (empty social model, deterministic type
 table, default demand EWMA) around that population, and
 :func:`run_journaled_service` runs the stream through it under the
-observability stack and writes the journal.
+observability stack, streaming the journal as it goes
+(:func:`service_journal`, shared with the crash supervisor).
 
 The journal meta deliberately excludes the producer count: a journal
 must not reveal — and therefore must not depend on — how many asyncio
@@ -17,9 +18,10 @@ byte-diffs serial against eight-producer runs on that basis.
 from __future__ import annotations
 
 import asyncio
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from repro.core.demand import DemandEstimator
 from repro.core.online import OnlineConfig, OnlineLearner
 from repro.core.social import SocialModel
 from repro.core.typing import TypeModel
+from repro.obs.journal import streamed_journal
+from repro.obs.tracer import TRACER
 from repro.service.admission import AdmissionConfig
 from repro.service.events import (
     ServiceEvent,
@@ -156,6 +160,52 @@ def make_service(
     )
 
 
+def journal_meta(spec: WorkloadSpec) -> Dict[str, Any]:
+    """The meta header of a service journal for ``spec``."""
+    return {
+        "component": "service",
+        "seed": spec.seed,
+        "events": spec.events,
+        "users": spec.users,
+        "aps": spec.aps,
+    }
+
+
+@contextmanager
+def service_journal(
+    journal: Optional[Union[str, Path]],
+    meta: Dict[str, Any],
+    metrics: bool = False,
+) -> Iterator[None]:
+    """The observability scope of one service run.
+
+    With a ``journal`` the tracer and perf registry start fresh (and the
+    metrics registry, when ``metrics``), every record is streamed to the
+    journal as it completes, and the footers land when the block exits;
+    the tracer is switched off again afterwards, so it is on exactly
+    while its journal is open.  Without one the run is untraced: the
+    tracer is off for the block and its flag restored after, so a tracer
+    left on elsewhere never buffers a service run in memory.
+    """
+    if journal is None:
+        enabled = TRACER.enabled
+        TRACER.enabled = False
+        try:
+            yield
+        finally:
+            TRACER.enabled = enabled
+        return
+    obs.enable(reset=True)
+    perf.reset()
+    if metrics:
+        obs.metrics.enable(reset=True)
+    try:
+        with streamed_journal(journal, meta):
+            yield
+    finally:
+        obs.disable()
+
+
 def run_journaled_service(
     spec: WorkloadSpec,
     journal: Optional[Union[str, Path]] = None,
@@ -168,14 +218,10 @@ def run_journaled_service(
         raise ValueError("metrics require a journal to land in")
     events = synthetic_events(spec)
     service = make_service(spec, admission)
-    if journal is not None:
-        obs.enable(reset=True)
-        perf.reset()
-    if metrics:
-        obs.metrics.enable(reset=True)
-    asyncio.run(run_events(service, events, producers=producers))
+    with service_journal(journal, journal_meta(spec), metrics):
+        asyncio.run(run_events(service, events, producers=producers))
     queue = service.admission
-    summary: Dict[str, Any] = {
+    return {
         "events": service.events_processed,
         "decisions": queue.decisions,
         "batches": queue.batches,
@@ -187,15 +233,3 @@ def run_journaled_service(
             else 0
         ),
     }
-    if journal is not None:
-        obs.write_journal(
-            Path(journal),
-            meta={
-                "component": "service",
-                "seed": spec.seed,
-                "events": spec.events,
-                "users": spec.users,
-                "aps": spec.aps,
-            },
-        )
-    return summary

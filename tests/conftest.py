@@ -12,6 +12,7 @@ import pytest
 from repro.experiments.config import SMALL, TINY
 from repro.experiments.workload import build_workload, trained_model
 from repro.obs import metrics as obs_metrics
+from repro.obs.tracer import get_tracer
 from repro.runtime.resilience import shutdown_pools
 
 
@@ -39,6 +40,21 @@ def _reset_metrics_registry():
     registry.reset()
     registry.enabled = False
     registry.window_seconds = obs_metrics.DEFAULT_WINDOW_SECONDS
+
+
+@pytest.fixture(autouse=True)
+def _reset_tracer():
+    """Disable, empty and detach the global tracer after every test.
+
+    A tracer one test left enabled would otherwise buffer the next
+    test's records in memory — and make an unjournaled supervised run's
+    checkpoint refuse to capture.
+    """
+    yield
+    tracer = get_tracer()
+    tracer.detach()
+    tracer.reset()
+    tracer.enabled = False
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,17 @@ import pytest
 
 from repro import obs, perf
 from repro.obs.journal import (
+    close_journal,
+    open_journal,
     parse_journal,
     read_journal,
     render_journal,
+    streamed_journal,
     strip_wall,
     write_journal,
 )
 from repro.obs.records import Candidate, DecisionRecord, SampleRecord
+from repro.obs.tracer import Tracer
 from repro.wlan.replay import ReplayEngine
 from repro.wlan.strategies import LeastLoadedFirst, S3Strategy
 
@@ -189,3 +193,86 @@ class TestReplayProvenance:
         )
         engine.run(tiny_workload.test_demands)
         assert tracer.records == []
+
+
+def _decision(user: str) -> DecisionRecord:
+    return DecisionRecord(
+        user_id=user,
+        strategy="llf",
+        controller_id="c0",
+        batch_id="c0#0",
+        sim_time=1.0,
+        chosen="ap0",
+    )
+
+
+class TestStreaming:
+    def test_streamed_bytes_equal_write_journal(self, tmp_path):
+        # One framing path: records streamed as they complete land as the
+        # same bytes write_journal renders from memory at exit.
+        registry = perf.PerfRegistry()
+        registry.count("replay.events", 3)
+        memory = Tracer(enabled=True)
+        with memory.span("run", sim_time=0.0):
+            memory.decision(_decision("u1"))
+        memory.sample(
+            SampleRecord(
+                sim_time=2.0, controller_id="c0", balance=0.5,
+                total_load=1.0, users=1,
+            )
+        )
+        at_exit = write_journal(
+            tmp_path / "exit.jsonl", tracer=memory, perf_registry=registry,
+            meta={"k": "v"},
+        )
+        assert len(memory.records) == 3  # write_journal leaves them be
+        streaming = Tracer(enabled=True)
+        open_journal(tmp_path / "streamed.jsonl", {"k": "v"}, streaming)
+        streaming.inject(memory.records)
+        streamed = close_journal(streaming, perf_registry=registry)
+        assert streaming.records == [] and streaming.sink is None
+        assert streamed.read_bytes() == at_exit.read_bytes()
+
+    def test_restore_truncates_and_seeks(self, tmp_path):
+        tracer = Tracer(enabled=True)
+        path = tmp_path / "j.jsonl"
+        writer = open_journal(path, {}, tracer)
+        tracer.decision(_decision("kept"))
+        state = tracer.export_state()
+        assert state.offset == writer.tell() == path.stat().st_size
+        for user in ("lost1", "lost2", "lost3"):
+            tracer.decision(_decision(user))
+        tracer.restore_state(state)
+        tracer.decision(_decision("after"))
+        close_journal(tracer, perf_registry=perf.PerfRegistry())
+        raw = path.read_bytes()
+        assert b"\x00" not in raw  # no hole where the cut tail was
+        journal = read_journal(path)
+        assert [d.user_id for d in journal.decisions] == ["kept", "after"]
+
+    def test_unstreamed_enabled_tracer_refuses_export(self):
+        with pytest.raises(RuntimeError, match="journal sink"):
+            Tracer(enabled=True).export_state()
+        assert Tracer().export_state().offset == 0
+
+    def test_one_journal_per_tracer(self, tmp_path):
+        tracer = Tracer(enabled=True)
+        open_journal(tmp_path / "a.jsonl", {}, tracer)
+        with pytest.raises(RuntimeError, match="already streams"):
+            open_journal(tmp_path / "b.jsonl", {}, tracer)
+        close_journal(tracer)
+        with pytest.raises(RuntimeError, match="not streaming"):
+            close_journal(tracer)
+
+    def test_failed_block_leaves_journal_without_footer(self, tmp_path):
+        tracer = Tracer(enabled=True)
+        path = tmp_path / "dead.jsonl"
+        with pytest.raises(ValueError):
+            with streamed_journal(path, {}, tracer) as writer:
+                tracer.decision(_decision("u1"))
+                raise ValueError("run died")
+        assert tracer.sink is None and writer._handle.closed
+        journal = read_journal(path)
+        assert len(journal.decisions) == 1 and journal.perf is None
+        tracer.decision(_decision("u2"))  # back to memory, not the file
+        assert len(tracer.records) == 1

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Tuple
+from typing import Any, List, Tuple
 
 import pytest
+
+from repro import obs
 
 from repro.faults import (
     ControllerCrash,
@@ -15,18 +18,23 @@ from repro.faults import (
     ProducerStall,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs.journal import read_journal, strip_wall
+from repro.obs.journal import (
+    JournalWriter,
+    read_journal,
+    streamed_journal,
+    strip_wall,
+)
+from repro.obs.tracer import get_tracer
 from repro.service.admission import STALE_NOTE
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     SNAPSHOT_PREFIX,
-    ServiceCheckpoint,
     capture_checkpoint,
     latest_snapshot_seq,
     restore_checkpoint,
     snapshot_seqs,
 )
-from repro.service.events import StationJoin
+from repro.service.loop import ControllerService
 from repro.service.soak import run_soak
 from repro.service.supervisor import (
     Supervisor,
@@ -147,6 +155,119 @@ def test_supervised_empty_plan_matches_plain_service_run(
     assert summary["recoveries"] == 0 and summary["snapshots"] >= 1
 
 
+_SMALL = WorkloadSpec(users=12, aps=4, events=120, seed=13)
+
+
+def _stripped_run(spec: WorkloadSpec, plan: FaultPlan, workdir: Path) -> str:
+    journal = workdir / "journal.jsonl"
+    run_supervised(spec, plan, workdir, journal=journal, snapshot_every=16)
+    return strip_wall(journal.read_text(encoding="utf-8"))
+
+
+def test_crash_at_every_event_time_byte_identical(tmp_path: Path) -> None:
+    # Exhaustive on a small stream: one crash planted at each distinct
+    # event time (so before each delivery, including the first and just
+    # after a cadence snapshot) must leave no deterministic trace.
+    baseline = _stripped_run(_SMALL, FaultPlan(), tmp_path / "baseline")
+    times = sorted({event.time for event in synthetic_events(_SMALL)})
+    assert len(times) == _SMALL.events
+    for index, time in enumerate(times):
+        plan = FaultPlan((ControllerCrash(time=time, controller_id="svc"),))
+        crashed = _stripped_run(_SMALL, plan, tmp_path / f"crash-{index}")
+        assert crashed == baseline, f"journal diverged for a crash at {time}"
+
+
+def test_torn_journal_tail_is_truncated_on_restore(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Bytes past the last snapshot's offset stand in for the unflushed or
+    # torn tail a real kill leaves; the restore must cut them off.
+    journal = tmp_path / "crashed.jsonl"
+    tails: List[int] = []
+    recover = Supervisor._crash_and_recover
+
+    def torn_then_recover(self: Supervisor, crash: ControllerCrash) -> None:
+        sink = get_tracer().sink
+        assert isinstance(sink, JournalWriter)
+        sink.flush()
+        with journal.open("ab") as handle:
+            handle.write(b'\x00{"type":"decision","data":{"us')
+        tails.append(journal.stat().st_size)
+        recover(self, crash)
+
+    monkeypatch.setattr(Supervisor, "_crash_and_recover", torn_then_recover)
+    summary = run_supervised(
+        _SPEC, FaultPlan(_crashes_at(0.3, 0.75)), tmp_path / "crashed",
+        journal=journal, snapshot_every=40,
+    )
+    monkeypatch.undo()
+    assert summary["recoveries"] == len(tails) == 2
+    text = journal.read_text(encoding="utf-8")
+    assert "\x00" not in text
+    read_journal(journal)  # every line parses
+    baseline = tmp_path / "baseline.jsonl"
+    run_supervised(
+        _SPEC, FaultPlan(), tmp_path / "baseline", journal=baseline,
+        snapshot_every=40,
+    )
+    assert strip_wall(text) == strip_wall(baseline.read_text(encoding="utf-8"))
+
+
+def test_streamed_run_keeps_no_records_in_memory(tmp_path: Path) -> None:
+    summary = run_supervised(
+        _SPEC, FaultPlan(_crashes_at(0.5)), tmp_path / "work",
+        journal=tmp_path / "j.jsonl", snapshot_every=40,
+    )
+    tracer = get_tracer()
+    assert summary["decisions"] > 0 and tracer.records == []
+    assert tracer.sink is None and not tracer.enabled
+    assert len(read_journal(tmp_path / "j.jsonl").decisions) > 0
+
+
+def test_failed_run_detaches_and_closes_its_journal(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    submit = ControllerService.submit
+    writers: List[Any] = []
+    closed_wal: List[bool] = []
+    close = Supervisor.close
+
+    def failing_submit(self: ControllerService, event: Any) -> None:
+        if event.seq == 150:
+            writers.append(get_tracer().sink)
+            raise RuntimeError("controller bug")
+        submit(self, event)
+
+    def recording_close(self: Supervisor) -> None:
+        close(self)
+        closed_wal.append(self._wal is None)
+
+    monkeypatch.setattr(ControllerService, "submit", failing_submit)
+    monkeypatch.setattr(Supervisor, "close", recording_close)
+    dead = tmp_path / "dead.jsonl"
+    with pytest.raises(RuntimeError, match="controller bug"):
+        run_supervised(
+            _SPEC, FaultPlan(), tmp_path / "dead", journal=dead,
+            snapshot_every=40,
+        )
+    monkeypatch.undo()
+    (writer,) = writers
+    assert isinstance(writer, JournalWriter) and writer._handle.closed
+    assert closed_wal == [True]
+    tracer = get_tracer()
+    assert tracer.sink is None and not tracer.enabled
+    # The dead run's journal stops where it died: no footer, and a later
+    # run writes its own journal, never into this one.
+    size = dead.stat().st_size
+    assert read_journal(dead).perf is None
+    run_supervised(
+        _SPEC, FaultPlan(), tmp_path / "next", journal=tmp_path / "next.jsonl",
+        snapshot_every=40,
+    )
+    assert dead.stat().st_size == size
+    assert read_journal(tmp_path / "next.jsonl").perf is not None
+
+
 # ----------------------------------------------------------------- #
 # Recovery trail                                                    #
 # ----------------------------------------------------------------- #
@@ -176,6 +297,49 @@ def test_recovery_records_journaled_and_stripped(tmp_path: Path) -> None:
     stripped = strip_wall(journal_path.read_text(encoding="utf-8"))
     assert '"recovery"' not in stripped
     assert "downtime" not in stripped
+
+
+def test_recovery_ledger_survives_restores_past_earlier_crashes(
+    tmp_path: Path,
+) -> None:
+    # Only the genesis snapshot exists, so every restore truncates the
+    # journal back past the earlier crashes' recovery records; the
+    # ledger must re-journal each of them exactly once per restore.
+    journal_path = tmp_path / "ledger.jsonl"
+    summary = run_supervised(
+        _SPEC, FaultPlan(_crashes_at(0.2, 0.5, 0.8)), tmp_path / "work",
+        journal=journal_path, metrics=True, snapshot_every=10_000,
+    )
+    assert summary["snapshots"] == 1
+    journal = read_journal(journal_path)
+    assert [r.sim_time for r in journal.recoveries] == [
+        c.time for c in _crashes_at(0.2, 0.5, 0.8)
+    ]
+    assert [r.snapshot_seq for r in journal.recoveries] == [0, 0, 0]
+    snapshot = {s.name: s for s in obs_metrics.REGISTRY.snapshot().series}
+    assert sum(snapshot["service.recoveries"].counter_windows.values()) == 3.0
+
+
+def test_recovery_written_at_the_snapshot_offset_is_rejournaled(
+    tmp_path: Path,
+) -> None:
+    # A crash just after the 16th delivery's snapshot replays nothing, so
+    # its recovery record lands exactly at the snapshot's offset; the
+    # next crash restores that same snapshot and must re-journal it.
+    times = [event.time for event in synthetic_events(_SMALL)]
+    crashes = tuple(
+        ControllerCrash(time=times[i], controller_id="svc") for i in (16, 20)
+    )
+    journal_path = tmp_path / "boundary.jsonl"
+    summary = run_supervised(
+        _SMALL, FaultPlan(crashes), tmp_path / "work",
+        journal=journal_path, snapshot_every=16,
+    )
+    journal = read_journal(journal_path)
+    assert [r.replayed_events for r in journal.recoveries] == [0, 4]
+    assert [r.snapshot_seq for r in journal.recoveries] == [16, 16]
+    assert [r.sim_time for r in journal.recoveries] == [c.time for c in crashes]
+    assert summary["recoveries"] == 2
 
 
 def test_stale_degraded_mode_after_lossy_recovery(tmp_path: Path) -> None:
@@ -228,13 +392,16 @@ def test_checkpoint_roundtrip_restores_world() -> None:
     checkpoint = capture_checkpoint(service, fingerprint)
     assert checkpoint.slot == f"{SNAPSHOT_PREFIX}80"
     assert checkpoint.next_seq == 80
+    captured = service.events_processed
     # The live service keeps going; the checkpoint must stay frozen.
     for event in synthetic_events(_SPEC)[80:120]:
         service.submit(event)
     restored = restore_checkpoint(checkpoint, fingerprint)
-    assert restored is not checkpoint.service  # independent copies
-    assert restored.events_processed == checkpoint.service.events_processed
+    assert restored.events_processed == captured
     assert restored.events_processed < service.events_processed
+    # Restores are independent copies: driving one leaves the other be.
+    again = restore_checkpoint(checkpoint, fingerprint)
+    assert again is not restored and again.associator is not restored.associator
     # The social model stays one shared object across the object graph.
     assert restored.learner is not None
     assert restored.learner.social is restored.associator.social
@@ -243,6 +410,7 @@ def test_checkpoint_roundtrip_restores_world() -> None:
         restored.submit(event)
     assert restored.events_processed == service.events_processed
     assert restored.associator.loads() == service.associator.loads()
+    assert again.events_processed == captured
 
 
 def test_checkpoint_guards_version_and_fingerprint() -> None:
@@ -250,18 +418,26 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     checkpoint = capture_checkpoint(service, fingerprint)
     with pytest.raises(RuntimeError, match="refusing to restore"):
         restore_checkpoint(checkpoint, fingerprint + ":other")
-    stale = ServiceCheckpoint(
-        version=CHECKPOINT_VERSION + 1,
-        fingerprint=checkpoint.fingerprint,
-        next_seq=checkpoint.next_seq,
-        last_time=checkpoint.last_time,
-        service=checkpoint.service,
-        tracer=checkpoint.tracer,
-        metrics=checkpoint.metrics,
-        perf=checkpoint.perf,
-    )
-    with pytest.raises(RuntimeError, match="version"):
-        restore_checkpoint(stale, fingerprint)
+    # Version 1 checkpoints deep-copied the service and the tracer's
+    # records; their pickles must be refused, never mis-restored.
+    for version in (1, CHECKPOINT_VERSION + 1):
+        stale = replace(checkpoint, version=version)
+        with pytest.raises(RuntimeError, match="version"):
+            restore_checkpoint(stale, fingerprint)
+
+
+def test_checkpoint_holds_state_not_history(tmp_path: Path) -> None:
+    # An enabled tracer with its records in memory cannot be captured.
+    obs.enable(reset=True)
+    service, fingerprint = _run_prefix(10)
+    with pytest.raises(RuntimeError, match="journal sink"):
+        capture_checkpoint(service, fingerprint)
+    # Streaming, the tracer's part is a byte offset into the journal.
+    with streamed_journal(tmp_path / "j.jsonl") as writer:
+        checkpoint = capture_checkpoint(service, fingerprint)
+        assert checkpoint.tracer.offset == writer.tell() > 0
+    assert isinstance(checkpoint.service_pickle, bytes)
+    assert not hasattr(checkpoint.tracer, "records")
 
 
 def test_corrupt_snapshot_quarantined_with_fallback(tmp_path: Path) -> None:
@@ -280,6 +456,7 @@ def test_corrupt_snapshot_quarantined_with_fallback(tmp_path: Path) -> None:
     assert checkpoint.next_seq == seqs[-2]  # fell back one snapshot
     quarantined = list(supervisor.store.path.glob("*.corrupt"))
     assert len(quarantined) == 1
+    supervisor.close()
 
 
 # ----------------------------------------------------------------- #
