@@ -56,13 +56,14 @@ def proportional_fairness(loads: Sequence[float]) -> float:
     under proportional fairness, unlike under Chiu-Jain.
     """
     values = _validated(loads)
-    mean = values.mean()
-    if mean <= 0:
+    # Test for the all-zero vector directly: the mean of [5e-324, 0.0]
+    # underflows to 0.0 although one AP is loaded.
+    if not np.any(values > 0):
         return 1.0
     if np.any(values <= 0):
         return 0.0
     geometric = float(np.exp(np.mean(np.log(values))))
-    return geometric / float(mean)
+    return geometric / float(values.mean())
 
 
 def gini_balance(loads: Sequence[float]) -> float:

@@ -109,23 +109,31 @@ class OnlineLearner:
         if joined_at is None:
             return  # arrival never observed (e.g. learner attached late)
 
-        # Encounters: co-presence with everyone still on the AP.
-        for other, other_joined in present.items():
-            overlap = time - max(joined_at, other_joined)
-            if overlap >= self.config.encounter_min_duration:
-                self.social.record_events(user_id, other, encounters=1)
-                self.encounters_recorded += 1
+        config = self.config
+        record = self.social.record_events
+
+        # Encounters: co-presence with everyone still on the AP.  The
+        # overlap ``time - max(joined_at, other_joined)`` is whichever of
+        # the two differences is smaller, so it clears the threshold
+        # exactly when both do — and none can if this stay did not.
+        threshold = config.encounter_min_duration
+        if time - joined_at >= threshold:
+            for other, other_joined in present.items():
+                if time - other_joined >= threshold:
+                    record(user_id, other, encounters=1)
+                    self.encounters_recorded += 1
 
         # Co-leavings: pair with recent departures on the same AP.
         ring = self._departures.setdefault(ap_id, deque())
-        horizon = time - self.config.departure_memory
+        horizon = time - config.departure_memory
         while ring and ring[0][0] < horizon:
             ring.popleft()
+        window = config.coleave_window
         for departed_at, other in ring:
             if other == user_id:
                 continue
-            if time - departed_at <= self.config.coleave_window:
-                self.social.record_events(user_id, other, co_leavings=1)
+            if time - departed_at <= window:
+                record(user_id, other, co_leavings=1)
                 self.co_leavings_recorded += 1
         ring.append((time, user_id))
 

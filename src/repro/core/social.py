@@ -315,11 +315,14 @@ class SocialModel:
         if encounters < 0 or co_leavings < 0:
             raise ValueError("event deltas must be non-negative")
         pair = make_pair(user_a, user_b)
-        old = self._pairs.get(pair, PairStats(0, 0))
-        stats = PairStats(
-            encounters=old.encounters + encounters,
-            co_leavings=old.co_leavings + co_leavings,
-        )
+        old = self._pairs.get(pair)
+        if old is None:
+            stats = PairStats(encounters=encounters, co_leavings=co_leavings)
+        else:
+            stats = PairStats(
+                encounters=old.encounters + encounters,
+                co_leavings=old.co_leavings + co_leavings,
+            )
         self._pairs[pair] = stats
         self._generation += 1
         generation = self._generation

@@ -16,9 +16,10 @@ Three layers (see ``docs/service.md``):
 * :mod:`repro.service.admission` — micro-batching of join queries with
   a bounded queue that sheds to the ``s3 -> llf -> rssi`` fallback
   chain under saturation, emitting backpressure metrics;
-* :mod:`repro.service.fastpath` — an O(types + partners) incremental
-  social-cost index over the same :class:`~repro.core.social.SocialModel`
-  the batch selector uses, fed by the PR 9 online delta updates.
+* :mod:`repro.service.fastpath` — an incremental social-cost index
+  that scores every AP in one O(APs + partners) row per arrival, over
+  the same :class:`~repro.core.social.SocialModel` the batch selector
+  uses, fed by the online delta updates.
 
 Crash safety rides on top (``docs/robustness.md``):
 :mod:`repro.service.checkpoint` snapshots the whole service plus the

@@ -1,27 +1,52 @@
-"""The service's O(types + partners) association fast path.
+"""The service's association fast path: one cost row per arrival.
 
 :meth:`repro.core.selection.S3Selector.select` recomputes the added
 social cost of an arrival against every resident of every AP — an
 O(APs x residents) walk that is fine for batch replay but not for a
 service gated at ten thousand decisions per second.  The
-:class:`FastAssociator` keeps the aggregate the walk recomputes:
+:class:`FastAssociator` keeps the aggregates that walk recomputes and
+scores every AP in one pass per arrival (``_costs``, the row both
+:meth:`~FastAssociator.select` and
+:meth:`~FastAssociator.score_candidates` read):
 
-* per AP, a **type-count vector** (k+1 integers, the unknown bucket
-  last) updated O(1) on join/leave, so the type half of the cost is a
-  k-term dot product with the arrival's affinity row instead of a
-  per-resident table lookup;
-* per arrival, the sparse conditional half comes from
-  :meth:`~repro.core.social.SocialModel.conditional_partners` — the
-  bidirectional adjacency the PR 9 incremental updates patch in place —
-  intersected with the AP's resident set.
+* **type half** — per AP, a **type-count vector** (k+1 integers, the
+  unknown bucket last) and, from it, a cached ``alpha * type_sum`` for
+  every arrival type code.  A join or leave recomputes the cache of the
+  one AP it touched; an arrival's row starts as a copy of the cached
+  list for its code;
+* **conditional half** — one walk over the arrival's
+  :meth:`~repro.core.social.SocialModel.conditional_partners` (the
+  bidirectional adjacency the incremental social updates patch in
+  place), looking each partner's AP up in the association map and
+  adding the partner's term to that AP's entry only.
+
+Per arrival that is O(APs + partners), not O(APs x partners).
+
+**Pinned summation order.**  Every cost is the float the per-AP walk
+(kept as the oracle in ``tests/test_service_fastpath.py``) computes,
+bit for bit:
+
+* ``type_sum`` starts at 0.0 and adds ``affinity[arrival][code] *
+  count`` in code order, skipping zero counts; the AP's type term is
+  ``alpha * type_sum``;
+* the conditional sum starts at 0.0 and adds the AP's partner terms in
+  **partner order** when the arrival has no more partners than the AP
+  has residents, else in **resident join order** (a per-user join stamp
+  set by :meth:`~FastAssociator.apply_join`).  A sum of at most two
+  terms starting at 0.0 does not depend on order, so only buckets of
+  three or more terms are sorted;
+* the cost is the type term plus the conditional sum, one addition.
+  The cached type term is stored as ``alpha * type_sum + 0.0``, which is
+  exactly the cost of an AP without partner terms and leaves the
+  addition for an AP with them unchanged.
 
 Ranking then mirrors Algorithm 1's singleton form *exactly*: feasible
 APs by bandwidth, sort by ``(cost, load, ap_id)``, keep the cheapest
 30%, re-rank by predicted balance index.  The decisions match
 :class:`~repro.core.selection.S3Selector` whenever costs are not within
-float-roundoff of a tie (the aggregated sum associates differently than
-the per-resident walk); the fast path is the service's *own*
-deterministic s3 arm, proven choice-equivalent on non-degenerate
+float-roundoff of a tie (the aggregated type half associates
+differently than the per-resident walk); the fast path is the service's
+*own* deterministic s3 arm, proven choice-equivalent on non-degenerate
 scenarios by ``tests/test_service_fastpath.py``.
 
 Resident types are counted as of association time: a user retyped by
@@ -102,7 +127,15 @@ class FastAssociator:
             self._aps[ap.ap_id] = ap
         #: Deterministic iteration order for ranking and balance vectors.
         self._order: List[str] = sorted(self._aps)
-        self._user_ap: Dict[str, str] = {}
+        #: The APs in ``_order``; cost rows are indexed like this list.
+        self._ranked: List[ApRuntime] = [self._aps[a] for a in self._order]
+        self._index: Dict[str, int] = {
+            ap_id: index for index, ap_id in enumerate(self._order)
+        }
+        #: user -> (AP index, join stamp); stamps order each AP's
+        #: residents by join, like ``ApRuntime.users``.
+        self._seats: Dict[str, Tuple[int, int]] = {}
+        self._joins = 0
         #: The extended affinity as plain float rows — scalar access in
         #: the per-decision loop beats numpy indexing at this size.
         k = social.type_model.k
@@ -114,6 +147,12 @@ class FastAssociator:
         ]
         self._rows.append([mean] * (k + 1))
         self._unknown_code = k
+        #: arrival type code -> per-AP type term (see module docstring).
+        self._type_costs: List[List[float]] = [
+            [0.0] * len(self._ranked) for _ in self._rows
+        ]
+        for index in range(len(self._ranked)):
+            self._refresh_type_costs(index)
 
     # ------------------------------------------------------------- queries
 
@@ -127,65 +166,80 @@ class FastAssociator:
 
     def ap_of(self, user_id: str) -> Optional[str]:
         """The AP ``user_id`` is associated with, if any."""
-        return self._user_ap.get(user_id)
+        seat = self._seats.get(user_id)
+        return None if seat is None else self._order[seat[0]]
 
     def loads(self) -> List[float]:
         """Current loads, in ``ap_ids`` order."""
-        return [self._aps[ap_id].load for ap_id in self._order]
+        return [ap.load for ap in self._ranked]
 
     def total_users(self) -> int:
-        return len(self._user_ap)
+        return len(self._seats)
 
     def snapshots(self) -> List[APState]:
         """Immutable AP snapshots in ranking order."""
-        return [self._aps[ap_id].snapshot() for ap_id in self._order]
+        return [ap.snapshot() for ap in self._ranked]
 
     def _code_of(self, user_id: str) -> int:
         return self.social.type_model.assignments.get(
             user_id, self._unknown_code
         )
 
-    def added_cost(self, user_id: str, ap: ApRuntime) -> float:
-        """The C(AP) increment of adding ``user_id`` to ``ap``.
-
-        Type half from the count vector, conditional half from the
-        adjacency intersected with the resident set — never a walk over
-        residents' individual type lookups.
-        """
-        row = self._rows[self._code_of(user_id)]
-        type_sum = 0.0
-        for code, count in enumerate(ap.type_counts):
-            if count:
+    def _refresh_type_costs(self, index: int) -> None:
+        """Recompute AP ``index``'s type term for every arrival code."""
+        terms = [
+            (code, count)
+            for code, count in enumerate(self._ranked[index].type_counts)
+            if count
+        ]
+        alpha = self.alpha
+        for row, costs in zip(self._rows, self._type_costs):
+            type_sum = 0.0
+            for code, count in terms:
                 type_sum += row[code] * count
-        conditional = 0.0
+            costs[index] = alpha * type_sum + 0.0
+
+    def _costs(self, user_id: str) -> List[float]:
+        """The added social cost of ``user_id`` at every AP, in ``_order``.
+
+        Summed in the pinned order of the module docstring, so each
+        entry equals the per-AP walk's float exactly.
+        """
+        costs = list(self._type_costs[self._code_of(user_id)])
         partners = self.social.conditional_partners(user_id)
-        if partners:
-            residents = ap.users
-            if len(partners) <= len(residents):
-                for partner, value in partners.items():
-                    if partner in residents and partner != user_id:
-                        conditional += value
-            else:
-                for resident in residents:
-                    if resident != user_id:
-                        value = partners.get(resident)
-                        if value is not None:
-                            conditional += value
-        return self.alpha * type_sum + conditional
+        if not partners:
+            return costs
+        seats = self._seats
+        buckets: Dict[int, List[Tuple[int, float]]] = {}
+        for partner, value in partners.items():
+            seat = seats.get(partner)
+            if seat is not None and partner != user_id:
+                bucket = buckets.get(seat[0])
+                if bucket is None:
+                    buckets[seat[0]] = [(seat[1], value)]
+                else:
+                    bucket.append((seat[1], value))
+        count = len(partners)
+        ranked = self._ranked
+        for index, bucket in buckets.items():
+            if len(bucket) > 2 and count > len(ranked[index].users):
+                bucket.sort()  # resident join order; stamps are unique
+            conditional = 0.0
+            for _, value in bucket:
+                conditional += value
+            costs[index] += conditional
+        return costs
 
     def score_candidates(self, user_id: str) -> Dict[str, float]:
         """ap id -> added social cost, for decision provenance."""
-        return {
-            ap_id: self.added_cost(user_id, self._aps[ap_id])
-            for ap_id in self._order
-        }
+        return dict(zip(self._order, self._costs(user_id)))
 
     # ------------------------------------------------------------ decisions
 
     def least_loaded(self) -> str:
         """LLF over live state: the shed path's choice."""
         return min(
-            (self._aps[ap_id] for ap_id in self._order),
+            self._ranked,
             key=lambda ap: (ap.load, ap.user_count, ap.ap_id),
         ).ap_id
 
@@ -200,18 +254,19 @@ class FastAssociator:
         """
         rate = self.demand.estimate(user_id)
         feasible = [
-            ap
-            for ap in (self._aps[ap_id] for ap_id in self._order)
+            (index, ap)
+            for index, ap in enumerate(self._ranked)
             if ap.load + rate <= ap.bandwidth
         ]
         if not feasible:
             return self.least_loaded()
+        costs = self._costs(user_id)
+        # ap_id is unique, so the tuples never compare their last field.
         ranked = sorted(
-            feasible,
-            key=lambda ap: (self.added_cost(user_id, ap), ap.load, ap.ap_id),
+            [(costs[index], ap.load, ap.ap_id, ap) for index, ap in feasible]
         )
         keep = max(1, int(math.ceil(len(ranked) * self.top_fraction)))
-        top = ranked[:keep]
+        top = [entry[3] for entry in ranked[:keep]]
         if len(top) == 1:
             return top[0].ap_id
         # Balance re-rank, solved in closed form.  Admitting one rate r
@@ -230,7 +285,7 @@ class FastAssociator:
 
     def apply_join(self, user_id: str, ap_id: str) -> float:
         """Associate ``user_id`` with ``ap_id``; returns the admitted rate."""
-        if user_id in self._user_ap:
+        if user_id in self._seats:
             raise ValueError(f"user {user_id!r} is already associated")
         ap = self._aps[ap_id]
         rate = self.demand.estimate(user_id)
@@ -238,18 +293,23 @@ class FastAssociator:
         ap.users[user_id] = (rate, code)
         ap.type_counts[code] += 1
         ap.load += rate
-        self._user_ap[user_id] = ap_id
+        index = self._index[ap_id]
+        self._joins += 1
+        self._seats[user_id] = (index, self._joins)
+        self._refresh_type_costs(index)
         return rate
 
     def apply_leave(self, user_id: str) -> Optional[str]:
         """Disassociate ``user_id``; returns the AP left, if any."""
-        ap_id = self._user_ap.pop(user_id, None)
-        if ap_id is None:
+        seat = self._seats.pop(user_id, None)
+        if seat is None:
             return None
-        ap = self._aps[ap_id]
+        index = seat[0]
+        ap = self._ranked[index]
         rate, code = ap.users.pop(user_id)
         ap.type_counts[code] -= 1
         ap.load -= rate
         if ap.load < 0 and ap.load > -1e-9:
             ap.load = 0.0
-        return ap_id
+        self._refresh_type_costs(index)
+        return ap.ap_id

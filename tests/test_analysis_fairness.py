@@ -44,6 +44,10 @@ class TestProportional:
     def test_all_zero_balanced(self):
         assert proportional_fairness([0, 0, 0]) == 1.0
 
+    def test_denormal_load_with_idle_ap_is_zero(self):
+        # The mean underflows to 0.0; the vector is still not all-zero.
+        assert proportional_fairness([5e-324, 0.0]) == 0.0
+
     def test_am_gm_inequality(self):
         assert proportional_fairness([1, 9]) < 1.0
 

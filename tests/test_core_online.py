@@ -1,7 +1,10 @@
 """Tests for the online-learning S³ extension."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.demand import DemandEstimator
 from repro.core.online import OnlineConfig, OnlineLearner, OnlineS3Strategy
@@ -113,6 +116,89 @@ class TestOnlineLearner:
         assert stats.co_leavings == 3
         # Enough evidence for a real social index now.
         assert social.social_index("a", "b") > 0.5
+
+
+class MaxOverlapLearner(OnlineLearner):
+    """The learner with its original departure step, kept as the oracle:
+    every resident's overlap is ``time - max(joined_at, other_joined)``."""
+
+    def on_departure(self, user_id, ap_id, time):
+        present = self._present.setdefault(ap_id, {})
+        joined_at = present.pop(user_id, None)
+        if joined_at is None:
+            return
+        for other, other_joined in present.items():
+            overlap = time - max(joined_at, other_joined)
+            if overlap >= self.config.encounter_min_duration:
+                self.social.record_events(user_id, other, encounters=1)
+                self.encounters_recorded += 1
+        ring = self._departures.setdefault(ap_id, deque())
+        horizon = time - self.config.departure_memory
+        while ring and ring[0][0] < horizon:
+            ring.popleft()
+        for departed_at, other in ring:
+            if other == user_id:
+                continue
+            if time - departed_at <= self.config.coleave_window:
+                self.social.record_events(user_id, other, co_leavings=1)
+                self.co_leavings_recorded += 1
+        ring.append((time, user_id))
+
+
+#: Gaps between stream events: zero, sub-second, and around the
+#: 20-minute encounter threshold, so overlaps land exactly on it, just
+#: short of it, and well past it.
+_GAPS = [0.0, 0.1, 60.0, 300.0, 20 * MINUTE - 0.1, 20 * MINUTE, 20 * MINUTE + 0.1]
+
+
+class TestDepartureMatchesMaxOverlap:
+    """The two-threshold test in :meth:`OnlineLearner.on_departure` is the
+    ``max``-overlap formula it replaced, exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from(["ap1", "ap2"]),
+                st.sampled_from(_GAPS),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        start=st.sampled_from([0.0, 0.3, 1e6 + 0.7]),
+    )
+    def test_same_pairs_and_tallies(self, steps, start):
+        new = OnlineLearner(empty_social())
+        old = MaxOverlapLearner(empty_social())
+        where = {}
+        time = start
+        for user_index, ap_id, gap in steps:
+            time += gap
+            user = f"u{user_index}"
+            for learner in (new, old):
+                if user in where:
+                    learner.on_departure(user, where[user], time)
+                elif user_index == 7:
+                    # A departure whose arrival was never observed.
+                    learner.on_departure(user, ap_id, time)
+                else:
+                    learner.on_arrival(user, ap_id, time)
+            if user in where:
+                del where[user]
+            elif user_index != 7:
+                where[user] = ap_id
+        assert new.social._pairs == old.social._pairs
+        assert new.encounters_recorded == old.encounters_recorded
+        assert new.co_leavings_recorded == old.co_leavings_recorded
+
+    def test_overlap_exactly_at_threshold_is_an_encounter(self):
+        for cls in (OnlineLearner, MaxOverlapLearner):
+            learner = cls(empty_social())
+            learner.on_arrival("a", "ap1", 0.0)
+            learner.on_arrival("b", "ap1", 100.0)
+            learner.on_departure("a", "ap1", 100.0 + 20 * MINUTE)
+            assert learner.encounters_recorded == 1
 
 
 class TestOnlineS3Strategy:

@@ -34,6 +34,7 @@ from repro.service.checkpoint import (
     restore_checkpoint,
     snapshot_seqs,
 )
+from repro.service.fastpath import ApRuntime, FastAssociator
 from repro.service.loop import ControllerService
 from repro.service.soak import run_soak
 from repro.service.supervisor import (
@@ -387,6 +388,23 @@ def _run_prefix(n: int) -> Tuple[object, str]:
     return service, run_fingerprint(_SPEC, FaultPlan())
 
 
+def _rebuilt(associator: FastAssociator) -> FastAssociator:
+    """A fresh associator replaying ``associator``'s joins, AP by AP."""
+    fresh = FastAssociator(
+        associator.social,
+        associator.demand,
+        [
+            ApRuntime(ap.ap_id, ap.bandwidth, len(ap.type_counts))
+            for ap in map(associator.ap, associator.ap_ids)
+        ],
+        top_fraction=associator.top_fraction,
+    )
+    for ap_id in associator.ap_ids:
+        for user in associator.ap(ap_id).users:
+            fresh.apply_join(user, ap_id)
+    return fresh
+
+
 def test_checkpoint_roundtrip_restores_world() -> None:
     service, fingerprint = _run_prefix(80)
     checkpoint = capture_checkpoint(service, fingerprint)
@@ -405,6 +423,13 @@ def test_checkpoint_roundtrip_restores_world() -> None:
     # The social model stays one shared object across the object graph.
     assert restored.learner is not None
     assert restored.learner.social is restored.associator.social
+    # The pickled cost caches and join stamps score every user as an
+    # associator rebuilt from the same joins does.
+    rebuilt = _rebuilt(restored.associator)
+    for user in sorted({event.user_id for event in synthetic_events(_SPEC)}):
+        assert restored.associator.score_candidates(user) == (
+            rebuilt.score_candidates(user)
+        )
     # Replaying the missing suffix converges to the live state.
     for event in synthetic_events(_SPEC)[80:120]:
         restored.submit(event)
@@ -419,8 +444,10 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     with pytest.raises(RuntimeError, match="refusing to restore"):
         restore_checkpoint(checkpoint, fingerprint + ":other")
     # Version 1 checkpoints deep-copied the service and the tracer's
-    # records; their pickles must be refused, never mis-restored.
-    for version in (1, CHECKPOINT_VERSION + 1):
+    # records, version 2 associators lack the cost caches and join
+    # stamps; their pickles must be refused, never mis-restored.
+    assert CHECKPOINT_VERSION == 3
+    for version in (1, 2, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
