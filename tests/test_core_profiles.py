@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.profiles import (
     DailyProfileStore,
@@ -9,9 +11,10 @@ from repro.core.profiles import (
     history_profile,
     nmi_history_curve,
 )
-from repro.trace.apps import AppRealm
+from repro.sim.timeline import DAY, day_index
+from repro.trace.apps import N_REALMS, AppRealm, port_table
+from repro.trace.classifier import PortClassifier
 from repro.trace.records import FlowRecord
-from repro.sim.timeline import DAY
 
 
 def volumes(**kwargs):
@@ -111,6 +114,88 @@ class TestBuildDailyProfiles:
         assert np.allclose(
             history_profile(store, "u", 1, 1), store.cumulative("u", 1, 1)
         )
+
+
+def loop_daily_profiles(flows, classifier=None):
+    """The per-flow ``DailyProfileStore.add`` loop: the test oracle of
+    :func:`build_daily_profiles`."""
+    classifier = classifier if classifier is not None else PortClassifier()
+    store = DailyProfileStore()
+    for flow in flows:
+        realm = classifier.classify(flow)
+        if realm is None:
+            continue
+        volumes = np.zeros(N_REALMS)
+        volumes[realm] = flow.bytes_total
+        store.add(flow.user_id, day_index(flow.start), volumes)
+    return store
+
+
+def assert_same_store(actual, expected):
+    """Same users, same days in the same insertion order, same bytes."""
+    assert actual.user_ids == expected.user_ids
+    for user in expected.user_ids:
+        assert list(actual._volumes[user]) == list(expected._volumes[user])
+        for day in expected.days_of(user):
+            assert actual.raw(user, day).tobytes() == expected.raw(user, day).tobytes()
+
+
+#: Known (protocol, port) pairs plus unknown ones that exercise the P2P and
+#: web fallbacks and the unclassifiable case.
+_PORTS = sorted(port_table()) + [
+    ("tcp", 5000), ("udp", 5000), ("tcp", 25000), ("udp", 25000),
+    ("tcp", 700), ("udp", 700), ("tcp", 10000),
+]
+
+
+@st.composite
+def flow_logs(draw):
+    users = draw(st.lists(st.sampled_from(["u1", "u2", "u10"]), min_size=1, max_size=3))
+    flows = []
+    for _ in range(draw(st.integers(0, 60))):
+        protocol, dst_port = draw(st.sampled_from(_PORTS))
+        day = draw(st.integers(0, 3))
+        # Offset 0 puts the flow exactly on a day boundary.
+        start = day * DAY + draw(st.sampled_from([0.0, 1.0, 3600.0, DAY - 1.0]))
+        size = draw(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+            )
+        )
+        flows.append(
+            FlowRecord(
+                draw(st.sampled_from(users)), start, start + 60.0,
+                "10.0.0.1", "8.8.8.8", protocol,
+                draw(st.sampled_from([1024, 9999, 10000, 40000])), dst_port, size,
+            )
+        )
+    return flows
+
+
+class TestBuildMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(flow_logs())
+    def test_identical_to_per_flow_loop(self, flows):
+        assert_same_store(build_daily_profiles(flows), loop_daily_profiles(flows))
+
+    def test_many_flows_per_user_day(self):
+        rng = np.random.default_rng(3)
+        flows = [
+            make_flow("u", 0, 443, float(size)) for size in rng.lognormal(15, 3, 500)
+        ]
+        assert_same_store(build_daily_profiles(flows), loop_daily_profiles(flows))
+
+    def test_rejects_negative_volume(self):
+        # FlowRecord refuses negative bytes, so bypass its validation.
+        flow = make_flow("u", 0, 443, 1.0)
+        object.__setattr__(flow, "bytes_total", -1.0)
+        with pytest.raises(ValueError, match="negative"):
+            build_daily_profiles([flow])
+
+    def test_identical_on_collected_workload(self, small_workload):
+        flows = small_workload.collected.flows
+        assert_same_store(build_daily_profiles(flows), loop_daily_profiles(flows))
 
 
 class TestNMICurve:
