@@ -50,7 +50,7 @@ def test_bench_metrics_disabled_overhead(benchmark, report_writer):
         with wall.timer("replay"):
             return engine.run(workload.test_demands)
 
-    result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    result = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
     stat = wall.timers()["replay"]
     replay_seconds = stat.minimum
 

@@ -4,8 +4,9 @@ Unlike the figure benches (one-shot reproductions), these measure the hot
 paths with real repetition: the event kernel's throughput, maximum-clique
 search at controller-batch scale, k-means on campus-sized profile
 matrices, churn extraction over a week of sessions, S³'s exhaustive
-clique placement, and a full replay of one evaluation day.  Regressions
-here translate directly into slower experiment turnaround.
+clique placement, a full replay of one evaluation day, and trace
+generation plus profile training (the paper pipeline's set-up front).
+Regressions here translate directly into slower experiment turnaround.
 """
 
 import itertools
@@ -16,12 +17,17 @@ import pytest
 from repro.analysis.churn import extract_churn
 from repro.cluster.kmeans import KMeans
 from repro.core.demand import DemandEstimator
+from repro.core.profiles import build_daily_profiles
 from repro.core.selection import APState, S3Selector
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
+from repro.experiments.config import SMALL
 from repro.graph.clique import max_clique
 from repro.graph.graph import Graph
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RandomStreams
+from repro.trace.generator import TraceGenerator
+from repro.trace.social import build_world
 from repro.wlan.replay import ReplayEngine
 from repro.wlan.strategies import LeastLoadedFirst
 
@@ -177,7 +183,7 @@ def test_bench_replay_one_day(benchmark, paper_workload, report_writer):
     )
 
     result = benchmark.pedantic(
-        lambda: engine.run(day_demands), rounds=1, iterations=1
+        lambda: engine.run(day_demands), rounds=5, iterations=1, warmup_rounds=1
     )
     report_writer(
         "micro_replay_one_day",
@@ -190,3 +196,27 @@ def test_bench_replay_one_day(benchmark, paper_workload, report_writer):
         },
     )
     assert len(result.sessions) > 0
+
+
+def test_bench_trace_generate(benchmark, report_writer):
+    # The set-up front of every experiment: build the SMALL campus,
+    # generate its trace and train daily profiles from the flows.
+    config = SMALL.generator_config()
+
+    def generate():
+        streams = RandomStreams(config.seed)
+        world = build_world(config.world, streams)
+        bundle = TraceGenerator(world, config, streams=streams).generate()
+        return bundle, build_daily_profiles(bundle.flows)
+
+    bundle, profiles = benchmark.pedantic(
+        generate, rounds=5, iterations=1, warmup_rounds=1
+    )
+    report_writer(
+        "micro_trace_generate",
+        f"SMALL trace generation + profile training: {len(bundle.demands)} "
+        f"demands, {len(bundle.flows)} flows, {len(profiles.user_ids)} users",
+        benchmark=benchmark,
+        metrics={"demands": len(bundle.demands), "flows": len(bundle.flows)},
+    )
+    assert len(profiles.user_ids) > 0
