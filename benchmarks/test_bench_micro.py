@@ -12,7 +12,6 @@ Regressions here translate directly into slower experiment turnaround.
 import itertools
 
 import numpy as np
-import pytest
 
 from repro.analysis.churn import extract_churn
 from repro.cluster.kmeans import KMeans
@@ -82,14 +81,13 @@ def test_bench_kmeans_campus_scale(benchmark):
     assert result.k == 4
 
 
-@pytest.mark.parametrize("engine", ["python", "numpy"])
-def test_bench_churn_extraction_week(benchmark, paper_workload, engine):
+def test_bench_churn_extraction_week(benchmark, paper_workload):
     sessions = [
         s for s in paper_workload.collected.sessions if s.connect < 7 * 86400
     ]
 
     churn = benchmark.pedantic(
-        lambda: extract_churn(sessions, engine=engine),
+        lambda: extract_churn(sessions),
         rounds=3,
         iterations=1,
         warmup_rounds=1,
@@ -157,16 +155,15 @@ def test_bench_place_exhaustive(benchmark, report_writer):
     assert max(per_ap) <= 2  # the clique is spread, not stacked
 
 
-@pytest.mark.parametrize("engine", ["python", "numpy"])
-def test_bench_social_graph_batch(benchmark, paper_model, engine):
+def test_bench_social_graph_batch(benchmark, paper_model):
     # A 200-user controller batch: the graph Algorithm 1 thresholds on
-    # every flush.  The numpy path must amortize to >= 10x the loop.
+    # every flush.
     social = paper_model.social
     users = sorted(paper_model.types.assignments)[:200]
     assert len(users) == 200
 
     def build():
-        return social.build_graph(users, threshold=0.3, engine=engine)
+        return social.build_graph(users, threshold=0.3)
 
     graph = benchmark.pedantic(build, rounds=3, iterations=1, warmup_rounds=1)
     assert len(graph.nodes) == 200

@@ -7,8 +7,8 @@ Everything the paper's empirical analysis needs, computed from logged
              per-controller series and the variance statistic S (Figs. 2-4)
 ``churn``    leaving / co-leaving / co-coming / encounter event extraction
              and per-user co-leaving fractions (Fig. 5, Table I inputs)
-``fastchurn``  the vectorized ``engine="numpy"`` implementation of the
-             churn extractors, over a columnar session store
+``fastchurn``  the vectorized kernels behind the churn extractors, over
+             a columnar session store
 ``info``     entropy, mutual information and NMI of application profiles
              (Fig. 6)
 ``cdf``      empirical CDF helpers shared by the CDF figures
@@ -24,7 +24,6 @@ from repro.analysis.balance import (
     variation_series,
 )
 from repro.analysis.churn import (
-    ENGINES,
     ChurnEvents,
     CoEvent,
     Encounter,
@@ -56,7 +55,6 @@ __all__ = [
     "normalized_balance_index",
     "user_count_balance_series",
     "variation_series",
-    "ENGINES",
     "ChurnEvents",
     "CoEvent",
     "Encounter",

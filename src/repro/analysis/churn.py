@@ -34,13 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastchurn imports us
 #: A canonical (smaller-id, larger-id) user pair.
 Pair = Tuple[str, str]
 
-#: Engines accepted by :func:`extract_churn` / ``coleaving_fraction_per_user``.
-ENGINES = ("auto", "python", "numpy")
-
-#: ``engine="auto"`` switches to the numpy fast path at this session count;
-#: below it, building columns costs more than the Python loops save.
-AUTO_NUMPY_MIN_SESSIONS = 256
-
 
 def make_pair(user_a: str, user_b: str) -> Pair:
     """Canonicalize an unordered user pair."""
@@ -115,97 +108,11 @@ def pair_event_counts(events: Iterable[CoEvent]) -> Dict[Pair, int]:
     return Counter(event.pair for event in events)
 
 
-def _resolve_engine(engine: str, sessions: object, n_records: int) -> str:
-    """Pick the concrete engine for a churn computation.
-
-    ``auto`` prefers numpy for anything already columnar or big enough to
-    amortize the transpose; a columnar input cannot be served by the
-    Python reference (it iterates record objects).
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    from repro.trace.columnar import SessionArrays
-
-    columnar = isinstance(sessions, SessionArrays)
-    if engine == "python":
-        if columnar:
-            raise ValueError(
-                "engine='python' needs SessionRecord objects, got SessionArrays"
-            )
-        return "python"
-    if engine == "numpy":
-        return "numpy"
-    if columnar or n_records >= AUTO_NUMPY_MIN_SESSIONS:
-        return "numpy"
-    return "python"
-
-
-def _co_events_on_ap(
-    kind: str,
-    ap_id: str,
-    events: List[Tuple[float, str]],
-    window: float,
-) -> List[CoEvent]:
-    """Pair up time-sorted (time, user) events that fall within ``window``.
-
-    For each event, later events of *other* users within ``window`` seconds
-    form one co-event per pair occurrence.  A user leaving twice inside a
-    window (reconnect churn) pairs each occurrence independently.
-    """
-    events = sorted(events)
-    out: List[CoEvent] = []
-    for i, (t_i, user_i) in enumerate(events):
-        for t_j, user_j in events[i + 1 :]:
-            if t_j - t_i > window:
-                break
-            if user_j == user_i:
-                continue
-            out.append(
-                CoEvent(
-                    kind=kind,
-                    pair=make_pair(user_i, user_j),
-                    ap_id=ap_id,
-                    times=(t_i, t_j) if user_i < user_j else (t_j, t_i),
-                )
-            )
-    return out
-
-
-def _encounters_on_ap(
-    ap_id: str,
-    sessions: List[SessionRecord],
-    min_duration: float,
-) -> List[Encounter]:
-    """Sweep-line pairwise overlap detection on one AP."""
-    ordered = sorted(sessions, key=lambda s: s.connect)
-    active: List[SessionRecord] = []
-    out: List[Encounter] = []
-    for session in ordered:
-        active = [s for s in active if s.disconnect > session.connect]
-        for other in active:
-            if other.user_id == session.user_id:
-                continue
-            start = max(session.connect, other.connect)
-            end = min(session.disconnect, other.disconnect)
-            if end - start >= min_duration:
-                out.append(
-                    Encounter(
-                        pair=make_pair(session.user_id, other.user_id),
-                        ap_id=ap_id,
-                        start=start,
-                        end=end,
-                    )
-                )
-        active.append(session)
-    return out
-
-
 def extract_churn(
     sessions: Union[Sequence[SessionRecord], "SessionArrays"],
     coleave_window: float = 5 * MINUTE,
     cocome_window: float = 5 * MINUTE,
     encounter_min_duration: float = 20 * MINUTE,
-    engine: str = "auto",
 ) -> ChurnEvents:
     """Extract every churn event family from a session log.
 
@@ -214,123 +121,38 @@ def extract_churn(
     Fig. 10).  ``encounter_min_duration`` is the "certain period of time"
     of the encounter definition.
 
-    ``engine`` selects the implementation: ``"python"`` is the reference
-    nested-loop extraction, ``"numpy"`` the vectorized fast path of
-    :mod:`repro.analysis.fastchurn` (identical events, different speed),
-    ``"auto"`` picks by input size.  ``sessions`` may be a pre-built
-    :class:`~repro.trace.columnar.SessionArrays` (e.g. from
-    ``TraceBundle.columns()``) for the numpy engines.
+    The extraction is the vectorized kernel of
+    :mod:`repro.analysis.fastchurn`; ``sessions`` may be records or a
+    pre-built :class:`~repro.trace.columnar.SessionArrays` (e.g. from
+    ``TraceBundle.columns()``).
     """
     if coleave_window <= 0 or cocome_window <= 0:
         raise ValueError("co-event windows must be positive")
     if encounter_min_duration < 0:
         raise ValueError("encounter duration must be non-negative")
-    resolved = _resolve_engine(engine, sessions, len(sessions))
-    if resolved == "numpy":
-        from repro.analysis.fastchurn import extract_churn_numpy
+    from repro.analysis.fastchurn import extract_churn_numpy
 
-        with perf.timer("churn.extract.numpy"):
-            return extract_churn_numpy(
-                sessions, coleave_window, cocome_window, encounter_min_duration
-            )
-    with perf.timer("churn.extract.python"):
-        return _extract_churn_python(
+    with perf.timer("churn.extract"):
+        return extract_churn_numpy(
             sessions, coleave_window, cocome_window, encounter_min_duration
         )
-
-
-def _extract_churn_python(
-    sessions: Sequence[SessionRecord],
-    coleave_window: float,
-    cocome_window: float,
-    encounter_min_duration: float,
-) -> ChurnEvents:
-    """The reference pure-Python extraction (parameters pre-validated)."""
-    by_ap: Dict[str, List[SessionRecord]] = {}
-    for record in sessions:
-        by_ap.setdefault(record.ap_id, []).append(record)
-
-    events = ChurnEvents()
-    for ap_id in sorted(by_ap):
-        ap_sessions = by_ap[ap_id]
-        leaves = [(s.disconnect, s.user_id) for s in ap_sessions]
-        comes = [(s.connect, s.user_id) for s in ap_sessions]
-        events.leavings.extend(
-            LeaveEvent(user_id=u, ap_id=ap_id, time=t) for t, u in sorted(leaves)
-        )
-        events.arrivals.extend(
-            LeaveEvent(user_id=u, ap_id=ap_id, time=t) for t, u in sorted(comes)
-        )
-        events.co_leavings.extend(
-            _co_events_on_ap("co-leave", ap_id, leaves, coleave_window)
-        )
-        events.co_comings.extend(
-            _co_events_on_ap("co-come", ap_id, comes, cocome_window)
-        )
-        events.encounters.extend(
-            _encounters_on_ap(ap_id, ap_sessions, encounter_min_duration)
-        )
-    return events
 
 
 def coleaving_fraction_per_user(
     sessions: Union[Sequence[SessionRecord], "SessionArrays"],
     window: float,
-    engine: str = "auto",
 ) -> Dict[str, float]:
     """Fraction of each user's departures that are co-leavings (Fig. 5).
 
     A departure counts as a co-leaving when at least one *other* user left
     the same AP within ``window`` seconds (before or after).  Users with no
-    departures are omitted.  ``engine`` works as in :func:`extract_churn`;
-    passing a shared :class:`~repro.trace.columnar.SessionArrays` lets the
-    Fig. 5 window sweep pay the transpose once.
+    departures are omitted.  Passing a shared
+    :class:`~repro.trace.columnar.SessionArrays` lets the Fig. 5 window
+    sweep pay the transpose once.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    resolved = _resolve_engine(engine, sessions, len(sessions))
-    if resolved == "numpy":
-        from repro.analysis.fastchurn import coleaving_fraction_numpy
+    from repro.analysis.fastchurn import coleaving_fraction_numpy
 
-        with perf.timer("churn.fraction.numpy"):
-            return coleaving_fraction_numpy(sessions, window)
-
-    with perf.timer("churn.fraction.python"):
-        return _coleaving_fraction_python(sessions, window)
-
-
-def _coleaving_fraction_python(
-    sessions: Sequence[SessionRecord], window: float
-) -> Dict[str, float]:
-    """The reference scan (parameters pre-validated)."""
-    by_ap: Dict[str, List[Tuple[float, str]]] = {}
-    for record in sessions:
-        by_ap.setdefault(record.ap_id, []).append((record.disconnect, record.user_id))
-
-    total: Dict[str, int] = {}
-    shared: Dict[str, int] = {}
-    for ap_id, leaves in by_ap.items():
-        leaves.sort()
-        times = [t for t, _ in leaves]
-        for i, (t_i, user_i) in enumerate(leaves):
-            total[user_i] = total.get(user_i, 0) + 1
-            is_shared = False
-            # scan backwards
-            j = i - 1
-            while j >= 0 and t_i - times[j] <= window:
-                if leaves[j][1] != user_i:
-                    is_shared = True
-                    break
-                j -= 1
-            if not is_shared:
-                j = i + 1
-                while j < len(leaves) and times[j] - t_i <= window:
-                    if leaves[j][1] != user_i:
-                        is_shared = True
-                        break
-                    j += 1
-            if is_shared:
-                shared[user_i] = shared.get(user_i, 0) + 1
-    return {
-        user: shared.get(user, 0) / count for user, count in total.items() if count > 0
-    }
+    with perf.timer("churn.fraction"):
+        return coleaving_fraction_numpy(sessions, window)

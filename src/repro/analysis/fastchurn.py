@@ -1,24 +1,25 @@
 """Vectorized churn-event extraction over :class:`SessionArrays`.
 
-This is the ``engine="numpy"`` implementation behind
+These kernels are the implementation of
 :func:`repro.analysis.churn.extract_churn` and
-:func:`~repro.analysis.churn.coleaving_fraction_per_user`.  It produces
-*identical* events to the pure-Python reference — same event sets, same
-floats, same ordering of the event lists — by reproducing the reference's
-comparison semantics exactly:
+:func:`~repro.analysis.churn.coleaving_fraction_per_user`.  They produce
+*identical* events to the pure-Python loops kept as their test oracle
+(``tests/churn_oracle.py``) — same event sets, same floats, same
+ordering of the event lists — by reproducing the loops' comparison
+semantics exactly:
 
 * co-events pair departures (arrivals) ``i < j`` in per-AP
   (time, user) order with ``fl(t_j - t_i) <= window``.  Candidate ranges
   come from ``searchsorted`` against an upper bound inflated by two ulps,
   then the exact float predicate is re-applied elementwise — IEEE-754
-  subtraction is monotone, so the reference's early ``break`` scans the
+  subtraction is monotone, so the oracle's early ``break`` scans the
   same prefix;
 * encounters pair sessions ``i < j`` in stable per-AP connect order with
   ``disc_i > conn_j`` and ``fl(min(disc_i, disc_j) - conn_j) >=
   min_duration`` — precisely the sweep-line's active-list filter and
   overlap test.  Pairs are emitted in the sweep's (j, i) order;
 * the co-leaving fraction marks a departure as shared when it belongs to
-  any cross-user window pair, which is what the reference's
+  any cross-user window pair, which is what the oracle's
   backward/forward scans test.
 
 The extraction itself is a few ``searchsorted`` + ``repeat`` expansions
@@ -26,7 +27,7 @@ per AP group.  The result is a :class:`ColumnarChurnEvents`: the per-pair
 count queries the S³ pipeline actually consumes are answered directly
 from the event columns (one ``np.unique`` per family), and the
 :class:`~repro.analysis.churn.CoEvent` / ``Encounter`` / ``LeaveEvent``
-object lists — identical to the reference's — materialize lazily only
+object lists — identical to the oracle's — materialize lazily only
 when someone iterates them.  Training on a campus trace therefore never
 pays for millions of per-event Python objects.
 """
@@ -118,7 +119,7 @@ class LazyEvents(Sequence):
         # the plain list it stands for.
         return (list, (self._list(),))
 
-    # Event lists are mutable in the reference implementation; keep that
+    # Event lists are mutable in the oracle's ChurnEvents; keep that
     # contract by materializing before any mutation.
 
     def append(self, item: Any) -> None:
@@ -137,12 +138,12 @@ class LazyEvents(Sequence):
 class ColumnarChurnEvents(ChurnEvents):
     """Churn events stored as columns, materialized to objects on demand.
 
-    Field-for-field interchangeable with the reference
+    Field-for-field interchangeable with a plain
     :class:`~repro.analysis.churn.ChurnEvents` (each event list compares
-    equal to the reference's), but the per-pair count queries the model
+    equal to the oracle's), but the per-pair count queries the model
     training consumes are computed straight from the columns.
 
-    Note: dataclass equality between a reference ``ChurnEvents`` and this
+    Note: dataclass equality between a plain ``ChurnEvents`` and this
     subclass is ``False`` by dataclass semantics — compare per family.
     """
 
@@ -258,9 +259,9 @@ def _co_event_columns(
     group_aps: np.ndarray,
     window: float,
 ) -> Tuple[np.ndarray, ...]:
-    """Vectorized ``_co_events_on_ap`` over every AP group.
+    """The oracle's per-AP co-event pairing, over every AP group at once.
 
-    Returns ``(ap, low, high, t_low, t_high)`` columns in the reference's
+    Returns ``(ap, low, high, t_low, t_high)`` columns in the oracle's
     emission order (APs ascending, then the (i, j) scan order).
     """
     parts: List[Tuple[np.ndarray, ...]] = []
@@ -299,9 +300,9 @@ def _encounter_columns(
     group_aps: np.ndarray,
     min_duration: float,
 ) -> Tuple[np.ndarray, ...]:
-    """Vectorized ``_encounters_on_ap`` over every AP group.
+    """The oracle's per-AP encounter sweep, over every AP group at once.
 
-    Returns ``(ap, low, high, start, end)`` columns in the reference
+    Returns ``(ap, low, high, start, end)`` columns in the oracle
     sweep's emission order.  ``connect`` is sorted per group (stable), so
     for session ``i`` every overlapping later session ``j`` satisfies
     ``conn_j < disc_i``; a positive ``min_duration`` tightens the
@@ -336,7 +337,7 @@ def _encounter_columns(
             continue
         i_idx = i_idx[keep]
         j_idx = j_idx[keep]
-        # The reference sweep emits pairs as each later session j arrives,
+        # The oracle's sweep emits pairs as each later session j arrives,
         # scanning its active predecessors i in connect order.
         emit = np.lexsort((i_idx, j_idx))
         i_idx = i_idx[emit]
@@ -425,7 +426,7 @@ def _encounter_builder(
 def _leave_builder(
     arrays: SessionArrays, times: np.ndarray, order: np.ndarray
 ) -> Callable[[], List[LeaveEvent]]:
-    """LeaveEvents in (ap, time, user) order — the reference's list order."""
+    """LeaveEvents in (ap, time, user) order — the oracle's list order."""
 
     def build() -> List[LeaveEvent]:
         user_ids = arrays.user_ids
@@ -453,9 +454,9 @@ def extract_churn_numpy(
     encounter_min_duration: float,
     arrays: Optional[SessionArrays] = None,
 ) -> ColumnarChurnEvents:
-    """The numpy engine behind :func:`repro.analysis.churn.extract_churn`.
+    """The kernel behind :func:`repro.analysis.churn.extract_churn`.
 
-    Parameters are pre-validated by the dispatcher.  Accepts either raw
+    Parameters are pre-validated by ``extract_churn``.  Accepts either raw
     records or an existing :class:`SessionArrays` (``arrays`` wins when
     both are given, which is how ``TraceBundle.columns()`` is shared).
     """
@@ -524,10 +525,10 @@ def coleaving_fraction_numpy(
     window: float,
     arrays: Optional[SessionArrays] = None,
 ) -> Dict[str, float]:
-    """The numpy engine behind ``coleaving_fraction_per_user``.
+    """The kernel behind ``coleaving_fraction_per_user``.
 
     A departure is shared iff it participates in at least one cross-user
-    window pair on its AP — the union of the reference's backward and
+    window pair on its AP — the union of the oracle's backward and
     forward scans.
     """
     cols = as_session_arrays(sessions, arrays)

@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro import perf
-from repro.analysis.churn import (
-    AUTO_NUMPY_MIN_SESSIONS,
-    ENGINES,
-    ChurnEvents,
-    extract_churn,
-)
+from repro.analysis.churn import ChurnEvents, extract_churn
 from repro.core.demand import DemandEstimator
 from repro.core.profiles import DailyProfileStore, build_daily_profiles
 from repro.core.selection import S3Selector, SelectionConfig
@@ -55,8 +50,6 @@ class TrainingConfig:
     demand_smoothing: float = 0.3
     #: RNG seed for clustering.
     seed: int = 7
-    #: Churn-extraction engine ("auto" | "python" | "numpy").
-    churn_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.coleave_window <= 0 or self.cocome_window <= 0:
@@ -65,11 +58,6 @@ class TrainingConfig:
             raise ValueError("lookback_days must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.churn_engine not in ENGINES:
-            raise ValueError(
-                f"unknown churn engine {self.churn_engine!r}; "
-                f"choose from {ENGINES}"
-            )
 
 
 @dataclass
@@ -118,19 +106,14 @@ def train_s3(
 
     with perf.timer("train.profiles"):
         profiles = build_daily_profiles(bundle.flows)
-    # Hand the shared columnar view to the numpy engine so later consumers
+    # Extract from the bundle's shared columnar view so later consumers
     # (Fig. 5 sweeps, re-training) reuse the same transpose.
-    use_columns = config.churn_engine == "numpy" or (
-        config.churn_engine == "auto"
-        and len(bundle.sessions) >= AUTO_NUMPY_MIN_SESSIONS
-    )
     with perf.timer("train.churn"):
         churn = extract_churn(
-            bundle.columns() if use_columns else bundle.sessions,
+            bundle.columns(),
             coleave_window=config.coleave_window,
             cocome_window=config.cocome_window,
             encounter_min_duration=config.encounter_min_duration,
-            engine=config.churn_engine,
         )
 
     # Profile aggregation window ends on the day after the last session.

@@ -30,9 +30,6 @@ from repro.analysis.churn import ChurnEvents, Pair, make_pair
 from repro.core.typing import TypeModel
 from repro.graph.graph import Graph
 
-#: Engines accepted by :meth:`SocialModel.build_graph`.
-GRAPH_ENGINES = ("auto", "python", "numpy")
-
 #: Delta matrices kept per model; one controller batch rarely revisits
 #: more than a handful of member sets before the model learns new events.
 _DELTA_CACHE_SIZE = 32
@@ -221,9 +218,7 @@ class SocialModel:
         perf.count("social.delta.build")
         return delta
 
-    def build_graph(
-        self, users: Iterable[str], threshold: float = 0.3, engine: str = "auto"
-    ) -> Graph:
+    def build_graph(self, users: Iterable[str], threshold: float = 0.3) -> Graph:
         """The user graph of Section IV.A: edges where delta > threshold.
 
         Every user appears as a node; only pairs above the threshold get an
@@ -231,27 +226,17 @@ class SocialModel:
         mutates its input — a fresh ``Graph`` is returned on every call even
         when the underlying delta matrix is served from cache.
 
-        ``engine="python"`` forces the reference pairwise loop (kept for
-        equivalence testing); ``"numpy"`` / ``"auto"`` use the indexed
-        fast path: one cached dense delta matrix per member set, one
-        vectorized thresholding per call.
+        One cached dense delta matrix per member set, one vectorized
+        thresholding per call; edges come out in the order of the pairwise
+        :meth:`social_index` loop the parity tests compare against.
         """
         if threshold < 0:
             raise ValueError(f"negative threshold {threshold!r}")
-        if engine not in GRAPH_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {GRAPH_ENGINES}"
-            )
         members = sorted(set(users))
         graph = Graph()
         for user in members:
             graph.add_node(user)
-        if engine == "python" or len(members) < 2:
-            for i, user_a in enumerate(members):
-                for user_b in members[i + 1 :]:
-                    delta = self.social_index(user_a, user_b)
-                    if delta > threshold:
-                        graph.add_edge(user_a, user_b, delta)
+        if len(members) < 2:
             return graph
         delta = self._delta_matrix(tuple(members))
         above = np.triu(delta > threshold, k=1)

@@ -7,11 +7,10 @@ cannot see:
   the paper's trace statistics (Figs. 2-5) are only checkable if replay
   is deterministic.  Wall-clock reads, the global ``random`` module and
   unordered set iteration all silently break that.
-* **Engine parity** — every numpy fast path (``engine="numpy"``) must
-  stay byte-identical to its pure-Python reference, which means every
-  dispatching function must be registered with its reference
-  implementation and equivalence tests
-  (:mod:`repro.devtools.parity_registry`).
+* **Engine parity** — every numpy kernel must stay byte-identical to
+  its pure-Python test oracle, which means every such product function
+  (and every ``engine=`` dispatcher) must be registered with its oracle
+  and equivalence tests (:mod:`repro.devtools.parity_registry`).
 
 This package is a small AST-based lint framework enforcing both:
 

@@ -1,23 +1,23 @@
-"""The engine-parity registry: dispatching functions and their proofs.
+"""The parity registry: product functions and their equivalence proofs.
 
-Every public function that takes an ``engine=`` kwarg dispatches between
-a pure-Python reference implementation and a vectorized fast path that
-must stay **byte-identical** to it.  That equivalence is the contract
-the paper reproduction leans on — Figs. 2-5 are computed by whichever
-engine ``auto`` picks — so each dispatcher is registered here with:
+Each entry pairs one product function with the **test oracle** its
+output must match byte for byte — the straightforward implementation,
+kept under ``tests/`` (or, for a dispatcher that still selects between
+two product paths, the reference path under ``src/``) — and the tests
+that assert the match.  Figs. 2-5 and the S³ model are computed by the
+product functions alone, so these proofs are what the reproduction
+leans on:
 
-* ``reference`` — the dotted name of the pure-Python implementation
-  (the dispatcher itself when the reference branch lives inline, as in
-  ``SocialModel.build_graph``'s ``engine="python"`` arm);
-* ``fast`` — the vectorized implementation, when it is a separate
-  function;
-* ``tests`` — the pytest node ids of the equivalence tests that assert
-  byte-identical results across engines.
+* ``reference`` — the oracle: a ``tests/<file>.py::<function>`` node for
+  a test-side oracle, or a dotted ``src`` name;
+* ``fast`` — the second product path of an ``engine=`` dispatcher, when
+  it is a separate function;
+* ``tests`` — the pytest node ids of the equivalence tests.
 
 The **engine-parity** lint rule fails when a public ``engine=`` function
-is missing from this table, and when a registered dotted name or test
-node no longer exists (verified against the test files' collected ids),
-so a refactor cannot silently drop an equivalence proof.
+is missing from this table, and when a registered name, oracle or test
+node no longer exists (verified against the files' ASTs), so a refactor
+cannot silently drop an equivalence proof.
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ from typing import Dict, Optional, Tuple
 
 @dataclass(frozen=True)
 class ParityEntry:
-    """Reference implementation and equivalence tests for one dispatcher."""
+    """Oracle and equivalence tests for one product function."""
 
     reference: str
     tests: Tuple[str, ...]
     fast: Optional[str] = None
 
 
-#: Public ``engine=`` dispatchers, by fully-qualified dotted name.
+#: Product functions (every public ``engine=`` dispatcher among them), by
+#: fully-qualified dotted name.
 PARITY_REGISTRY: Dict[str, ParityEntry] = {
     "repro.analysis.churn.extract_churn": ParityEntry(
-        reference="repro.analysis.churn._extract_churn_python",
-        fast="repro.analysis.fastchurn.extract_churn_numpy",
+        reference="tests/churn_oracle.py::extract_churn_python",
         tests=(
             "tests/test_analysis_fastchurn.py::test_extract_churn_engines_identical_random",
             "tests/test_analysis_fastchurn.py::test_extract_churn_engines_identical_grid_boundaries",
@@ -47,17 +47,18 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
         ),
     ),
     "repro.analysis.churn.coleaving_fraction_per_user": ParityEntry(
-        reference="repro.analysis.churn._coleaving_fraction_python",
-        fast="repro.analysis.fastchurn.coleaving_fraction_numpy",
+        reference="tests/churn_oracle.py::coleaving_fraction_python",
         tests=(
             "tests/test_analysis_fastchurn.py::test_coleaving_fraction_engines_identical",
+            "tests/test_analysis_fastchurn.py::test_churn_matches_oracle_on_every_small_log",
         ),
     ),
     "repro.core.social.SocialModel.build_graph": ParityEntry(
-        reference="repro.core.social.SocialModel.build_graph",
+        reference="tests/social_oracle.py::build_graph_pairwise",
         tests=(
             "tests/test_analysis_fastchurn.py::test_build_graph_engines_identical",
             "tests/test_analysis_fastchurn.py::test_build_graph_cache_invalidated_by_record_events",
+            "tests/test_analysis_fastchurn.py::test_build_graph_matches_oracle_on_small_grid",
         ),
     ),
     "repro.core.social.SocialModel.record_events": ParityEntry(

@@ -190,6 +190,18 @@ def test_node_exists(test_id: str, repo_root: Path) -> bool:
     return True
 
 
+def reference_exists(name: str, repo_root: Path) -> bool:
+    """Whether a parity oracle resolves.
+
+    A ``tests/<file>.py::<function>`` oracle is matched like a test node
+    (:func:`test_node_exists`); anything else is a dotted ``src`` name
+    (:func:`resolve_dotted`).
+    """
+    if "::" in name:
+        return test_node_exists(name, repo_root)
+    return resolve_dotted(name, repo_root / "src")
+
+
 def collect_test_ids(test_file: Path) -> Set[str]:
     """Top-level ``test_*`` function names defined in ``test_file``."""
     tree = ast.parse(test_file.read_text(encoding="utf-8"), filename=str(test_file))

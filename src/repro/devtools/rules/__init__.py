@@ -14,8 +14,9 @@ no-unseeded-rng    no ``random`` module, no legacy ``np.random.*``
                    randomness flows through seeded ``Generator``
                    objects (:mod:`repro.sim.rng`)
 engine-parity      every public ``engine=`` dispatcher is registered in
-                   :mod:`repro.devtools.parity_registry` with live
-                   reference/fast impls and equivalence tests
+                   :mod:`repro.devtools.parity_registry`, and every
+                   entry's functions, oracle and equivalence tests
+                   still resolve
 ordered-iteration  no iteration over set-valued expressions or
                    ``.keys()`` in ``analysis``/``core``/``wlan`` —
                    event lists, pair counts and RNG draws must not

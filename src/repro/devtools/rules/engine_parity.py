@@ -1,20 +1,20 @@
-"""engine-parity: every ``engine=`` dispatcher carries an equivalence proof.
+"""engine-parity: every product function carries an equivalence proof.
 
-The numpy fast paths added for the Fig. 2-5 pipelines are only
-trustworthy because byte-identity with the pure-Python reference is
-asserted by tests.  This rule makes that pairing machine-checked in both
-directions:
+The numpy kernels behind the Fig. 2-5 pipelines are only trustworthy
+because byte-identity with their test oracles is asserted by tests.
+This rule makes that pairing machine-checked in both directions:
 
 * **module check** — every *public* function or method with an
   ``engine`` parameter must appear (by fully-qualified dotted name) in
   :data:`repro.devtools.parity_registry.PARITY_REGISTRY`;
 * **project check** — every registry entry must still resolve: the
-  dispatcher itself, its ``reference``/``fast`` implementations, and
-  each pytest node id in ``tests`` (matched statically against the test
-  file's AST, the same shape pytest collects).
+  product function itself, its ``fast`` path, its ``reference`` oracle
+  (a ``tests/`` node or a ``src`` name), and each pytest node id in
+  ``tests`` (matched statically against the file's AST, the same shape
+  pytest collects).
 
-So adding a fast path without tests fails lint, and renaming a test or
-implementation without updating the registry fails lint too.
+So adding a fast path without tests fails lint, and renaming a test,
+oracle or implementation without updating the registry fails lint too.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.devtools.parity_registry import PARITY_REGISTRY
 from repro.devtools.project import (
     LintModule,
     Project,
+    reference_exists,
     resolve_dotted,
     test_node_exists,
 )
@@ -104,7 +105,7 @@ class EngineParity(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         for dotted, entry in sorted(PARITY_REGISTRY.items()):
-            implementations = [dotted, entry.reference]
+            implementations = [dotted]
             if entry.fast is not None:
                 implementations.append(entry.fast)
             for name in implementations:
@@ -113,6 +114,11 @@ class EngineParity(Rule):
                         f"registry entry {dotted}: implementation {name} "
                         "does not resolve under src/"
                     )
+            if not reference_exists(entry.reference, project.repo_root):
+                yield self._registry_finding(
+                    f"registry entry {dotted}: oracle {entry.reference} "
+                    "does not resolve"
+                )
             if not entry.tests:
                 yield self._registry_finding(
                     f"registry entry {dotted} lists no equivalence tests"

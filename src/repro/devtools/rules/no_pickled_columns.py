@@ -1,14 +1,15 @@
 """no-pickled-columns: columnar containers never cross a pool by pickle.
 
 The zero-copy transport (:mod:`repro.runtime.shm`) exists so that a
-run's heavyweight columnar data — :class:`~repro.trace.columnar.SessionArrays`,
+replay's demand rows are published into shared memory once and
+referenced by a few-hundred-byte :class:`~repro.runtime.shm.ShmHandle`.
+Pickling a heavyweight columnar container —
+:class:`~repro.trace.columnar.SessionArrays`,
 :class:`~repro.trace.columnar.DemandArrays`,
-:class:`~repro.trace.columnar.FlowArrays` and whole
-:class:`~repro.trace.records.TraceBundle` objects — is published into
-shared memory once and referenced by a few-hundred-byte
-:class:`~repro.runtime.shm.ShmHandle`.  Pickling any of those containers
-into a :class:`~concurrent.futures.ProcessPoolExecutor` task would
-silently reintroduce the serialization tax the transport removed.  This
+:class:`~repro.trace.columnar.FlowArrays` or a whole
+:class:`~repro.trace.records.TraceBundle` — into a
+:class:`~concurrent.futures.ProcessPoolExecutor` task would silently
+reintroduce the serialization tax the transport removed.  This
 rule bans, in modules under ``repro.runtime``:
 
 * class-body field annotations naming a banned container — a task or

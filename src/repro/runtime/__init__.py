@@ -17,7 +17,7 @@ while preserving **byte-identical** results:
   same engine contract;
 * :class:`RunDirectory` checkpoints completed shards/tasks so an
   interrupted run resumes with only the unfinished pieces;
-* :mod:`repro.runtime.shm` moves the columnar payloads through
+* :mod:`repro.runtime.shm` moves a replay's demand rows through
   ``multiprocessing.shared_memory`` — published once per run by a
   :class:`SegmentSet`, sliced by row range in the workers — so nothing
   heavier than an :class:`ShmHandle` crosses the pool boundary.
@@ -37,7 +37,7 @@ from repro.runtime.shm import (
     SegmentSet,
     ShmHandle,
     ShmSlice,
-    attach_arrays,
+    attach_demands,
     reap_orphans,
 )
 from repro.runtime.sweep import (
@@ -46,7 +46,6 @@ from repro.runtime.sweep import (
     run_sweep,
     run_sweep_process,
     run_sweep_serial,
-    with_attachments,
 )
 from repro.wlan.replay import ReplayWindow
 
@@ -62,7 +61,7 @@ __all__ = [
     "SweepPlan",
     "SweepTask",
     "TaskFailure",
-    "attach_arrays",
+    "attach_demands",
     "plan_replay_shards",
     "reap_orphans",
     "replay",
@@ -72,5 +71,4 @@ __all__ = [
     "run_sweep_process",
     "run_sweep_serial",
     "shutdown_pools",
-    "with_attachments",
 ]

@@ -15,7 +15,10 @@ run's structured journal (byte-identical across engines after
 ``strip_wall``).  ``sweep`` executes one of the ablation planners
 through :func:`repro.runtime.sweep.run_sweep` and prints each task's
 value.  ``--run-dir`` makes either mode resumable: a re-invocation after
-a mid-run kill re-executes only the unfinished shards/tasks.
+a mid-run kill re-executes only the unfinished shards/tasks.  Only the
+process engine checkpoints and retries, so for ``replay`` ``--engine
+auto`` with ``--run-dir`` or ``--retries`` runs it, ``--engine serial``
+rejects them, and the engine printed and journalled is the one that ran.
 
 Fault injection (``replay`` only): ``--fault-seed N`` generates a
 deterministic chaos plan (one AP outage by default) from seed ``N`` over
@@ -97,7 +100,7 @@ def _cmd_replay(args: List[str]) -> int:
     from repro.experiments.__main__ import PRESETS
     from repro.experiments.evaluation import mean_daytime_balance
     from repro.experiments.workload import build_workload, trained_model
-    from repro.runtime.engine import replay
+    from repro.runtime.engine import engine_for_replay, replay
     from repro.wlan.strategies import LeastLoadedFirst, S3Strategy, SelectionStrategy
 
     engine, workers, run_dir, retries = _parse_common(args)
@@ -121,6 +124,10 @@ def _cmd_replay(args: List[str]) -> int:
         raise ValueError(f"unknown strategy {strategy_name!r}; choose llf or s3")
     fault_plan = _fault_plan(
         fault_seed, fault_plan_path, workload, config.replay
+    )
+    engine = engine_for_replay(
+        workload.world.layout, strategy, workload.test_demands, config.replay,
+        engine, run_dir=run_dir, max_task_retries=retries,
     )
     if journal_path is not None:
         obs.enable(reset=True)

@@ -8,9 +8,11 @@
   :class:`~concurrent.futures.ProcessPoolExecutor`, and merge results,
   journal fragments and perf snapshots deterministically
   (:func:`replay_process`);
-* ``engine="auto"`` — the process pool when there is real parallelism
-  (more than one busy shard) and the strategy is ``shard_safe``, serial
-  otherwise.
+* ``engine="auto"`` — the process pool when checkpointing or retries
+  are asked for (only the pool honours them), or when the strategy is
+  ``shard_safe``, more than one shard is busy and the stream holds at
+  least :data:`AUTO_PROCESS_MIN_DEMANDS` demands; serial otherwise
+  (:func:`resolve_engine`).
 
 The two engines are byte-identical for a fixed seed — the parity tests
 registered in :mod:`repro.devtools.parity_registry` assert equal
@@ -45,6 +47,49 @@ from repro.trace.social import CampusLayout
 from repro.wlan.replay import ReplayConfig, ReplayEngine, ReplayResult
 from repro.wlan.strategies import SelectionStrategy
 
+#: ``engine="auto"`` replays on the pool only from this many demands up.
+#: Serial / 2-worker process caller wall clock, LLF, median of alternating
+#: pairs on a 2-core host (docs/runtime.md): 1.16x at PAPER (2,012
+#: demands, 10 pairs) and 1.05x at 3,104 demands (20 pairs), but 1.89x at
+#: 4,027 (20 pairs, won 20) and 1.55x at a 4x PAPER campus (7,820, 10
+#: pairs, won 10).  The pool clears the 1.3x bar between 3,104 and 4,027.
+AUTO_PROCESS_MIN_DEMANDS = 4000
+
+
+def resolve_engine(
+    requested: str,
+    *,
+    shard_safe: bool,
+    n_demands: int,
+    busy_shards: int,
+    checkpointing: bool = False,
+) -> str:
+    """The concrete engine (``"serial"`` or ``"process"``) for one replay.
+
+    ``requested`` is the caller's ``engine=``.  ``checkpointing`` is
+    whether a ``run_dir`` or task retries were asked for: only the
+    process engine honours them, so an explicit ``"serial"`` refuses
+    them and ``"auto"`` picks the pool.
+    """
+    if requested not in ("auto", "serial", "process"):
+        raise ValueError(f"unknown engine {requested!r}")
+    if requested == "serial":
+        if checkpointing:
+            raise ValueError(
+                "engine='serial' cannot checkpoint or retry; drop run_dir "
+                "and max_task_retries, or use engine='process'"
+            )
+        return "serial"
+    if requested == "process" or checkpointing:
+        return "process"
+    if (
+        shard_safe
+        and n_demands >= AUTO_PROCESS_MIN_DEMANDS
+        and busy_shards > 1
+    ):
+        return "process"
+    return "serial"
+
 
 def replay(
     layout: CampusLayout,
@@ -60,24 +105,43 @@ def replay(
 ) -> ReplayResult:
     """Replay ``demands`` under ``strategy``; see the module docstring."""
     config = config if config is not None else ReplayConfig()
-    if engine not in ("auto", "serial", "process"):
-        raise ValueError(f"unknown engine {engine!r}")
+    engine = engine_for_replay(
+        layout, strategy, demands, config, engine,
+        run_dir=run_dir, max_task_retries=max_task_retries,
+    )
     if engine == "process" and not strategy.shard_safe:
         raise ValueError(
             f"strategy {strategy.name!r} is not shard-safe (it carries "
             "mutable cross-controller state); use engine='serial'"
         )
-    if engine == "auto":
-        if not strategy.shard_safe or not demands:
-            engine = "serial"
-        else:
-            plan = plan_replay_shards(layout, demands, config)
-            engine = "process" if plan.busy_shards > 1 else "serial"
     if engine == "serial":
         return replay_serial(layout, strategy, demands, config, fault_plan=fault_plan)
     return replay_process(
         layout, strategy, demands, config, workers=workers, run_dir=run_dir,
         fault_plan=fault_plan, max_task_retries=max_task_retries,
+    )
+
+
+def engine_for_replay(
+    layout: CampusLayout,
+    strategy: SelectionStrategy,
+    demands: Sequence[DemandSession],
+    config: ReplayConfig,
+    requested: str = "auto",
+    *,
+    run_dir: Optional[Union[str, Path]] = None,
+    max_task_retries: int = 0,
+) -> str:
+    """The engine :func:`replay` runs for these arguments."""
+    busy_shards = 0
+    if requested == "auto" and strategy.shard_safe and demands:
+        busy_shards = plan_replay_shards(layout, demands, config).busy_shards
+    return resolve_engine(
+        requested,
+        shard_safe=strategy.shard_safe,
+        n_demands=len(demands),
+        busy_shards=busy_shards,
+        checkpointing=run_dir is not None or max_task_retries > 0,
     )
 
 

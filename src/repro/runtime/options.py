@@ -14,10 +14,11 @@ ENGINES = ("auto", "serial", "process")
 class RuntimeOptions:
     """How to execute a shardable run.
 
-    ``engine="auto"`` picks the process pool when the plan has more than
-    one unit of parallel work (and, for replays, the strategy is
-    ``shard_safe``); ``workers`` caps the pool size (defaults to the CPU
-    count); ``run_dir`` enables checkpoint/resume via
+    ``engine="auto"`` picks the process pool when a sweep has more than
+    one task, and for replays by the rule of
+    :func:`~repro.runtime.engine.resolve_engine`; ``workers`` caps the
+    pool size (defaults to the CPU count); ``run_dir`` enables
+    checkpoint/resume via
     :class:`~repro.runtime.checkpoint.RunDirectory`.
     """
 

@@ -1,16 +1,13 @@
-"""Zero-copy columnar transport over POSIX shared memory.
+"""Zero-copy demand transport over POSIX shared memory.
 
 The process engine used to pickle every shard's demand slice into the
-pool and pickle every session object back out — at trace scale the
-serialization tax made the parallel engine *slower* than serial.  This
-module replaces that handoff:
+pool — at trace scale the serialization tax made the parallel engine
+*slower* than serial.  This module replaces that handoff:
 
-* the parent publishes a run's columnar arrays
-  (:class:`~repro.trace.columnar.DemandArrays`,
-  :class:`~repro.trace.columnar.SessionArrays`,
-  :class:`~repro.trace.columnar.FlowArrays`) into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment per
-  family, **once per run**;
+* the parent publishes a run's demand stream
+  (:class:`~repro.trace.columnar.DemandArrays`) into one
+  :class:`multiprocessing.shared_memory.SharedMemory` segment, **once
+  per run**;
 * workers receive a :class:`ShmHandle` — segment name plus column
   dtypes/shapes/offsets, a few hundred bytes of pickle — attach
   read-only, and slice their controller-domain rows by index range
@@ -42,8 +39,8 @@ Attach safety: numpy views built over ``SharedMemory.buf`` do **not**
 pin the mapping — numpy releases the Py_buffer immediately and keeps a
 bare pointer, so ``close()`` succeeds and unmaps even while views are
 alive, turning them into dangling pointers.  The contract is therefore
-scope-based: arrays yielded by :func:`attach_arrays` (and its typed
-variants) are valid *only inside the* ``with`` *block*; anything that
+scope-based: arrays yielded by :func:`attach_demands` are valid *only
+inside the* ``with`` *block*; anything that
 must outlive it is copied out first, which is exactly what the
 worker-facing :func:`fetch_demands` does before its mapping closes.
 """
@@ -58,12 +55,12 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
-from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
+from repro.trace.columnar import DemandArrays
 
 _LOG = logging.getLogger(__name__)
 
@@ -89,8 +86,6 @@ _SHM_DIR = "/dev/shm"
 #: friendly to vectorized loads.
 _ALIGN = 16
 
-ColumnArrays = Union[DemandArrays, SessionArrays, FlowArrays]
-
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -104,7 +99,7 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class ShmHandle:
-    """A compact, picklable description of one published column family.
+    """A compact, picklable description of one published demand stream.
 
     ``digest`` is a crc32 chain over the column *contents*, so
     :meth:`fingerprint` is stable across runs (segment names are not —
@@ -113,20 +108,18 @@ class ShmHandle:
     """
 
     segment: str
-    #: ``"demands"``, ``"sessions"`` or ``"flows"``.
-    kind: str
     specs: Tuple[ColumnSpec, ...]
     nbytes: int
     digest: int
 
     def fingerprint(self) -> str:
         """A content digest independent of the segment's name."""
-        return f"shm:{self.kind}:{self.nbytes}:{self.digest:08x}"
+        return f"shm:{self.nbytes}:{self.digest:08x}"
 
 
 @dataclass(frozen=True)
 class ShmSlice:
-    """A worker's row range ``[start, stop)`` of a published family."""
+    """A worker's row range ``[start, stop)`` of a published stream."""
 
     handle: ShmHandle
     start: int
@@ -157,12 +150,12 @@ def _decode_table(views: Dict[str, np.ndarray], name: str) -> List[str]:
 
 
 def _pack(
-    kind: str, columns: Sequence[Tuple[str, np.ndarray]]
+    columns: Sequence[Tuple[str, np.ndarray]]
 ) -> Tuple[Tuple[ColumnSpec, ...], int, int]:
     """Lay out ``columns`` back to back: specs, total bytes, content crc."""
     specs: List[ColumnSpec] = []
     offset = 0
-    digest = zlib.crc32(kind.encode("utf-8"))
+    digest = 0
     for name, array in columns:
         array = np.ascontiguousarray(array)
         spec = ColumnSpec(
@@ -193,7 +186,7 @@ def _attach_views(
     return views
 
 
-# ---------------------------------------------------------- family schemas
+# ------------------------------------------------------------ demand schema
 
 
 def _demand_columns(arrays: DemandArrays) -> List[Tuple[str, np.ndarray]]:
@@ -223,76 +216,6 @@ def _demands_from_views(views: Dict[str, np.ndarray]) -> DemandArrays:
         views["departure"],
         views["realm_bytes"],
     )
-
-
-def _session_columns(arrays: SessionArrays) -> List[Tuple[str, np.ndarray]]:
-    columns = _table_columns("user_ids", arrays.user_ids)
-    columns += _table_columns("ap_ids", arrays.ap_ids)
-    columns += [
-        ("user", arrays.user.astype(np.int64, copy=False)),
-        ("ap", arrays.ap.astype(np.int64, copy=False)),
-        ("connect", arrays.connect),
-        ("disconnect", arrays.disconnect),
-    ]
-    return columns
-
-
-def _sessions_from_views(views: Dict[str, np.ndarray]) -> SessionArrays:
-    return SessionArrays(
-        _decode_table(views, "user_ids"),
-        _decode_table(views, "ap_ids"),
-        views["user"],
-        views["ap"],
-        views["connect"],
-        views["disconnect"],
-    )
-
-
-def _flow_columns(arrays: FlowArrays) -> List[Tuple[str, np.ndarray]]:
-    columns = _table_columns("user_ids", arrays.user_ids)
-    columns += _table_columns("src_ips", arrays.src_ips)
-    columns += _table_columns("dst_ips", arrays.dst_ips)
-    columns += [
-        ("user", arrays.user),
-        ("src_ip", arrays.src_ip),
-        ("dst_ip", arrays.dst_ip),
-        ("protocol", arrays.protocol),
-        ("src_port", arrays.src_port),
-        ("dst_port", arrays.dst_port),
-        ("start", arrays.start),
-        ("end", arrays.end),
-        ("bytes_total", arrays.bytes_total),
-    ]
-    return columns
-
-
-def _flows_from_views(views: Dict[str, np.ndarray]) -> FlowArrays:
-    return FlowArrays(
-        _decode_table(views, "user_ids"),
-        _decode_table(views, "src_ips"),
-        _decode_table(views, "dst_ips"),
-        views["user"],
-        views["src_ip"],
-        views["dst_ip"],
-        views["protocol"],
-        views["src_port"],
-        views["dst_port"],
-        views["start"],
-        views["end"],
-        views["bytes_total"],
-    )
-
-
-_FAMILY_ENCODERS = {
-    "demands": _demand_columns,
-    "sessions": _session_columns,
-    "flows": _flow_columns,
-}
-_FAMILY_DECODERS = {
-    "demands": _demands_from_views,
-    "sessions": _sessions_from_views,
-    "flows": _flows_from_views,
-}
 
 
 # ------------------------------------------------------------- publishing
@@ -340,15 +263,12 @@ class SegmentSet:
         self._released = False
         self._nbytes = 0
 
-    def publish(self, kind: str, arrays: ColumnArrays) -> ShmHandle:
-        """Copy one column family into a fresh segment; returns its handle."""
+    def publish_demands(self, arrays: DemandArrays) -> ShmHandle:
+        """Copy a demand stream's columns into a fresh segment."""
         if self._released:
             raise RuntimeError("SegmentSet already released")
-        encode = _FAMILY_ENCODERS.get(kind)
-        if encode is None:
-            raise ValueError(f"unknown column family {kind!r}")
-        columns = encode(arrays)  # type: ignore[operator]
-        specs, nbytes, digest = _pack(kind, columns)
+        columns = _demand_columns(arrays)
+        specs, nbytes, digest = _pack(columns)
         segment = _create_segment(nbytes)
         self._segments.append(segment)
         self._nbytes += nbytes
@@ -365,35 +285,8 @@ class SegmentSet:
             dst[...] = array
             del dst
         return ShmHandle(
-            segment=segment.name,
-            kind=kind,
-            specs=specs,
-            nbytes=nbytes,
-            digest=digest,
+            segment=segment.name, specs=specs, nbytes=nbytes, digest=digest
         )
-
-    def publish_demands(self, arrays: DemandArrays) -> ShmHandle:
-        """Publish a demand stream's columns."""
-        return self.publish("demands", arrays)
-
-    def publish_sessions(self, arrays: SessionArrays) -> ShmHandle:
-        """Publish a session log's columns."""
-        return self.publish("sessions", arrays)
-
-    def publish_flows(self, arrays: FlowArrays) -> ShmHandle:
-        """Publish a flow log's columns."""
-        return self.publish("flows", arrays)
-
-    def publish_bundle(self, bundle: "TraceBundleLike") -> Dict[str, ShmHandle]:
-        """Publish every non-empty family of a :class:`TraceBundle`."""
-        handles: Dict[str, ShmHandle] = {}
-        if bundle.demands:
-            handles["demands"] = self.publish_demands(bundle.demand_columns())
-        if bundle.sessions:
-            handles["sessions"] = self.publish_sessions(bundle.columns())
-        if bundle.flows:
-            handles["flows"] = self.publish_flows(bundle.flow_columns())
-        return handles
 
     def release(self) -> None:
         """Close and unlink every owned segment (idempotent)."""
@@ -419,72 +312,24 @@ class SegmentSet:
         self.release()
 
 
-class TraceBundleLike:
-    """Structural stand-in for :class:`~repro.trace.records.TraceBundle`.
-
-    Declared locally (rather than imported) to keep this module's import
-    graph one-way: ``trace`` must never import ``runtime``.
-    """
-
-    sessions: Sequence[object]
-    flows: Sequence[object]
-    demands: Sequence[object]
-
-    def columns(self) -> SessionArrays:  # pragma: no cover - protocol only
-        raise NotImplementedError
-
-    def demand_columns(self) -> DemandArrays:  # pragma: no cover
-        raise NotImplementedError
-
-    def flow_columns(self) -> FlowArrays:  # pragma: no cover
-        raise NotImplementedError
-
-
 # -------------------------------------------------------------- attaching
 
 
 @contextmanager
-def attach_arrays(handle: ShmHandle) -> Iterator[ColumnArrays]:
-    """Attach read-only and yield the handle's column family.
+def attach_demands(handle: ShmHandle) -> Iterator[DemandArrays]:
+    """Attach read-only and yield the handle's demand columns.
 
     The yielded arrays are live views of the segment; copy anything that
     must outlive the ``with`` block (see :func:`fetch_demands`).
     """
-    decode = _FAMILY_DECODERS.get(handle.kind)
-    if decode is None:
-        raise ValueError(f"unknown column family {handle.kind!r}")
     segment = shared_memory.SharedMemory(name=handle.segment, create=False)
     views: Optional[Dict[str, np.ndarray]] = None
     try:
         views = _attach_views(handle, segment.buf)
-        yield decode(views)
+        yield _demands_from_views(views)
     finally:
         del views
         _close_quietly(segment)
-
-
-@contextmanager
-def attach_demands(handle: ShmHandle) -> Iterator[DemandArrays]:
-    """:func:`attach_arrays`, typed for the ``demands`` family."""
-    with attach_arrays(handle) as arrays:
-        assert isinstance(arrays, DemandArrays)
-        yield arrays
-
-
-@contextmanager
-def attach_sessions(handle: ShmHandle) -> Iterator[SessionArrays]:
-    """:func:`attach_arrays`, typed for the ``sessions`` family."""
-    with attach_arrays(handle) as arrays:
-        assert isinstance(arrays, SessionArrays)
-        yield arrays
-
-
-@contextmanager
-def attach_flows(handle: ShmHandle) -> Iterator[FlowArrays]:
-    """:func:`attach_arrays`, typed for the ``flows`` family."""
-    with attach_arrays(handle) as arrays:
-        assert isinstance(arrays, FlowArrays)
-        yield arrays
 
 
 def fetch_demands(rows: ShmSlice) -> DemandArrays:

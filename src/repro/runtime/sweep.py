@@ -27,13 +27,7 @@ from repro.runtime.resilience import (
     run_pool_with_retries,
     serial_with_retries,
 )
-from repro.runtime.shm import ShmHandle
-from repro.runtime.workers import (
-    SweepCall,
-    SweepOutcome,
-    call_with_attachments,
-    run_sweep_call,
-)
+from repro.runtime.workers import SweepCall, SweepOutcome, run_sweep_call
 
 #: A sweep task is just a named call; reuse the worker's picklable form.
 SweepTask = SweepCall
@@ -45,23 +39,6 @@ def make_task(task_id: str, fn: Callable[..., Any], **kwargs: Any) -> SweepTask:
         task_id=task_id,
         fn=fn,
         kwargs=tuple(sorted(kwargs.items())),
-    )
-
-
-def with_attachments(task: SweepTask, **handles: ShmHandle) -> SweepTask:
-    """A copy of ``task`` that receives shared-memory columns as kwargs.
-
-    Each handle's decoded arrays are passed to the task function under
-    the given keyword name — published once by the caller, attached
-    zero-copy in every executing process instead of pickled per task.
-    The caller's :class:`~repro.runtime.shm.SegmentSet` must stay open
-    until the sweep returns.
-    """
-    return SweepTask(
-        task_id=task.task_id,
-        fn=task.fn,
-        kwargs=task.kwargs,
-        attachments=tuple(sorted(handles.items())),
     )
 
 
@@ -80,26 +57,12 @@ class SweepPlan:
         return len(self.tasks)
 
     def fingerprint(self) -> str:
-        """A stable digest of the plan (task ids + functions + kwargs).
-
-        Attachments are folded in by *content* digest
-        (:meth:`~repro.runtime.shm.ShmHandle.fingerprint`), never by
-        segment name — names embed the creator pid, and a resumed run
-        republished into fresh segments must still match.
-        """
-        parts = []
-        for task in self.tasks:
-            part = (
-                f"{task.task_id}={task.fn.__module__}.{task.fn.__qualname__}"
-                f"({task.kwargs!r})"
-            )
-            if task.attachments:
-                attached = ",".join(
-                    f"{name}:{handle.fingerprint()}"
-                    for name, handle in task.attachments
-                )
-                part += f"+[{attached}]"
-            parts.append(part)
+        """A stable digest of the plan (task ids + functions + kwargs)."""
+        parts = [
+            f"{task.task_id}={task.fn.__module__}.{task.fn.__qualname__}"
+            f"({task.kwargs!r})"
+            for task in self.tasks
+        ]
         digest = zlib.crc32("|".join(parts).encode("utf-8"))
         return f"sweep:{len(self.tasks)}:{digest:08x}"
 
@@ -152,9 +115,7 @@ def _check_on_failure(on_failure: str) -> None:
 
 
 def _call_task(task: SweepTask) -> Any:
-    # Shared helper with the pool worker, so the serial engine resolves
-    # shared-memory attachments exactly the way a worker process does.
-    return call_with_attachments(task)
+    return task.fn(**task.kwargs_dict)
 
 
 def _task_id(task: SweepTask) -> str:

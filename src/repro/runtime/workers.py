@@ -35,7 +35,6 @@ serial engine's (enforced by the ``fork-safe-rng`` lint rule).
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +46,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import TracedRecord, get_tracer
 from repro.perf import PerfSnapshot
-from repro.runtime.shm import ShmHandle, ShmSlice, attach_arrays, fetch_demands
+from repro.runtime.shm import ShmSlice, fetch_demands
 from repro.trace.records import SessionRecord
 from repro.trace.social import CampusLayout
 from repro.wlan.metrics import ControllerSeries
@@ -285,19 +284,11 @@ def run_replay_shard(task: ShardTask) -> ShardOutcome:
 
 @dataclass(frozen=True)
 class SweepCall:
-    """One sweep task: a module-level function plus keyword arguments.
-
-    ``attachments`` maps extra keyword names to published shared-memory
-    handles; the executing process attaches each one and passes the
-    decoded columnar arrays under that name — the zero-copy alternative
-    to pickling a :class:`~repro.trace.columnar.SessionArrays` into
-    ``kwargs``.
-    """
+    """One sweep task: a module-level function plus keyword arguments."""
 
     task_id: str
     fn: Callable[..., Any]
     kwargs: Tuple[Tuple[str, Any], ...]
-    attachments: Tuple[Tuple[str, ShmHandle], ...] = field(default=())
 
     @property
     def kwargs_dict(self) -> Dict[str, Any]:
@@ -314,29 +305,8 @@ class SweepOutcome:
     perf: PerfSnapshot
 
 
-def call_with_attachments(call: SweepCall) -> Any:
-    """Invoke one sweep call, materializing its shared-memory kwargs.
-
-    Attached arrays are valid only for the duration of the call — a
-    task function that wants to return column data must copy it out.
-    """
-    kwargs = call.kwargs_dict
-    if not call.attachments:
-        return call.fn(**kwargs)
-    with ExitStack() as stack:
-        with perf.timer("shm.attach"):
-            for name, handle in call.attachments:
-                kwargs[name] = stack.enter_context(attach_arrays(handle))
-        try:
-            return call.fn(**kwargs)
-        finally:
-            # Drop our references to the attached views before the stack
-            # closes the mappings.
-            kwargs.clear()
-
-
 def run_sweep_call(call: SweepCall) -> SweepOutcome:
     """Execute one sweep task in this process and package the outcome."""
     perf.reset()
-    value = call_with_attachments(call)
+    value = call.fn(**call.kwargs_dict)
     return SweepOutcome(task_id=call.task_id, value=value, perf=perf.snapshot())

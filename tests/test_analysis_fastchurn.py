@@ -1,33 +1,33 @@
-"""Equivalence of the numpy fast paths with the Python references.
+"""Equivalence of the numpy kernels with their pure-Python test oracles.
 
-The numpy engines promise *identical* results — same event lists (values
-and order), same per-pair counts, same graph edges — so these tests run
-both implementations on randomized workloads and compare exactly, plus a
-few adversarial timestamp layouts (grid times landing exactly on window
-boundaries, duplicate timestamps, reconnect churn).
+The churn extractors and ``SocialModel.build_graph`` promise results
+*identical* to the loops in ``tests/churn_oracle.py`` and
+``tests/social_oracle.py`` — same event lists (values and order), same
+per-pair counts, same graph edges — so these tests compare them exactly
+on randomized workloads, on a few adversarial timestamp layouts (grid
+times landing exactly on window boundaries, duplicate timestamps,
+reconnect churn), and on every small input of a boundary-heavy grid.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from repro.analysis.churn import (
-    AUTO_NUMPY_MIN_SESSIONS,
-    _extract_churn_python,
-    coleaving_fraction_per_user,
-    extract_churn,
-)
+from repro.analysis.churn import coleaving_fraction_per_user, extract_churn
 from repro.analysis.fastchurn import (
     ColumnarChurnEvents,
     LazyEvents,
-    coleaving_fraction_numpy,
     extract_churn_numpy,
 )
 from repro.core.social import PairStats, SocialModel, build_social_model
 from repro.core.typing import TypeModel
 from repro.trace.columnar import SessionArrays
 from repro.trace.records import SessionRecord, TraceBundle
+
+from tests.churn_oracle import coleaving_fraction_python, extract_churn_python
+from tests.social_oracle import build_graph_pairwise
 
 
 def _random_sessions(seed, n=400, users=40, aps=8, span=2 * 86400):
@@ -67,8 +67,8 @@ def _grid_sessions():
 
 
 def _assert_equivalent(sessions, coleave=300.0, cocome=300.0, min_dur=1200.0):
-    reference = _extract_churn_python(sessions, coleave, cocome, min_dur)
-    fast = extract_churn_numpy(sessions, coleave, cocome, min_dur)
+    reference = extract_churn_python(sessions, coleave, cocome, min_dur)
+    fast = extract_churn(sessions, coleave, cocome, min_dur)
     assert reference.leavings == list(fast.leavings)
     assert reference.arrivals == list(fast.arrivals)
     assert reference.co_leavings == list(fast.co_leavings)
@@ -107,37 +107,74 @@ def test_extract_churn_engines_identical_duplicate_times():
 def test_coleaving_fraction_engines_identical(seed):
     sessions = _random_sessions(seed)
     for window in (60.0, 300.0, 1800.0):
-        reference = coleaving_fraction_per_user(sessions, window, engine="python")
-        fast = coleaving_fraction_numpy(sessions, window)
+        reference = coleaving_fraction_python(sessions, window)
+        fast = coleaving_fraction_per_user(sessions, window)
         assert reference == fast
 
 
-def test_engine_forced_below_auto_threshold():
-    sessions = _random_sessions(0, n=AUTO_NUMPY_MIN_SESSIONS // 4)
-    python = extract_churn(sessions, engine="python")
-    numpy_ = extract_churn(sessions, engine="numpy")
-    assert isinstance(numpy_, ColumnarChurnEvents)
-    assert not isinstance(python, ColumnarChurnEvents)
-    assert python.co_leavings == list(numpy_.co_leavings)
+#: Every session shape of the exhaustive grid: 2 users x 2 APs x every
+#: connect <= disconnect on {0, 300, 600, 900} s.  With a 300 s window
+#: and a 600 s encounter minimum, gaps and overlaps land exactly on both
+#: boundaries, and zero-length sessions and equal timestamps occur.
+_GRID_SHAPES = [
+    (user, ap, connect, disconnect)
+    for user in ("u0", "u1")
+    for ap in ("ap0", "ap1")
+    for connect, disconnect in itertools.combinations_with_replacement(
+        (0.0, 300.0, 600.0, 900.0), 2
+    )
+]
+_AP_SWAP = {"ap0": "ap1", "ap1": "ap0"}
 
 
-def test_engine_auto_dispatch():
-    small = _random_sessions(1, n=16)
-    large = _random_sessions(1, n=AUTO_NUMPY_MIN_SESSIONS + 16)
-    assert not isinstance(extract_churn(small), ColumnarChurnEvents)
-    assert isinstance(extract_churn(large), ColumnarChurnEvents)
-    # A columnar input always takes the numpy path.
-    arrays = SessionArrays.from_sessions(small)
-    assert isinstance(extract_churn(arrays), ColumnarChurnEvents)
+def _small_logs():
+    """Every multiset of <= 3 grid sessions, up to swapping the two APs.
+
+    Both implementations extract each AP independently and only order
+    the per-AP blocks by AP id, so a log and its AP-swapped image test
+    the same comparisons.  User ids stay as drawn: they decide the
+    tie order at equal timestamps, so both labellings are kept.
+    """
+    for size in range(4):
+        for log in itertools.combinations_with_replacement(_GRID_SHAPES, size):
+            swapped = tuple(
+                sorted((u, _AP_SWAP[a], c, d) for u, a, c, d in log)
+            )
+            if swapped < log:
+                continue
+            yield [
+                SessionRecord(u, a, "c0", c, d, 0.0) for u, a, c, d in log
+            ]
 
 
-def test_engine_validation():
-    sessions = _random_sessions(2, n=20)
-    with pytest.raises(ValueError, match="unknown engine"):
-        extract_churn(sessions, engine="cython")
-    arrays = SessionArrays.from_sessions(sessions)
-    with pytest.raises(ValueError, match="SessionArrays"):
-        extract_churn(arrays, engine="python")
+def test_churn_matches_oracle_on_every_small_log():
+    checked = 0
+    for sessions in _small_logs():
+        arrays = SessionArrays.from_sessions(sessions)
+        reference = extract_churn_python(sessions, 300.0, 300.0, 600.0)
+        fast = extract_churn(arrays, 300.0, 300.0, 600.0)
+        assert reference.leavings == list(fast.leavings), sessions
+        assert reference.arrivals == list(fast.arrivals), sessions
+        assert reference.co_leavings == list(fast.co_leavings), sessions
+        assert reference.co_comings == list(fast.co_comings), sessions
+        assert reference.encounters == list(fast.encounters), sessions
+        assert reference.co_leaving_pairs() == fast.co_leaving_pairs(), sessions
+        assert reference.encounter_pairs() == fast.encounter_pairs(), sessions
+        assert coleaving_fraction_python(
+            sessions, 300.0
+        ) == coleaving_fraction_per_user(arrays, 300.0), sessions
+        checked += 1
+    # 12,341 logs, 6,181 up to the AP swap (21 are their own image).
+    assert checked == 6_181
+
+
+def test_extract_churn_is_columnar_for_records_and_arrays():
+    sessions = _random_sessions(1, n=16)
+    from_records = extract_churn(sessions)
+    from_arrays = extract_churn(SessionArrays.from_sessions(sessions))
+    assert isinstance(from_records, ColumnarChurnEvents)
+    assert isinstance(from_arrays, ColumnarChurnEvents)
+    assert list(from_records.encounters) == list(from_arrays.encounters)
 
 
 def test_lazy_events_list_contract():
@@ -205,17 +242,50 @@ def test_build_graph_engines_identical(seed):
     model = _social_model(users, seed=seed)
     batch = random.Random(seed).sample(users, 50)
     for threshold in (0.0, 0.1, 0.3):
-        python = model.build_graph(batch, threshold=threshold, engine="python")
-        fast = model.build_graph(batch, threshold=threshold, engine="numpy")
+        python = build_graph_pairwise(model, batch, threshold=threshold)
+        fast = model.build_graph(batch, threshold=threshold)
         assert _graph_signature(python) == _graph_signature(fast)
-        # Insertion order matches the reference loop exactly.
+        # Insertion order matches the oracle loop exactly.
         assert list(python.edges()) == list(fast.edges())
+
+
+#: Pair statistics of the small graph grid: unseen, below the encounter
+#: floor, at it, and a capped conditional term.
+_PAIR_GRID = (None, (1, 1), (2, 0), (2, 1), (3, 5))  # (encounters, co-leavings)
+
+
+def test_build_graph_matches_oracle_on_small_grid():
+    """Every pair-stat combination over three users, every member subset,
+    and every threshold equal to an achieved delta (the strict ``>``)."""
+    users = ["a", "b", "c"]
+    pairs = list(itertools.combinations(users, 2))
+    # a and b have fitted types, c falls back to the unknown-user mean.
+    types = TypeModel(
+        centroids=np.zeros((2, 6)),
+        assignments={"a": 0, "b": 1},
+        affinity=np.array([[0.5, 0.25], [0.25, 0.75]]),
+    )
+    for stats in itertools.product(_PAIR_GRID, repeat=len(pairs)):
+        observed = {
+            pair: PairStats(*stat)
+            for pair, stat in zip(pairs, stats)
+            if stat is not None
+        }
+        model = SocialModel(observed, types, alpha=0.3, shrinkage=1.0)
+        deltas = {model.social_index(a, b) for a, b in pairs}
+        for threshold in sorted(deltas | {0.0}):
+            for size in range(len(users) + 1):
+                for members in itertools.combinations(users, size):
+                    fast = model.build_graph(members, threshold=threshold)
+                    oracle = build_graph_pairwise(model, members, threshold)
+                    assert fast.nodes == oracle.nodes
+                    assert list(fast.edges()) == list(oracle.edges())
 
 
 def test_build_graph_cache_invalidated_by_record_events():
     users = [f"u{i:02d}" for i in range(30)]
     model = _social_model(users, seed=5)
-    before = model.build_graph(users, engine="numpy")
+    before = model.build_graph(users)
     pair = next(
         (a, b)
         for i, a in enumerate(users)
@@ -225,8 +295,8 @@ def test_build_graph_cache_invalidated_by_record_events():
     generation = model.generation
     model.record_events(pair[0], pair[1], encounters=10, co_leavings=10)
     assert model.generation == generation + 1
-    after = model.build_graph(users, engine="numpy")
-    reference = model.build_graph(users, engine="python")
+    after = model.build_graph(users)
+    reference = build_graph_pairwise(model, users)
     assert _graph_signature(after) == _graph_signature(reference)
     assert after.has_edge(*pair)
     assert not before.has_edge(*pair)
@@ -235,20 +305,14 @@ def test_build_graph_cache_invalidated_by_record_events():
 def test_build_graph_returns_fresh_graph_on_cache_hit():
     users = [f"u{i:02d}" for i in range(20)]
     model = _social_model(users, seed=6)
-    first = model.build_graph(users, engine="numpy")
+    first = model.build_graph(users)
     first.remove_nodes(list(first.nodes)[:5])  # clique cover mutates its input
-    second = model.build_graph(users, engine="numpy")
+    second = model.build_graph(users)
     assert len(second.nodes) == 20
 
 
-def test_build_graph_engine_validation():
-    model = _social_model([f"u{i}" for i in range(4)])
-    with pytest.raises(ValueError, match="unknown engine"):
-        model.build_graph(["u0", "u1"], engine="fortran")
-
-
 def test_build_social_model_forwards_shrinkage():
-    churn = _extract_churn_python(_random_sessions(7, n=120), 300.0, 300.0, 600.0)
+    churn = extract_churn(_random_sessions(7, n=120), 300.0, 300.0, 600.0)
     types = _type_model([f"u{i:03d}" for i in range(40)])
     model = build_social_model(churn, types, shrinkage=3.5)
     assert model.shrinkage == 3.5

@@ -18,6 +18,8 @@ from repro.analysis.churn import ChurnEvents, CoEvent, Encounter, make_pair
 from repro.core.social import PairStats, SocialModel, build_social_model
 from repro.core.typing import TypeModel
 
+from tests.social_oracle import build_graph_pairwise
+
 
 def _type_model(users, k=3, seed=11):
     rng = np.random.default_rng(seed)
@@ -81,7 +83,7 @@ def test_streamed_events_byte_identical_to_batch_rebuild(seed):
     model = SocialModel({}, _type_model(users, seed=seed))
     # Populate the dense-matrix cache so every streamed event exercises
     # the in-place patch path, never a silent rebuild.
-    model.build_graph(users, engine="numpy")
+    model.build_graph(users)
 
     builds_before = perf.PERF.counters().get("social.delta.build", 0)
     for chunk_start in range(0, 60, 12):
@@ -93,9 +95,9 @@ def test_streamed_events_byte_identical_to_batch_rebuild(seed):
         patched = model._delta_matrix(members)
         rebuilt = fresh._delta_matrix(members)
         assert patched.tobytes() == rebuilt.tobytes()
-        incremental_graph = model.build_graph(users, engine="numpy")
-        batch_graph = fresh.build_graph(users, engine="numpy")
-        reference_graph = fresh.build_graph(users, engine="python")
+        incremental_graph = model.build_graph(users)
+        batch_graph = fresh.build_graph(users)
+        reference_graph = build_graph_pairwise(fresh, users)
         assert _graph_signature(incremental_graph) == _graph_signature(
             batch_graph
         )
@@ -111,11 +113,11 @@ def test_streamed_events_byte_identical_to_batch_rebuild(seed):
 def test_streamed_events_never_rebuild_the_cached_matrix():
     users = [f"u{i}" for i in range(10)]
     model = SocialModel({}, _type_model(users))
-    model.build_graph(users, engine="numpy")
+    model.build_graph(users)
     builds = perf.PERF.counters().get("social.delta.build", 0)
     for a, b, enc, col in _random_events(users, 40, seed=3):
         model.record_events(a, b, encounters=enc, co_leavings=col)
-        model.build_graph(users, engine="numpy")
+        model.build_graph(users)
     assert perf.PERF.counters().get("social.delta.build", 0) == builds
 
 
@@ -147,7 +149,7 @@ def test_assign_user_type_patches_rows_byte_identically():
     model = SocialModel({}, _type_model(users, seed=7))
     for a, b, enc, col in _random_events(users, 30, seed=8):
         model.record_events(a, b, encounters=enc, co_leavings=col)
-    model.build_graph(users, engine="numpy")
+    model.build_graph(users)
     k = model.type_model.k
     stranger = next(u for u in users if u not in model.type_model.assignments)
     rng = np.random.default_rng(9)
@@ -183,7 +185,7 @@ def test_floor_crossing_is_patched_exactly():
     users = ["a", "b", "c", "d"]
     members = tuple(sorted(users))
     model = SocialModel({}, _type_model(users, seed=2), min_encounters=3)
-    model.build_graph(users, engine="numpy")
+    model.build_graph(users)
     # Below the floor: the conditional term must stay zero.
     model.record_events("a", "b", encounters=2, co_leavings=2)
     assert model.conditional_term("a", "b") == 0.0
@@ -238,7 +240,7 @@ def test_streamed_model_matches_build_social_model():
             affinity=type_model.affinity,
         ),
     )
-    streamed.build_graph(users, engine="numpy")
+    streamed.build_graph(users)
     for a, b, enc, col in events:
         pair = make_pair(a, b)
         for _ in range(enc):

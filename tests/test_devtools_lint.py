@@ -22,6 +22,7 @@ from repro.devtools.project import (
     default_repo_root,
     module_name_for,
     parse_module,
+    reference_exists,
     resolve_dotted,
     split_test_id,
 )
@@ -337,7 +338,7 @@ def test_registry_names_resolve_statically():
     src_root = REPO / "src"
     for dotted, entry in PARITY_REGISTRY.items():
         assert resolve_dotted(dotted, src_root), dotted
-        assert resolve_dotted(entry.reference, src_root), entry.reference
+        assert reference_exists(entry.reference, REPO), entry.reference
         if entry.fast is not None:
             assert resolve_dotted(entry.fast, src_root), entry.fast
         assert entry.tests, dotted
@@ -353,6 +354,8 @@ def test_resolution_rejects_missing_names():
         "repro.core.social.SocialModel.no_such_method", src_root
     )
     assert not node_exists("tests/test_missing.py::test_x", REPO)
+    assert not reference_exists("tests/churn_oracle.py::no_such_oracle", REPO)
+    assert not reference_exists("repro.analysis.churn.no_such_oracle", REPO)
     assert not node_exists(
         "tests/test_analysis_fastchurn.py::test_no_such", REPO
     )

@@ -49,7 +49,20 @@ class TestTinyRuns:
         journal = read_journal(path)
         assert journal.meta["preset"] == "tiny"
         assert journal.meta["strategy"] == "llf"
+        # tiny has one controller: auto resolves to serial, and says so
+        assert journal.meta["engine"] == "serial"
         assert journal.spans and journal.decisions and journal.samples
+
+    def test_replay_run_dir_checkpoints_under_auto(
+        self, tmp_path, capsys, tiny_workload
+    ):
+        run_dir = tmp_path / "run"
+        assert main(["replay", "tiny", "--run-dir", str(run_dir)]) == 0
+        assert "engine=process" in capsys.readouterr().out
+        assert list(run_dir.glob("task-*.pkl"))
+        serial = ["replay", "tiny", "--engine", "serial", "--retries", "1"]
+        assert main(serial) == 2
+        assert "cannot checkpoint" in capsys.readouterr().out
 
     def test_sweep_prints_task_values(self, capsys, tiny_workload):
         assert (

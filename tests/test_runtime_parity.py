@@ -17,6 +17,7 @@ from repro.obs.journal import perf_snapshot, render_journal, strip_wall
 from repro.obs.records import MetaRecord
 from repro.obs.tracer import get_tracer
 from repro.runtime import replay, replay_process, replay_serial
+from repro.runtime.engine import AUTO_PROCESS_MIN_DEMANDS, resolve_engine
 from repro.wlan.strategies import LeastLoadedFirst, RandomSelection, S3Strategy
 
 
@@ -108,6 +109,26 @@ def test_auto_prefers_process_only_when_shardable(small_workload, small_model):
         layout, RandomSelection(np.random.default_rng(0)), demands, config
     )
     assert_results_identical(expected, auto)
+
+
+def test_auto_resolution_follows_measured_size():
+    """A PAPER-sized stream replays serially, a 4x PAPER campus on the
+    pool; checkpointing always needs the pool."""
+    paper = dict(shard_safe=True, n_demands=2_012, busy_shards=4)
+    campus = dict(shard_safe=True, n_demands=7_820, busy_shards=8)
+    assert resolve_engine("auto", **paper) == "serial"
+    assert resolve_engine("auto", **campus) == "process"
+    at_bar = dict(campus, n_demands=AUTO_PROCESS_MIN_DEMANDS)
+    assert resolve_engine("auto", **at_bar) == "process"
+    below = dict(campus, n_demands=AUTO_PROCESS_MIN_DEMANDS - 1)
+    assert resolve_engine("auto", **below) == "serial"
+    assert resolve_engine("auto", **dict(campus, busy_shards=1)) == "serial"
+    assert resolve_engine("auto", **dict(campus, shard_safe=False)) == "serial"
+    assert resolve_engine("auto", **paper, checkpointing=True) == "process"
+    assert resolve_engine("process", **paper) == "process"
+    assert resolve_engine("serial", **campus) == "serial"
+    with pytest.raises(ValueError, match="cannot checkpoint"):
+        resolve_engine("serial", **paper, checkpointing=True)
 
 
 def test_process_engine_rejects_unsafe_strategy(small_workload):

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.obs.records import FaultRecord
 from repro.obs.tracer import get_tracer
-from repro.runtime import replay_process, replay_serial
+from repro.runtime import replay, replay_process, replay_serial
 from repro.runtime.checkpoint import RunDirectory
 from repro.runtime.engine import resolve_workers
 from repro.runtime.resilience import TaskFailure
@@ -228,6 +228,42 @@ def test_replay_retries_killed_shard_and_matches_serial(
     serial = replay_serial(layout, LeastLoadedFirst(), demands, config)
     assert result.sessions == serial.sessions
     assert result.events_processed == serial.events_processed
+
+
+def test_auto_replay_checkpoints_and_resumes_on_one_busy_shard(
+    small_workload, tmp_path, monkeypatch
+):
+    """``auto`` would replay one busy shard serially, which cannot
+    checkpoint; asked for a run directory it must take the pool instead,
+    and an explicit ``engine='serial'`` must refuse one."""
+    layout = small_workload.world.layout
+    config = small_workload.config.replay
+    controller = layout.controller_ids[0]
+    demands = [
+        d
+        for d in small_workload.test_demands
+        if layout.buildings[d.building_id].controller_id == controller
+    ]
+    monkeypatch.setenv(_MARKER_DIR, str(tmp_path))
+    monkeypatch.setenv(_FAIL_SHARD, "none")
+    import repro.runtime.engine as engine_module
+
+    monkeypatch.setattr(
+        engine_module, "run_replay_shard", _fail_once_shard_body
+    )
+    run_dir = tmp_path / "run"
+    first = replay(layout, LeastLoadedFirst(), demands, config, run_dir=run_dir)
+    assert list(run_dir.glob("task-*.pkl"))
+    again = replay(layout, LeastLoadedFirst(), demands, config, run_dir=run_dir)
+    assert _runs(tmp_path, controller) == 1  # resumed from the checkpoint
+    serial = replay_serial(layout, LeastLoadedFirst(), demands, config)
+    assert first.sessions == again.sessions == serial.sessions
+    for options in ({"run_dir": tmp_path / "other"}, {"max_task_retries": 1}):
+        with pytest.raises(ValueError, match="cannot checkpoint"):
+            replay(
+                layout, LeastLoadedFirst(), demands, config, engine="serial",
+                **options,
+            )
 
 
 # ------------------------------------------------- checkpoint corruption

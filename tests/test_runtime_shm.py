@@ -23,7 +23,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import perf
@@ -36,13 +35,10 @@ from repro.runtime.shm import (
     SegmentSet,
     ShmSlice,
     attach_demands,
-    attach_flows,
-    attach_sessions,
     fetch_demands,
     list_segments,
     reap_orphans,
 )
-from repro.runtime.sweep import SweepPlan, make_task, run_sweep, with_attachments
 from repro.runtime.workers import run_replay_shard
 from repro.sim.rng import RandomStreams
 from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
@@ -132,28 +128,14 @@ def test_group_ap_ids_matches_group_heads():
 
 
 def test_publish_attach_round_trips_every_family():
-    demands, flows, sessions = _demands(), _flows(), _sessions()
+    """Demands are the one family the transport publishes."""
+    demands = _demands()
     with SegmentSet() as segments:
-        demand_handle = segments.publish_demands(
-            DemandArrays.from_demands(demands)
-        )
-        flow_handle = segments.publish_flows(FlowArrays.from_flows(flows))
-        session_handle = segments.publish_sessions(
-            SessionArrays.from_sessions(sessions)
-        )
-        names = {demand_handle.segment, flow_handle.segment,
-                 session_handle.segment}
-        assert names <= set(list_segments())
-        with attach_demands(demand_handle) as attached:
+        handle = segments.publish_demands(DemandArrays.from_demands(demands))
+        assert handle.segment in list_segments()
+        with attach_demands(handle) as attached:
             assert attached.to_demands() == demands
-        with attach_flows(flow_handle) as attached:
-            assert attached.to_flows() == flows
-        with attach_sessions(session_handle) as attached:
-            assert np.array_equal(
-                attached.connect,
-                SessionArrays.from_sessions(sessions).connect,
-            )
-    assert not names & set(list_segments())
+    assert handle.segment not in list_segments()
 
 
 def test_publish_empty_family():
@@ -251,27 +233,24 @@ def test_reap_orphans_mixed_live_and_orphaned_population():
     for name in orphans:
         Path("/dev/shm", name).write_bytes(b"\x00")
     with SegmentSet() as segments:
-        live_demands = segments.publish_demands(
-            DemandArrays.from_demands(_demands())
-        )
-        live_sessions = segments.publish_sessions(
-            SessionArrays.from_sessions(_sessions())
-        )
+        live = [
+            segments.publish_demands(DemandArrays.from_demands(rows))
+            for rows in (_demands(), _demands()[1:])
+        ]
         reaped = reap_orphans()
         assert set(orphans) <= set(reaped)
         remaining = list_segments()
         for name in orphans:
             assert name not in remaining
-        assert live_demands.segment in remaining
-        assert live_sessions.segment in remaining
-        # both live families still attach and round-trip after the sweep
-        with attach_demands(live_demands) as attached:
+        for handle in live:
+            assert handle.segment in remaining
+        # both live segments still attach and round-trip after the sweep
+        with attach_demands(live[0]) as attached:
             assert attached.to_demands() == _demands()
-        expected = SessionArrays.from_sessions(_sessions())
-        with attach_sessions(live_sessions) as attached:
-            assert np.array_equal(attached.connect, expected.connect)
-    assert live_demands.segment not in list_segments()
-    assert live_sessions.segment not in list_segments()
+        with attach_demands(live[1]) as attached:
+            assert attached.to_demands() == _demands()[1:]
+    for handle in live:
+        assert handle.segment not in list_segments()
 
 
 # -------------------------------------------------- engine-level lifecycle
@@ -391,34 +370,4 @@ def test_shm_replay_byte_identical_with_faults_armed(small_workload):
     assert process.sessions == serial.sessions
     assert process.events_processed == serial.events_processed
     assert strip_wall(process_journal) == strip_wall(serial_journal)
-    assert list_segments() == []
-
-
-# -------------------------------------------------------- sweep attachments
-
-
-def _sum_connect(scale: float, sessions: SessionArrays = None) -> float:
-    """Picklable sweep body consuming an attached session family."""
-    assert sessions is not None
-    return float(np.sum(sessions.connect)) * scale
-
-
-def test_sweep_attachments_resolve_in_workers():
-    arrays = SessionArrays.from_sessions(_sessions())
-    expected = float(np.sum(arrays.connect))
-    with SegmentSet() as segments:
-        handle = segments.publish_sessions(arrays)
-        plan = SweepPlan(
-            [
-                with_attachments(
-                    make_task("x1", _sum_connect, scale=1.0), sessions=handle
-                ),
-                with_attachments(
-                    make_task("x2", _sum_connect, scale=2.0), sessions=handle
-                ),
-            ]
-        )
-        values = run_sweep(plan, engine="process", workers=2)
-        serial = run_sweep(plan, engine="serial")
-    assert values == serial == {"x1": expected, "x2": 2 * expected}
     assert list_segments() == []
