@@ -20,9 +20,29 @@ information to exploit — empty APs, strangers, ties (Section IV.B: "if
 S(AP) is empty or there are multiple candidate APs to choose, we simply
 apply LLF").
 
-The algorithm sees APs only through :class:`APState` snapshots, so it is
-reusable by the trace-driven simulator and the message-level prototype
-alike; it never mutates caller state.
+**One decision kernel.**  Replay, the online and ablation strategies,
+the prototype and the controller service
+(:class:`repro.service.fastpath.FastAssociator`) all decide through:
+
+* :class:`CostIndex` — the added social cost C(AP) = sum over residents r
+  of delta(u, r), one row per arrival, summed in one order: the type
+  term ``alpha * type_sum``, ``type_sum`` adding ``T[arrival][code] *
+  count`` from 0.0 in type-code order, empty codes skipped (the unknown
+  code last); then each partner's P(L|E), in
+  :meth:`~repro.core.social.SocialModel.conditional_partners` order, at
+  the partner's AP.  The per-resident walk is the test oracle
+  (``tests/selection_oracle.py``).
+* :func:`rank_singleton` — the balance re-rank in closed form: admitting
+  rate r at candidate c leaves the total load the same for every
+  candidate and adds 2*r*L_c + r^2 to sum(L^2), so Jain's index after
+  admission strictly decreases in L_c (and ties when r = 0): best
+  balance is least load, with LLF's (load, user count, id) tie-breaks.
+  The clique step uses the same fact: every distribution adds the same
+  total load, so it ranks by sum(loads_after^2), ascending.
+
+The algorithm sees APs only through :class:`APState` snapshots (the
+service, its live ``ApRuntime`` table), builds one :class:`CostIndex`
+from them per decision call, and never mutates caller state.
 """
 
 from __future__ import annotations
@@ -31,17 +51,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.analysis.balance import normalized_balance_index
 from repro.core.demand import DemandEstimator
 from repro.core.social import SocialModel
 from repro.graph.clique import clique_cover
-
-INFEASIBLE = math.inf
-
 
 @dataclass(frozen=True)
 class APState:
@@ -110,12 +126,170 @@ def _distributions(n_aps: int, n_members: int) -> np.ndarray:
     return combos
 
 
-def least_loaded(aps: Sequence[APState]) -> APState:
+class CandidateAP(Protocol):
+    """What the rank reads of an AP (an APState or a live ApRuntime)."""
+
+    @property
+    def ap_id(self) -> str: ...
+
+    @property
+    def bandwidth(self) -> float: ...
+
+    @property
+    def load(self) -> float: ...
+
+    @property
+    def user_count(self) -> int: ...
+
+
+AP = TypeVar("AP", bound=CandidateAP)
+
+
+def least_loaded(aps: Sequence[AP]) -> AP:
     """LLF: the AP with the least traffic load (user count, then id as
     deterministic tie-breaks)."""
     if not aps:
         raise ValueError("no candidate APs")
     return min(aps, key=lambda ap: (ap.load, ap.user_count, ap.ap_id))
+
+
+def _nonzero(counts: List[int]) -> List[Tuple[int, int]]:
+    """The ``(code, count)`` pairs of a type-count vector with a count."""
+    return [(code, count) for code, count in enumerate(counts) if count]
+
+
+class CostIndex:
+    """C(AP) of an arrival at every AP, in the module docstring's order.
+
+    Positions ``0..n-1`` stand for the caller's APs.  Kept: per-AP
+    type-count vectors (k+1 codes), a user -> (position, type code at
+    seating) map, and per arrival type code every AP's cached type term,
+    recomputed only for the AP a seat change touched — a row costs
+    O(APs + partners).  A user sits at one AP at most; an arrival already
+    seated is scored against the other residents only.
+    """
+
+    def __init__(
+        self, social: SocialModel, residents: Sequence[Iterable[str]]
+    ) -> None:
+        self.social = social
+        #: The extended affinity as plain float rows: scalar access in
+        #: the per-decision loop beats numpy indexing at this size.
+        self._affinity: List[List[float]] = social._extended_affinity().tolist()
+        self._unknown_code = social.type_model.k
+        self._counts: List[List[int]] = [
+            [0] * len(self._affinity) for _ in residents
+        ]
+        self._seats: Dict[str, Tuple[int, int]] = {}
+        #: arrival type code -> that code's type term at every AP.
+        self._type_terms: Dict[int, List[float]] = {}
+        for position, users in enumerate(residents):
+            for user_id in users:
+                self._seat(user_id, position)
+
+    def code_of(self, user_id: str) -> int:
+        """``user_id``'s type code now; the unknown code if untyped."""
+        return self.social.type_model.assignments.get(
+            user_id, self._unknown_code
+        )
+
+    def position_of(self, user_id: str) -> Optional[int]:
+        """The position ``user_id`` is seated at, if any."""
+        seat = self._seats.get(user_id)
+        return None if seat is None else seat[0]
+
+    def type_counts(self, position: int) -> List[int]:
+        """Residents per type code at ``position``, the unknown code last."""
+        return list(self._counts[position])
+
+    def _type_term(self, code: int, terms: List[Tuple[int, int]]) -> float:
+        """``alpha * type_sum`` of an arrival of type ``code`` at an AP
+        whose non-empty ``(code, count)`` pairs are ``terms``."""
+        row = self._affinity[code]
+        type_sum = 0.0
+        for other, count in terms:
+            type_sum += row[other] * count
+        return self.social.alpha * type_sum
+
+    def _seat(self, user_id: str, position: int) -> None:
+        if user_id in self._seats:
+            raise ValueError(f"user {user_id!r} is already associated")
+        code = self.code_of(user_id)
+        self._seats[user_id] = (position, code)
+        self._counts[position][code] += 1
+
+    def _retotal(self, position: int) -> None:
+        counts = _nonzero(self._counts[position])
+        for code, terms in self._type_terms.items():
+            terms[position] = self._type_term(code, counts)
+
+    def join(self, user_id: str, position: int) -> None:
+        """Seat ``user_id`` at ``position`` under their current type."""
+        self._seat(user_id, position)
+        self._retotal(position)
+
+    def leave(self, user_id: str) -> Optional[int]:
+        """Unseat ``user_id``; returns the position left, if any."""
+        seat = self._seats.pop(user_id, None)
+        if seat is None:
+            return None
+        position, code = seat
+        self._counts[position][code] -= 1
+        self._retotal(position)
+        return position
+
+    def row(self, user_id: str) -> List[float]:
+        """C(AP) of ``user_id`` at every position."""
+        code = self.code_of(user_id)
+        terms = self._type_terms.get(code)
+        if terms is None:
+            terms = [
+                self._type_term(code, _nonzero(counts)) for counts in self._counts
+            ]
+            self._type_terms[code] = terms
+        row = list(terms)
+        seats = self._seats
+        own = seats.get(user_id)
+        if own is not None:
+            counts = list(self._counts[own[0]])
+            counts[own[1]] -= 1
+            row[own[0]] = self._type_term(code, _nonzero(counts))
+        for partner, value in self.social.conditional_partners(user_id).items():
+            seat = seats.get(partner)
+            if seat is not None:
+                row[seat[0]] += value
+        return row
+
+
+def rank_singleton(
+    aps: Sequence[CandidateAP],
+    costs: Sequence[float],
+    top_fraction: float,
+    rate: Optional[float] = None,
+) -> Optional[int]:
+    """Algorithm 1 for a singleton clique; the chosen position in ``aps``.
+
+    1. drop the APs where ``load + rate`` exceeds the bandwidth (none when
+       ``rate`` is None) — None when that drops every AP;
+    2. sort the rest by ``(cost, load, ap_id)``;
+    3. keep the cheapest ``ceil(top_fraction * n)``, at least one;
+    4. pick the best balance index among them: in closed form (module
+       docstring), ``min(load, user_count, ap_id)``.
+
+    ``costs[i]`` is C(AP) of ``aps[i]``.
+    """
+    ranked = sorted(
+        (cost, ap.load, ap.ap_id, position)
+        for position, (ap, cost) in enumerate(zip(aps, costs))
+        if rate is None or ap.load + rate <= ap.bandwidth
+    )
+    if not ranked:
+        return None
+    keep = max(1, math.ceil(len(ranked) * top_fraction))
+    return min(
+        ranked[:keep],
+        key=lambda entry: (entry[1], aps[entry[3]].user_count, entry[2]),
+    )[3]
 
 
 class S3Selector:
@@ -131,54 +305,35 @@ class S3Selector:
         self.demand = demand
         self.config = config if config is not None else SelectionConfig()
 
-    # -------------------------------------------------------------- scoring
+    def cost_index(self, aps: Sequence[APState]) -> CostIndex:
+        """A :class:`CostIndex` seating the residents of ``aps``."""
+        return CostIndex(self.social, [ap.users for ap in aps])
 
-    def added_social_cost(self, user_id: str, ap: APState) -> float:
-        """C(AP) increment of adding ``user_id``: sum of delta to residents."""
-        return sum(
-            self.social.social_index(user_id, resident)
-            for resident in ap.users
-            if resident != user_id
-        )
+    def cost_row(self, user_id: str, aps: Sequence[APState]) -> List[float]:
+        """C(AP) of adding ``user_id`` to each of ``aps``."""
+        return self.cost_index(aps).row(user_id)
 
     # ------------------------------------------------------- single arrival
 
     def select(self, user_id: str, aps: Sequence[APState]) -> str:
         """Online assignment of one arriving user; returns the AP id.
 
-        This is Algorithm 1 for a singleton clique: rank feasible APs by
-        the added social cost C, keep the cheapest ``top_fraction`` of
-        them, and among those pick the AP whose post-assignment balance
-        index is best (load as the final deterministic tie-break).  When
-        the bandwidth constraint rules out every AP the user is still
+        This is Algorithm 1 for a singleton clique (:func:`rank_singleton`).
+        When the bandwidth constraint rules out every AP the user is still
         admitted at the least-loaded AP — rejecting association is not an
         option the paper considers.
         """
         if not aps:
             raise ValueError("no candidate APs")
-        rate = self.demand.estimate(user_id)
-        feasible = [ap for ap in aps if ap.load + rate <= ap.bandwidth]
-        if not feasible:
-            return least_loaded(aps).ap_id
-        ranked = sorted(
-            feasible,
-            key=lambda ap: (self.added_social_cost(user_id, ap), ap.load, ap.ap_id),
+        choice = rank_singleton(
+            aps,
+            self.cost_row(user_id, aps),
+            self.config.top_fraction,
+            self.demand.estimate(user_id),
         )
-        keep = max(1, int(math.ceil(len(ranked) * self.config.top_fraction)))
-        top = ranked[:keep]
-        loads = {ap.ap_id: ap.load for ap in aps}
-
-        def balance_after(candidate: APState) -> float:
-            after = [
-                load + rate if ap_id == candidate.ap_id else load
-                for ap_id, load in loads.items()
-            ]
-            return normalized_balance_index(after)
-
-        return min(
-            top,
-            key=lambda ap: (-balance_after(ap), ap.load, ap.user_count, ap.ap_id),
-        ).ap_id
+        if choice is None:
+            return least_loaded(aps).ap_id
+        return aps[choice].ap_id
 
     # --------------------------------------------------------- batch arrival
 
@@ -232,12 +387,8 @@ class S3Selector:
     ) -> Dict[str, str]:
         combos = _distributions(len(aps), len(members))
         rows = np.arange(len(combos))
-        # C(AP_a) increment of member i: one social-cost sum per
-        # (member, AP) pair rather than per distribution.
-        member_costs = np.array(
-            [[self.added_social_cost(user, ap) for ap in aps] for user in members],
-            dtype=float,
-        )
+        index = self.cost_index(aps)
+        member_costs = np.array([index.row(user) for user in members], dtype=float)
         # Every distribution's cost and added load, summed in one fixed
         # order from 0.0: member costs in member order, then the internal
         # delta of each co-located member pair in (i, j) order.  Each
@@ -261,30 +412,25 @@ class S3Selector:
             # Bandwidth rules everything out; admit greedily anyway.
             return self._place_greedy(members, aps, ignore_bandwidth=True)
 
-        keep = max(1, int(math.ceil(len(feasible) * self.config.top_fraction)))
+        keep = max(1, math.ceil(len(feasible) * self.config.top_fraction))
         # Only distributions no dearer than the keep-th cheapest can enter
-        # the top band, ties at the cut included; only they need a
-        # balance index.  ``band`` stays in enumeration order so the
-        # stable sort breaks (cost, balance) ties as the full ranking would.
+        # the top band, ties at the cut included.  ``band`` stays in
+        # enumeration order, so the stable sorts break ties by the
+        # combo's lexicographic order.
         feasible_cost = cost[feasible]
         cut = np.partition(feasible_cost, keep - 1)[keep - 1]
         band = feasible[feasible_cost <= cut]
-        scored: List[Tuple[float, float, int]] = [
-            (
-                float(cost[row]),
-                -normalized_balance_index(loads_after[row].tolist()),
-                int(row),
-            )
-            for row in band
-        ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        top = scored[:keep]
-        # Among the cheapest distributions, maximize the balance index
-        # (stored negated), breaking remaining ties by cost then by
-        # enumeration order (the combo's lexicographic order) for
-        # determinism.
-        best = min(top, key=lambda item: (item[1], item[0], item[2]))
-        combo = combos[best[2]].tolist()
+        # Balance re-rank in closed form: the sum of squared loads after,
+        # summed over APs in order from 0.0 (lower is better balanced).
+        squares = np.zeros(len(band))
+        for column in np.square(loads_after[band]).T:
+            squares += column
+        band_cost = cost[band]
+        # Sort by (cost, balance), keep the top band, then pick the best
+        # balance in it; enumeration order breaks every remaining tie.
+        top = np.lexsort((squares, band_cost))[:keep]
+        best = top[np.lexsort((top, band_cost[top], squares[top]))[0]]
+        combo = combos[band[best]].tolist()
         return {member: aps[combo[i]].ap_id for i, member in enumerate(members)}
 
     def _place_greedy(
@@ -294,42 +440,25 @@ class S3Selector:
         ignore_bandwidth: bool = False,
     ) -> Dict[str, str]:
         """Sequential fallback for cliques too large to enumerate: heaviest
-        demand first, each user to the (feasible) AP with the smallest
-        added social cost, load as the tie-break."""
-        states: Dict[str, APState] = {ap.ap_id: ap for ap in aps}
+        demand first, each user placed by :func:`rank_singleton` over the
+        APs with room for them (over every AP when none has room)."""
+        states = list(aps)
+        index = self.cost_index(aps)
         order = sorted(members, key=lambda u: -self.demand.estimate(u))
         placement: Dict[str, str] = {}
+        top_fraction = self.config.top_fraction
         for user_id in order:
             rate = self.demand.estimate(user_id)
-            candidates = list(states.values())
-            if not ignore_bandwidth:
-                feasible = [
-                    ap for ap in candidates if ap.load + rate <= ap.bandwidth
-                ]
-                if feasible:
-                    candidates = feasible
-            ranked = sorted(
-                candidates,
-                key=lambda ap: (
-                    self.added_social_cost(user_id, ap),
-                    ap.load,
-                    ap.ap_id,
-                ),
+            row = index.row(user_id)
+            choice = (
+                None
+                if ignore_bandwidth
+                else rank_singleton(states, row, top_fraction, rate)
             )
-            keep = max(1, int(math.ceil(len(ranked) * self.config.top_fraction)))
-            top = ranked[:keep]
-
-            def balance_after(candidate: APState) -> float:
-                after = [
-                    state.load + rate if state.ap_id == candidate.ap_id else state.load
-                    for state in states.values()
-                ]
-                return normalized_balance_index(after)
-
-            chosen = min(
-                top,
-                key=lambda ap: (-balance_after(ap), ap.load, ap.user_count, ap.ap_id),
-            )
-            placement[user_id] = chosen.ap_id
-            states[chosen.ap_id] = states[chosen.ap_id].with_user(user_id, rate)
+            if choice is None:
+                choice = rank_singleton(states, row, top_fraction)
+            assert choice is not None
+            placement[user_id] = states[choice].ap_id
+            states[choice] = states[choice].with_user(user_id, rate)
+            index.join(user_id, choice)
         return placement

@@ -72,6 +72,36 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
             "tests/test_core_social_incremental.py::test_streamed_model_matches_build_social_model",
         ),
     ),
+    "repro.core.selection.CostIndex.row": ParityEntry(
+        # The one S³ decision kernel: the service's live index and the one
+        # replay builds from snapshots both equal the per-resident walk.
+        reference="tests/selection_oracle.py::oracle_added_cost",
+        tests=(
+            "tests/test_service_fastpath.py::test_cost_row_is_bit_identical_to_per_ap_walk",
+            "tests/test_service_fastpath.py::test_partner_order_sums_with_more_partners_than_residents",
+            "tests/test_service_fastpath.py::test_order_sensitive_bucket_sums_in_partner_order",
+            "tests/test_service_fastpath.py::test_kernel_parity_on_every_small_interleaving",
+            "tests/test_service_fastpath.py::test_tiny_replay_stream_matches_selector",
+            "tests/test_service_fastpath.py::test_select_matches_s3_selector_over_churn",
+        ),
+    ),
+    "repro.core.selection.rank_singleton": ParityEntry(
+        reference="tests/selection_oracle.py::oracle_select",
+        tests=(
+            "tests/test_service_fastpath.py::test_cost_row_is_bit_identical_to_per_ap_walk",
+            "tests/test_service_fastpath.py::test_kernel_parity_on_every_small_interleaving",
+            "tests/test_service_fastpath.py::test_tiny_replay_stream_matches_selector",
+        ),
+    ),
+    "repro.core.selection.S3Selector._place_exhaustive": ParityEntry(
+        reference="tests/selection_oracle.py::reference_place_exhaustive",
+        tests=(
+            "tests/test_core_selection.py::TestPlaceExhaustive::test_matches_reference_loop",
+            "tests/test_core_selection.py::TestPlaceExhaustive::test_equal_cost_ties_at_the_cut",
+            "tests/test_core_selection.py::TestPlaceExhaustive::test_enumeration_cap_is_inclusive",
+            "tests/test_core_selection.py::TestClosedFormBalance::test_sum_of_squares_ranks_as_normalized_jain",
+        ),
+    ),
     "repro.runtime.engine.replay": ParityEntry(
         reference="repro.runtime.engine.replay_serial",
         fast="repro.runtime.engine.replay_process",

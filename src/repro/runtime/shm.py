@@ -51,7 +51,6 @@ import itertools
 import logging
 import os
 import re
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -99,22 +98,11 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class ShmHandle:
-    """A compact, picklable description of one published demand stream.
-
-    ``digest`` is a crc32 chain over the column *contents*, so
-    :meth:`fingerprint` is stable across runs (segment names are not —
-    they embed the creator pid) and safe to fold into checkpoint
-    fingerprints.
-    """
+    """A compact, picklable description of one published demand stream."""
 
     segment: str
     specs: Tuple[ColumnSpec, ...]
     nbytes: int
-    digest: int
-
-    def fingerprint(self) -> str:
-        """A content digest independent of the segment's name."""
-        return f"shm:{self.nbytes}:{self.digest:08x}"
 
 
 @dataclass(frozen=True)
@@ -151,11 +139,10 @@ def _decode_table(views: Dict[str, np.ndarray], name: str) -> List[str]:
 
 def _pack(
     columns: Sequence[Tuple[str, np.ndarray]]
-) -> Tuple[Tuple[ColumnSpec, ...], int, int]:
-    """Lay out ``columns`` back to back: specs, total bytes, content crc."""
+) -> Tuple[Tuple[ColumnSpec, ...], int]:
+    """Lay out ``columns`` back to back: specs and total bytes."""
     specs: List[ColumnSpec] = []
     offset = 0
-    digest = 0
     for name, array in columns:
         array = np.ascontiguousarray(array)
         spec = ColumnSpec(
@@ -165,11 +152,9 @@ def _pack(
             offset=offset,
         )
         specs.append(spec)
-        digest = zlib.crc32(repr((name, spec.dtype, spec.shape)).encode(), digest)
-        digest = zlib.crc32(array.tobytes(), digest)
         offset += array.nbytes
         offset = (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-    return tuple(specs), offset, digest
+    return tuple(specs), offset
 
 
 def _attach_views(
@@ -268,7 +253,7 @@ class SegmentSet:
         if self._released:
             raise RuntimeError("SegmentSet already released")
         columns = _demand_columns(arrays)
-        specs, nbytes, digest = _pack(columns)
+        specs, nbytes = _pack(columns)
         segment = _create_segment(nbytes)
         self._segments.append(segment)
         self._nbytes += nbytes
@@ -284,9 +269,7 @@ class SegmentSet:
             )
             dst[...] = array
             del dst
-        return ShmHandle(
-            segment=segment.name, specs=specs, nbytes=nbytes, digest=digest
-        )
+        return ShmHandle(segment=segment.name, specs=specs, nbytes=nbytes)
 
     def release(self) -> None:
         """Close and unlink every owned segment (idempotent)."""

@@ -46,7 +46,7 @@ from repro.runtime.checkpoint import RunDirectory
 from repro.service.loop import ControllerService
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"

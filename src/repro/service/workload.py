@@ -143,10 +143,7 @@ def make_service(
     """
     social = _cold_start_model(spec)
     demand = DemandEstimator()
-    aps = [
-        ApRuntime(f"ap{i:02d}", spec.bandwidth, spec.type_count + 1)
-        for i in range(spec.aps)
-    ]
+    aps = [ApRuntime(f"ap{i:02d}", spec.bandwidth) for i in range(spec.aps)]
     associator = FastAssociator(social, demand, aps)
     apps = (
         [BalanceMonitorApp(interval=spec.monitor_interval)] if monitor else []

@@ -365,9 +365,7 @@ class S3Strategy(SelectionStrategy):
         if self._model_stale():
             return self._llf.score_candidates(user_id, aps, rssi=rssi)
         try:
-            return {
-                ap.ap_id: self.selector.added_social_cost(user_id, ap)
-                for ap in aps
-            }
+            costs = self.selector.cost_row(user_id, aps)
+            return {ap.ap_id: cost for ap, cost in zip(aps, costs)}
         except Exception:
             return self._llf.score_candidates(user_id, aps, rssi=rssi)

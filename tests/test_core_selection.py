@@ -1,7 +1,6 @@
 """Tests for Algorithm 1: APState, single select, batch clique placement."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from repro.core.selection import (
 )
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
+from tests.selection_oracle import oracle_added_cost, reference_place_exhaustive
 
 
 def make_social(pairs=None, affinity=0.0, assignments=None, alpha=0.3):
@@ -128,8 +128,21 @@ class TestSelect:
         )
         selector = S3Selector(social, estimator())
         state = APState("a", 1000, 0.0, ("x", "y"))
-        cost = selector.added_social_cost("new", state)
+        (cost,) = selector.cost_row("new", [state])
         assert cost == pytest.approx(0.9 + 0.4)
+        assert cost == oracle_added_cost(social, "new", state.users)
+        # An arrival already seated is scored against the others only.
+        typed = make_social(
+            pairs={("new", "x"): (9, 9), ("new", "y"): (9, 4)}, affinity=0.3
+        )
+        typed_selector = S3Selector(typed, estimator())
+        seated = APState("a", 1000, 0.0, ("x", "new", "y"))
+        assert typed_selector.cost_row("new", [seated]) == (
+            typed_selector.cost_row("new", [state])
+        )
+        assert typed_selector.cost_row("new", [seated]) == [
+            oracle_added_cost(typed, "new", seated.users)
+        ]
 
 
 class TestAssignBatch:
@@ -225,54 +238,6 @@ class TestAssignBatch:
         assert all(ap in {"ap0", "ap1", "ap2"} for ap in placement.values())
 
 
-def reference_place_exhaustive(selector, members, aps):
-    """The per-distribution loop of Algorithm 1's clique step, kept as the
-    oracle for :meth:`S3Selector._place_exhaustive`: every distribution
-    re-sums its social cost and is scored by balance index in turn."""
-    rates = [selector.demand.estimate(user) for user in members]
-    # delta between clique members, precomputed once.
-    internal = {
-        (i, j): selector.social.social_index(members[i], members[j])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    }
-    scored = []
-    for combo in itertools.product(range(len(aps)), repeat=len(members)):
-        cost = 0.0
-        added_load = [0.0] * len(aps)
-        feasible = True
-        for i, ap_index in enumerate(combo):
-            ap = aps[ap_index]
-            cost += selector.added_social_cost(members[i], ap)
-            added_load[ap_index] += rates[i]
-        for (i, j), delta in internal.items():
-            if combo[i] == combo[j]:
-                cost += delta
-        for ap_index, extra in enumerate(added_load):
-            ap = aps[ap_index]
-            if extra > 0 and ap.load + extra > ap.bandwidth:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        loads_after = [
-            ap.load + added_load[ap_index] for ap_index, ap in enumerate(aps)
-        ]
-        beta = normalized_balance_index(loads_after)
-        scored.append((cost, -beta, combo))
-
-    if not scored:
-        # Bandwidth rules everything out; admit greedily anyway.
-        return selector._place_greedy(members, aps, ignore_bandwidth=True)
-
-    scored.sort(key=lambda item: (item[0], item[1]))
-    keep = max(1, int(math.ceil(len(scored) * selector.config.top_fraction)))
-    top = scored[:keep]
-    best = min(top, key=lambda item: (item[1], item[0], item[2]))
-    combo = best[2]
-    return {members[i]: aps[ap_index].ap_id for i, ap_index in enumerate(combo)}
-
-
 def random_clique_case(seed, n_members, n_aps, top_fraction, affinity, regime):
     """A clique, resident-holding APs and a selector drawn from ``seed``.
 
@@ -290,9 +255,11 @@ def random_clique_case(seed, n_members, n_aps, top_fraction, affinity, regime):
         if rng.random() < 0.5:
             encounters = int(rng.integers(2, 10))
             pairs[(u, v)] = (encounters, int(rng.integers(0, encounters + 1)))
+    # A station holds one link at a time: each resident sits at one AP.
+    seat = {r: int(rng.integers(n_aps)) for r in residents}
     states = []
     for a in range(n_aps):
-        users = [r for r in residents if rng.integers(n_aps) == a]
+        users = [r for r in residents if seat[r] == a]
         load = float(rng.choice([0.0, rng.uniform(0.0, 60.0)]))
         if regime == "roomy":
             bandwidth = load + sum(rates.values()) + 1.0
@@ -383,6 +350,44 @@ class TestPlaceExhaustive:
         )
         monkeypatch.setattr(one_over, "_place_exhaustive", forbidden("exhaustive"))
         assert sorted(one_over._place_clique(members, states)) == members
+
+
+class TestClosedFormBalance:
+    """The exhaustive clique step ranks distributions by the sum of their
+    squared loads after; every distribution adds the same total load, so
+    that is the normalized Jain ranking, reversed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        loads=st.lists(
+            st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=6
+        ),
+        shares=st.lists(
+            st.lists(st.integers(min_value=0, max_value=10), min_size=6, max_size=6),
+            min_size=2,
+            max_size=6,
+        ),
+        total=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_sum_of_squares_ranks_as_normalized_jain(self, loads, shares, total):
+        # Each candidate spreads the same ``total`` over the APs by its
+        # integer weights (all on the first AP when they are all zero).
+        candidates = []
+        for weights in shares:
+            weights = weights[: len(loads)]
+            if not any(weights):
+                weights[0] = 1
+            mass = sum(weights)
+            added = [total * w / mass for w in weights]
+            after = [load + extra for load, extra in zip(loads, added)]
+            candidates.append(
+                (sum(value * value for value in after), normalized_balance_index(after))
+            )
+        for (squares_a, jain_a), (squares_b, jain_b) in itertools.combinations(
+            candidates, 2
+        ):
+            if abs(jain_a - jain_b) > 1e-12:
+                assert (squares_a < squares_b) == (jain_a > jain_b)
 
 
 class TestSelectionConfig:

@@ -63,8 +63,8 @@ class BatchBoomSelector:
             return candidates[0].ap_id
         return self.inner.select(user_id, candidates)
 
-    def added_social_cost(self, user_id, ap):
-        return self.inner.added_social_cost(user_id, ap)
+    def cost_row(self, user_id, candidates):
+        return self.inner.cost_row(user_id, candidates)
 
     def assign_batch(self, user_ids, candidates):
         raise RuntimeError("boom")

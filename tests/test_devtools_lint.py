@@ -394,4 +394,4 @@ def test_registry_tests_are_collected_by_pytest(test_file):
         for test_id in entry.tests:
             file_part, parts = split_test_id(test_id)
             if file_part == test_file:
-                assert parts[-1] in collected, test_id
+                assert "::".join(parts) in collected, test_id

@@ -154,17 +154,6 @@ def test_fetch_demands_survives_segment_teardown():
     assert rows.to_demands() == demands[1:3]
 
 
-def test_handle_fingerprint_is_content_addressed():
-    arrays = DemandArrays.from_demands(_demands())
-    with SegmentSet() as segments:
-        first = segments.publish_demands(arrays)
-        second = segments.publish_demands(arrays)
-        assert first.segment != second.segment
-        assert first.fingerprint() == second.fingerprint()
-        other = segments.publish_demands(arrays.slice_rows(slice(0, 2)))
-        assert other.fingerprint() != first.fingerprint()
-
-
 # ------------------------------------------------------- segment lifecycle
 
 

@@ -32,7 +32,7 @@ def _associator(aps: int = 4) -> FastAssociator:
     return FastAssociator(
         SocialModel({}, type_model),
         DemandEstimator(),
-        [ApRuntime(f"ap{i}", 1e7, 3) for i in range(aps)],
+        [ApRuntime(f"ap{i}", 1e7) for i in range(aps)],
     )
 
 

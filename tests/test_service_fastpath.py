@@ -1,23 +1,22 @@
-"""The incremental fast path against its oracles.
+"""The service fast path against the one S³ kernel and its oracle.
 
-Two contracts (``repro/service/fastpath.py``):
+Contracts (``repro/service/fastpath.py``):
 
-* on scenarios where no two APs tie within float roundoff,
-  :meth:`FastAssociator.select` picks the same AP as
-  :meth:`S3Selector.select` over equivalent snapshots — the aggregated
-  type-count cost and the closed-form balance re-rank change the
-  arithmetic, not the ranking;
-* the one-row-per-arrival cost is *bit-identical* to the per-AP
-  ``added_cost`` walk it replaced, kept below as an oracle
-  (:func:`oracle_added_cost`, :func:`oracle_select`), over any stream of
-  joins, leaves, learned events, retypes and demand updates.
+* :meth:`FastAssociator.select` picks the same AP as
+  :meth:`S3Selector.select` over the associator's own snapshots, and
+  their cost rows are equal with ``==`` — exact ties included — on every
+  join/leave interleaving of a small tie-forcing grid and on the TINY
+  replay's whole session stream;
+* the live cost row equals the per-resident walk of
+  ``tests/selection_oracle.py`` (:func:`oracle_added_cost`,
+  :func:`oracle_select`) over any stream of joins, leaves, learned
+  events, retypes and demand updates.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -25,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.churn import make_pair
 from repro.core.demand import DemandEstimator
-from repro.core.selection import APState, S3Selector
+from repro.core.selection import S3Selector, SelectionConfig
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
 from repro.service.fastpath import ApRuntime, FastAssociator
+from repro.wlan.strategies import S3Strategy
+from tests.selection_oracle import oracle_added_cost, oracle_select
 
 
 def _social_model(users: List[str], seed: int, k: int = 3) -> SocialModel:
@@ -60,18 +61,26 @@ def _demand(users: List[str], seed: int) -> DemandEstimator:
     return demand
 
 
+def _assert_kernel_parity(
+    fast: FastAssociator, selector: S3Selector, user: str
+) -> str:
+    """One arrival: equal cost rows and equal choices; returns the choice."""
+    snapshots = fast.snapshots()
+    assert list(fast.score_candidates(user).values()) == selector.cost_row(
+        user, snapshots
+    ), f"cost rows of {user} differ"
+    chosen = fast.select(user)
+    assert chosen == selector.select(user, snapshots), f"user {user} diverged"
+    return chosen
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_select_matches_s3_selector_over_churn(seed: int) -> None:
-    """Replay joins/leaves; every decision must match the reference."""
+    """Replay joins/leaves; every decision must match the selector."""
     users = [f"u{i:02d}" for i in range(40)]
     social = _social_model(users, seed)
     demand = _demand(users, seed)
-    aps = [ApRuntime(f"ap{i}", bandwidth=1.5e6, type_buckets=4) for i in range(6)]
-    # Distinct baseline loads (management traffic) keep the scenario off
-    # exact ties, where the reference itself ranks by float summation
-    # noise — the degenerate case the parity contract excludes.
-    for i, ap in enumerate(aps):
-        ap.load = 997.0 * (i + 1) + 131.0 * i
+    aps = [ApRuntime(f"ap{i}", bandwidth=1.5e6) for i in range(6)]
     fast = FastAssociator(social, demand, aps)
     selector = S3Selector(social, demand)
 
@@ -81,10 +90,7 @@ def test_select_matches_s3_selector_over_churn(seed: int) -> None:
     for _ in range(300):
         if absent and (not present or rng.random() < 0.55):
             user = absent.pop(int(rng.integers(len(absent))))
-            reference = selector.select(user, fast.snapshots())
-            chosen = fast.select(user)
-            assert chosen == reference, f"user {user} diverged"
-            fast.apply_join(user, chosen)
+            fast.apply_join(user, _assert_kernel_parity(fast, selector, user))
             present.append(user)
             decisions += 1
         else:
@@ -94,11 +100,205 @@ def test_select_matches_s3_selector_over_churn(seed: int) -> None:
     assert decisions > 100
 
 
+# ------------------------------------------- exhaustive small-input parity
+
+
+_GRID_USERS = ("a", "b", "c", "d")
+
+#: Conditional-term patterns over the grid users: which pairs co-leave
+#: with P(L|E) = 0.5 (every other pair has no conditional term).
+_CONDITIONAL_PATTERNS: Tuple[Tuple[Tuple[str, str], ...], ...] = (
+    (),
+    (("a", "b"),),
+    (("a", "b"), ("a", "c"), ("a", "d")),
+    tuple(itertools.combinations(_GRID_USERS, 2)),
+    (("a", "b"), ("c", "d")),
+)
+
+#: Affinity tables over two types, entries in {0, 0.3}.
+_AFFINITIES = (
+    np.zeros((2, 2)),
+    np.full((2, 2), 0.3),
+    np.array([[0.3, 0.0], [0.0, 0.3]]),
+)
+
+#: Type codes of the grid users (None: untyped, the mean-affinity code).
+_TYPINGS: Tuple[Tuple[Optional[int], ...], ...] = (
+    (None, None, None, None),
+    (0, 1, 0, 1),
+    (0, 0, 1, None),
+)
+
+
+def _grid_model(
+    users: Tuple[str, ...],
+    pattern: Tuple[Tuple[str, str], ...],
+    affinity: np.ndarray,
+    typing: Tuple[Optional[int], ...],
+    top_fraction: float,
+) -> S3Selector:
+    pairs = {make_pair(u, v): PairStats(2, 1) for u, v in pattern}
+    assignments = {
+        user: code for user, code in zip(users, typing) if code is not None
+    }
+    social = SocialModel(
+        pairs,
+        TypeModel(np.zeros((2, 6)), assignments, affinity),
+        min_encounters=1,
+        shrinkage=0.0,
+    )
+    demand = DemandEstimator(default_rate=1.0)
+    demand.observe("b", 2.0)
+    return S3Selector(social, demand, SelectionConfig(top_fraction=top_fraction))
+
+
+def _explore_interleavings(
+    selector: S3Selector,
+    users: Tuple[str, ...],
+    base_loads: Tuple[float, ...],
+    bandwidth: float,
+) -> int:
+    """Drive every join/leave interleaving of ``users`` (each joins at most
+    once and may then leave) through a fresh associator over APs at
+    ``base_loads``, asserting kernel parity on every arrival.  Paths
+    reaching the same exact state (joined set, per-AP load and residents)
+    are explored once.  Returns the number of arrivals compared."""
+    seen: Set[Tuple] = set()
+    compared = 0
+
+    def replay(path: List[Tuple[str, str, str]]) -> FastAssociator:
+        aps = [ApRuntime(f"ap{i}", bandwidth) for i in range(len(base_loads))]
+        for ap, load in zip(aps, base_loads):
+            ap.load = load
+        fast = FastAssociator(selector.social, selector.demand, aps)
+        fast.config = selector.config
+        for kind, user, ap_id in path:
+            if kind == "join":
+                fast.apply_join(user, ap_id)
+            else:
+                fast.apply_leave(user)
+        return fast
+
+    def visit(path: List[Tuple[str, str, str]], joined: frozenset) -> None:
+        nonlocal compared
+        fast = replay(path)
+        key = (
+            joined,
+            tuple((ap.load, tuple(ap.users)) for ap in map(fast.ap, fast.ap_ids)),
+        )
+        if key in seen:
+            return
+        seen.add(key)
+        for user in users:
+            if user in joined:
+                if fast.ap_of(user) is not None:
+                    visit(path + [("leave", user, "")], joined)
+                continue
+            chosen = _assert_kernel_parity(fast, selector, user)
+            compared += 1
+            visit(path + [("join", user, chosen)], joined | {user})
+
+    visit([], frozenset())
+    return compared
+
+
+#: (base loads, bandwidth) settings: equal loads or two equal of three;
+#: roomy, or tight enough that some arrivals fit nowhere.
+_AP_SETTINGS = (
+    ((0.0, 0.0, 0.0), 1e9),
+    ((0.0, 0.0, 2.0), 1e9),
+    ((0.0, 0.0, 0.0), 4.0),
+    ((0.0, 0.0, 2.0), 4.0),
+)
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3, 4])
+def test_kernel_parity_on_every_small_interleaving(n_users: int) -> None:
+    """Every join/leave interleaving of ≤4 users over ≤3 APs, δ on a grid
+    that forces ties (P(L|E) in {0, 0.5}, affinity in {0, 0.3}), some APs
+    at equal load, roomy and tight bandwidth: the live associator and the
+    snapshot selector agree on every arrival, cost rows bit for bit.
+    A top fraction of 1.0 beside the paper's 0.3 makes the balance
+    re-rank decide too (0.3 of three APs keeps one).
+
+    Below three users every grid point runs under every AP setting and
+    both fractions; from three, under one of each, in rotation."""
+    users = _GRID_USERS[:n_users]
+    patterns = dict.fromkeys(
+        tuple(pair for pair in pattern if set(pair) <= set(users))
+        for pattern in _CONDITIONAL_PATTERNS
+    )
+    compared = 0
+    grid = itertools.product((1, 2, 3), patterns, _AFFINITIES, _TYPINGS)
+    for point, (n_aps, pattern, affinity, typing) in enumerate(grid):
+        variants = list(itertools.product(_AP_SETTINGS, (0.3, 1.0)))
+        if n_users >= 3:
+            variants = [variants[point % len(variants)]]
+        for (loads, bandwidth), top_fraction in variants:
+            selector = _grid_model(users, pattern, affinity, typing, top_fraction)
+            compared += _explore_interleavings(
+                selector, users, loads[:n_aps], bandwidth
+            )
+    assert compared > 0
+
+
+# ------------------------------------------------ differential, at scale
+
+
+def drive_replay_stream(sessions, layout, selector: S3Selector) -> int:
+    """Feed a replay's sessions (joins and leaves in time order, leaves
+    first at equal times) to one associator per controller, joining each
+    user where the replay placed them; every arrival must match
+    ``selector`` over the associator's snapshots.  Returns the number of
+    arrivals compared."""
+    bandwidth = {ap.ap_id: ap.bandwidth for ap in layout.aps.values()}
+    by_controller: Dict[str, List[str]] = {}
+    for ap in layout.aps.values():
+        by_controller.setdefault(ap.controller_id, []).append(ap.ap_id)
+    associators = {
+        controller: FastAssociator(
+            selector.social,
+            selector.demand,
+            [ApRuntime(ap_id, bandwidth[ap_id]) for ap_id in ap_ids],
+        )
+        for controller, ap_ids in by_controller.items()
+    }
+    events = []
+    for order, session in enumerate(sessions):
+        events.append((session.connect, 1, order, session))
+        events.append((session.disconnect, 0, order, session))
+    events.sort(key=lambda event: event[:3])
+    compared = 0
+    for _, is_join, _, session in events:
+        fast = associators[session.controller_id]
+        if not is_join:
+            fast.apply_leave(session.user_id)
+            continue
+        if fast.ap_of(session.user_id) is not None:
+            continue  # an overlapping session of a user already seated
+        _assert_kernel_parity(fast, selector, session.user_id)
+        fast.apply_join(session.user_id, session.ap_id)
+        compared += 1
+    return compared
+
+
+def test_tiny_replay_stream_matches_selector(tiny_workload, tiny_model) -> None:
+    selector = tiny_model.selector()
+    result = tiny_workload.replay_test(S3Strategy(selector))
+    compared = drive_replay_stream(
+        result.sessions, tiny_workload.world.layout, selector
+    )
+    assert compared == len(result.sessions) > 40
+
+
+# --------------------------------------------------------- bookkeeping
+
+
 def test_infeasible_everywhere_admits_least_loaded() -> None:
     users = ["a", "b", "c"]
     social = _social_model(users, seed=9)
     demand = DemandEstimator(default_rate=10e6)  # outstrips every AP
-    aps = [ApRuntime(f"ap{i}", bandwidth=1e6, type_buckets=4) for i in range(3)]
+    aps = [ApRuntime(f"ap{i}", bandwidth=1e6) for i in range(3)]
     fast = FastAssociator(social, demand, aps)
     fast.ap("ap0").load = 5e5
     fast.ap("ap1").load = 1e5
@@ -111,7 +311,7 @@ def test_join_leave_bookkeeping_round_trips() -> None:
     users = [f"u{i}" for i in range(8)]
     social = _social_model(users, seed=4)
     demand = _demand(users, seed=4)
-    aps = [ApRuntime(f"ap{i}", bandwidth=1e7, type_buckets=4) for i in range(3)]
+    aps = [ApRuntime(f"ap{i}", bandwidth=1e7) for i in range(3)]
     fast = FastAssociator(social, demand, aps)
 
     rates = {}
@@ -122,7 +322,7 @@ def test_join_leave_bookkeeping_round_trips() -> None:
     assert fast.total_users() == len(users)
     for ap_id in fast.ap_ids:
         ap = fast.ap(ap_id)
-        assert sum(ap.type_counts) == ap.user_count
+        assert sum(fast.type_counts(ap_id)) == ap.user_count
         assert ap.load == pytest.approx(
             sum(rates[u] for u in ap.users), rel=1e-12
         )
@@ -132,16 +332,14 @@ def test_join_leave_bookkeeping_round_trips() -> None:
     for ap_id in fast.ap_ids:
         ap = fast.ap(ap_id)
         assert ap.load == pytest.approx(0.0, abs=1e-6)
-        assert ap.type_counts == [0, 0, 0, 0]
+        assert fast.type_counts(ap_id) == [0, 0, 0, 0]
     assert fast.apply_leave("u0") is None
 
 
 def test_double_join_rejected() -> None:
     users = ["a", "b"]
     social = _social_model(users, seed=5)
-    fast = FastAssociator(
-        social, _demand(users, 5), [ApRuntime("ap0", 1e7, 4)]
-    )
+    fast = FastAssociator(social, _demand(users, 5), [ApRuntime("ap0", 1e7)])
     fast.apply_join("a", "ap0")
     with pytest.raises(ValueError, match="already associated"):
         fast.apply_join("a", "ap0")
@@ -151,19 +349,16 @@ def test_snapshot_type_counts_frozen_at_join_time() -> None:
     """Retyping an associated user must not corrupt the count vector."""
     users = ["a", "b", "c", "d"]
     social = _social_model(users, seed=6)
-    fast = FastAssociator(
-        social, _demand(users, 6), [ApRuntime("ap0", 1e7, 4)]
-    )
+    fast = FastAssociator(social, _demand(users, 6), [ApRuntime("ap0", 1e7)])
     for user in users:
         fast.apply_join(user, "ap0")
-    before = list(fast.ap("ap0").type_counts)
+    before = fast.type_counts("ap0")
     social.assign_user_type("a", (social.type_model.assignments.get("a", 0) + 1) % 3)
     # Counts unchanged until "a" re-associates under the new code.
-    assert fast.ap("ap0").type_counts == before
+    assert fast.type_counts("ap0") == before
     fast.apply_leave("a")
     fast.apply_join("a", "ap0")
-    ap = fast.ap("ap0")
-    assert sum(ap.type_counts) == ap.user_count == 4
+    assert sum(fast.type_counts("ap0")) == fast.ap("ap0").user_count == 4
 
 
 def test_constructor_validation() -> None:
@@ -173,73 +368,15 @@ def test_constructor_validation() -> None:
     with pytest.raises(ValueError, match="no APs"):
         FastAssociator(social, demand, [])
     with pytest.raises(ValueError, match="duplicate AP"):
-        FastAssociator(
-            social, demand, [ApRuntime("x", 1e6, 4), ApRuntime("x", 1e6, 4)]
-        )
+        FastAssociator(social, demand, [ApRuntime("x", 1e6), ApRuntime("x", 1e6)])
     with pytest.raises(ValueError, match="bandwidth"):
-        ApRuntime("x", 0.0, 4)
-    with pytest.raises(ValueError, match="top_fraction"):
-        FastAssociator(social, demand, [ApRuntime("x", 1e6, 4)], top_fraction=0.0)
+        ApRuntime("x", 0.0)
+    # The cut is Algorithm 1's, read from the selection defaults.
+    fast = FastAssociator(social, demand, [ApRuntime("x", 1e6)])
+    assert fast.config == SelectionConfig()
 
 
 # ------------------------------------------------------------ the oracle
-
-
-def oracle_added_cost(fast: FastAssociator, user_id: str, ap: ApRuntime) -> float:
-    """The per-AP walk the cost row replaced, kept as the oracle.
-
-    Type half from the AP's count vector; conditional half over
-    whichever of the arrival's partners and the AP's residents is
-    smaller, in that side's order.
-    """
-    row = fast._rows[fast._code_of(user_id)]
-    type_sum = 0.0
-    for code, count in enumerate(ap.type_counts):
-        if count:
-            type_sum += row[code] * count
-    conditional = 0.0
-    partners = fast.social.conditional_partners(user_id)
-    if partners:
-        residents = ap.users
-        if len(partners) <= len(residents):
-            for partner, value in partners.items():
-                if partner in residents and partner != user_id:
-                    conditional += value
-        else:
-            for resident in residents:
-                if resident != user_id:
-                    value = partners.get(resident)
-                    if value is not None:
-                        conditional += value
-    return fast.alpha * type_sum + conditional
-
-
-def oracle_scores(fast: FastAssociator, user_id: str) -> Dict[str, float]:
-    return {
-        ap_id: oracle_added_cost(fast, user_id, fast.ap(ap_id))
-        for ap_id in fast.ap_ids
-    }
-
-
-def oracle_select(fast: FastAssociator, user_id: str) -> str:
-    """Algorithm 1's singleton form, ranked by :func:`oracle_added_cost`."""
-    rate = fast.demand.estimate(user_id)
-    feasible = [
-        ap
-        for ap in (fast.ap(ap_id) for ap_id in fast.ap_ids)
-        if ap.load + rate <= ap.bandwidth
-    ]
-    if not feasible:
-        return fast.least_loaded()
-    ranked = sorted(
-        feasible,
-        key=lambda ap: (oracle_added_cost(fast, user_id, ap), ap.load, ap.ap_id),
-    )
-    keep = max(1, int(math.ceil(len(ranked) * fast.top_fraction)))
-    top = ranked[:keep]
-    if len(top) == 1:
-        return top[0].ap_id
-    return min(top, key=lambda ap: (ap.load, ap.user_count, ap.ap_id)).ap_id
 
 
 def random_stream_case(
@@ -277,9 +414,9 @@ def random_stream_case(
         if rng.random() < 0.8:
             demand.observe(user, float(rng.uniform(20e3, 400e3)))
     bandwidth = {"roomy": 1e9, "tight": 8e5, "full": 1e3}[regime]
-    aps = [ApRuntime(f"ap{i}", bandwidth, k + 1) for i in range(n_aps)]
-    top_fraction = float(rng.choice([0.3, 0.5, 1.0]))
-    fast = FastAssociator(social, demand, aps, top_fraction=top_fraction)
+    aps = [ApRuntime(f"ap{i}", bandwidth) for i in range(n_aps)]
+    fast = FastAssociator(social, demand, aps)
+    fast.config = SelectionConfig(top_fraction=float(rng.choice([0.3, 0.5, 1.0])))
 
     ops: List[Tuple] = []
     for _ in range(160):
@@ -304,22 +441,32 @@ def random_stream_case(
 def run_against_oracle(fast: FastAssociator, ops: List[Tuple]) -> Set[str]:
     """Apply ``ops``; on every arrival the fast path must equal the oracle.
 
-    Returns the labels of the cases the stream exercised.
+    The oracle counts each resident under the type code they joined with,
+    as the service does.  Returns the labels of the cases the stream
+    exercised.
     """
     seen: Set[str] = set()
     social = fast.social
+    selector = S3Selector(social, fast.demand, fast.config)
+    seated: Dict[str, int] = {}
+    unknown = social.type_model.k
     for op in ops:
         kind, user = op[0], op[1]
         if kind == "join":
             if fast.ap_of(user) is not None:
                 continue
             seen.update(_cases(fast, user))
-            assert fast.score_candidates(user) == oracle_scores(fast, user)
+            assert fast.score_candidates(user) == {
+                ap_id: oracle_added_cost(social, user, fast.ap(ap_id).users, seated)
+                for ap_id in fast.ap_ids
+            }
             chosen = fast.select(user)
-            assert chosen == oracle_select(fast, user)
+            assert chosen == oracle_select(selector, user, fast.snapshots(), seated)
             fast.apply_join(user, chosen)
+            seated[user] = social.type_model.assignments.get(user, unknown)
         elif kind == "leave":
             fast.apply_leave(user)
+            seated.pop(user, None)
         elif kind == "events":
             if user != op[2]:
                 social.record_events(user, op[2], encounters=op[3], co_leavings=op[4])
@@ -346,9 +493,9 @@ def _cases(fast: FastAssociator, user: str) -> Set[str]:
         residents = fast.ap(ap_id).users
         if sum(1 for p in partners if p in residents) >= 3:
             if len(partners) > len(residents):
-                seen.add("resident-order")
+                seen.add("more-partners-than-residents")
             else:
-                seen.add("partner-order")
+                seen.add("fewer-partners-than-residents")
     return seen
 
 
@@ -377,8 +524,8 @@ def test_oracle_streams_cover_every_case() -> None:
             fast, ops = random_stream_case(seed, 6 + seed, 1 + seed % 4, regime)
             seen |= run_against_oracle(fast, ops)
     assert seen >= {
-        "resident-order",
-        "partner-order",
+        "more-partners-than-residents",
+        "fewer-partners-than-residents",
         "unknown-type",
         "infeasible",
         "retyped-resident",
@@ -402,7 +549,7 @@ def _ordered_case(
     social = SocialModel(
         pairs, TypeModel(np.zeros((k, 6)), {}, np.zeros((k, k))), min_encounters=1
     )
-    aps = [ApRuntime("ap0", 1e9, k + 1), ApRuntime("ap1", 1e9, k + 1)]
+    aps = [ApRuntime("ap0", 1e9), ApRuntime("ap1", 1e9)]
     fast = FastAssociator(social, DemandEstimator(), aps)
     for user in join_order:
         fast.apply_join(user, "ap0")
@@ -413,16 +560,21 @@ _PARTNER_ORDER_SUM = (0.1 + 0.2) + 0.3
 _JOIN_ORDER_SUM = (0.3 + 0.2) + 0.1
 
 
-def test_order_sensitive_bucket_sums_in_resident_join_order() -> None:
+def _oracle_ap0(fast: FastAssociator) -> float:
+    return oracle_added_cost(fast.social, "x", fast.ap("ap0").users)
+
+
+def test_partner_order_sums_with_more_partners_than_residents() -> None:
     assert _PARTNER_ORDER_SUM != _JOIN_ORDER_SUM
-    # Five partners against three residents: the walk goes by resident.
+    # Five partners against three residents joined in reverse: still
+    # partner order, never resident join order.
     fast = _ordered_case(["p1", "p2", "p3"], 2, ["p3", "p2", "p1"])
-    assert oracle_added_cost(fast, "x", fast.ap("ap0")) == _JOIN_ORDER_SUM
-    assert fast.score_candidates("x") == oracle_scores(fast, "x")
+    assert fast.score_candidates("x")["ap0"] == _PARTNER_ORDER_SUM
+    assert _oracle_ap0(fast) == _PARTNER_ORDER_SUM
 
 
 def test_order_sensitive_bucket_sums_in_partner_order() -> None:
     # Three partners against four residents: the walk goes by partner.
     fast = _ordered_case(["p1", "p2", "p3"], 0, ["p3", "p2", "p1", "r"])
-    assert oracle_added_cost(fast, "x", fast.ap("ap0")) == _PARTNER_ORDER_SUM
-    assert fast.score_candidates("x") == oracle_scores(fast, "x")
+    assert fast.score_candidates("x")["ap0"] == _PARTNER_ORDER_SUM
+    assert _oracle_ap0(fast) == _PARTNER_ORDER_SUM

@@ -44,7 +44,7 @@ def _service(
     associator = FastAssociator(
         social,
         DemandEstimator(),
-        [ApRuntime(f"ap{i}", 1e7, 3) for i in range(3)],
+        [ApRuntime(f"ap{i}", 1e7) for i in range(3)],
     )
     return ControllerService(
         associator,

@@ -394,10 +394,9 @@ def _rebuilt(associator: FastAssociator) -> FastAssociator:
         associator.social,
         associator.demand,
         [
-            ApRuntime(ap.ap_id, ap.bandwidth, len(ap.type_counts))
+            ApRuntime(ap.ap_id, ap.bandwidth)
             for ap in map(associator.ap, associator.ap_ids)
         ],
-        top_fraction=associator.top_fraction,
     )
     for ap_id in associator.ap_ids:
         for user in associator.ap(ap_id).users:
@@ -423,8 +422,8 @@ def test_checkpoint_roundtrip_restores_world() -> None:
     # The social model stays one shared object across the object graph.
     assert restored.learner is not None
     assert restored.learner.social is restored.associator.social
-    # The pickled cost caches and join stamps score every user as an
-    # associator rebuilt from the same joins does.
+    # The pickled cost index scores every user as an associator
+    # rebuilt from the same joins does.
     rebuilt = _rebuilt(restored.associator)
     for user in sorted({event.user_id for event in synthetic_events(_SPEC)}):
         assert restored.associator.score_candidates(user) == (
@@ -445,9 +444,10 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
         restore_checkpoint(checkpoint, fingerprint + ":other")
     # Version 1 checkpoints deep-copied the service and the tracer's
     # records, version 2 associators lack the cost caches and join
-    # stamps; their pickles must be refused, never mis-restored.
-    assert CHECKPOINT_VERSION == 3
-    for version in (1, 2, CHECKPOINT_VERSION + 1):
+    # stamps, version 3 ones hold them instead of the core cost index;
+    # their pickles must be refused, never mis-restored.
+    assert CHECKPOINT_VERSION == 4
+    for version in (1, 2, 3, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
