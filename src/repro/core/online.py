@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.selection import APState, S3Selector
 from repro.core.social import SocialModel
@@ -184,7 +184,7 @@ class OnlineS3Strategy(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Serve one arrival from the continuously updated model."""
         return self.selector.select(user_id, aps)
@@ -193,7 +193,7 @@ class OnlineS3Strategy(SelectionStrategy):
         self,
         user_ids: Sequence[str],
         aps: Sequence[APState],
-        rssi_by_user: Optional[Dict[str, Dict[str, float]]] = None,
+        rssi_by_user: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> Optional[Dict[str, str]]:
         """Serve a batch (Algorithm 1) from the continuously updated model."""
         return self.selector.assign_batch(user_ids, aps)

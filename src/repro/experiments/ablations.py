@@ -26,7 +26,7 @@ directory for resume.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.selection import APState, S3Selector, SelectionConfig
 from repro.experiments.config import PAPER, ExperimentConfig
@@ -71,7 +71,7 @@ class OnlineOnlyS3(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """One-at-a-time S3 selection (no batch hook)."""
         return self.selector.select(user_id, aps)

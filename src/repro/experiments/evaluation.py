@@ -10,45 +10,59 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import S3Model
 from repro.experiments.reporting import confidence_interval_95
-from repro.sim.timeline import DAY, HOUR, in_departure_peak
+from repro.sim.timeline import DAY, DEPARTURE_PEAKS, HOUR
 from repro.trace.social import SocialWorld
+from repro.wlan.metrics import ControllerSeries
 from repro.wlan.replay import ReplayResult
 
 DAY_START_HOUR = 8
 DAY_END_HOUR = 24
+DAYTIME = ((DAY_START_HOUR * HOUR, DAY_END_HOUR * HOUR),)
+
+
+def _active(series: ControllerSeries) -> Tuple[np.ndarray, np.ndarray]:
+    """``(times, balance indices)`` of the series' active samples."""
+    mask = series.active_mask()
+    return series.times[mask], series.balance_series()[mask]
+
+
+def _in_windows(
+    times: np.ndarray, windows: Sequence[Tuple[float, float]]
+) -> np.ndarray:
+    """Mask of the timestamps whose time of day lies in any ``[lo, hi)``."""
+    time_of_day = times % DAY
+    mask: np.ndarray = np.zeros(times.shape, dtype=bool)
+    for lo, hi in windows:
+        mask |= (lo <= time_of_day) & (time_of_day < hi)
+    return mask
+
+
+def _pooled(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.asarray([])
 
 
 def daytime_samples(result: ReplayResult) -> np.ndarray:
     """All active daytime balance-index samples, pooled over controllers."""
-    values: List[float] = []
+    parts: List[np.ndarray] = []
     for series in result.series.values():
-        mask = series.active_mask()
-        betas = series.balance_series()
-        for t, beta, active in zip(series.times, betas, mask):
-            if not active:
-                continue
-            time_of_day = t % DAY
-            if DAY_START_HOUR * HOUR <= time_of_day < DAY_END_HOUR * HOUR:
-                values.append(float(beta))
-    return np.asarray(values)
+        times, betas = _active(series)
+        parts.append(betas[_in_windows(times, DAYTIME)])
+    return _pooled(parts)
 
 
 def departure_peak_samples(result: ReplayResult) -> np.ndarray:
     """Active samples inside the paper's departure-peak windows."""
-    values: List[float] = []
+    parts: List[np.ndarray] = []
     for series in result.series.values():
-        mask = series.active_mask()
-        betas = series.balance_series()
-        for t, beta, active in zip(series.times, betas, mask):
-            if active and in_departure_peak(t):
-                values.append(float(beta))
-    return np.asarray(values)
+        times, betas = _active(series)
+        parts.append(betas[_in_windows(times, DEPARTURE_PEAKS)])
+    return _pooled(parts)
 
 
 def mean_daytime_balance(result: ReplayResult) -> float:
@@ -66,16 +80,11 @@ def per_controller_day_means(result: ReplayResult) -> Dict[str, List[float]]:
     """
     out: Dict[str, List[float]] = {}
     for controller_id, series in result.series.items():
-        mask = series.active_mask()
-        betas = series.balance_series()
-        per_day: Dict[int, List[float]] = {}
-        for t, beta, active in zip(series.times, betas, mask):
-            if not active:
-                continue
-            if not DAY_START_HOUR * HOUR <= t % DAY < DAY_END_HOUR * HOUR:
-                continue
-            per_day.setdefault(int(t // DAY), []).append(float(beta))
-        means = [float(np.mean(vals)) for _, vals in sorted(per_day.items()) if vals]
+        times, betas = _active(series)
+        daytime = _in_windows(times, DAYTIME)
+        days = times[daytime] // DAY
+        betas = betas[daytime]
+        means = [float(np.mean(betas[days == day])) for day in np.unique(days)]
         if means:
             out[controller_id] = means
     return out
@@ -143,15 +152,14 @@ def social_graph_quality(
 
 def hourly_means(result: ReplayResult) -> Tuple[np.ndarray, np.ndarray]:
     """(hours, mean balance per hour-of-day) pooled over controllers/days."""
-    buckets: Dict[int, List[float]] = {}
+    hour_parts: List[np.ndarray] = []
+    beta_parts: List[np.ndarray] = []
     for series in result.series.values():
-        mask = series.active_mask()
-        betas = series.balance_series()
-        for t, beta, active in zip(series.times, betas, mask):
-            if not active:
-                continue
-            hour = int((t % DAY) // HOUR)
-            buckets.setdefault(hour, []).append(float(beta))
-    hours = np.asarray(sorted(buckets))
-    means = np.asarray([np.mean(buckets[h]) for h in hours])
+        times, betas = _active(series)
+        hour_parts.append(((times % DAY) // HOUR).astype(int))
+        beta_parts.append(betas)
+    pooled_hours = _pooled(hour_parts)
+    pooled_betas = _pooled(beta_parts)
+    hours = np.asarray(sorted(set(pooled_hours.tolist())))
+    means = np.asarray([np.mean(pooled_betas[pooled_hours == h]) for h in hours])
     return hours, means

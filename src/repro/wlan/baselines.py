@@ -21,7 +21,7 @@ replay engine and prototype as every other strategy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class CellBreathing(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this baseline's policy."""
         if not aps:
@@ -88,7 +88,7 @@ class BestHeadroom(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this baseline's policy."""
         if not aps:

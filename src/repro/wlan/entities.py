@@ -23,10 +23,12 @@ class APRuntime:
     def __init__(self, info: AccessPointInfo) -> None:
         self.info = info
         self._sessions: Dict[str, float] = {}  # user id -> rate (bytes/s)
-        #: Load as last *measured* by the controller.  Real controllers poll
-        #: AP traffic counters on an interval; between polls the view is
-        #: stale.  Strategies see this value, never the instantaneous truth.
-        self.measured_load: float = 0.0
+        self._measured: float = 0.0
+        # Derived state, cached until what it derives from changes: the
+        # true load until the association table changes, the measured
+        # snapshot until the table or the measured load changes.
+        self._load: Optional[float] = None
+        self._snapshot: Optional[APState] = None
 
     @property
     def ap_id(self) -> str:
@@ -34,9 +36,23 @@ class APRuntime:
         return self.info.ap_id
 
     @property
+    def measured_load(self) -> float:
+        """Load as last *measured* by the controller.
+
+        Real controllers poll AP traffic counters on an interval; between
+        polls the view is stale.  Strategies see this value, never the
+        instantaneous truth.  Only :meth:`refresh_measurement` moves it.
+        """
+        return self._measured
+
+    @property
     def load(self) -> float:
         """Aggregate offered load (bytes/second) of associated users."""
-        return sum(self._sessions.values())
+        load = self._load
+        if load is None:
+            # An empty table sums to the int 0; the cache keeps that type.
+            load = self._load = sum(self._sessions.values())
+        return load
 
     @property
     def user_count(self) -> int:
@@ -61,16 +77,28 @@ class APRuntime:
         if user_id in self._sessions:
             raise ValueError(f"user {user_id} already associated to {self.ap_id}")
         self._sessions[user_id] = rate
+        self._load = None
+        self._snapshot = None
 
     def disassociate(self, user_id: str) -> float:
         """Detach a user; returns the rate it was carrying."""
         if user_id not in self._sessions:
             raise KeyError(f"user {user_id} not associated to {self.ap_id}")
-        return self._sessions.pop(user_id)
+        rate = self._sessions.pop(user_id)
+        self._load = None
+        self._snapshot = None
+        return rate
 
     def refresh_measurement(self) -> None:
-        """One controller poll: the measured load catches up to the truth."""
-        self.measured_load = self.load
+        """One controller poll: the measured load catches up to the truth.
+
+        A poll that reads back the value (and type) already measured keeps
+        the cached snapshot.
+        """
+        load = self.load
+        if load != self._measured or type(load) is not type(self._measured):
+            self._measured = load
+            self._snapshot = None
 
     def snapshot(self, measured: bool = True) -> APState:
         """Immutable view for the selection algorithms.
@@ -79,12 +107,22 @@ class APRuntime:
         *polled* load — what a real WLAN controller acts on.  The
         association table (``users``) is always fresh: the controller
         manages associations itself.  Pass ``measured=False`` only for
-        oracle experiments.
+        oracle experiments.  The measured snapshot is cached until the
+        association table or the measured load changes; ``APState`` is
+        frozen, so callers may share it.
         """
+        if not measured:
+            return self._state(self.load)
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = self._state(self._measured)
+        return snapshot
+
+    def _state(self, load: float) -> APState:
         return APState(
             ap_id=self.ap_id,
             bandwidth=self.info.bandwidth,
-            load=self.measured_load if measured else self.load,
+            load=load,
             users=self.users,
         )
 
@@ -100,15 +138,19 @@ class ControllerRuntime:
             raise ValueError(f"controller {controller_id} has no APs")
         self.controller_id = controller_id
         self.aps: Dict[str, APRuntime] = {ap.ap_id: ap for ap in aps}
+        # ``aps`` is fixed after construction: sort it once.
+        self._sorted: Tuple[APRuntime, ...] = tuple(
+            self.aps[ap_id] for ap_id in sorted(self.aps)
+        )
 
     @property
     def ap_ids(self) -> List[str]:
         """The domain's AP ids, sorted."""
-        return sorted(self.aps)
+        return [ap.ap_id for ap in self._sorted]
 
     def snapshots(self, measured: bool = True) -> List[APState]:
         """Immutable APState views of every AP, sorted by id."""
-        return [self.aps[ap_id].snapshot(measured=measured) for ap_id in self.ap_ids]
+        return [ap.snapshot(measured=measured) for ap in self._sorted]
 
     def refresh_measurements(self) -> None:
         """Poll every AP: measured loads catch up to the truth."""
@@ -117,17 +159,17 @@ class ControllerRuntime:
 
     def loads(self) -> List[float]:
         """Current true loads, ordered by ap_ids."""
-        return [self.aps[ap_id].load for ap_id in self.ap_ids]
+        return [ap.load for ap in self._sorted]
 
     def user_counts(self) -> List[int]:
         """Current association counts, ordered by ap_ids."""
-        return [self.aps[ap_id].user_count for ap_id in self.ap_ids]
+        return [ap.user_count for ap in self._sorted]
 
     def find_user(self, user_id: str) -> Optional[str]:
         """AP id currently serving ``user_id`` in this domain, if any."""
-        for ap_id in self.ap_ids:
-            if self.aps[ap_id].is_associated(user_id):
-                return ap_id
+        for ap in self._sorted:
+            if ap.is_associated(user_id):
+                return ap.ap_id
         return None
 
 

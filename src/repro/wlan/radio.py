@@ -15,7 +15,7 @@ deterministic per (user, session) via named RNG streams.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def sample_position(
     )
 
 
-def strongest_ap(rssi: Dict[str, float]) -> str:
+def strongest_ap(rssi: Mapping[str, float]) -> str:
     """The AP id with the strongest signal (id as deterministic tie-break)."""
     if not rssi:
         raise ValueError("empty RSSI map — no coverage")

@@ -39,7 +39,18 @@ chaos replays stay byte-identical under both engines (see
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -90,6 +101,39 @@ def shard_stream_name(controller_id: str) -> str:
     makes per-shard draws identical across engines by construction.
     """
     return f"shard:{controller_id}"
+
+
+class StationRssi(Mapping[str, float]):
+    """One arriving station's RSSI map, drawn the first time it is read.
+
+    Only strategies that steer by signal (strongest signal, S³'s
+    no-candidate fallback, the controller-outage fallback, tracer scores)
+    read radio readings, so the engine hands every station this view,
+    which draws the map the first time anything reads it and keeps it.  Each station draws from its own named
+    ``radio-<user>-<arrival>`` stream, so deferring a draw, or never
+    making it, changes no value anyone reads.
+    """
+
+    __slots__ = ("_draw", "_drawn")
+
+    def __init__(self, draw: Callable[[], Dict[str, float]]) -> None:
+        self._draw = draw
+        self._drawn: Optional[Dict[str, float]] = None
+
+    def _read(self) -> Dict[str, float]:
+        drawn = self._drawn
+        if drawn is None:
+            drawn = self._drawn = self._draw()
+        return drawn
+
+    def __getitem__(self, ap_id: str) -> float:
+        return self._read()[ap_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
 
 
 @dataclass(frozen=True)
@@ -224,11 +268,6 @@ class ReplayEngine:
         # so sharing one instance across batches is safe.
         self._rssi_fallback = StrongestSignal()
         self._streams = RandomStreams(self.config.seed)
-        # Per-controller child stream factories (see shard_stream_name):
-        # every radio draw is rooted in its controller's child factory, so
-        # a worker replaying only that controller derives the exact same
-        # streams as the serial engine replaying the whole campus.
-        self._radio: Dict[str, RandomStreams] = {}
 
     # ------------------------------------------------------------- running
 
@@ -766,7 +805,8 @@ class ReplayEngine:
         controller = campus.controllers[controller_id]
         tracer = get_tracer()
         rssi_by_user = {
-            d.user_id: self._station_rssi(d, controller_id) for d in batch
+            d.user_id: StationRssi(partial(self._station_rssi, d, controller_id))
+            for d in batch
         }
         user_ids = [d.user_id for d in batch]
         snapshots = self._candidate_states(controller, down)
@@ -919,7 +959,7 @@ class ReplayEngine:
         batch_id: str,
         sim_time: float,
         mode: str,
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
         note: Optional[str] = None,
     ) -> DecisionRecord:
         """Provenance for one placement (only built when tracing is on)."""
@@ -939,18 +979,16 @@ class ReplayEngine:
         )
 
     def _radio_streams(self, controller_id: str) -> RandomStreams:
-        """The shard-scoped child factory for one controller's radios.
+        """A fresh shard-scoped child factory for one controller's radios.
 
         Derived via ``child(shard_stream_name(controller_id))`` so the
         serial engine and a per-controller :mod:`repro.runtime` worker
         draw from identical streams regardless of which other controllers
-        (if any) they simulate.
+        (if any) they simulate.  Nothing keeps the factory, or the
+        generators it caches: every run of an engine restarts each
+        station's stream, and no generator outlives its draw.
         """
-        streams = self._radio.get(controller_id)
-        if streams is None:
-            streams = self._streams.child(shard_stream_name(controller_id))
-            self._radio[controller_id] = streams
-        return streams
+        return self._streams.child(shard_stream_name(controller_id))
 
     def _station_rssi(
         self, demand: DemandSession, controller_id: str

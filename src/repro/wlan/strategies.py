@@ -21,7 +21,7 @@ arrives as immutable :class:`~repro.core.selection.APState` snapshots.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class SelectionStrategy(abc.ABC):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Choose the AP id for one arriving user."""
 
@@ -82,7 +82,7 @@ class SelectionStrategy(abc.ABC):
         self,
         user_ids: Sequence[str],
         aps: Sequence[APState],
-        rssi_by_user: Optional[Dict[str, Dict[str, float]]] = None,
+        rssi_by_user: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> Optional[Dict[str, str]]:
         """Batch assignment hook.
 
@@ -97,7 +97,7 @@ class SelectionStrategy(abc.ABC):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """Per-candidate preference scores for decision provenance.
 
@@ -132,7 +132,7 @@ class StrongestSignal(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this strategy's policy."""
         if not aps:
@@ -151,7 +151,7 @@ class StrongestSignal(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """Negated RSSI (strongest signal scores lowest); unseen APs omitted."""
         if not rssi:
@@ -180,7 +180,7 @@ class LeastLoadedFirst(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this strategy's policy."""
         if not aps:
@@ -193,7 +193,7 @@ class LeastLoadedFirst(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """The ranked quantity itself: measured load or association count."""
         if self.metric == "load":
@@ -217,7 +217,7 @@ class RandomSelection(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this strategy's policy."""
         if not aps:
@@ -304,7 +304,7 @@ class S3Strategy(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> str:
         """Pick the AP per this strategy's policy (or its fallback)."""
         self._note = None
@@ -329,7 +329,7 @@ class S3Strategy(SelectionStrategy):
         self,
         user_ids: Sequence[str],
         aps: Sequence[APState],
-        rssi_by_user: Optional[Dict[str, Dict[str, float]]] = None,
+        rssi_by_user: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> Optional[Dict[str, str]]:
         """Algorithm 1 batch distribution via the wrapped selector.
 
@@ -354,7 +354,7 @@ class S3Strategy(SelectionStrategy):
         self,
         user_id: str,
         aps: Sequence[APState],
-        rssi: Optional[Dict[str, float]] = None,
+        rssi: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
         """Algorithm 1's primary objective: the added social cost C(AP).
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.balance import (
     ap_throughputs,
@@ -11,6 +11,7 @@ from repro.analysis.balance import (
     balance_series,
     churn_filtered_sessions,
     normalized_balance_index,
+    normalized_balance_rows,
     user_count_balance_series,
     variation_series,
 )
@@ -77,6 +78,56 @@ class TestBalanceIndex:
 
     def test_permutation_invariance(self):
         assert balance_index([1, 5, 9]) == pytest.approx(balance_index([9, 1, 5]))
+
+
+@st.composite
+def load_matrices(draw):
+    """(T, n) load matrices: idle rows, single-AP widths, 1e-300..1e300."""
+    width = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 8))
+    matrix = np.zeros((rows, width))
+    for r in range(rows):
+        if draw(st.booleans()):
+            continue  # an idle sample
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        fractions = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                min_size=width,
+                max_size=width,
+            )
+        )
+        matrix[r] = np.asarray(fractions) * scale
+    return matrix
+
+
+class TestBalanceRows:
+    @settings(max_examples=300, deadline=None)
+    @given(load_matrices())
+    def test_every_row_is_the_scalar_byte_for_byte(self, matrix):
+        expected = np.array([normalized_balance_index(row) for row in matrix])
+        assert normalized_balance_rows(matrix).tobytes() == expected.tobytes()
+
+    def test_idle_rows_and_single_ap_domains_give_one(self):
+        assert normalized_balance_rows(np.zeros((3, 4))).tolist() == [1.0] * 3
+        single = np.array([[0.0], [5.0], [1e300]])
+        assert normalized_balance_rows(single).tolist() == [1.0] * 3
+
+    def test_no_rows_give_an_empty_series(self):
+        out = normalized_balance_rows(np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_negative_load_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            normalized_balance_rows(np.array([[1.0, 2.0], [3.0, -1.0]]))
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            normalized_balance_rows(np.zeros((2, 0)))
+
+    def test_a_single_vector_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            normalized_balance_rows(np.array([1.0, 2.0]))
 
 
 class TestThroughputs:

@@ -324,6 +324,7 @@ def test_runtime_derived_streams_all_match_the_registry():
     from repro.experiments.config import TINY
     from repro.experiments.workload import build_workload
     from repro.sim.rng import observe_streams
+    from repro.wlan.strategies import StrongestSignal
 
     derived: List[Tuple[str, str]] = []
     # build from a cold cache so every derivation fires, then restore the
@@ -334,7 +335,10 @@ def test_runtime_derived_streams_all_match_the_registry():
     workload_module._MODELS.clear()
     try:
         with observe_streams(lambda kind, name: derived.append((kind, name))):
-            build_workload(TINY)
+            # collection is an LLF replay, which reads no RSSI and so
+            # draws no radio stream; a strongest-signal replay draws one
+            # per arrival through its controller's child factory
+            build_workload(TINY).replay_test(StrongestSignal())
     finally:
         workload_module._WORKLOADS.clear()
         workload_module._MODELS.clear()
@@ -343,6 +347,9 @@ def test_runtime_derived_streams_all_match_the_registry():
     assert derived, "the tiny workload derives no streams?"
     kinds = {kind for kind, _ in derived}
     assert kinds == {"get", "child"}
+    assert any(
+        kind == "get" and name.startswith("radio-") for kind, name in derived
+    ), "the strongest-signal replay derived no radio stream"
     for kind, name in derived:
         registered = find_entry(kind, name) is not None or any(
             d.kind == kind and name.startswith(d.prefix) for d in DERIVERS

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.evaluation import (
     daytime_samples,
@@ -12,7 +13,7 @@ from repro.experiments.evaluation import (
     per_controller_stats,
     social_graph_quality,
 )
-from repro.sim.timeline import DAY, HOUR
+from repro.sim.timeline import DAY, HOUR, in_departure_peak
 from repro.wlan.metrics import ControllerSeries
 from repro.wlan.replay import ReplayResult
 
@@ -101,3 +102,95 @@ class TestSocialGraphQuality:
         )
         assert quality["edges"] == 0
         assert quality["f1"] == 0.0
+
+
+# ------------------------------------------------ per-sample loop oracles
+# The evaluation selects samples with numpy masks; these are the
+# per-sample loops it replaced, kept as the oracle of the property below.
+
+
+def _loop_samples(result, keep):
+    values = []
+    for series in result.series.values():
+        for t, beta, active in zip(
+            series.times, series.balance_series(), series.active_mask()
+        ):
+            if active and keep(t):
+                values.append(float(beta))
+    return np.asarray(values)
+
+
+def _daytime(t):
+    return 8 * HOUR <= t % DAY < 24 * HOUR
+
+
+def _loop_day_means(result):
+    out = {}
+    for controller_id, series in result.series.items():
+        per_day = {}
+        for t, beta, active in zip(
+            series.times, series.balance_series(), series.active_mask()
+        ):
+            if active and _daytime(t):
+                per_day.setdefault(int(t // DAY), []).append(float(beta))
+        means = [float(np.mean(vals)) for _, vals in sorted(per_day.items())]
+        if means:
+            out[controller_id] = means
+    return out
+
+
+def _loop_hourly(result):
+    buckets = {}
+    for series in result.series.values():
+        for t, beta, active in zip(
+            series.times, series.balance_series(), series.active_mask()
+        ):
+            if active:
+                buckets.setdefault(int((t % DAY) // HOUR), []).append(float(beta))
+    hours = np.asarray(sorted(buckets))
+    return hours, np.asarray([np.mean(buckets[h]) for h in hours])
+
+
+@st.composite
+def replay_results(draw):
+    """Runs of 1-3 controllers sampled on a 10-minute grid over 0-3 days."""
+    samples = draw(st.integers(0, 3 * 144))
+    times = np.arange(samples) * 600.0 + draw(st.sampled_from([0.0, 30.0]))
+    series = {}
+    for c in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 5))
+        idle = np.asarray(draw(st.lists(st.booleans(), min_size=samples,
+                                        max_size=samples)), dtype=bool)
+        seed = draw(st.integers(0, 2**32 - 1))
+        loads = np.random.default_rng(seed).random((samples, width)) * 1e6
+        loads[idle] = 0.0
+        series[f"c{c}"] = ControllerSeries(
+            controller_id=f"c{c}",
+            ap_ids=[f"a{i}" for i in range(width)],
+            times=times.copy(),
+            loads=loads.reshape(samples, width),
+            user_counts=np.zeros((samples, width)),
+        )
+    return ReplayResult("test", [], series, 0)
+
+
+class TestMatchesPerSampleLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(replay_results())
+    def test_selectors_equal_the_loops_byte_for_byte(self, result):
+        pairs = [
+            (daytime_samples(result), _loop_samples(result, _daytime)),
+            (
+                departure_peak_samples(result),
+                _loop_samples(result, in_departure_peak),
+            ),
+        ]
+        for got, expected in pairs:
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert per_controller_day_means(result) == _loop_day_means(result)
+        hours, means = hourly_means(result)
+        loop_hours, loop_means = _loop_hourly(result)
+        assert hours.dtype == loop_hours.dtype
+        assert hours.tolist() == loop_hours.tolist()
+        assert means.tobytes() == loop_means.tobytes()

@@ -1,7 +1,9 @@
 """Tests for WLAN runtime entities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.selection import APState
 from repro.trace.social import CampusLayout
 from repro.wlan.entities import APRuntime, CampusRuntime, ControllerRuntime
 
@@ -127,3 +129,106 @@ class TestCampusRuntime:
         campus.ap(sorted(campus.layout.aps)[0]).associate("u1", 25.0)
         assert campus.total_users() == 1
         assert campus.total_load() == 25.0
+
+
+def _same(a, b):
+    """Equal with ``==`` and of the same type (an idle AP sums to int 0)."""
+    return a == b and type(a) is type(b)
+
+
+_rates = st.one_of(
+    st.just(0.0),
+    st.integers(0, 50),
+    st.floats(0.0, 1e7, allow_nan=False),
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("associate"), st.integers(0, 2), st.integers(0, 5), _rates),
+        st.tuples(st.just("disassociate"), st.integers(0, 2), st.integers(0, 5)),
+        st.tuples(st.just("refresh"), st.integers(0, 2)),
+        st.tuples(st.just("refresh_all"),),
+    ),
+    max_size=40,
+)
+
+
+class TestCachedState:
+    """The cached load and snapshots always equal the uncached expressions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_steps)
+    def test_caches_track_every_mutation(self, steps):
+        controller = CampusRuntime(CampusLayout.grid(1, 3)).controllers["ctrl-B00"]
+        ap_ids = sorted(controller.aps)
+        table = {ap_id: {} for ap_id in ap_ids}  # the association oracle
+        measured = {ap_id: 0.0 for ap_id in ap_ids}
+        for step in steps:
+            kind = step[0]
+            if kind == "associate":
+                ap_id, user, rate = ap_ids[step[1]], f"u{step[2]}", step[3]
+                if any(user in users for users in table.values()):
+                    continue
+                controller.aps[ap_id].associate(user, rate)
+                table[ap_id][user] = rate
+            elif kind == "disassociate":
+                ap_id, user = ap_ids[step[1]], f"u{step[2]}"
+                if user not in table[ap_id]:
+                    continue
+                assert _same(
+                    controller.aps[ap_id].disassociate(user), table[ap_id].pop(user)
+                )
+            elif kind == "refresh":
+                ap_id = ap_ids[step[1]]
+                controller.aps[ap_id].refresh_measurement()
+                measured[ap_id] = sum(table[ap_id].values())
+            else:
+                controller.refresh_measurements()
+                measured = {a: sum(table[a].values()) for a in ap_ids}
+            self._check(controller, ap_ids, table, measured)
+
+    def _check(self, controller, ap_ids, table, measured):
+        expected_states = []
+        for ap_id in ap_ids:
+            ap = controller.aps[ap_id]
+            load = sum(table[ap_id].values())
+            assert _same(ap.load, load)
+            assert _same(ap.measured_load, measured[ap_id])
+            users = tuple(sorted(table[ap_id]))
+            fresh = APState(ap_id, ap.info.bandwidth, measured[ap_id], users)
+            snapshot = ap.snapshot()
+            assert snapshot == fresh and _same(snapshot.load, fresh.load)
+            oracle = ap.snapshot(measured=False)
+            assert oracle == APState(ap_id, ap.info.bandwidth, load, users)
+            assert _same(oracle.load, load)
+            expected_states.append(fresh)
+        loads = controller.loads()
+        assert loads == [sum(table[a].values()) for a in ap_ids]
+        assert all(_same(x, sum(table[a].values())) for x, a in zip(loads, ap_ids))
+        assert controller.user_counts() == [len(table[a]) for a in ap_ids]
+        assert controller.snapshots() == expected_states
+        assert controller.ap_ids == ap_ids
+
+    def test_unchanged_poll_keeps_the_cached_snapshot(self, campus):
+        controller = next(iter(campus.controllers.values()))
+        ap = controller.aps[controller.ap_ids[0]]
+        ap.associate("u1", 5.0)
+        ap.refresh_measurement()
+        snapshot = ap.snapshot()
+        ap.refresh_measurement()
+        assert ap.snapshot() is snapshot
+        ap.associate("u2", 1.0)
+        assert ap.snapshot() is not snapshot
+
+    def test_idle_poll_measures_the_int_zero(self, campus):
+        controller = next(iter(campus.controllers.values()))
+        ap = controller.aps[controller.ap_ids[0]]
+        assert _same(ap.measured_load, 0.0)
+        ap.refresh_measurement()
+        assert _same(ap.measured_load, 0)
+        assert _same(ap.snapshot().load, 0)
+
+    def test_ap_ids_list_is_the_callers_own(self, campus):
+        controller = next(iter(campus.controllers.values()))
+        ids = controller.ap_ids
+        ids.append("ghost")
+        assert "ghost" not in controller.ap_ids

@@ -6,7 +6,13 @@ import pytest
 from repro.analysis.balance import normalized_balance_index
 from repro.trace.records import DemandSession, TraceBundle
 from repro.trace.social import CampusLayout
-from repro.wlan.replay import ReplayConfig, ReplayEngine, collect_trace
+from repro.sim.rng import observe_streams
+from repro.wlan.replay import (
+    ReplayConfig,
+    ReplayEngine,
+    StationRssi,
+    collect_trace,
+)
 from repro.wlan.strategies import LeastLoadedFirst, StrongestSignal
 
 
@@ -177,3 +183,53 @@ class TestStrategiesUnderReplay:
         result = ReplayEngine(layout, StrongestSignal()).run(demands)
         assert len(result.sessions) == 30
         assert {s.ap_id for s in result.sessions} <= set(layout.aps)
+
+
+def _placements(result):
+    return [(s.user_id, s.ap_id, s.connect, s.disconnect) for s in result.sessions]
+
+
+class TestRadioDraws:
+    def _demands(self):
+        buildings = ("B00", "B01", "B02")
+        return [
+            demand(f"u{i}", 7.0 * i, 1500.0 + 3 * i, building=buildings[i % 3])
+            for i in range(60)
+        ]
+
+    def test_rerun_on_one_engine_reproduces_the_first_run(self):
+        layout = CampusLayout.grid(3, 3)
+        engine = ReplayEngine(layout, StrongestSignal())
+        first = engine.run(self._demands())
+        second = engine.run(self._demands())
+        fresh = ReplayEngine(layout, StrongestSignal()).run(self._demands())
+        assert _placements(second) == _placements(first) == _placements(fresh)
+        assert sorted(second.series) == sorted(first.series)
+        for controller_id, series in first.series.items():
+            again = second.series[controller_id]
+            assert again.loads.tobytes() == series.loads.tobytes()
+            assert again.user_counts.tobytes() == series.user_counts.tobytes()
+
+    def test_replay_that_reads_no_rssi_draws_no_radio_stream(self):
+        layout = CampusLayout.grid(3, 3)
+        derived = []
+        with observe_streams(lambda kind, name: derived.append(name)):
+            ReplayEngine(layout, LeastLoadedFirst()).run(self._demands())
+        assert not [name for name in derived if name.startswith("radio-")]
+        with observe_streams(lambda kind, name: derived.append(name)):
+            ReplayEngine(layout, StrongestSignal()).run(self._demands())
+        assert [name for name in derived if name.startswith("radio-")]
+
+    def test_station_rssi_draws_once_on_first_read(self):
+        draws = []
+
+        def draw():
+            draws.append(1)
+            return {"ap-b": -60.0, "ap-a": -50.0}
+
+        rssi = StationRssi(draw)
+        assert draws == []
+        assert rssi["ap-a"] == -50.0
+        assert dict(rssi) == {"ap-b": -60.0, "ap-a": -50.0}
+        assert len(rssi) == 2 and bool(rssi)
+        assert draws == [1]
