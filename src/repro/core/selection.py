@@ -38,7 +38,8 @@ the prototype and the controller service
   admission strictly decreases in L_c (and ties when r = 0): best
   balance is least load, with LLF's (load, user count, id) tie-breaks.
   The clique step uses the same fact: every distribution adds the same
-  total load, so it ranks by sum(loads_after^2), ascending.
+  total load, so it ranks by sum(loads_after^2), ascending
+  (:func:`balance_squares`).
 
 The algorithm sees APs only through :class:`APState` snapshots (the
 service, its live ``ApRuntime`` table), builds one :class:`CostIndex`
@@ -292,6 +293,27 @@ def rank_singleton(
     )[3]
 
 
+def balance_squares(loads_after: np.ndarray) -> np.ndarray:
+    """The clique step's balance key: sum of squared loads of every row.
+
+    ``loads_after`` is a ``(D, n)`` matrix, one distribution a row; lower
+    is better balanced.  The matrix is first scaled by the power of two
+    that brings its peak into [0.5, 1).  That scaling is exact, so at
+    normal magnitudes every key is the raw key times one common power of
+    two and the ranking is the raw ranking, ties included; it keeps the
+    squares of tiny (subnormal) loads from flushing to 0.0 and tying
+    distributions whose Jain index differs.  Columns are summed in AP
+    order from 0.0.
+    """
+    peak = loads_after.max(initial=0.0)
+    if peak > 0:
+        loads_after = np.ldexp(loads_after, -int(np.frexp(peak)[1]))
+    squares = np.zeros(len(loads_after))
+    for column in np.square(loads_after).T:
+        squares += column
+    return squares
+
+
 class S3Selector:
     """The trained S³ decision engine."""
 
@@ -420,11 +442,9 @@ class S3Selector:
         feasible_cost = cost[feasible]
         cut = np.partition(feasible_cost, keep - 1)[keep - 1]
         band = feasible[feasible_cost <= cut]
-        # Balance re-rank in closed form: the sum of squared loads after,
-        # summed over APs in order from 0.0 (lower is better balanced).
-        squares = np.zeros(len(band))
-        for column in np.square(loads_after[band]).T:
-            squares += column
+        # Balance re-rank in closed form: the sum of squared loads after
+        # (lower is better balanced).
+        squares = balance_squares(loads_after[band])
         band_cost = cost[band]
         # Sort by (cost, balance), keep the top band, then pick the best
         # balance in it; enumeration order breaks every remaining tie.

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.balance import normalized_balance_index
 from repro.core.demand import DemandEstimator
@@ -12,6 +12,7 @@ from repro.core.selection import (
     APState,
     S3Selector,
     SelectionConfig,
+    balance_squares,
     least_loaded,
 )
 from repro.core.social import PairStats, SocialModel
@@ -369,20 +370,28 @@ class TestClosedFormBalance:
         ),
         total=st.floats(min_value=0.0, max_value=1e6),
     )
+    # Subnormal loads: raw squares flush to 0.0 and would tie these two.
+    @example(
+        loads=[0.0, 0.0],
+        shares=[[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]],
+        total=2.225073858507e-311,
+    )
     def test_sum_of_squares_ranks_as_normalized_jain(self, loads, shares, total):
         # Each candidate spreads the same ``total`` over the APs by its
         # integer weights (all on the first AP when they are all zero).
-        candidates = []
+        # The key is the one the clique step ranks by.
+        afters = []
         for weights in shares:
             weights = weights[: len(loads)]
             if not any(weights):
                 weights[0] = 1
             mass = sum(weights)
             added = [total * w / mass for w in weights]
-            after = [load + extra for load, extra in zip(loads, added)]
-            candidates.append(
-                (sum(value * value for value in after), normalized_balance_index(after))
-            )
+            afters.append([load + extra for load, extra in zip(loads, added)])
+        candidates = zip(
+            balance_squares(np.array(afters)),
+            [normalized_balance_index(after) for after in afters],
+        )
         for (squares_a, jain_a), (squares_b, jain_b) in itertools.combinations(
             candidates, 2
         ):
