@@ -2,11 +2,13 @@
 
 The robustness budget of the supervised controller service: a
 controller that dies must be back — snapshot loaded, unpickled, global
-observability state rolled back, and the *entire* write-ahead-log
-suffix replayed through the live submission path — in **under one
-second** for a 1k-event WAL.  The scenario is the worst case a cadence
-snapshot allows: only the genesis snapshot exists, so recovery replays
-every event the run ever delivered.  Recovery is timed over five rounds.
+observability state rolled back, and the write-ahead log read from the
+snapshot's offset and replayed through the live submission path — in
+**under one second** for a 1k-event WAL.  The timed code is the
+supervisor's own restore-and-replay step.  The scenario is the worst
+case a cadence snapshot allows: only the genesis snapshot exists, at WAL
+offset 0, so recovery replays every event the run ever delivered.
+Recovery is timed over five rounds.
 
 The companion JSON (``out/bench_recovery.json``) carries the restore
 wall time and replay throughput; its pytest-benchmark timing is gated
@@ -16,21 +18,28 @@ A second check runs the supervised service journaled, with metrics on,
 at 10k and 30k events and requires the largest snapshot of the long run
 to stay within 1.2x of the short run's: a checkpoint holds the service's
 state and a journal offset, never the journal itself, so its size must
-not grow with run length (``out/bench_recovery_scaling.json``).
+not grow with run length (``out/bench_recovery_scaling.json``).  A 100k
+point is recorded beside them, not gated.  Each point runs in a fresh
+interpreter (``python benchmarks/test_bench_recovery.py EVENTS WORKDIR``
+prints one point as JSON), so each carries its own peak RSS.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Tuple
 
+import repro
 from repro import perf
 from repro.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
 from repro.obs.journal import read_journal
-from repro.service.checkpoint import restore_checkpoint
 from repro.service.loop import ControllerService
-from repro.service.supervisor import Supervisor, read_wal, run_supervised
+from repro.service.supervisor import Supervisor, run_supervised
 from repro.service.workload import WorkloadSpec
 
 _SPEC = WorkloadSpec(users=64, aps=8, events=1000, seed=17)
@@ -41,18 +50,15 @@ _RECOVERY_ROUNDS = 5
 #: largest snapshot may exceed the shorter run's.
 _SCALING_EVENTS = (10_000, 30_000)
 _MAX_SNAPSHOT_GROWTH = 1.2
+#: A longer run recorded beside the gated pair, not gated.
+_RECORDED_EVENTS = 100_000
 
 
 def _recover(supervisor: Supervisor) -> Tuple[float, int, ControllerService]:
-    """One cold recovery: load, restore, replay the whole WAL suffix."""
+    """One cold recovery through the supervisor's restore-and-replay."""
     start = perf.wall_seconds()
-    checkpoint = supervisor._load_latest_checkpoint()
-    service = restore_checkpoint(checkpoint, supervisor.fingerprint)
-    replayed = 0
-    for event in read_wal(supervisor.wal_path):
-        if event.seq >= checkpoint.next_seq:
-            service.submit(event)
-            replayed += 1
+    _, replayed, _ = supervisor._restore_and_replay()
+    service = supervisor.service
     service.drain()
     return perf.wall_seconds() - start, replayed, service
 
@@ -78,7 +84,7 @@ def test_bench_recovery(benchmark, report_writer, tmp_path: Path) -> None:
 
     text = "\n".join(
         [
-            "--- bench: crash recovery (restore + full WAL replay) ---",
+            "--- bench: crash recovery (restore + WAL replay from the snapshot offset) ---",
             f"wal_events           {replayed}",
             f"recovery_s           {elapsed:.4f}",
             f"replay_events_per_s  {events_per_sec:,.0f}",
@@ -103,10 +109,26 @@ def test_bench_recovery(benchmark, report_writer, tmp_path: Path) -> None:
     )
 
 
+def _peak_rss_mb() -> float:
+    """This interpreter's own peak RSS.
+
+    On Linux ``ru_maxrss`` survives ``exec``: a child started from the
+    pytest process reports at least pytest's peak.  ``VmHWM`` starts
+    afresh with the new program, so it is read where it exists.
+    """
+    status = Path("/proc/self/status")
+    if status.exists():
+        for line in status.read_text(encoding="utf-8").splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    return perf.peak_rss_bytes() / 2**20
+
+
 def _supervised_snapshots(events: int, workdir: Path) -> Dict[str, float]:
-    """Largest snapshot and mean capture time of one journaled run."""
+    """Largest snapshot, mean capture time and rate of one journaled run."""
     spec = WorkloadSpec(users=64, aps=8, events=events, seed=17)
     journal = workdir / "journal.jsonl"
+    start = perf.wall_seconds()
     try:
         summary = run_supervised(
             spec,
@@ -118,6 +140,10 @@ def _supervised_snapshots(events: int, workdir: Path) -> Dict[str, float]:
         )
     finally:
         obs_metrics.disable()
+    elapsed = perf.wall_seconds() - start
+    # Taken before the journal is parsed below, which is the bench's
+    # own work, not the run's.
+    peak_rss_mb = _peak_rss_mb()
     sizes = [p.stat().st_size for p in (workdir / "run" / "snapshots").glob("*.pkl")]
     perf_footer = read_journal(journal).perf
     assert perf_footer is not None
@@ -128,34 +154,63 @@ def _supervised_snapshots(events: int, workdir: Path) -> Dict[str, float]:
         "snapshot_bytes_max": float(max(sizes)),
         "capture_ms_mean": 1e3 * capture["mean"],
         "journal_bytes": float(journal.stat().st_size),
+        "events_per_s": events / elapsed,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
-def test_snapshot_size_flat_in_run_length(report_writer, tmp_path: Path) -> None:
-    short, long = (
-        _supervised_snapshots(events, tmp_path / str(events))
-        for events in _SCALING_EVENTS
+def _fresh_process_point(events: int, workdir: Path) -> Dict[str, float]:
+    """:func:`_supervised_snapshots` in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, __file__, str(events), str(workdir)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
     )
+    point: Dict[str, float] = json.loads(done.stdout)
+    return point
+
+
+def test_snapshot_size_flat_in_run_length(report_writer, tmp_path: Path) -> None:
+    lengths = _SCALING_EVENTS + (_RECORDED_EVENTS,)
+    rows = [_fresh_process_point(n, tmp_path / str(n)) for n in lengths]
+    short, long = rows[0], rows[1]
     growth = long["snapshot_bytes_max"] / short["snapshot_bytes_max"]
     lines = ["--- bench: snapshot size vs run length (journal + metrics on) ---"]
-    for events, row in zip(_SCALING_EVENTS, (short, long)):
+    for events, row in zip(lengths, rows):
         lines.append(
-            f"{events:>6} events  snapshots {row['snapshots']:.0f}  "
+            f"{events:>7} events  snapshots {row['snapshots']:.0f}  "
             f"max {row['snapshot_bytes_max'] / 1e3:.1f} kB  "
             f"capture {row['capture_ms_mean']:.2f} ms  "
-            f"journal {row['journal_bytes'] / 1e6:.2f} MB"
+            f"journal {row['journal_bytes'] / 1e6:.2f} MB  "
+            f"{row['events_per_s']:,.0f} events/s  "
+            f"peak RSS {row['peak_rss_mb']:.1f} MB"
         )
-    lines.append(f"growth {growth:.3f}x (budget {_MAX_SNAPSHOT_GROWTH}x)")
+    lines.append(
+        f"growth {_SCALING_EVENTS[0]} -> {_SCALING_EVENTS[1]}: {growth:.3f}x "
+        f"(budget {_MAX_SNAPSHOT_GROWTH}x); the {_RECORDED_EVENTS} point is "
+        "recorded, not gated"
+    )
     report_writer(
         "bench_recovery_scaling",
         "\n".join(lines),
         metrics={
             "growth": growth,
-            **{f"{k}_{_SCALING_EVENTS[0]}": v for k, v in short.items()},
-            **{f"{k}_{_SCALING_EVENTS[1]}": v for k, v in long.items()},
+            **{
+                f"{key}_{events}": value
+                for events, row in zip(lengths, rows)
+                for key, value in row.items()
+            },
         },
     )
     assert growth <= _MAX_SNAPSHOT_GROWTH, (
         f"largest snapshot grew {growth:.2f}x from {_SCALING_EVENTS[0]} to "
         f"{_SCALING_EVENTS[1]} events; snapshots must track state, not history"
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(_supervised_snapshots(int(sys.argv[1]), Path(sys.argv[2]))))

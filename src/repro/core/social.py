@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +96,52 @@ class SocialModel:
         # these instead of the global counter.
         self._user_generation: Dict[str, int] = {}
         self._extended: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------------- pickling
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle state with ``_pairs`` as three columns.
+
+        A ``PairStats`` per pair pickles one object at a time, and a
+        service snapshot carries thousands of them; keys, encounters and
+        co-leavings as three lists pickle in bulk.  Each partner-index
+        bucket keeps only its partner names: every entry's stats object
+        is the pair's ``_pairs`` value, so :meth:`__setstate__` re-links
+        them, and bucket order (the summation order of the cost rows)
+        survives unchanged.
+        """
+        state = self.__dict__.copy()
+        pairs = state.pop("_pairs")
+        state["_pair_keys"] = list(pairs)
+        state["_pair_encounters"] = [s.encounters for s in pairs.values()]
+        state["_pair_co_leavings"] = [s.co_leavings for s in pairs.values()]
+        state["_partners"] = {
+            user: [partner for partner, _ in bucket]
+            for user, bucket in self._partners.items()
+        }
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Built as unpickling builds any instance (``object.__new__``,
+        # then its ``__dict__``), skipping the frozen dataclass
+        # ``__init__``'s per-field ``object.__setattr__`` calls.
+        new = object.__new__
+        pairs: Dict[Pair, PairStats] = {}
+        for key, e, c in zip(
+            state.pop("_pair_keys"),
+            state.pop("_pair_encounters"),
+            state.pop("_pair_co_leavings"),
+        ):
+            stats = new(PairStats)
+            stats.__dict__.update(encounters=e, co_leavings=c)
+            pairs[key] = stats
+        names: Dict[str, List[str]] = state.pop("_partners")
+        self.__dict__.update(state)
+        self._pairs = pairs
+        self._partners = {
+            user: [(partner, pairs[(user, partner)]) for partner in bucket]
+            for user, bucket in names.items()
+        }
 
     # -------------------------------------------------------------- queries
 

@@ -7,11 +7,13 @@ online learner — pickled once, so the social model shared between
 associator and learner stays shared on restore) plus the process-global
 observability state as of the same instant: the tracer's lifecycle and
 the byte offset its streamed journal had reached, the metrics registry
-and the perf registry.  Restoring a checkpoint truncates the journal
-back to that offset, and replaying the write-ahead log past it is
-*exactly-once*: the events processed between the snapshot and the crash
-re-execute against state that has never seen them, re-emitting the
-identical journal lines the truncation removed.
+and the perf registry.  It also records the byte offset the write-ahead
+log had reached, so recovery parses only the WAL's tail.  Restoring a
+checkpoint truncates the journal back to its offset, and replaying the
+write-ahead log past the WAL offset is *exactly-once*: the events
+processed between the snapshot and the crash re-execute against state
+that has never seen them, re-emitting the identical journal lines the
+truncation removed.
 
 A checkpoint holds state, never history: its size tracks the service
 (users, APs, learned pairs, metric windows), not how many records the
@@ -45,8 +47,10 @@ from repro.obs.tracer import TRACER, TracerState
 from repro.runtime.checkpoint import RunDirectory
 from repro.service.loop import ControllerService
 
-#: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 4
+#: Bumped whenever the checkpoint layout changes incompatibly.  Version
+#: 5 added :attr:`ServiceCheckpoint.wal_offset` and the columnar
+#: ``SocialModel`` pickle state, which version-4 pickles do not have.
+CHECKPOINT_VERSION = 5
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"
@@ -67,6 +71,9 @@ class ServiceCheckpoint:
     next_seq: int
     #: The service sim clock at capture time.
     last_time: float
+    #: The WAL's byte offset at capture time: every WAL line past it was
+    #: delivered after the capture (0 replays the whole WAL).
+    wal_offset: int
     #: The full service object graph, pickled at capture time.
     service_pickle: bytes
     #: Tracer lifecycle and journal byte offset as of the capture.
@@ -83,9 +90,12 @@ class ServiceCheckpoint:
 
 
 def capture_checkpoint(
-    service: ControllerService, fingerprint: str
+    service: ControllerService, fingerprint: str, wal_offset: int = 0
 ) -> ServiceCheckpoint:
     """Snapshot ``service`` plus the global observability state.
+
+    ``wal_offset`` is the write-ahead log's byte offset at the capture,
+    where a recovery from this checkpoint starts reading.
 
     The service graph is pickled, so the checkpoint stays frozen while
     the live service keeps mutating; the pickle memo keeps the social
@@ -99,6 +109,7 @@ def capture_checkpoint(
             fingerprint=fingerprint,
             next_seq=service._next_seq,
             last_time=service._last_time,
+            wal_offset=wal_offset,
             tracer=TRACER.export_state(),
             service_pickle=pickle.dumps(
                 service, protocol=pickle.HIGHEST_PROTOCOL

@@ -116,6 +116,9 @@ class BalanceMonitorApp(ServiceApp):
     def attach(self, service: "ControllerService") -> None:
         self._service = service
 
+    def detach(self) -> None:
+        self._service = None
+
     def _maybe_sample(self, now: float) -> None:
         if self._service is None:
             return
@@ -206,6 +209,21 @@ class ControllerService:
         self.gap_skips = 0
         #: Late or duplicate submissions discarded (tolerant mode only).
         self.dropped_events = 0
+
+    def detach(self) -> None:
+        """Unhook the admission queue's commit hook and every app.
+
+        The hook is a bound method of this service and an attached app
+        points back at it, so a discarded service is cyclic garbage
+        until the next full collection.  A supervisor replacing a
+        crashed controller detaches it, and reference counting frees it
+        at once.  A detached service must not process further events.
+        """
+        self.admission.on_commit = None
+        for app in self.apps:
+            detach = getattr(app, "detach", None)
+            if callable(detach):
+                detach()
 
     # -------------------------------------------------------------- intake
 

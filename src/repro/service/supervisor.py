@@ -7,21 +7,24 @@
 durability loop a real deployment needs:
 
 * every produced event is appended to a **write-ahead log** before it is
-  submitted (JSONL, one line per delivery through one append handle
-  flushed after every line; a torn trailing line from a kill mid-append
-  is tolerated on read);
+  submitted (JSONL, one line per delivery through one binary append
+  handle flushed after every line; a torn trailing line from a kill
+  mid-append is tolerated on read);
 * the journal is **streamed**: every record is written the moment it
   completes (:func:`repro.service.workload.service_journal`);
 * every ``snapshot_every`` deliveries the whole service plus the global
-  observability state — the journal as a byte offset, not a copy — is
-  checkpointed through :mod:`repro.service.checkpoint` (atomic write,
-  fingerprint-guarded, quarantine-on-corruption — the
-  :mod:`repro.runtime.checkpoint` conventions);
+  observability state — the journal as a byte offset, not a copy — and
+  the WAL's byte offset are checkpointed through
+  :mod:`repro.service.checkpoint` (atomic write, fingerprint-guarded,
+  quarantine-on-corruption — the :mod:`repro.runtime.checkpoint`
+  conventions);
 * at each :class:`~repro.faults.ControllerCrash` the in-memory
   controller is **discarded** — state, tracer, metrics, perf, all of it
   — and rebuilt from the newest readable snapshot, the journal is
-  truncated back to the snapshot's offset, then the WAL suffix past the
-  snapshot is replayed through the very same submission path.
+  truncated back to the snapshot's offset, then the WAL tail past the
+  snapshot's WAL offset is read and replayed through the very same
+  submission path.  The dead controller is detached from its apps and
+  admission hook, so reference counting frees it at once.
   Re-deliveries of events the snapshot had already processed are dropped
   by the reorder buffer's tolerant mode, so recovery is exactly-once.
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro import perf
 from repro.faults.model import (
@@ -136,20 +139,27 @@ def _event_from_wal(obj: Dict[str, Any]) -> ServiceEvent:
     raise ValueError(f"unknown WAL event kind {kind!r}")
 
 
-def read_wal(path: Union[str, Path]) -> List[ServiceEvent]:
-    """Parse a WAL, tolerating a torn trailing line.
+def read_wal(path: Union[str, Path], offset: int = 0) -> List[ServiceEvent]:
+    """Parse a WAL from byte ``offset`` on, tolerating a torn trailing line.
 
-    A kill mid-append leaves a final line that is not valid JSON (or is
-    missing keys); everything up to it parsed fine and is returned —
-    exactly the prefix that was durably written.  A torn line anywhere
-    else would mean the log was edited, so parsing still stops there:
-    nothing after an unreadable line can be trusted to be in order.
+    ``offset`` is a line boundary recorded at a snapshot
+    (:attr:`~repro.service.checkpoint.ServiceCheckpoint.wal_offset`), so
+    a recovery parses only the lines delivered after it; an offset at or
+    past the end yields ``[]``.  A kill mid-append leaves a final line
+    that is not valid JSON (or is missing keys); everything up to it
+    parsed fine and is returned — exactly the prefix that was durably
+    written.  A torn line anywhere else would mean the log was edited,
+    so parsing still stops there: nothing after an unreadable line can
+    be trusted to be in order.
     """
     path = Path(path)
     if not path.exists():
         return []
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        tail = handle.read()
     events: List[ServiceEvent] = []
-    for line in path.read_text(encoding="utf-8").split("\n"):
+    for line in tail.split(b"\n"):
         if not line:
             continue
         try:
@@ -213,9 +223,9 @@ class Supervisor:
         self._held: List[ServiceEvent] = []
         self._stall_until: Optional[float] = None
         self._since_snapshot = 0
-        #: The WAL append handle, open from the first delivery until
-        #: :meth:`close`.
-        self._wal: Optional[TextIO] = None
+        #: The WAL's binary append handle, open from the first delivery
+        #: until :meth:`close`; its ``tell()`` is the WAL's byte offset.
+        self._wal: Optional[BinaryIO] = None
         #: Every recovery journaled so far, with the journal byte offset
         #: its record was written at — the supervisor's own ledger.  A
         #: restore truncates the journal to the snapshot's offset, which
@@ -289,8 +299,8 @@ class Supervisor:
 
     def _deliver(self, event: ServiceEvent) -> None:
         if self._wal is None:
-            self._wal = self.wal_path.open("a", encoding="utf-8")
-        self._wal.write(wal_line(event) + "\n")
+            self._wal = self.wal_path.open("ab")
+        self._wal.write((wal_line(event) + "\n").encode("utf-8"))
         # Flushed per line: the line reaches the OS before the submit,
         # and a replay's read_wal sees every delivery so far.
         self._wal.flush()
@@ -300,7 +310,12 @@ class Supervisor:
             self._snapshot()
 
     def _snapshot(self) -> None:
-        checkpoint = capture_checkpoint(self.service, self.fingerprint)
+        # Every delivery is flushed before its submit, so the handle's
+        # position is the WAL's size: the snapshot's replay starts there.
+        wal_offset = 0 if self._wal is None else self._wal.tell()
+        checkpoint = capture_checkpoint(
+            self.service, self.fingerprint, wal_offset
+        )
         self.store.store(checkpoint.slot, checkpoint)
         self._since_snapshot = 0
         self.snapshots_taken += 1
@@ -324,25 +339,38 @@ class Supervisor:
             "cannot recover"
         )
 
+    def _restore_and_replay(self) -> Tuple[ServiceCheckpoint, int, int]:
+        """Replace the controller by the newest snapshot plus the WAL tail.
+
+        Returns the checkpoint restored, the WAL events replayed and the
+        decisions the replay re-derived.
+        """
+        checkpoint = self._load_latest_checkpoint()
+        # Everything in process memory dies with the controller; the
+        # restore resets the service *and* the global tracer/metrics/
+        # perf state to the snapshot instant.
+        service = restore_checkpoint(checkpoint, self.fingerprint)
+        # Break the dead controller's reference cycles so it is freed
+        # now, not at some later cyclic collection.
+        self.service.detach()
+        self.service = service
+        decisions_before = service.admission.decisions
+        replayed = 0
+        for event in read_wal(self.wal_path, checkpoint.wal_offset):
+            if event.seq < checkpoint.next_seq:
+                continue
+            # Same injection path as live delivery; re-deliveries of seqs
+            # the snapshot already consumed are dropped by the tolerant
+            # reorder buffer.
+            service.submit(event)
+            replayed += 1
+        return checkpoint, replayed, service.admission.decisions - decisions_before
+
     def _crash_and_recover(self, crash: ControllerCrash) -> None:
         """Kill the controller at ``crash.time``; restore; replay the WAL."""
         with perf.timer("service.recovery"):
-            checkpoint = self._load_latest_checkpoint()
-            # Everything in process memory dies with the controller; the
-            # restore resets the service *and* the global tracer/metrics/
-            # perf state to the snapshot instant.
-            service = restore_checkpoint(checkpoint, self.fingerprint)
-            self.service = service
-            decisions_before = service.admission.decisions
-            replayed = 0
-            for event in read_wal(self.wal_path):
-                if event.seq < checkpoint.next_seq:
-                    continue
-                # Same injection path as live delivery; re-deliveries of
-                # seqs the snapshot already consumed are dropped by the
-                # tolerant reorder buffer.
-                service.submit(event)
-                replayed += 1
+            checkpoint, replayed, rederived = self._restore_and_replay()
+        service = self.service
         base = checkpoint.last_time
         if base == float("-inf"):
             base = 0.0
@@ -366,8 +394,7 @@ class Supervisor:
             downtime=downtime,
             snapshot_seq=checkpoint.next_seq,
             replayed_events=replayed,
-            rederived_decisions=service.admission.decisions
-            - decisions_before,
+            rederived_decisions=rederived,
         )
         self._recovery_ledger.append((self._journal_recovery(record), record))
         self.recoveries += 1

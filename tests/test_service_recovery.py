@@ -444,10 +444,12 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
         restore_checkpoint(checkpoint, fingerprint + ":other")
     # Version 1 checkpoints deep-copied the service and the tracer's
     # records, version 2 associators lack the cost caches and join
-    # stamps, version 3 ones hold them instead of the core cost index;
-    # their pickles must be refused, never mis-restored.
-    assert CHECKPOINT_VERSION == 4
-    for version in (1, 2, 3, CHECKPOINT_VERSION + 1):
+    # stamps, version 3 ones hold them instead of the core cost index,
+    # version 4 ones have no WAL offset and pickle the social model's
+    # pairs one object at a time; their pickles must be refused, never
+    # mis-restored.
+    assert CHECKPOINT_VERSION == 5
+    for version in (1, 2, 3, 4, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
