@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.selection import APState, S3Selector
 from repro.core.social import SocialModel
@@ -71,6 +72,24 @@ class OnlineLearner:
         #: Stream events permanently lost before this learner saw them
         #: (gap skips reported by the supervisor after a crash recovery).
         self.lost_events = 0
+        #: APs whose departure ring holds a time below an earlier one
+        #: (replay places a demand that ended during the batching delay
+        #: late); their co-leave scan reads the whole ring.  Derived from
+        #: the rings, so it is left out of the pickled state.
+        self._unordered: Set[str] = set()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_unordered"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._unordered = {
+            ap_id
+            for ap_id, ring in self._departures.items()
+            if any(a[0] > b[0] for a, b in zip(ring, islice(ring, 1, None)))
+        }
 
     # ----------------------------------------------------------- staleness
 
@@ -103,39 +122,77 @@ class OnlineLearner:
         self._present.setdefault(ap_id, {})[user_id] = time
 
     def on_departure(self, user_id: str, ap_id: str, time: float) -> None:
-        """Process a disassociation: emit encounter and co-leaving events."""
-        present = self._present.setdefault(ap_id, {})
+        """Process a disassociation: emit encounter and co-leaving events.
+
+        The pairs are gathered first — encounters, then co-leavings —
+        and folded into the model in one
+        :meth:`~repro.core.social.SocialModel.record_departure` call.
+        """
+        present = self._present.get(ap_id)
+        if present is None:
+            present = self._present[ap_id] = {}
         joined_at = present.pop(user_id, None)
         if joined_at is None:
             return  # arrival never observed (e.g. learner attached late)
 
         config = self.config
-        record = self.social.record_events
 
         # Encounters: co-presence with everyone still on the AP.  The
         # overlap ``time - max(joined_at, other_joined)`` is whichever of
         # the two differences is smaller, so it clears the threshold
         # exactly when both do — and none can if this stay did not.
         threshold = config.encounter_min_duration
+        encountered: List[str] = []
         if time - joined_at >= threshold:
-            for other, other_joined in present.items():
-                if time - other_joined >= threshold:
-                    record(user_id, other, encounters=1)
-                    self.encounters_recorded += 1
+            encountered = [
+                other
+                for other, other_joined in present.items()
+                if time - other_joined >= threshold
+            ]
 
         # Co-leavings: pair with recent departures on the same AP.
-        ring = self._departures.setdefault(ap_id, deque())
+        ring = self._departures.get(ap_id)
+        if ring is None:
+            ring = self._departures[ap_id] = deque()
         horizon = time - config.departure_memory
         while ring and ring[0][0] < horizon:
             ring.popleft()
         window = config.coleave_window
-        for departed_at, other in ring:
-            if other == user_id:
-                continue
-            if time - departed_at <= window:
-                record(user_id, other, co_leavings=1)
-                self.co_leavings_recorded += 1
+        if ap_id in self._unordered:
+            if not ring:
+                self._unordered.discard(ap_id)
+            co_left = [
+                other
+                for departed_at, other in ring
+                if other != user_id and time - departed_at <= window
+            ]
+        else:
+            # Departure times never decrease along this ring, so
+            # ``time - departed_at`` never increases: the matches are a
+            # suffix, read from the newest end until the first miss.
+            co_left = []
+            for departed_at, other in reversed(ring):
+                if time - departed_at > window:
+                    break
+                if other != user_id:
+                    co_left.append(other)
+            co_left.reverse()
+
+        self.social.record_departure(user_id, encountered, co_left)
+        self.encounters_recorded += len(encountered)
+        self.co_leavings_recorded += len(co_left)
+        if ring and time < ring[-1][0]:
+            self._unordered.add(ap_id)
         ring.append((time, user_id))
+
+    def on_lost_departure(self, user_id: str, ap_id: str) -> None:
+        """Forget ``user_id``'s stay on ``ap_id`` without emitting events.
+
+        For a departure the stream never delivered (the controller infers
+        it from a re-join): its time is unknown, so no encounter or
+        co-leaving can be dated from it.
+        """
+        self._present.get(ap_id, {}).pop(user_id, None)
 
 
 class OnlineS3Strategy(SelectionStrategy):

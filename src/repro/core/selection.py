@@ -31,7 +31,9 @@ the prototype and the controller service
   code last); then each partner's P(L|E), in
   :meth:`~repro.core.social.SocialModel.conditional_partners` order, at
   the partner's AP.  The per-resident walk is the test oracle
-  (``tests/selection_oracle.py``).
+  (``tests/selection_oracle.py``).  A seat change recomputes its AP's
+  type terms from a memo keyed by the AP's type-count vector; each
+  entry is the recomputation it replaces, float for float.
 * :func:`rank_singleton` — the balance re-rank in closed form: admitting
   rate r at candidate c leaves the total load the same for every
   candidate and adds 2*r*L_c + r^2 to sum(L^2), so Jain's index after
@@ -154,12 +156,17 @@ def least_loaded(aps: Sequence[AP]) -> AP:
     return min(aps, key=lambda ap: (ap.load, ap.user_count, ap.ap_id))
 
 
+#: Count vectors a :class:`CostIndex` remembers type terms for; past it
+#: the memo starts over, so a long-lived index stays bounded.
+_TYPE_TERM_CACHE_SIZE = 1 << 16
+
+
 def _nonzero(counts: List[int]) -> List[Tuple[int, int]]:
     """The ``(code, count)`` pairs of a type-count vector with a count."""
     return [(code, count) for code, count in enumerate(counts) if count]
 
 
-class CostIndex:
+class CostIndex:  # repro: noqa[cache-invalidation]
     """C(AP) of an arrival at every AP, in the module docstring's order.
 
     Positions ``0..n-1`` stand for the caller's APs.  Kept: per-AP
@@ -168,6 +175,14 @@ class CostIndex:
     recomputed only for the AP a seat change touched — a row costs
     O(APs + partners).  A user sits at one AP at most; an arrival already
     seated is scored against the other residents only.
+
+    The recomputed terms come from ``_type_term_cache``: count vector ->
+    the type term of every arrival code at an AP with those counts, each
+    entry ``_type_term(code, ...)`` exactly.  The cache needs no
+    generation stamp (hence the suppression on this line): an entry is
+    a function of its key, the affinity table and ``alpha``, and the
+    last two are fixed when the index is built.  It is rebuilt on
+    demand, so it is left out of the pickled state.
     """
 
     def __init__(
@@ -187,6 +202,16 @@ class CostIndex:
         for position, users in enumerate(residents):
             for user_id in users:
                 self._seat(user_id, position)
+        self._type_term_cache: Dict[Tuple[int, ...], List[float]] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_type_term_cache"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._type_term_cache = {}
 
     def code_of(self, user_id: str) -> int:
         """``user_id``'s type code now; the unknown code if untyped."""
@@ -219,10 +244,24 @@ class CostIndex:
         self._seats[user_id] = (position, code)
         self._counts[position][code] += 1
 
+    def _type_column(self, counts: List[int]) -> List[float]:
+        """The type term of every arrival code at an AP with ``counts``."""
+        key = tuple(counts)
+        column = self._type_term_cache.get(key)
+        if column is None:
+            terms = _nonzero(counts)
+            column = [
+                self._type_term(code, terms) for code in range(len(counts))
+            ]
+            if len(self._type_term_cache) >= _TYPE_TERM_CACHE_SIZE:
+                self._type_term_cache.clear()
+            self._type_term_cache[key] = column
+        return column
+
     def _retotal(self, position: int) -> None:
-        counts = _nonzero(self._counts[position])
+        column = self._type_column(self._counts[position])
         for code, terms in self._type_terms.items():
-            terms[position] = self._type_term(code, counts)
+            terms[position] = column[code]
 
     def join(self, user_id: str, position: int) -> None:
         """Seat ``user_id`` at ``position`` under their current type."""
@@ -279,11 +318,12 @@ def rank_singleton(
 
     ``costs[i]`` is C(AP) of ``aps[i]``.
     """
-    ranked = sorted(
+    ranked = [
         (cost, ap.load, ap.ap_id, position)
         for position, (ap, cost) in enumerate(zip(aps, costs))
         if rate is None or ap.load + rate <= ap.bandwidth
-    )
+    ]
+    ranked.sort()
     if not ranked:
         return None
     keep = max(1, math.ceil(len(ranked) * top_fraction))

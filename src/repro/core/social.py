@@ -20,8 +20,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -35,9 +44,12 @@ from repro.graph.graph import Graph
 _DELTA_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Observed event counts for one user pair."""
+class PairStats(NamedTuple):
+    """Observed event counts for one user pair.
+
+    A named tuple: the online learner builds one per recorded pair
+    event, and a tuple is the cheapest immutable record to build.
+    """
 
     encounters: int
     co_leavings: int
@@ -90,10 +102,10 @@ class SocialModel:
         self._delta_cache: "OrderedDict[Tuple[str, ...], Tuple[int, np.ndarray]]" = (
             OrderedDict()
         )
-        # Per-user fine-grained stamps: the generation at which a user was
-        # last touched by record_events / assign_user_type.  External
-        # per-user caches (e.g. the service's social-cost index) key on
-        # these instead of the global counter.
+        # Per-user stamps: the generation at which a user was last
+        # touched by a mutator.  Nothing in the package reads them (the
+        # service's cost index reads conditional_partners); they stay
+        # because service snapshots pickle them.
         self._user_generation: Dict[str, int] = {}
         self._extended: Optional[np.ndarray] = None
 
@@ -122,19 +134,16 @@ class SocialModel:
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Built as unpickling builds any instance (``object.__new__``,
-        # then its ``__dict__``), skipping the frozen dataclass
-        # ``__init__``'s per-field ``object.__setattr__`` calls.
-        new = object.__new__
-        pairs: Dict[Pair, PairStats] = {}
-        for key, e, c in zip(
-            state.pop("_pair_keys"),
-            state.pop("_pair_encounters"),
-            state.pop("_pair_co_leavings"),
-        ):
-            stats = new(PairStats)
-            stats.__dict__.update(encounters=e, co_leavings=c)
-            pairs[key] = stats
+        pairs: Dict[Pair, PairStats] = dict(
+            zip(
+                state.pop("_pair_keys"),
+                map(
+                    PairStats,
+                    state.pop("_pair_encounters"),
+                    state.pop("_pair_co_leavings"),
+                ),
+            )
+        )
         names: Dict[str, List[str]] = state.pop("_partners")
         self.__dict__.update(state)
         self._pairs = pairs
@@ -183,10 +192,11 @@ class SocialModel:
     def user_generation(self, user_id: str) -> int:
         """The generation at which ``user_id`` was last touched (0 never).
 
-        This is the fine-grained counterpart of :attr:`generation`: a
-        consumer caching per-user derived state (partner lists, cost
-        aggregates) compares this stamp instead of the global counter, so
-        an event between ``(a, b)`` does not invalidate its view of ``c``.
+        The per-user counterpart of :attr:`generation`, kept by every
+        mutator.  No consumer in this package reads it — the service's
+        :class:`~repro.core.selection.CostIndex` reads
+        :meth:`conditional_partners` — but the stamps are part of the
+        pickled state, so service snapshots carry them.
         """
         return self._user_generation.get(user_id, 0)
 
@@ -388,6 +398,70 @@ class SocialModel:
 
         if self._delta_cache:
             self._patch_delta_cache(pair, conditional, generation)
+
+    def record_departure(
+        self,
+        user_id: str,
+        encountered: Sequence[str],
+        co_left: Sequence[str],
+    ) -> None:
+        """Fold one departure's pair events in one pass.
+
+        The same updates, in the same order, as one :meth:`record_events`
+        call per pair — ``encounters=1`` with each of ``encountered``,
+        then ``co_leavings=1`` with each of ``co_left`` — including one
+        generation per pair and the per-user stamps, so pair order,
+        adjacency order and pickles come out identical.  The loop is
+        inlined for the service's common state, a live adjacency and
+        nothing else cached; with the partner index live or a delta
+        matrix cached it defers to :meth:`record_events` per pair, whose
+        patches those structures need.
+        """
+        if self._delta_cache or self._partners_generation == self._generation:
+            record = self.record_events
+            for other in encountered:
+                record(user_id, other, encounters=1)
+            for other in co_left:
+                record(user_id, other, co_leavings=1)
+            return
+        if user_id in encountered or user_id in co_left:
+            raise ValueError(f"a pair needs two distinct users, got {user_id!r} twice")
+        pairs = self._pairs
+        stamps = self._user_generation
+        floor = self.min_encounters
+        shrinkage = self.shrinkage
+        generation = self._generation
+        adjacency = (
+            self._adjacency if self._adjacency_generation == generation else None
+        )
+        new = tuple.__new__  # PairStats(...) without its Python-level __new__
+        for partners, encounter, co_leaving in (
+            (encountered, 1, 0),
+            (co_left, 0, 1),
+        ):
+            for other in partners:
+                pair = (user_id, other) if user_id < other else (other, user_id)
+                old = pairs.get(pair)
+                if old is None:
+                    stats = new(PairStats, (encounter, co_leaving))
+                else:
+                    stats = new(
+                        PairStats,
+                        (old.encounters + encounter, old.co_leavings + co_leaving),
+                    )
+                pairs[pair] = stats
+                generation += 1
+                stamps[pair[0]] = generation
+                stamps[pair[1]] = generation
+                if adjacency is not None and stats.encounters >= floor:
+                    conditional = min(
+                        1.0, stats.co_leavings / (stats.encounters + shrinkage)
+                    )
+                    adjacency.setdefault(pair[0], {})[pair[1]] = conditional
+                    adjacency.setdefault(pair[1], {})[pair[0]] = conditional
+        self._generation = generation
+        if adjacency is not None:
+            self._adjacency_generation = generation
 
     def assign_user_type(self, user_id: str, type_index: int) -> None:
         """Re-assign one user's type and patch the caches incrementally.

@@ -72,6 +72,17 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
             "tests/test_core_social_incremental.py::test_streamed_model_matches_build_social_model",
         ),
     ),
+    "repro.core.social.SocialModel.record_departure": ParityEntry(
+        # One departure's pairs in one pass: the same model, stamps,
+        # adjacency order and pickle bytes as one record_events call per
+        # pair, which the oracle learner makes.
+        reference="tests/social_oracle.py::per_pair_departure",
+        tests=(
+            "tests/test_core_online.py::TestDepartureMatchesMaxOverlap::test_same_pairs_and_tallies",
+            "tests/test_core_online.py::TestDepartureMatchesMaxOverlap::test_backwards_departure_keeps_the_full_scan",
+            "tests/test_service_recovery.py::test_folded_learner_snapshots_match_per_pair_oracle",
+        ),
+    ),
     "repro.core.selection.CostIndex.row": ParityEntry(
         # The one S³ decision kernel: the service's live index and the one
         # replay builds from snapshots both equal the per-resident walk.

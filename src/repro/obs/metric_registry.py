@@ -196,6 +196,17 @@ METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
         unit="events",
     ),
     MetricSpec(
+        name="service.implicit_leaves",
+        kind="counter",
+        scope="run",
+        owner="repro.service.loop",
+        description=(
+            "joins from a user already associated, each taken as a lost "
+            "leave followed by the join"
+        ),
+        unit="events",
+    ),
+    MetricSpec(
         name="service.recoveries",
         kind="counter",
         scope="run",

@@ -7,10 +7,15 @@ that batch replay reads — but keeps the index *live* instead of rebuilding
 it from snapshots per decision.  :class:`FastAssociator` seats every join
 in its index and unseats every leave, so each AP's cached type term
 (``alpha * type_sum`` per arrival type code) is recomputed only for the
-one AP a join or leave touched.  An arrival's cost row is then a copy of
-the cached terms for its code plus one walk over its
+one AP a join or leave touched, and read from the index's memo keyed by
+that AP's type-count vector when the vector has been seen before.  An
+arrival's cost row is then a copy of the cached terms for its code plus
+one walk over its
 :meth:`~repro.core.social.SocialModel.conditional_partners`: O(APs +
-partners) per arrival, not O(APs x residents).
+partners) per arrival, not O(APs x residents).  The service's online
+learner patches that adjacency in place, one departure per
+:meth:`~repro.core.social.SocialModel.record_departure` fold, so the
+next arrival's row reads every pair the departure taught.
 
 Because both paths sum each cost in the kernel's one documented order
 (module docstring of :mod:`repro.core.selection`) and rank with the same

@@ -238,13 +238,26 @@ class ControllerService:
         in tolerant mode it is counted and discarded — a skipped seq
         arriving late must not corrupt the already-advanced stream.
         """
-        if event.seq < self._next_seq or event.seq in self._parked:
+        seq = event.seq
+        ticket = None
+        if seq == self._next_seq and not self._parked:
+            # In order with nothing parked: the buffer would hand the
+            # event straight back, so process it without the round trip.
+            if isinstance(event, StationJoin):
+                ticket = JoinTicket()
+            if event.time > self._horizon_clock:
+                self._horizon_clock = event.time
+            self._next_seq = seq + 1
+            self._process(event, ticket)
+            return ticket
+        if seq < self._next_seq or seq in self._parked:
             if self.gap_horizon is None:
-                raise ValueError(f"duplicate event seq {event.seq}")
+                raise ValueError(f"duplicate event seq {seq}")
             self.dropped_events += 1
             return None
-        ticket = JoinTicket() if isinstance(event, StationJoin) else None
-        self._parked[event.seq] = (event, ticket)
+        if isinstance(event, StationJoin):
+            ticket = JoinTicket()
+        self._parked[seq] = (event, ticket)
         if event.time > self._horizon_clock:
             self._horizon_clock = event.time
         self._drain_ready()
@@ -337,15 +350,25 @@ class ControllerService:
         self, event: StationJoin, ticket: Optional[JoinTicket]
     ) -> None:
         assert ticket is not None
-        if (
-            self.associator.ap_of(event.user_id) is not None
-            or self.admission.pending_user(event.user_id)
-        ):
-            raise ValueError(
-                f"user {event.user_id!r} joined while already "
-                "associated or pending"
-            )
+        user_id = event.user_id
+        if self.admission.pending_user(user_id):
+            self.admission.flush(event.time)
+        if self.associator.ap_of(user_id) is not None:
+            self._implicit_leave(event)
         self.admission.offer(event, ticket)
+
+    def _implicit_leave(self, event: StationJoin) -> None:
+        """A join from a user already associated ends the old stay first.
+
+        The stream lost that user's leave.  The association is released
+        as a leave would release it, but the learner only forgets the
+        stay: the leave's time is unknown, so it dates no encounter or
+        co-leaving.  Apps see the join alone.
+        """
+        ap_id = self.associator.apply_leave(event.user_id)
+        if ap_id is not None and self.learner is not None:
+            self.learner.on_lost_departure(event.user_id, ap_id)
+        obs_metrics.inc("service.implicit_leaves", 1.0, event.time)
 
     def _on_leave(self, event: StationLeave) -> None:
         # A pending join must be decided before its user can depart.

@@ -1,10 +1,10 @@
 """Tests for the online-learning S³ extension."""
 
-from collections import deque
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.demand import DemandEstimator
 from repro.core.online import OnlineConfig, OnlineLearner, OnlineS3Strategy
@@ -14,6 +14,7 @@ from repro.core.typing import TypeModel
 from repro.sim.timeline import MINUTE
 from repro.wlan.replay import ReplayEngine
 from repro.wlan.strategies import LeastLoadedFirst
+from tests.social_oracle import per_pair_departure
 
 
 def empty_social(alpha=0.3, min_encounters=2):
@@ -120,29 +121,11 @@ class TestOnlineLearner:
 
 class MaxOverlapLearner(OnlineLearner):
     """The learner with its original departure step, kept as the oracle:
-    every resident's overlap is ``time - max(joined_at, other_joined)``."""
+    every resident's overlap is ``time - max(joined_at, other_joined)``,
+    the whole ring is scanned, and each pair is its own
+    ``record_events`` call."""
 
-    def on_departure(self, user_id, ap_id, time):
-        present = self._present.setdefault(ap_id, {})
-        joined_at = present.pop(user_id, None)
-        if joined_at is None:
-            return
-        for other, other_joined in present.items():
-            overlap = time - max(joined_at, other_joined)
-            if overlap >= self.config.encounter_min_duration:
-                self.social.record_events(user_id, other, encounters=1)
-                self.encounters_recorded += 1
-        ring = self._departures.setdefault(ap_id, deque())
-        horizon = time - self.config.departure_memory
-        while ring and ring[0][0] < horizon:
-            ring.popleft()
-        for departed_at, other in ring:
-            if other == user_id:
-                continue
-            if time - departed_at <= self.config.coleave_window:
-                self.social.record_events(user_id, other, co_leavings=1)
-                self.co_leavings_recorded += 1
-        ring.append((time, user_id))
+    on_departure = per_pair_departure
 
 
 #: Gaps between stream events: zero, sub-second, and around the
@@ -151,34 +134,69 @@ class MaxOverlapLearner(OnlineLearner):
 _GAPS = [0.0, 0.1, 60.0, 300.0, 20 * MINUTE - 0.1, 20 * MINUTE, 20 * MINUTE + 0.1]
 
 
-class TestDepartureMatchesMaxOverlap:
-    """The two-threshold test in :meth:`OnlineLearner.on_departure` is the
-    ``max``-overlap formula it replaced, exactly."""
+#: How far a departure's time may fall behind the stream clock: replay
+#: observes a demand that ended during the batching delay with its own,
+#: earlier departure time.  Around the five-minute co-leave window.
+_BACKS = [0.0, 0.0, 0.0, 30.0, 5 * MINUTE - 0.1, 5 * MINUTE, 5 * MINUTE + 0.1]
 
-    @settings(max_examples=80, deadline=None)
+
+def _warm(social, mode):
+    """Build the caches a consumer of ``social`` would hold live."""
+    if mode in ("adjacency", "graph"):
+        social.conditional_partners("u0")
+    if mode == "graph":
+        social.build_graph([f"u{i}" for i in range(8)])
+
+
+class TestDepartureMatchesMaxOverlap:
+    """:meth:`OnlineLearner.on_departure` — the two-threshold encounter
+    test, the co-leave suffix scan and the one-pass
+    :meth:`SocialModel.record_departure` fold — is the ``max``-overlap
+    learner that records each pair with its own ``record_events`` call,
+    down to generations, stamps, adjacency order and pickle bytes."""
+
+    @settings(max_examples=120, deadline=None)
     @given(
         steps=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=7),
                 st.sampled_from(["ap1", "ap2"]),
                 st.sampled_from(_GAPS),
+                st.sampled_from(_BACKS),
             ),
             min_size=1,
             max_size=60,
         ),
         start=st.sampled_from([0.0, 0.3, 1e6 + 0.7]),
+        warm=st.sampled_from(["cold", "adjacency", "graph"]),
     )
-    def test_same_pairs_and_tallies(self, steps, start):
+    # u1's departure lands more than the co-leave window before u2's,
+    # behind u0's, which is inside it: a suffix scan would stop at u1.
+    @example(
+        steps=[
+            (0, "ap1", 0.0, 0.0),
+            (1, "ap1", 0.0, 0.0),
+            (2, "ap1", 0.0, 0.0),
+            (0, "ap1", 0.0, 0.0),
+            (1, "ap1", 0.1, 5 * MINUTE + 0.1),
+            (2, "ap1", 0.1, 0.0),
+        ],
+        start=0.0,
+        warm="adjacency",
+    )
+    def test_same_pairs_and_tallies(self, steps, start, warm):
         new = OnlineLearner(empty_social())
         old = MaxOverlapLearner(empty_social())
+        for learner in (new, old):
+            _warm(learner.social, warm)
         where = {}
         time = start
-        for user_index, ap_id, gap in steps:
+        for user_index, ap_id, gap, back in steps:
             time += gap
             user = f"u{user_index}"
             for learner in (new, old):
                 if user in where:
-                    learner.on_departure(user, where[user], time)
+                    learner.on_departure(user, where[user], time - back)
                 elif user_index == 7:
                     # A departure whose arrival was never observed.
                     learner.on_departure(user, ap_id, time)
@@ -188,9 +206,37 @@ class TestDepartureMatchesMaxOverlap:
                 del where[user]
             elif user_index != 7:
                 where[user] = ap_id
-        assert new.social._pairs == old.social._pairs
+        assert list(new.social._pairs.items()) == list(old.social._pairs.items())
         assert new.encounters_recorded == old.encounters_recorded
         assert new.co_leavings_recorded == old.co_leavings_recorded
+        assert new._departures == old._departures
+        assert new.social.generation == old.social.generation
+        users = [f"u{i}" for i in range(8)]
+        assert [new.social.user_generation(u) for u in users] == [
+            old.social.user_generation(u) for u in users
+        ]
+        assert pickle.dumps(new.social) == pickle.dumps(old.social)
+        assert [list(new.social.conditional_partners(u).items()) for u in users] == [
+            list(old.social.conditional_partners(u).items()) for u in users
+        ]
+        # The learners' classes differ; their pickled states must not.
+        assert pickle.dumps(new.__getstate__()) == pickle.dumps(old.__getstate__())
+
+    def test_backwards_departure_keeps_the_full_scan(self):
+        """A ring with a departure placed before an earlier one is not
+        sorted, so a match can sit in front of a miss."""
+        learner = OnlineLearner(empty_social())
+        for user, at in (("a", 0.0), ("b", 0.0), ("c", 0.0)):
+            learner.on_arrival(user, "ap1", at)
+        learner.on_departure("a", "ap1", 1000.0)
+        # Departed "earlier" than "a": 400 s before the next departure.
+        learner.on_departure("b", "ap1", 600.0)
+        learner.on_departure("c", "ap1", 1000.0 + 4 * MINUTE)
+        # "a" left 240 s before "c" (a co-leaving); "b" 640 s before.
+        assert learner.social.pair_stats("a", "c").co_leavings == 1
+        assert learner.social.pair_stats("b", "c") is None
+        restored = pickle.loads(pickle.dumps(learner))
+        assert restored._unordered == {"ap1"}
 
     def test_overlap_exactly_at_threshold_is_an_encounter(self):
         for cls in (OnlineLearner, MaxOverlapLearner):

@@ -57,6 +57,12 @@ class TestSocialModel:
         with pytest.raises(ValueError):
             model.social_index("a", "a")
 
+    def test_self_pair_in_a_departure_rejected(self):
+        model = SocialModel({}, type_model())
+        with pytest.raises(ValueError, match="distinct"):
+            model.record_departure("a", ["b"], ["a"])
+        assert model.known_pairs() == 0 and model.generation == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SocialModel({}, type_model(), alpha=-0.1)

@@ -120,11 +120,27 @@ def test_clock_must_not_run_backwards() -> None:
         service.submit(StationJoin(seq=1, time=4.0, user_id="b"))
 
 
-def test_join_while_associated_or_pending_rejected() -> None:
-    service = _service(AdmissionConfig(flush_horizon=1e9))
-    service.submit(StationJoin(seq=0, time=0.0, user_id="a"))
-    with pytest.raises(ValueError, match="already"):
-        service.submit(StationJoin(seq=1, time=0.0, user_id="a"))
+def test_join_while_associated_or_pending_is_an_implicit_leave() -> None:
+    # The stream lost "a"'s leave: the pending join is decided first, the
+    # stay it began ends, and the new join queues as any join does.
+    service = _service(AdmissionConfig(flush_horizon=1e9), learner=True)
+    learner = service.learner
+    assert learner is not None
+    first = service.submit(StationJoin(seq=0, time=0.0, user_id="a"))
+    second = service.submit(StationJoin(seq=1, time=1.0, user_id="a"))
+    assert first is not None and first.done
+    assert second is not None and not second.done
+    assert service.associator.ap_of("a") is None
+    assert all("a" not in users for users in learner._present.values())
+    service.drain()
+    assert second.done
+    assert service.associator.ap_of("a") == second.ap_id
+    assert service.associator.total_users() == 1
+    # A re-join of an associated user: the old stay ends unrecorded.
+    service.submit(StationJoin(seq=2, time=2.0, user_id="a"))
+    service.drain()
+    assert service.associator.total_users() == 1
+    assert learner.social.known_pairs() == 0
 
 
 def test_leave_for_pending_join_forces_flush() -> None:

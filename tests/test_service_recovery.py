@@ -8,8 +8,8 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro import obs
-
+from repro import obs, perf
+from repro.core.online import OnlineLearner
 from repro.faults import (
     ControllerCrash,
     EventDuplicate,
@@ -50,6 +50,7 @@ from repro.service.workload import (
     run_journaled_service,
     synthetic_events,
 )
+from tests.social_oracle import per_pair_departure
 
 _SPEC = WorkloadSpec(users=24, aps=6, events=300, seed=13)
 
@@ -435,6 +436,33 @@ def test_checkpoint_roundtrip_restores_world() -> None:
     assert restored.events_processed == service.events_processed
     assert restored.associator.loads() == service.associator.loads()
     assert again.events_processed == captured
+
+
+def _snapshot_pickles(spec: WorkloadSpec, every: int) -> List[bytes]:
+    """The service pickle a checkpoint would hold, every ``every`` events."""
+    service = make_service(spec)
+    pickles: List[bytes] = []
+    for index, event in enumerate(synthetic_events(spec), start=1):
+        service.submit(event)
+        if index % every == 0:
+            pickles.append(capture_checkpoint(service, "fp").service_pickle)
+    return pickles
+
+
+def test_folded_learner_snapshots_match_per_pair_oracle(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Pending joins carry their host enqueue time, so raw snapshot bytes
+    # are a function of the stream only with that clock pinned.
+    monkeypatch.setattr(perf, "wall_seconds", lambda: 0.0)
+    spec = WorkloadSpec(users=64, aps=8, events=4000, seed=5)
+    folded = _snapshot_pickles(spec, 100)
+    with monkeypatch.context() as patch:
+        patch.setattr(OnlineLearner, "on_departure", per_pair_departure)
+        oracle = _snapshot_pickles(spec, 100)
+    assert len(folded) == len(oracle) == 40
+    for index, (got, want) in enumerate(zip(folded, oracle), start=1):
+        assert got == want, f"snapshot after {100 * index} events differs"
 
 
 def test_checkpoint_guards_version_and_fingerprint() -> None:
