@@ -29,7 +29,7 @@ def test_extension_temporal_profiles(
     benchmark, paper_workload, paper_model, report_writer
 ):
     def run_extension():
-        store = build_daily_profiles(paper_workload.collected.flows)
+        store = build_daily_profiles(paper_workload.collected.flow_columns())
         churn = extract_churn(paper_workload.collected.sessions)
         extended = fit_extended_type_model(
             store,

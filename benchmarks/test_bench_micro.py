@@ -204,7 +204,7 @@ def test_bench_trace_generate(benchmark, report_writer):
         streams = RandomStreams(config.seed)
         world = build_world(config.world, streams)
         bundle = TraceGenerator(world, config, streams=streams).generate()
-        return bundle, build_daily_profiles(bundle.flows)
+        return bundle, build_daily_profiles(bundle.flow_columns())
 
     bundle, profiles = benchmark.pedantic(
         generate, rounds=5, iterations=1, warmup_rounds=1
@@ -212,8 +212,8 @@ def test_bench_trace_generate(benchmark, report_writer):
     report_writer(
         "micro_trace_generate",
         f"SMALL trace generation + profile training: {len(bundle.demands)} "
-        f"demands, {len(bundle.flows)} flows, {len(profiles.user_ids)} users",
+        f"demands, {bundle.n_flows} flows, {len(profiles.user_ids)} users",
         benchmark=benchmark,
-        metrics={"demands": len(bundle.demands), "flows": len(bundle.flows)},
+        metrics={"demands": len(bundle.demands), "flows": bundle.n_flows},
     )
     assert len(profiles.user_ids) > 0

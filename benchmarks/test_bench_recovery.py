@@ -110,17 +110,7 @@ def test_bench_recovery(benchmark, report_writer, tmp_path: Path) -> None:
 
 
 def _peak_rss_mb() -> float:
-    """This interpreter's own peak RSS.
-
-    On Linux ``ru_maxrss`` survives ``exec``: a child started from the
-    pytest process reports at least pytest's peak.  ``VmHWM`` starts
-    afresh with the new program, so it is read where it exists.
-    """
-    status = Path("/proc/self/status")
-    if status.exists():
-        for line in status.read_text(encoding="utf-8").splitlines():
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024
+    """This interpreter's own peak RSS (``VmHWM`` where it exists)."""
     return perf.peak_rss_bytes() / 2**20
 
 

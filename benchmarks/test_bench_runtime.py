@@ -26,9 +26,10 @@ must stay within 10% of serial even with no parallelism to exploit —
 that overhead budget is the tentpole claim of the transport.  The
 scaling assertions are gated on the host's core count: the parity
 tests guarantee the engines agree everywhere, but a single-core CI box
-cannot (and should not) demonstrate a parallel speedup.  Peak RSS
-(parent + reaped workers) is reported alongside, so a transport that
-trades wall-clock for duplicated memory shows up in the artifact diff.
+cannot (and should not) demonstrate a parallel speedup.  Peak RSS is
+reported alongside — the parent's own, and each pool worker's own
+``VmHWM`` as its shard finished — so a transport that trades wall-clock
+for duplicated memory shows up in the artifact diff.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def test_bench_runtime_process_speedup(benchmark, paper_workload, report_writer)
         for workers, seconds in process_s.items()
     }
     peak_rss = perf.peak_rss_bytes()
+    worker_peaks = {
+        w: list(results[f"process_{w}"].worker_peak_rss_bytes)
+        for w in _WORKER_COUNTS
+    }
     lines = [
         (
             f"sharded replay (PAPER, LLF, {len(demands)} demands, "
@@ -126,7 +131,13 @@ def test_bench_runtime_process_speedup(benchmark, paper_workload, report_writer)
         )
         for workers in _WORKER_COUNTS
     ]
-    lines.append(f"peak rss  : {peak_rss / 2**20:.0f} MiB")
+    lines.append(f"peak rss  : {peak_rss / 2**20:.0f} MiB parent")
+    lines += [
+        f"worker rss {workers}w: "
+        + ", ".join(f"{peak / 2**20:.0f}" for peak in worker_peaks[workers])
+        + " MiB"
+        for workers in _WORKER_COUNTS
+    ]
     report_writer(
         "bench_runtime",
         "\n".join(lines),
@@ -143,6 +154,9 @@ def test_bench_runtime_process_speedup(benchmark, paper_workload, report_writer)
             "sessions": len(serial.sessions),
             "events": serial.events_processed,
             "peak_rss_bytes": peak_rss,
+            "worker_peak_rss_bytes": {
+                str(w): peaks for w, peaks in worker_peaks.items()
+            },
         },
     )
     # The transport's overhead budget: even with zero parallelism the

@@ -46,7 +46,7 @@ def main() -> None:
         seed=7,
     )
     world, bundle = generate_trace(config)
-    source = TraceBundle(demands=bundle.demands, flows=bundle.flows)
+    source = TraceBundle(demands=bundle.demands, flows=bundle.flow_columns())
     collected = collect_trace(world.layout, source, LeastLoadedFirst())
     print(f"collected {len(collected.sessions)} sessions under LLF\n")
 
@@ -75,7 +75,7 @@ def main() -> None:
           f"most departures are shared\n")
 
     # --- user types and Table I ------------------------------------------
-    profiles = build_daily_profiles(collected.flows)
+    profiles = build_daily_profiles(collected.flow_columns())
     churn = extract_churn(collected.sessions)
     types = fit_type_model(profiles, churn, k=4)
     print("cluster centroids over the six application realms:")

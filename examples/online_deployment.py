@@ -53,7 +53,7 @@ def main() -> None:
     # Offline path: three weeks of collected trace, then train.
     train_source = TraceBundle(
         demands=[d for d in bundle.demands if d.arrival < split],
-        flows=[f for f in bundle.flows if f.start < split],
+        flows=bundle.flows_before(split),
     )
     collected = collect_trace(world.layout, train_source, LeastLoadedFirst())
     pretrained = train_s3(collected)

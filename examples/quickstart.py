@@ -41,7 +41,7 @@ def main() -> None:
     split = 9 * DAY
     train_source = TraceBundle(
         demands=[d for d in bundle.demands if d.arrival < split],
-        flows=[f for f in bundle.flows if f.start < split],
+        flows=bundle.flows_before(split),
     )
     collected = collect_trace(world.layout, train_source, LeastLoadedFirst())
     print(f"collected training trace: {len(collected.sessions)} sessions")

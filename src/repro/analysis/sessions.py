@@ -137,7 +137,7 @@ def describe_bundle(bundle: TraceBundle) -> str:
             f"({sum(1 for d in bundle.demands if d.group_id) } group, "
             f"{sum(1 for d in bundle.demands if d.group_id is None)} solo)"
         )
-    if bundle.flows:
-        volume = sum(f.bytes_total for f in bundle.flows)
-        parts.append(f"flows           : {len(bundle.flows)} ({volume / 1e9:.2f} GB)")
+    if bundle.n_flows:
+        volume = sum(bundle.flow_columns().bytes_total.tolist())
+        parts.append(f"flows           : {bundle.n_flows} ({volume / 1e9:.2f} GB)")
     return "\n".join(parts)

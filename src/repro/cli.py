@@ -91,7 +91,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_bundle(out, bundle)
     write_layout(out / "layout.json", world.layout)
-    print(f"wrote {len(bundle.demands)} demands, {len(bundle.flows)} flows, "
+    print(f"wrote {len(bundle.demands)} demands, {bundle.n_flows} flows, "
           f"layout with {len(world.layout.aps)} APs to {out}/")
     return 0
 
@@ -111,7 +111,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     # Carry the matching flows/demands so the directory is trainable.
     train_bundle = TraceBundle(
         sessions=result.sessions,
-        flows=[f for f in bundle.flows if f.start < split],
+        flows=bundle.flows_before(split),
         demands=demands,
     )
     save_bundle(out, train_bundle)

@@ -99,13 +99,13 @@ def train_s3(
     config = config if config is not None else TrainingConfig()
     if not bundle.sessions:
         raise ValueError("training bundle has no session records")
-    if not bundle.flows:
+    if not bundle.n_flows:
         raise ValueError("training bundle has no flow records")
 
     rng = np.random.default_rng(config.seed)
 
     with perf.timer("train.profiles"):
-        profiles = build_daily_profiles(bundle.flows)
+        profiles = build_daily_profiles(bundle.flow_columns())
     # Extract from the bundle's shared columnar view so later consumers
     # (Fig. 5 sweeps, re-training) reuse the same transpose.
     with perf.timer("train.churn"):

@@ -10,14 +10,15 @@ from the generator's ground truth.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.info import normalized_mutual_information
-from repro.sim.timeline import day_index
+from repro.sim.timeline import DAY
 from repro.trace.apps import N_REALMS
 from repro.trace.classifier import PortClassifier
+from repro.trace.columnar import FlowArrays
 from repro.trace.records import FlowRecord
 
 
@@ -131,49 +132,51 @@ class DailyProfileStore:
 
 
 def build_daily_profiles(
-    flows: Iterable[FlowRecord],
+    flows: Union[FlowArrays, Iterable[FlowRecord]],
     classifier: Optional[PortClassifier] = None,
 ) -> DailyProfileStore:
     """Classify flows and accumulate them into a daily profile store.
 
     A flow is attributed to the day of its start timestamp; unclassifiable
     flows are dropped (the paper restricts itself to the identified top
-    applications).
+    applications).  ``flows`` is the columnar log (a bundle's
+    :meth:`~repro.trace.records.TraceBundle.flow_columns`) or records,
+    which are transposed once in their given order.
 
-    One pass gives every ``(user, day)`` a row in first-seen order and
-    collects ``(row, realm, bytes)``; ``np.add.at`` then sums the bytes
-    into a zero matrix in record order.  That is the order in which
-    :meth:`DailyProfileStore.add` would accumulate the flows one by one
-    (its extra ``+ 0.0`` on the other realms is exact), so every stored
-    vector is bit-identical to the per-flow loop's for non-negative byte
-    counts.
+    Flows are classified by :meth:`PortClassifier.classify_columns`.
+    Every ``(user, day)`` gets a row in first-seen order, and
+    ``np.add.at`` sums the bytes into a zero matrix in record order.
+    That is the order in which :meth:`DailyProfileStore.add` would
+    accumulate the flows one by one (its extra ``+ 0.0`` on the other
+    realms is exact), so every stored vector — and the store's insertion
+    order — is bit-identical to the per-flow loop's.
     """
     classifier = classifier if classifier is not None else PortClassifier()
-    classify = classifier.classify_ports
-    rows_of: Dict[Tuple[str, int], int] = {}
-    rows: List[int] = []
-    realms: List[int] = []
-    volumes: List[float] = []
-    for flow in flows:
-        realm = classify(flow.protocol, flow.src_port, flow.dst_port)
-        if realm is None:
-            continue
-        key = (flow.user_id, day_index(flow.start))
-        row = rows_of.get(key)
-        if row is None:
-            row = rows_of[key] = len(rows_of)
-        rows.append(row)
-        realms.append(realm)
-        volumes.append(flow.bytes_total)
-    values = np.asarray(volumes, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("negative realm volume")
-    totals = np.zeros((len(rows_of), N_REALMS))
-    index = (np.asarray(rows, dtype=np.intp), np.asarray(realms, dtype=np.intp))
-    np.add.at(totals, index, values)
+    if not isinstance(flows, FlowArrays):
+        flows = FlowArrays.from_flows(list(flows))
+    realms = classifier.classify_columns(flows)
+    kept = np.flatnonzero(realms >= 0)
+    realms = realms[kept]
+    users = flows.user[kept]
+    days = np.floor_divide(flows.start[kept], DAY).astype(np.int64)
+    values = flows.bytes_total[kept]
+    # One key per (user, day); rows are numbered by first appearance.
+    first_day = int(days.min()) if days.size else 0
+    span = int(days.max()) - first_day + 1 if days.size else 1
+    keys, first, inverse = np.unique(
+        users * span + (days - first_day), return_index=True, return_inverse=True
+    )
+    seen = np.argsort(first, kind="stable")
+    row_of_key = np.empty(len(keys), dtype=np.intp)
+    row_of_key[seen] = np.arange(len(keys))
+    totals = np.zeros((len(keys), N_REALMS))
+    np.add.at(totals, (row_of_key[inverse], realms), values)
     store = DailyProfileStore()
-    for (user_id, day), row in rows_of.items():
-        store._volumes.setdefault(user_id, {})[day] = totals[row]
+    volumes = store._volumes
+    user_ids = flows.user_ids
+    for row, key in enumerate(keys[seen].tolist()):
+        user, offset = divmod(key, span)
+        volumes.setdefault(user_ids[user], {})[first_day + offset] = totals[row]
     return store
 
 

@@ -102,25 +102,36 @@ def run(config: ExperimentConfig = PAPER) -> Fig3Result:
                 if len(fixed) < 2:
                     continue
                 ap_of_user = {s.user_id: s.ap_id for s in fixed}
-                relevant_flows = [
-                    (flow, ap_of_user[user_id])
-                    for user_id in ap_of_user
-                    for flow in flows_by_user.get(user_id, ())
-                    if flow.start < hour_window.end and flow.end > hour_window.start
-                ]
                 ap_ids = ap_ids_by_controller[controller_id]
+                position = {ap_id: i for i, ap_id in enumerate(ap_ids)}
+                # The pinned users' flows, user by user in log order: the
+                # order each AP's load sums them in.
+                owned = [
+                    (flows_by_user[user_id], position[ap_id])
+                    for user_id, ap_id in ap_of_user.items()
+                    if user_id in flows_by_user
+                ]
+                start = _concat([flows.start for flows, _ in owned])
+                end = _concat([flows.end for flows, _ in owned])
+                size = _concat([flows.bytes_total for flows, _ in owned])
+                ap = _concat([np.full(len(flows), i) for flows, i in owned], np.intp)
+                duration = end - start
+                live = (
+                    (start < hour_window.end) & (end > hour_window.start)
+                    & (duration > 0)
+                )
+                start, end, size, ap = start[live], end[live], size[live], ap[live]
+                duration = duration[live]
                 for width in SUB_PERIODS:
                     betas = []
                     for lo, hi in hour_window.windows(width):
-                        loads = {ap_id: 0.0 for ap_id in ap_ids}
-                        for flow, ap_id in relevant_flows:
-                            duration = flow.end - flow.start
-                            if duration <= 0:
-                                continue
-                            overlap = min(flow.end, hi) - max(flow.start, lo)
-                            if overlap > 0:
-                                loads[ap_id] += flow.bytes_total * overlap / duration
-                        betas.append(normalized_balance_index(list(loads.values())))
+                        overlap = np.minimum(end, hi) - np.maximum(start, lo)
+                        hit = overlap > 0
+                        loads = np.zeros(len(ap_ids))
+                        np.add.at(
+                            loads, ap[hit], size[hit] * overlap[hit] / duration[hit]
+                        )
+                        betas.append(normalized_balance_index(loads.tolist()))
                     variations[width].extend(variation_series(betas))
 
     return Fig3Result(
@@ -128,3 +139,8 @@ def run(config: ExperimentConfig = PAPER) -> Fig3Result:
             width: np.asarray(values) for width, values in variations.items()
         }
     )
+
+
+def _concat(columns: List[np.ndarray], dtype: type = np.float64) -> np.ndarray:
+    """``np.concatenate`` that also takes no columns (an empty ``dtype``)."""
+    return np.concatenate(columns) if columns else np.empty(0, dtype=dtype)

@@ -57,7 +57,7 @@ def run(
 ) -> Fig6Result:
     """Execute the Fig. 6 measurement on the given preset."""
     workload = build_workload(config)
-    store = build_daily_profiles(workload.collected.flows)
+    store = build_daily_profiles(workload.collected.flow_columns())
     if max_lookback is None:
         max_lookback = max(2, config.train_days - 2)
 

@@ -56,7 +56,7 @@ def run(
 ) -> Fig7Result:
     """Execute the Fig. 7 selection on the given preset."""
     workload = build_workload(config)
-    store = build_daily_profiles(workload.collected.flows)
+    store = build_daily_profiles(workload.collected.flow_columns())
     lookback = min(config.training.lookback_days, config.train_days)
     users, matrix = store.profile_matrix(
         end_day=config.train_days, lookback=lookback

@@ -79,9 +79,10 @@ def build_workload(config: ExperimentConfig) -> Workload:
     ):
         bundle = generator.generate()
     split = config.split_time
+    # Flows are start-sorted, so the training flows are a prefix view.
     train_source = TraceBundle(
         demands=[d for d in bundle.demands if d.arrival < split],
-        flows=[f for f in bundle.flows if f.start < split],
+        flows=bundle.flows_before(split),
     )
     with perf.timer("workload.collect"), obs.span(
         "workload.collect", preset=config.name

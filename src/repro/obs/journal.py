@@ -61,6 +61,9 @@ from repro.obs.tracer import TRACER, Tracer
 
 #: Compact, stable separators — part of the byte-format contract.
 _SEPARATORS = (",", ":")
+#: One encoder for every line (``json.dumps`` with non-default options
+#: builds a new one per call).
+_ENCODER = json.JSONEncoder(separators=_SEPARATORS)
 
 
 def dumps_record(record: JournalRecord) -> str:
@@ -69,7 +72,7 @@ def dumps_record(record: JournalRecord) -> str:
     obj: Dict[str, Any] = {"type": kind, "data": data}
     if wall:
         obj["wall"] = wall
-    return json.dumps(obj, separators=_SEPARATORS)
+    return _ENCODER.encode(obj)
 
 
 def perf_snapshot(registry: Optional[perf_module.PerfRegistry] = None) -> PerfRecord:
@@ -297,5 +300,5 @@ def strip_wall(text: str) -> str:
             # entirely under "wall"; nothing deterministic remains, so
             # the line itself goes.
             continue
-        lines.append(json.dumps(obj, separators=_SEPARATORS))
+        lines.append(_ENCODER.encode(obj))
     return "".join(line + "\n" for line in lines)

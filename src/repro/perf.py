@@ -278,22 +278,27 @@ def wall_seconds() -> float:
 
 
 def peak_rss_bytes() -> int:
-    """Peak resident set size of this process tree, in bytes.
+    """Peak resident set size of this process alone, in bytes.
 
-    Covers both the parent and its reaped pool workers (``RUSAGE_SELF``
-    vs ``RUSAGE_CHILDREN``, whichever peaked higher) — the number the
-    runtime benchmark reports next to speedup, so a transport that
-    trades wall-clock for duplicated memory shows up.  ``ru_maxrss`` is
-    kilobytes on Linux and bytes on macOS; normalized here.
+    Read from ``VmHWM`` in ``/proc/self/status`` where it exists: on
+    Linux ``ru_maxrss`` survives ``exec``, so a small child started from
+    a large parent would report the parent's peak, while ``VmHWM``
+    starts afresh with the new program.  Elsewhere ``RUSAGE_SELF``'s
+    ``ru_maxrss`` (kilobytes on Linux, bytes on macOS; normalized here).
+    Pool workers report their own peaks
+    (:attr:`repro.wlan.replay.ReplayResult.worker_peak_rss_bytes`).
     Deliberately *not* part of :class:`PerfSnapshot`: it is a one-shot
     host measurement, not a mergeable per-task statistic.
     """
     import resource
     import sys
 
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     scale = 1 if sys.platform == "darwin" else 1024
-    peak = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
-    return int(peak) * scale
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * scale

@@ -107,6 +107,7 @@ def merge_shard_results(
         sessions=sessions,
         series=series,
         events_processed=events,
+        worker_peak_rss_bytes=tuple(o.peak_rss_bytes for o in outcomes),
     )
 
 

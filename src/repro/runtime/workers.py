@@ -210,6 +210,8 @@ class ShardOutcome:
     #: The worker's windowed-metrics snapshot; empty when metrics were
     #: off.  Merged parent-side exactly like the journal fragments.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    #: The worker process's own peak RSS as the shard finished.
+    peak_rss_bytes: int = 0
 
 
 def init_worker() -> None:
@@ -279,6 +281,7 @@ def run_replay_shard(task: ShardTask) -> ShardOutcome:
         records=records,
         perf=perf.snapshot(),
         metrics=metrics_snapshot,
+        peak_rss_bytes=perf.peak_rss_bytes(),
     )
 
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro import perf
 from repro.obs import metrics as obs_metrics
-from repro.obs.records import DecisionRecord, candidates_from_states
+from repro.obs.records import DecisionRecord
 from repro.obs.tracer import TRACER
 from repro.service.events import StationJoin
 from repro.service.fastpath import FastAssociator
@@ -178,11 +178,11 @@ class AdmissionQueue:
                         note=STALE_NOTE,
                     )
                     continue
-                ap_id = self.associator.select(event.user_id)
+                ap_id, costs = self.associator.decide(event.user_id)
                 self._commit(
                     event, ticket, enqueued, ap_id,
                     sim_time=now, batch_id=batch_id,
-                    strategy="s3", mode="batch", note=None,
+                    strategy="s3", mode="batch", note=None, costs=costs,
                 )
         obs_metrics.set_gauge("service.queue_depth", 0.0, now)
 
@@ -213,12 +213,15 @@ class AdmissionQueue:
         strategy: str,
         mode: str,
         note: Optional[str],
+        costs: Optional[List[float]] = None,
     ) -> None:
-        """Apply, journal and meter one decision; resolve its ticket."""
+        """Apply, journal and meter one decision; resolve its ticket.
+
+        ``costs`` is the cost row the decision ranked, when it ranked one;
+        the journaled provenance reuses it.
+        """
         tracer = TRACER
         if tracer.enabled:
-            scores = self.associator.score_candidates(event.user_id)
-            states = self.associator.snapshots()
             tracer.decision(
                 DecisionRecord(
                     user_id=event.user_id,
@@ -227,7 +230,7 @@ class AdmissionQueue:
                     batch_id=batch_id,
                     sim_time=sim_time,
                     chosen=ap_id,
-                    candidates=candidates_from_states(states, scores),
+                    candidates=self.associator.candidates(event.user_id, costs),
                     mode=mode,
                     note=note,
                 )

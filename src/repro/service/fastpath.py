@@ -34,7 +34,7 @@ views coincide in every service configuration shipped here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.demand import DemandEstimator
 from repro.core.selection import (
@@ -45,6 +45,7 @@ from repro.core.selection import (
     rank_singleton,
 )
 from repro.core.social import SocialModel
+from repro.obs.records import Candidate
 
 
 class ApRuntime:
@@ -133,9 +134,22 @@ class FastAssociator:
         """Immutable AP snapshots in ranking order."""
         return [ap.snapshot() for ap in self._ranked]
 
-    def score_candidates(self, user_id: str) -> Dict[str, float]:
-        """ap id -> added social cost, for decision provenance."""
-        return dict(zip(self._order, self._index.row(user_id)))
+    def candidates(
+        self, user_id: str, costs: Optional[Sequence[float]] = None
+    ) -> Tuple[Candidate, ...]:
+        """Decision provenance: every AP in id order, read from live state.
+
+        Each candidate carries the AP's load, resident count and the
+        added social cost of ``user_id``.  ``costs`` is the cost row
+        :meth:`decide` returned for this user against the current state;
+        without it the row is computed.
+        """
+        if costs is None:
+            costs = self._index.row(user_id)
+        return tuple(
+            Candidate(ap.ap_id, float(ap.load), len(ap.users), float(cost))
+            for ap, cost in zip(self._ranked, costs)
+        )
 
     # ------------------------------------------------------------ decisions
 
@@ -148,15 +162,20 @@ class FastAssociator:
 
         Infeasible everywhere still admits at the least-loaded AP.
         """
+        return self.decide(user_id)[0]
+
+    def decide(self, user_id: str) -> Tuple[str, List[float]]:
+        """:meth:`select`'s choice plus the cost row it ranked."""
+        costs = self._index.row(user_id)
         choice = rank_singleton(
             self._ranked,
-            self._index.row(user_id),
+            costs,
             self.config.top_fraction,
             self.demand.estimate(user_id),
         )
         if choice is None:
-            return self.least_loaded()
-        return self._order[choice]
+            return self.least_loaded(), costs
+        return self._order[choice], costs
 
     # ------------------------------------------------------- state updates
 

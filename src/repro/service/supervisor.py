@@ -106,6 +106,10 @@ def run_fingerprint(spec: WorkloadSpec, plan: FaultPlan) -> str:
 # ----------------------------------------------------------------- WAL I/O
 
 
+#: The WAL's one encoder: compact separators, sorted keys.
+_WAL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def wal_line(event: ServiceEvent) -> str:
     """One WAL line (no newline) for ``event``."""
     payload: Dict[str, Any] = {
@@ -120,7 +124,7 @@ def wal_line(event: ServiceEvent) -> str:
     else:
         payload["kind"] = "stats"
         payload["rate"] = event.mean_rate
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return _WAL_ENCODER.encode(payload)
 
 
 def _event_from_wal(obj: Dict[str, Any]) -> ServiceEvent:

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.trace.apps import AppRealm, N_REALMS, port_table
+from repro.trace.columnar import FLOW_PROTOCOLS, FlowArrays
 from repro.trace.records import FlowRecord
 
 
@@ -56,6 +57,34 @@ class PortClassifier:
         if protocol == "tcp" and dst_port < 1024:
             return AppRealm.WEB
         return None
+
+    def classify_columns(self, flows: FlowArrays) -> np.ndarray:
+        """The realm code of every row of ``flows``; ``-1`` when unidentified.
+
+        :meth:`classify_ports` over whole columns: the table is looked up
+        once per distinct ``(protocol, dst_port)``, and the two fallback
+        heuristics are applied to the misses as vector masks.
+        """
+        keys, inverse = np.unique(
+            flows.protocol.astype(np.int64) * 65536 + flows.dst_port,
+            return_inverse=True,
+        )
+        looked_up = np.array(
+            [
+                self._table.get((FLOW_PROTOCOLS[key >> 16], key & 65535), -1)
+                for key in keys.tolist()
+            ],
+            dtype=np.int64,
+        )
+        realms = looked_up[inverse]
+        miss = realms < 0
+        floor = self.EPHEMERAL_FLOOR
+        p2p = miss & (flows.src_port >= floor) & (flows.dst_port >= floor)
+        realms[p2p] = AppRealm.P2P
+        tcp = FLOW_PROTOCOLS.index("tcp")
+        web = miss & ~p2p & (flows.protocol == tcp) & (flows.dst_port < 1024)
+        realms[web] = AppRealm.WEB
+        return realms
 
     def classify(self, flow: FlowRecord) -> Optional[AppRealm]:
         """Realm of one flow record, or ``None`` when unidentifiable."""

@@ -23,12 +23,15 @@ share them between ``extract_churn``, ``coleaving_fraction_per_user`` and
 any future vectorized consumer.
 
 :class:`DemandArrays` and :class:`FlowArrays` are the matching columnar
-transposes of the other two record families.  They exist for transport:
-the sharded runtime (:mod:`repro.runtime.shm`) publishes a run's demand
-stream into shared memory once as flat columns, and each worker slices
-its controller-domain rows by index range (:meth:`DemandArrays.slice_rows`)
-instead of unpickling a list of record objects.  Both round-trip exactly
-— ``to_demands()`` / ``to_flows()`` reproduce the original records, field
+transposes of the other two record families.  :class:`DemandArrays` exists
+for transport: the sharded runtime (:mod:`repro.runtime.shm`) publishes a
+run's demand stream into shared memory once as flat columns, and each
+worker slices its controller-domain rows by index range
+(:meth:`DemandArrays.slice_rows`) instead of unpickling a list of record
+objects.  :class:`FlowArrays` is the only in-memory flow log: the
+generator draws it, :class:`~repro.trace.records.TraceBundle` stores it,
+and profiles are built from it.  Both round-trip exactly —
+``to_demands()`` / ``to_flows()`` reproduce the original records, field
 for field (float64 round-trips through numpy losslessly).
 """
 
@@ -38,7 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.trace.records import DemandSession, FlowRecord, SessionRecord
+from repro.trace.records import (
+    DemandSession,
+    FlowRecord,
+    SessionRecord,
+    format_ipv4,
+    parse_ipv4,
+)
 
 #: Row selectors accepted by the ``slice_rows`` helpers: a ``slice``, an
 #: integer index array, or a boolean mask.
@@ -415,19 +424,35 @@ class DemandArrays:
 #: protocol codes used by :class:`FlowArrays` (index == code).
 FLOW_PROTOCOLS: Tuple[str, ...] = ("tcp", "udp")
 
+#: The largest packed IPv4 address.
+_IPV4_MAX = (1 << 32) - 1
+
+
+def _check_table(name: str, table: Sequence[str], codes: np.ndarray) -> None:
+    """Codes index a sorted, duplicate-free table."""
+    if any(a >= b for a, b in zip(table, table[1:])):
+        raise ValueError(f"{name} table must be sorted and duplicate-free")
+    bad = np.flatnonzero((codes < 0) | (codes >= len(table)))
+    if bad.size:
+        raise ValueError(f"{name} code {codes[bad[0]]} outside its table")
+
 
 class FlowArrays:
-    """A columnar transpose of a flow log, built for transport.
+    """The in-memory flow log: one column per :class:`FlowRecord` field.
 
-    String ids (user, endpoint IPs) become ``int64`` codes against sorted
-    tables; ``protocol`` is ``uint8`` against :data:`FLOW_PROTOCOLS`.
-    ``to_flows()`` reproduces the original records field for field.
+    ``user`` and ``src_ip`` are ``int64`` codes against sorted id tables,
+    so comparing codes compares ids; ``dst_ip`` is the packed 32-bit
+    address (:func:`~repro.trace.records.parse_ipv4`); ``protocol`` is
+    ``uint8`` against :data:`FLOW_PROTOCOLS`.  The constructor enforces
+    every check :class:`FlowRecord` enforces, vectorised, so the two forms
+    accept the same flows.  Row subsets (:meth:`slice_rows`) share the
+    tables and skip the checks their parent already passed.
+    ``to_flows()`` reproduces the records field for field.
     """
 
     __slots__ = (
         "user_ids",
         "src_ips",
-        "dst_ips",
         "user",
         "src_ip",
         "dst_ip",
@@ -443,7 +468,6 @@ class FlowArrays:
         self,
         user_ids: Sequence[str],
         src_ips: Sequence[str],
-        dst_ips: Sequence[str],
         user: np.ndarray,
         src_ip: np.ndarray,
         dst_ip: np.ndarray,
@@ -456,7 +480,6 @@ class FlowArrays:
     ) -> None:
         self.user_ids: List[str] = list(user_ids)
         self.src_ips: List[str] = list(src_ips)
-        self.dst_ips: List[str] = list(dst_ips)
         self.user = np.asarray(user, dtype=np.int64)
         self.src_ip = np.asarray(src_ip, dtype=np.int64)
         self.dst_ip = np.asarray(dst_ip, dtype=np.int64)
@@ -466,46 +489,115 @@ class FlowArrays:
         self.start = np.asarray(start, dtype=np.float64)
         self.end = np.asarray(end, dtype=np.float64)
         self.bytes_total = np.asarray(bytes_total, dtype=np.float64)
+        self._check()
+
+    def _check(self) -> None:
+        """Every :class:`FlowRecord` check, over whole columns."""
         n = self.user.shape[0]
         columns = (
             self.src_ip, self.dst_ip, self.protocol, self.src_port,
             self.dst_port, self.start, self.end, self.bytes_total,
         )
-        if any(col.shape[0] != n for col in columns):
+        if any(col.shape != (n,) for col in columns) or self.user.ndim != 1:
             raise ValueError("column lengths disagree")
+        _check_table("user", self.user_ids, self.user)
+        _check_table("src_ip", self.src_ips, self.src_ip)
+        bad = np.flatnonzero(self.end < self.start)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"flow ends at {self.end[i]} before start {self.start[i]}"
+            )
+        bad = np.flatnonzero(self.protocol >= len(FLOW_PROTOCOLS))
+        if bad.size:
+            raise ValueError(f"unknown protocol code {self.protocol[bad[0]]}")
+        bad = np.flatnonzero(self.bytes_total < 0)
+        if bad.size:
+            raise ValueError(f"negative flow bytes {self.bytes_total[bad[0]]!r}")
+        bad = np.flatnonzero(
+            (self.src_port < 1) | (self.src_port > 65535)
+            | (self.dst_port < 1) | (self.dst_port > 65535)
+        )
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"port out of range: src={self.src_port[i]}, "
+                f"dst={self.dst_port[i]}"
+            )
+        bad = np.flatnonzero((self.dst_ip < 0) | (self.dst_ip > _IPV4_MAX))
+        if bad.size:
+            raise ValueError(
+                f"dst_ip {self.dst_ip[bad[0]]} is not a packed IPv4 address"
+            )
+
+    @classmethod
+    def _checked_rows(
+        cls, user_ids: List[str], src_ips: List[str], *columns: np.ndarray
+    ) -> "FlowArrays":
+        """An instance over columns derived from checked ones (no re-check)."""
+        arrays = cls.__new__(cls)
+        arrays.user_ids = user_ids
+        arrays.src_ips = src_ips
+        (
+            arrays.user, arrays.src_ip, arrays.dst_ip, arrays.protocol,
+            arrays.src_port, arrays.dst_port, arrays.start, arrays.end,
+            arrays.bytes_total,
+        ) = columns
+        return arrays
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.user, self.src_ip, self.dst_ip, self.protocol, self.src_port,
+            self.dst_port, self.start, self.end, self.bytes_total,
+        )
 
     # ----------------------------------------------------------- construction
 
     @classmethod
     def from_flows(cls, flows: Sequence[FlowRecord]) -> "FlowArrays":
-        """Transpose a flow log into columns."""
-        n = len(flows)
+        """Transpose a flow log into columns, keeping its row order."""
         user_ids, user_code = _encode_table([f.user_id for f in flows])
         src_ips, src_code = _encode_table([f.src_ip for f in flows])
-        dst_ips, dst_code = _encode_table([f.dst_ip for f in flows])
-        user = np.empty(n, dtype=np.int64)
-        src_ip = np.empty(n, dtype=np.int64)
-        dst_ip = np.empty(n, dtype=np.int64)
-        protocol = np.empty(n, dtype=np.uint8)
-        src_port = np.empty(n, dtype=np.int64)
-        dst_port = np.empty(n, dtype=np.int64)
-        start = np.empty(n, dtype=np.float64)
-        end = np.empty(n, dtype=np.float64)
-        bytes_total = np.empty(n, dtype=np.float64)
-        for i, flow in enumerate(flows):
-            user[i] = user_code[flow.user_id]
-            src_ip[i] = src_code[flow.src_ip]
-            dst_ip[i] = dst_code[flow.dst_ip]
-            protocol[i] = FLOW_PROTOCOLS.index(flow.protocol)
-            src_port[i] = flow.src_port
-            dst_port[i] = flow.dst_port
-            start[i] = flow.start
-            end[i] = flow.end
-            bytes_total[i] = flow.bytes_total
+        # An unknown protocol name maps to a code the column check rejects.
+        protocol_code = {name: code for code, name in enumerate(FLOW_PROTOCOLS)}
         return cls(
-            user_ids, src_ips, dst_ips,
-            user, src_ip, dst_ip, protocol, src_port, dst_port,
-            start, end, bytes_total,
+            user_ids,
+            src_ips,
+            np.array([user_code[f.user_id] for f in flows], dtype=np.int64),
+            np.array([src_code[f.src_ip] for f in flows], dtype=np.int64),
+            np.array([parse_ipv4(f.dst_ip) for f in flows], dtype=np.int64),
+            np.array(
+                [protocol_code.get(f.protocol, 255) for f in flows],
+                dtype=np.uint8,
+            ),
+            np.array([f.src_port for f in flows], dtype=np.int64),
+            np.array([f.dst_port for f in flows], dtype=np.int64),
+            np.array([f.start for f in flows], dtype=np.float64),
+            np.array([f.end for f in flows], dtype=np.float64),
+            np.array([f.bytes_total for f in flows], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["FlowArrays"]) -> "FlowArrays":
+        """The rows of ``parts`` one after another, over merged tables."""
+        if not parts:
+            return cls([], [], *(np.empty(0) for _ in range(9)))
+        user_ids, user_code = _encode_table(
+            [uid for part in parts for uid in part.user_ids]
+        )
+        src_ips, src_code = _encode_table(
+            [ip for part in parts for ip in part.src_ips]
+        )
+
+        def recode(part: "FlowArrays") -> Tuple[np.ndarray, ...]:
+            users = np.array([user_code[u] for u in part.user_ids], dtype=np.int64)
+            ips = np.array([src_code[ip] for ip in part.src_ips], dtype=np.int64)
+            return (users[part.user], ips[part.src_ip]) + part._columns()[2:]
+
+        return cls._checked_rows(
+            user_ids,
+            src_ips,
+            *(np.concatenate(column) for column in zip(*map(recode, parts))),
         )
 
     # -------------------------------------------------------------- basic API
@@ -521,44 +613,85 @@ class FlowArrays:
     def __repr__(self) -> str:
         return f"FlowArrays(flows={self.n_rows}, users={len(self.user_ids)})"
 
+    def present_user_ids(self) -> List[str]:
+        """The ids of the users with at least one row, sorted."""
+        return [self.user_ids[code] for code in np.unique(self.user).tolist()]
+
+    # ---------------------------------------------------------------- order
+
+    def sorted_by_start(self) -> "FlowArrays":
+        """The rows in stable ``(start, user id, dst_port)`` order.
+
+        Returns ``self`` when the rows are already in that order (a
+        stable sort would leave them as they are); otherwise one
+        ``np.lexsort``.  User codes follow sorted ids, so this is the
+        order ``sorted(key=(start, user_id, dst_port))`` gives the rows.
+        """
+        start, user, port = self.start, self.user, self.dst_port
+        same_start = start[:-1] == start[1:]
+        same_user = user[:-1] == user[1:]
+        ordered = (start[:-1] < start[1:]) | (
+            same_start
+            & ((user[:-1] < user[1:]) | (same_user & (port[:-1] <= port[1:])))
+        )
+        if ordered.all():
+            return self
+        return self.slice_rows(np.lexsort((port, user, start)))
+
+    def by_user(self) -> Dict[str, "FlowArrays"]:
+        """user id -> that user's rows in row order, keyed in id order."""
+        order = np.argsort(self.user, kind="stable")
+        codes = self.user[order]
+        cuts = (np.flatnonzero(np.diff(codes)) + 1).tolist()
+        bounds = zip([0] + cuts, cuts + [len(codes)])
+        return {
+            self.user_ids[int(codes[lo])]: self.slice_rows(order[lo:hi])
+            for lo, hi in bounds
+            if hi > lo
+        }
+
     # ---------------------------------------------------------------- slicing
 
     def slice_rows(self, rows: RowSelector) -> "FlowArrays":
-        """A row subset sharing this instance's id tables."""
-        return FlowArrays(
+        """A row subset sharing this instance's id tables.
+
+        A ``slice`` gives views of the columns, not copies.
+        """
+        return FlowArrays._checked_rows(
             self.user_ids,
             self.src_ips,
-            self.dst_ips,
-            self.user[rows],
-            self.src_ip[rows],
-            self.dst_ip[rows],
-            self.protocol[rows],
-            self.src_port[rows],
-            self.dst_port[rows],
-            self.start[rows],
-            self.end[rows],
-            self.bytes_total[rows],
+            *(column[rows] for column in self._columns()),
         )
 
     # --------------------------------------------------------------- decoding
 
     def to_flows(self) -> List[FlowRecord]:
-        """Materialize the rows back into :class:`FlowRecord` records."""
+        """Materialize the rows back into :class:`FlowRecord` records.
+
+        ``tolist()`` decodes each column in one C call and records are
+        built by direct ``__dict__`` assignment: the columns passed every
+        :class:`FlowRecord` check when they were built.
+        """
+        user_ids = self.user_ids
+        src_ips = self.src_ips
+        new = FlowRecord.__new__
         out: List[FlowRecord] = []
-        for i in range(self.n_rows):
-            out.append(
-                FlowRecord(
-                    user_id=self.user_ids[int(self.user[i])],
-                    start=float(self.start[i]),
-                    end=float(self.end[i]),
-                    src_ip=self.src_ips[int(self.src_ip[i])],
-                    dst_ip=self.dst_ips[int(self.dst_ip[i])],
-                    protocol=FLOW_PROTOCOLS[int(self.protocol[i])],
-                    src_port=int(self.src_port[i]),
-                    dst_port=int(self.dst_port[i]),
-                    bytes_total=float(self.bytes_total[i]),
-                )
-            )
+        append = out.append
+        rows = zip(*(column.tolist() for column in self._columns()))
+        for user, src, dst, protocol, sport, dport, start, end, size in rows:
+            record = new(FlowRecord)
+            record.__dict__.update({
+                "user_id": user_ids[user],
+                "start": start,
+                "end": end,
+                "src_ip": src_ips[src],
+                "dst_ip": format_ipv4(dst),
+                "protocol": FLOW_PROTOCOLS[protocol],
+                "src_port": sport,
+                "dst_port": dport,
+                "bytes_total": size,
+            })
+            append(record)
         return out
 
 

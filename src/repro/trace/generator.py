@@ -17,8 +17,9 @@ The generator reproduces the statistical phenomena the paper measures:
 * **independent churn** — solo sessions arrive by a Poisson process and
   end independently, providing the non-social background.
 
-The generator emits :class:`DemandSession` and :class:`FlowRecord` objects
-only.  The *collected* :class:`SessionRecord` log additionally depends on
+The generator emits :class:`DemandSession` records and the flow log as
+:class:`~repro.trace.columnar.FlowArrays` columns only.  The *collected*
+:class:`SessionRecord` log additionally depends on
 the AP-selection strategy in force; it is produced by replaying demands
 through :mod:`repro.wlan.replay` (under LLF, to mirror the production
 trace the paper collects).
@@ -43,7 +44,10 @@ With ``G`` groups and ``F`` flows, whole columns are drawn in this order:
 7. the source port: ``integers(32768, 61000, F)``.
 
 Any change to this order, or to what a column means, is a new layout and
-takes a new version in the stream name.
+takes a new version in the stream name.  The days' columns are then
+concatenated and put in ``(start, user_id, dst_port)`` order by one stable
+``np.lexsort`` (:meth:`~repro.trace.columnar.FlowArrays.sorted_by_start`);
+no per-flow object is built.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from repro.trace.apps import (
     TrafficModel,
     applications_for_realm,
 )
-from repro.trace.records import DemandSession, FlowRecord, TraceBundle
+from repro.trace.columnar import FLOW_PROTOCOLS, FlowArrays
+from repro.trace.records import DemandSession, TraceBundle
 from repro.trace.social import SocialWorld, WorldConfig, build_world
 
 
@@ -130,7 +135,7 @@ class TraceGenerator:
     def generate(self) -> TraceBundle:
         """Generate the full trace for ``config.n_days`` days."""
         demands: List[DemandSession] = []
-        flows: List[FlowRecord] = []
+        days: List[FlowArrays] = []
         with get_tracer().span(
             "trace.generate",
             sim_time=0.0,
@@ -140,9 +145,10 @@ class TraceGenerator:
             for day in range(self.config.n_days):
                 day_demands = self.generate_day(day)
                 demands.extend(day_demands)
-                flows.extend(self._day_flows(day, day_demands))
+                days.append(self._day_flows(day, day_demands))
+            flows = FlowArrays.concat(days)
             span.sim_end = self.config.n_days * DAY
-            span.set(demands=len(demands), flows=len(flows))
+            span.set(demands=len(demands), flows=flows.n_rows)
         return TraceBundle(demands=demands, flows=flows)
 
     def generate_day(self, day: int) -> List[DemandSession]:
@@ -275,24 +281,23 @@ class TraceGenerator:
             group_id=group_id,
         )
 
-    def _day_flows(
-        self, day: int, demands: List[DemandSession]
-    ) -> List[FlowRecord]:
+    def _day_flows(self, day: int, demands: List[DemandSession]) -> FlowArrays:
         """Split one day's demand volumes into port-bearing flows (layout v2).
 
         Draws whole columns from the day's ``flows.v2-<day>`` stream in the
-        order the module docstring documents.  Most flows (85%) are
-        long-lived, spanning essentially the whole session (streaming, P2P,
-        persistent HTTP): they are why a fixed user population shows a
-        near-constant balance index (the paper's Fig. 3).  The rest are
-        bursty short flows somewhere inside the session.
+        order the module docstring documents and returns them as columns,
+        rows in draw order.  Most flows (85%) are long-lived, spanning
+        essentially the whole session (streaming, P2P, persistent HTTP):
+        they are why a fixed user population shows a near-constant balance
+        index (the paper's Fig. 3).  The rest are bursty short flows
+        somewhere inside the session.
         """
         if not demands:
-            return []
+            return FlowArrays.concat([])
         volumes = np.array([d.realm_bytes for d in demands], dtype=float)
         group_demand, group_realm = np.nonzero(volumes > 0)
         if not len(group_demand):
-            return []
+            return FlowArrays.concat([])
         rng = self.streams.get(f"flows.v2-{day}")
         max_flows = self.config.max_flows_per_realm
         counts = rng.integers(1, max_flows + 1, size=len(group_demand))
@@ -324,30 +329,26 @@ class TraceGenerator:
         end = np.minimum(end, departure)
         flow_bytes = volumes[demand, realm] * share
 
-        user_ids = [d.user_id for d in demands]
-        src_ips = [_user_ip(user_id) for user_id in user_ids]
-        return [
-            FlowRecord(
-                user_id=user_ids[d],
-                start=f_start,
-                end=f_end,
-                src_ip=src_ips[d],
-                dst_ip=f"{a}.{b}.{c}.{e}",
-                protocol=_PORT_PROTOCOL[p],
-                src_port=src_port,
-                dst_port=_PORTS[p],
-                bytes_total=size,
-            )
-            for d, f_start, f_end, (a, b, c, e), p, src_port, size in zip(
-                demand.tolist(),
-                start.tolist(),
-                end.tolist(),
-                octets.tolist(),
-                port.tolist(),
-                src_ports.tolist(),
-                flow_bytes.tolist(),
-            )
-        ]
+        user_ids = sorted({d.user_id for d in demands})
+        user_code = {user_id: code for code, user_id in enumerate(user_ids)}
+        user = np.array([user_code[d.user_id] for d in demands])[demand]
+        user_ips = [_user_ip(user_id) for user_id in user_ids]
+        src_ips = sorted(set(user_ips))
+        src_code = {ip: code for code, ip in enumerate(src_ips)}
+        user_src = np.array([src_code[ip] for ip in user_ips])
+        return FlowArrays(
+            user_ids,
+            src_ips,
+            user,
+            user_src[user],
+            octets @ _IPV4_WEIGHTS,
+            _PORT_PROTOCOL[port],
+            src_ports,
+            _PORTS[port],
+            start,
+            end,
+            flow_bytes,
+        )
 
 
 def _user_ip(user_id: str) -> str:
@@ -362,7 +363,7 @@ def _app_columns() -> Tuple[Any, ...]:
     app_count: List[int] = []
     port_offset: List[int] = []
     port_count: List[int] = []
-    protocols: List[str] = []
+    protocols: List[int] = []
     ports: List[int] = []
     for realm in REALMS:
         apps = applications_for_realm(realm)
@@ -372,19 +373,24 @@ def _app_columns() -> Tuple[Any, ...]:
             port_offset.append(len(ports))
             port_count.append(len(app.ports))
             ports.extend(app.ports)
-            protocols.extend([app.protocol] * len(app.ports))
-    columns = (app_offset, app_count, port_offset, port_count)
-    return tuple(np.array(column) for column in columns) + (protocols, ports)
+            protocols.extend([FLOW_PROTOCOLS.index(app.protocol)] * len(app.ports))
+    columns = (app_offset, app_count, port_offset, port_count, ports)
+    return tuple(np.array(column, dtype=np.int64) for column in columns) + (
+        np.array(protocols, dtype=np.uint8),
+    )
 
 
 #: Realm -> first index and number of its applications; application ->
-#: first index and number of its ports; port index -> protocol and port.
-_APP_OFFSET, _APP_COUNT, _PORT_OFFSET, _PORT_COUNT, _PORT_PROTOCOL, _PORTS = (
+#: first index and number of its ports; port index -> port number and
+#: protocol code (:data:`FLOW_PROTOCOLS`).
+_APP_OFFSET, _APP_COUNT, _PORT_OFFSET, _PORT_COUNT, _PORTS, _PORT_PROTOCOL = (
     _app_columns()
 )
 #: Server IPs are ``[11, 223) . [0, 255) . [0, 255) . [1, 254)``.
 _SERVER_IP_LOW = np.array([11, 0, 0, 1])
 _SERVER_IP_HIGH = np.array([223, 255, 255, 254])
+#: Octet weights that pack four octets into one 32-bit address.
+_IPV4_WEIGHTS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
 
 
 def generate_trace(

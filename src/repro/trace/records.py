@@ -8,7 +8,9 @@ Three record families mirror the paper's data sources (Section III.A):
 * :class:`FlowRecord` — what the core-network routers log: source /
   destination IP addresses, transport protocol and ports, byte counts.
   Application realms are *not* stored on the record; they are recovered by
-  the port-heuristic classifier, exactly as in the paper.
+  the port-heuristic classifier, exactly as in the paper.  In memory the
+  flow log is held as columns (:class:`~repro.trace.columnar.FlowArrays`);
+  a :class:`FlowRecord` is the row type of CSV I/O and of tests.
 * :class:`DemandSession` — the *replayable demand* underlying a session:
   who wanted to be online, where, when, and with which per-realm traffic.
   This is the input to trace-driven simulation (Section V methodology);
@@ -19,7 +21,7 @@ Three record families mirror the paper's data sources (Section III.A):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar imports us)
     from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
@@ -72,13 +74,39 @@ class SessionRecord:
         return self.bytes_total * self.overlap(lo, hi) / self.duration
 
 
+def parse_ipv4(text: str) -> int:
+    """The packed 32-bit value of a canonical dotted-quad IPv4 address.
+
+    Canonical means four decimal octets in ``0..255`` without leading
+    zeros, so :func:`format_ipv4` gives the text back unchanged.
+    """
+    parts = text.split(".")
+    if len(parts) == 4 and all(
+        part.isascii() and part.isdigit() and (part == "0" or part[0] != "0")
+        for part in parts
+    ):
+        a, b, c, d = (int(part) for part in parts)
+        if max(a, b, c, d) <= 255:
+            return (a << 24) | (b << 16) | (c << 8) | d
+    raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
+
+
+def format_ipv4(value: int) -> str:
+    """The dotted-quad text of a packed 32-bit IPv4 address."""
+    return f"{value >> 24}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One logged core-router flow.
 
     ``dst_port`` is the server-side port; the classifier keys on
     ``(protocol, dst_port)``.  ``user_id`` stands in for the IP-to-user join
-    the paper performs against DHCP/auth logs.
+    the paper performs against DHCP/auth logs.  ``dst_ip`` is a canonical
+    dotted quad (:func:`parse_ipv4`), the form the columnar log packs.
+    Every check here is also a vectorised check of
+    :class:`~repro.trace.columnar.FlowArrays`, so both forms accept the
+    same flows.
     """
 
     user_id: str
@@ -102,6 +130,7 @@ class FlowRecord:
             raise ValueError(
                 f"port out of range: src={self.src_port}, dst={self.dst_port}"
             )
+        parse_ipv4(self.dst_ip)
 
 
 @dataclass(frozen=True)
@@ -162,29 +191,37 @@ class TraceBundle:
     Holds the three record families plus the id universe, with the indexed
     accessors the analysis toolkit needs.  Records are stored sorted by
     start time; accessors build lazy per-user / per-AP indices.
+
+    The flow log is held only as :class:`~repro.trace.columnar.FlowArrays`
+    columns, ordered by ``(start, user_id, dst_port)``.  ``flows=`` takes
+    either columns (passed through when already in that order) or
+    :class:`FlowRecord` rows, which are transposed once.  :attr:`flows`
+    materialises rows on each read for CSV I/O and tests; product paths
+    read :meth:`flow_columns`.
     """
 
     def __init__(
         self,
         sessions: Iterable[SessionRecord] = (),
-        flows: Iterable[FlowRecord] = (),
+        flows: Union[Iterable[FlowRecord], "FlowArrays"] = (),
         demands: Iterable[DemandSession] = (),
     ) -> None:
+        from repro.trace.columnar import FlowArrays
+
         self.sessions: List[SessionRecord] = sorted(
             sessions, key=lambda r: (r.connect, r.user_id, r.ap_id)
         )
-        self.flows: List[FlowRecord] = sorted(
-            flows, key=lambda r: (r.start, r.user_id, r.dst_port)
-        )
+        if not isinstance(flows, FlowArrays):
+            flows = FlowArrays.from_flows(list(flows))
+        self._flows: "FlowArrays" = flows.sorted_by_start()
         self.demands: List[DemandSession] = sorted(
             demands, key=lambda r: (r.arrival, r.user_id)
         )
         self._sessions_by_user: Optional[Dict[str, List[SessionRecord]]] = None
         self._sessions_by_ap: Optional[Dict[str, List[SessionRecord]]] = None
-        self._flows_by_user: Optional[Dict[str, List[FlowRecord]]] = None
+        self._flows_by_user: Optional[Dict[str, "FlowArrays"]] = None
         self._columns: Optional["SessionArrays"] = None
         self._demand_columns: Optional["DemandArrays"] = None
-        self._flow_columns: Optional["FlowArrays"] = None
 
     # ------------------------------------------------------------------ ids
 
@@ -192,7 +229,7 @@ class TraceBundle:
     def user_ids(self) -> List[str]:
         """All user ids seen anywhere in the bundle, sorted."""
         ids = {r.user_id for r in self.sessions}
-        ids.update(r.user_id for r in self.flows)
+        ids.update(self._flows.present_user_ids())
         ids.update(r.user_id for r in self.demands)
         return sorted(ids)
 
@@ -205,6 +242,35 @@ class TraceBundle:
     def controller_ids(self) -> List[str]:
         """All controller ids seen in the session log, sorted."""
         return sorted({r.controller_id for r in self.sessions})
+
+    # ---------------------------------------------------------------- flows
+
+    @property
+    def flows(self) -> List[FlowRecord]:
+        """The flow log as rows, built afresh on every read (nothing cached).
+
+        For CSV I/O, pseudonymization and tests; product paths read the
+        columns (:meth:`flow_columns`).
+        """
+        return self._flows.to_flows()
+
+    @property
+    def n_flows(self) -> int:
+        """Number of flows in the log."""
+        return self._flows.n_rows
+
+    def flow_columns(self) -> "FlowArrays":
+        """The flow log as :class:`~repro.trace.columnar.FlowArrays`.
+
+        Rows are in ``(start, user_id, dst_port)`` order, the order
+        :attr:`flows` lists them in.
+        """
+        return self._flows
+
+    def flows_before(self, time: float) -> "FlowArrays":
+        """The flows starting before ``time``: a prefix view, no copy."""
+        count = int(np.searchsorted(self._flows.start, time, side="left"))
+        return self._flows.slice_rows(slice(0, count))
 
     # -------------------------------------------------------------- indexing
 
@@ -252,21 +318,14 @@ class TraceBundle:
             self._demand_columns = DemandArrays.from_demands(self.demands)
         return self._demand_columns
 
-    def flow_columns(self) -> "FlowArrays":
-        """The flow log as cached :class:`~repro.trace.columnar.FlowArrays`."""
-        if self._flow_columns is None:
-            from repro.trace.columnar import FlowArrays
+    def flows_by_user(self) -> Dict[str, "FlowArrays"]:
+        """user id -> that user's flows in log order (built lazily).
 
-            self._flow_columns = FlowArrays.from_flows(self.flows)
-        return self._flow_columns
-
-    def flows_by_user(self) -> Dict[str, List[FlowRecord]]:
-        """user id -> that user's flows (built lazily)."""
+        Keys are in sorted user-id order; each value is a row subset of
+        :meth:`flow_columns`.
+        """
         if self._flows_by_user is None:
-            index: Dict[str, List[FlowRecord]] = {}
-            for record in self.flows:
-                index.setdefault(record.user_id, []).append(record)
-            self._flows_by_user = index
+            self._flows_by_user = self._flows.by_user()
         return self._flows_by_user
 
     # -------------------------------------------------------------- slicing
@@ -275,9 +334,10 @@ class TraceBundle:
         """Sessions overlapping the half-open window ``[lo, hi)``."""
         return [r for r in self.sessions if r.connect < hi and r.disconnect > lo]
 
-    def flows_in(self, lo: float, hi: float) -> List[FlowRecord]:
-        """Flows overlapping the half-open window [lo, hi)."""
-        return [r for r in self.flows if r.start < hi and r.end > lo]
+    def flows_in(self, lo: float, hi: float) -> "FlowArrays":
+        """Flows overlapping the half-open window [lo, hi), as columns."""
+        flows = self._flows
+        return flows.slice_rows((flows.start < hi) & (flows.end > lo))
 
     def demands_in(self, lo: float, hi: float) -> List[DemandSession]:
         """Demands overlapping the half-open window [lo, hi)."""
@@ -295,9 +355,11 @@ class TraceBundle:
 
     def merged_with(self, other: "TraceBundle") -> "TraceBundle":
         """A new bundle with the union of both bundles' records."""
+        from repro.trace.columnar import FlowArrays
+
         return TraceBundle(
             sessions=self.sessions + other.sessions,
-            flows=self.flows + other.flows,
+            flows=FlowArrays.concat([self._flows, other._flows]),
             demands=self.demands + other.demands,
         )
 
@@ -307,6 +369,6 @@ class TraceBundle:
     def __repr__(self) -> str:
         return (
             f"TraceBundle(sessions={len(self.sessions)}, "
-            f"flows={len(self.flows)}, demands={len(self.demands)}, "
+            f"flows={self.n_flows}, demands={len(self.demands)}, "
             f"users={len(self.user_ids)})"
         )

@@ -223,6 +223,9 @@ class ReplayResult:
     sessions: List[SessionRecord]
     series: Dict[str, ControllerSeries]
     events_processed: int
+    #: Each process-engine worker's own peak RSS when its shard finished
+    #: (empty for a serial run): a host measurement, not a replay output.
+    worker_peak_rss_bytes: Tuple[int, ...] = ()
 
     def to_bundle(
         self, source: Optional[TraceBundle] = None
@@ -235,7 +238,7 @@ class ReplayResult:
         """
         return TraceBundle(
             sessions=self.sessions,
-            flows=source.flows if source is not None else [],
+            flows=source.flow_columns() if source is not None else (),
             demands=source.demands if source is not None else [],
         )
 

@@ -132,8 +132,8 @@ def loop_daily_profiles(flows, classifier=None):
 
 
 def assert_same_store(actual, expected):
-    """Same users, same days in the same insertion order, same bytes."""
-    assert actual.user_ids == expected.user_ids
+    """Same users and days in the same insertion order, same bytes."""
+    assert list(actual._volumes) == list(expected._volumes)
     for user in expected.user_ids:
         assert list(actual._volumes[user]) == list(expected._volumes[user])
         for day in expected.days_of(user):

@@ -156,3 +156,28 @@ class TestSnapshotMerge:
         merged.combine(loaded)
         assert merged.minimum == pytest.approx(0.5)
         assert merged.maximum == pytest.approx(0.5)
+
+
+class TestPeakRss:
+    def test_child_exec_from_larger_parent_reports_its_own_peak(self):
+        # On Linux ``ru_maxrss`` survives exec: a child started from a
+        # large parent would report at least the parent's peak.
+        import os
+        import subprocess
+        import sys
+
+        from repro import perf
+
+        ballast = b"x" * (64 << 20)  # raise this process's own peak
+        parent_peak = perf.peak_rss_bytes()
+        assert parent_peak >= len(ballast)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        report = "from repro import perf; print(perf.peak_rss_bytes())"
+        done = subprocess.run(
+            [sys.executable, "-c", report],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        child_peak = int(done.stdout)
+        del ballast
+        assert 0 < child_peak < parent_peak - (32 << 20)

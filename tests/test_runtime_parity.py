@@ -43,6 +43,10 @@ def test_replay_engines_identical_llf(small_workload):
         layout, LeastLoadedFirst(), demands, config, workers=2
     )
     assert_results_identical(serial, process)
+    # Each worker reports its own peak; a serial run has no workers.
+    assert serial.worker_peak_rss_bytes == ()
+    assert len(process.worker_peak_rss_bytes) == 2
+    assert all(peak > 0 for peak in process.worker_peak_rss_bytes)
 
 
 def test_replay_engines_identical_s3(small_workload, small_model):

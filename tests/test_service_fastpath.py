@@ -66,11 +66,13 @@ def _assert_kernel_parity(
 ) -> str:
     """One arrival: equal cost rows and equal choices; returns the choice."""
     snapshots = fast.snapshots()
-    assert list(fast.score_candidates(user).values()) == selector.cost_row(
-        user, snapshots
-    ), f"cost rows of {user} differ"
+    row = selector.cost_row(user, snapshots)
+    assert [c.score for c in fast.candidates(user)] == row, (
+        f"cost rows of {user} differ"
+    )
     chosen = fast.select(user)
     assert chosen == selector.select(user, snapshots), f"user {user} diverged"
+    assert fast.decide(user) == (chosen, row)
     return chosen
 
 
@@ -456,7 +458,7 @@ def run_against_oracle(fast: FastAssociator, ops: List[Tuple]) -> Set[str]:
             if fast.ap_of(user) is not None:
                 continue
             seen.update(_cases(fast, user))
-            assert fast.score_candidates(user) == {
+            assert {c.ap_id: c.score for c in fast.candidates(user)} == {
                 ap_id: oracle_added_cost(social, user, fast.ap(ap_id).users, seated)
                 for ap_id in fast.ap_ids
             }
@@ -569,12 +571,14 @@ def test_partner_order_sums_with_more_partners_than_residents() -> None:
     # Five partners against three residents joined in reverse: still
     # partner order, never resident join order.
     fast = _ordered_case(["p1", "p2", "p3"], 2, ["p3", "p2", "p1"])
-    assert fast.score_candidates("x")["ap0"] == _PARTNER_ORDER_SUM
+    scores = {c.ap_id: c.score for c in fast.candidates("x")}
+    assert scores["ap0"] == _PARTNER_ORDER_SUM
     assert _oracle_ap0(fast) == _PARTNER_ORDER_SUM
 
 
 def test_order_sensitive_bucket_sums_in_partner_order() -> None:
     # Three partners against four residents: the walk goes by partner.
     fast = _ordered_case(["p1", "p2", "p3"], 0, ["p3", "p2", "p1", "r"])
-    assert fast.score_candidates("x")["ap0"] == _PARTNER_ORDER_SUM
+    scores = {c.ap_id: c.score for c in fast.candidates("x")}
+    assert scores["ap0"] == _PARTNER_ORDER_SUM
     assert _oracle_ap0(fast) == _PARTNER_ORDER_SUM
