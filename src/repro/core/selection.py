@@ -43,9 +43,11 @@ the prototype and the controller service
   total load, so it ranks by sum(loads_after^2), ascending
   (:func:`balance_squares`).
 
-The algorithm sees APs only through :class:`APState` snapshots (the
-service, its live ``ApRuntime`` table), builds one :class:`CostIndex`
-from them per decision call, and never mutates caller state.
+The algorithm sees a controller domain
+(:class:`repro.wlan.entities.ControllerRuntime`) as :class:`Candidates`:
+:class:`APState` snapshots carrying the domain's live :class:`CostIndex`,
+which it reads and never rebuilds.  Clique placement seats placed members
+in the index only until it returns.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _distributions(n_aps: int, n_members: int) -> np.ndarray:
 
 
 class CandidateAP(Protocol):
-    """What the rank reads of an AP (an APState or a live ApRuntime)."""
+    """What the rank reads of an AP (an APState or a live APRuntime)."""
 
     @property
     def ap_id(self) -> str: ...
@@ -301,6 +303,36 @@ class CostIndex:  # repro: noqa[cache-invalidation]
         return row
 
 
+class Candidates(Tuple[APState, ...]):
+    """A controller domain's candidate APs: snapshots in AP id order, the
+    domain's live :class:`CostIndex` (None if it keeps none) and each
+    candidate's position there (APs that are down are left out)."""
+
+    index: Optional[CostIndex]
+    positions: Tuple[int, ...]
+
+    def __new__(
+        cls,
+        states: Iterable[APState],
+        index: Optional[CostIndex] = None,
+        positions: Optional[Iterable[int]] = None,
+    ) -> "Candidates":
+        self = super().__new__(cls, states)
+        self.index = index
+        self.positions = tuple(range(len(self)) if positions is None else positions)
+        return self
+
+    def live_index(self) -> CostIndex:
+        if self.index is None:
+            raise ValueError("the controller domain keeps no cost index")
+        return self.index
+
+    def costs(self, user_id: str) -> List[float]:
+        """C(AP) of ``user_id`` at each candidate, read from the index."""
+        row = self.live_index().row(user_id)
+        return row if len(row) == len(self) else [row[p] for p in self.positions]
+
+
 def rank_singleton(
     aps: Sequence[CandidateAP],
     costs: Sequence[float],
@@ -367,17 +399,13 @@ class S3Selector:
         self.demand = demand
         self.config = config if config is not None else SelectionConfig()
 
-    def cost_index(self, aps: Sequence[APState]) -> CostIndex:
-        """A :class:`CostIndex` seating the residents of ``aps``."""
-        return CostIndex(self.social, [ap.users for ap in aps])
-
-    def cost_row(self, user_id: str, aps: Sequence[APState]) -> List[float]:
+    def cost_row(self, user_id: str, aps: Candidates) -> List[float]:
         """C(AP) of adding ``user_id`` to each of ``aps``."""
-        return self.cost_index(aps).row(user_id)
+        return aps.costs(user_id)
 
     # ------------------------------------------------------- single arrival
 
-    def select(self, user_id: str, aps: Sequence[APState]) -> str:
+    def select(self, user_id: str, aps: Candidates) -> str:
         """Online assignment of one arriving user; returns the AP id.
 
         This is Algorithm 1 for a singleton clique (:func:`rank_singleton`).
@@ -389,7 +417,7 @@ class S3Selector:
             raise ValueError("no candidate APs")
         choice = rank_singleton(
             aps,
-            self.cost_row(user_id, aps),
+            aps.costs(user_id),
             self.config.top_fraction,
             self.demand.estimate(user_id),
         )
@@ -400,12 +428,13 @@ class S3Selector:
     # --------------------------------------------------------- batch arrival
 
     def assign_batch(
-        self, user_ids: Sequence[str], aps: Sequence[APState]
+        self, user_ids: Sequence[str], aps: Candidates
     ) -> Dict[str, str]:
         """Algorithm 1 over a batch of waiting users.
 
-        Returns user id -> AP id.  AP snapshots are updated internally as
-        cliques are placed so later cliques see earlier placements.
+        Returns user id -> AP id.  Placed cliques are seated in the index
+        (and their loads added) so later cliques see them; the index is
+        left as it was.
         """
         if not aps:
             raise ValueError("no candidate APs")
@@ -415,23 +444,33 @@ class S3Selector:
         if len(waiting) == 1:
             return {waiting[0]: self.select(waiting[0], aps)}
 
-        states: Dict[str, APState] = {ap.ap_id: ap for ap in aps}
+        index = aps.live_index()
+        slot = {ap.ap_id: i for i, ap in enumerate(aps)}
+        states = list(aps)
         graph = self.social.build_graph(waiting, threshold=self.config.edge_threshold)
         cover = clique_cover(graph)
 
         assignment: Dict[str, str] = {}
-        for clique in cover.cliques:
-            placement = self._place_clique(clique, list(states.values()))
-            for user_id, ap_id in placement.items():
-                rate = self.demand.estimate(user_id)
-                states[ap_id] = states[ap_id].with_user(user_id, rate)
-                assignment[user_id] = ap_id
+        try:
+            for clique in cover.cliques:
+                placement = self._place_clique(
+                    clique, Candidates(states, index, aps.positions)
+                )
+                for user_id, ap_id in placement.items():
+                    i = slot[ap_id]
+                    rate = self.demand.estimate(user_id)
+                    states[i] = states[i].with_user(user_id, rate)
+                    index.join(user_id, aps.positions[i])
+                    assignment[user_id] = ap_id
+        finally:
+            for user_id in assignment:
+                index.leave(user_id)
         return assignment
 
     # ---------------------------------------------------------- clique step
 
     def _place_clique(
-        self, members: Sequence[str], aps: Sequence[APState]
+        self, members: Sequence[str], aps: Candidates
     ) -> Dict[str, str]:
         """Place one clique: enumerate (or greedily construct) distributions,
         rank by social cost, re-rank the top fraction by balance index."""
@@ -445,12 +484,11 @@ class S3Selector:
         return self._place_greedy(members, aps)
 
     def _place_exhaustive(
-        self, members: List[str], aps: Sequence[APState]
+        self, members: List[str], aps: Candidates
     ) -> Dict[str, str]:
         combos = _distributions(len(aps), len(members))
         rows = np.arange(len(combos))
-        index = self.cost_index(aps)
-        member_costs = np.array([index.row(user) for user in members], dtype=float)
+        member_costs = np.array([aps.costs(user) for user in members], dtype=float)
         # Every distribution's cost and added load, summed in one fixed
         # order from 0.0: member costs in member order, then the internal
         # delta of each co-located member pair in (i, j) order.  Each
@@ -496,29 +534,34 @@ class S3Selector:
     def _place_greedy(
         self,
         members: List[str],
-        aps: Sequence[APState],
+        aps: Candidates,
         ignore_bandwidth: bool = False,
     ) -> Dict[str, str]:
         """Sequential fallback for cliques too large to enumerate: heaviest
         demand first, each user placed by :func:`rank_singleton` over the
-        APs with room for them (over every AP when none has room)."""
+        APs with room for them (over every AP when none has room), each
+        seated in the index until this returns."""
         states = list(aps)
-        index = self.cost_index(aps)
+        index = aps.live_index()
         order = sorted(members, key=lambda u: -self.demand.estimate(u))
         placement: Dict[str, str] = {}
         top_fraction = self.config.top_fraction
-        for user_id in order:
-            rate = self.demand.estimate(user_id)
-            row = index.row(user_id)
-            choice = (
-                None
-                if ignore_bandwidth
-                else rank_singleton(states, row, top_fraction, rate)
-            )
-            if choice is None:
-                choice = rank_singleton(states, row, top_fraction)
-            assert choice is not None
-            placement[user_id] = states[choice].ap_id
-            states[choice] = states[choice].with_user(user_id, rate)
-            index.join(user_id, choice)
+        try:
+            for user_id in order:
+                rate = self.demand.estimate(user_id)
+                row = aps.costs(user_id)
+                choice = (
+                    None
+                    if ignore_bandwidth
+                    else rank_singleton(states, row, top_fraction, rate)
+                )
+                if choice is None:
+                    choice = rank_singleton(states, row, top_fraction)
+                assert choice is not None
+                index.join(user_id, aps.positions[choice])
+                placement[user_id] = states[choice].ap_id
+                states[choice] = states[choice].with_user(user_id, rate)
+        finally:
+            for user_id in placement:
+                index.leave(user_id)
         return placement

@@ -84,11 +84,14 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
         ),
     ),
     "repro.core.selection.CostIndex.row": ParityEntry(
-        # The one S³ decision kernel: the service's live index and the one
-        # replay builds from snapshots both equal the per-resident walk.
+        # The one S³ decision kernel: the live index every controller
+        # domain keeps (replay, prototype, service) equals the
+        # per-resident walk and an index rebuilt from the snapshots.
         reference="tests/selection_oracle.py::oracle_added_cost",
         tests=(
             "tests/test_service_fastpath.py::test_cost_row_is_bit_identical_to_per_ap_walk",
+            "tests/test_wlan_replay.py::TestLiveCostIndex::test_live_rows_equal_rebuilt_rows",
+            "tests/test_wlan_entities.py::TestCachedState::test_caches_track_every_mutation",
             "tests/test_service_fastpath.py::test_partner_order_sums_with_more_partners_than_residents",
             "tests/test_service_fastpath.py::test_order_sensitive_bucket_sums_in_partner_order",
             "tests/test_service_fastpath.py::test_kernel_parity_on_every_small_interleaving",

@@ -96,12 +96,12 @@ class Testbed:
 
     def association_counts(self) -> Dict[str, int]:
         """Current station count per AP."""
-        return {ap.info.ap_id: ap.user_count for ap in self.aps}
+        return {ap.info.ap_id: ap.runtime.user_count for ap in self.aps}
 
     def balance_of_counts(self) -> float:
         """Normalized balance index of the association counts."""
         return normalized_balance_index(
-            [ap.user_count for ap in self.aps]
+            [ap.runtime.user_count for ap in self.aps]
         )
 
 

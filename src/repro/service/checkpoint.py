@@ -49,8 +49,10 @@ from repro.service.loop import ControllerService
 
 #: Bumped whenever the checkpoint layout changes incompatibly.  Version
 #: 5 added :attr:`ServiceCheckpoint.wal_offset` and the columnar
-#: ``SocialModel`` pickle state, which version-4 pickles do not have.
-CHECKPOINT_VERSION = 5
+#: ``SocialModel`` pickle state; version 6 keeps the associator's APs in
+#: a :class:`~repro.wlan.entities.ControllerRuntime`, which version-5
+#: pickles do not have.
+CHECKPOINT_VERSION = 6
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro import perf
 from repro.analysis.balance import normalized_balance_index
-from repro.core.selection import APState
+from repro.core.selection import Candidates
 from repro.faults.model import (
     REPLAY_KINDS,
     ApDown,
@@ -80,7 +80,7 @@ from repro.sim.timeline import MINUTE
 from repro.trace.columnar import DemandArrays
 from repro.trace.records import DemandSession, SessionRecord, TraceBundle
 from repro.trace.social import CampusLayout
-from repro.wlan.entities import CampusRuntime, ControllerRuntime
+from repro.wlan.entities import CampusRuntime
 from repro.wlan.metrics import ControllerSeries, MetricsCollector
 from repro.wlan.radio import rssi_map, sample_position
 from repro.wlan.strategies import SelectionStrategy, StrongestSignal
@@ -335,7 +335,7 @@ class ReplayEngine:
                 f"window start {window.start}"
             )
 
-        campus = CampusRuntime(self.layout)
+        campus = CampusRuntime(self.layout, self.strategy.social)
         sampled = (
             sorted(campus.controllers)
             if controllers is None
@@ -785,15 +785,6 @@ class ReplayEngine:
             times.sort()
         return events
 
-    def _candidate_states(
-        self, controller: ControllerRuntime, down: Optional[Set[str]]
-    ) -> List[APState]:
-        """The controller's snapshots minus APs currently down."""
-        snapshots = controller.snapshots()
-        if down:
-            snapshots = [s for s in snapshots if s.ap_id not in down]
-        return snapshots
-
     def _assign_batch(
         self,
         campus: CampusRuntime,
@@ -812,7 +803,7 @@ class ReplayEngine:
             for d in batch
         }
         user_ids = [d.user_id for d in batch]
-        snapshots = self._candidate_states(controller, down)
+        snapshots = controller.snapshots(down=down or ())
         perf.count("replay.batches")
         obs_metrics.inc("replay.batches", 1.0, sim.now)
         # Build the span args only when tracing: this runs once per flush,
@@ -833,94 +824,69 @@ class ReplayEngine:
                 None if outage_until is None
                 else outage_until.get(controller_id)
             )
-            if outage_end is not None and sim.now < outage_end:
+            outage = outage_end is not None and sim.now < outage_end
+            placement = None
+            if outage:
                 # Controller unreachable: the engine steers each station
                 # to its strongest signal, the declared last resort of
                 # every fallback chain.
                 perf.count("faults.outage_fallback", len(batch))
-                for demand in batch:
-                    states = self._candidate_states(controller, down)
-                    choice = self._rssi_fallback.select(
-                        demand.user_id,
-                        states,
-                        rssi=rssi_by_user[demand.user_id],
+            else:
+                with perf.timer("replay.assign_batch"):
+                    placement = self.strategy.assign_batch(
+                        user_ids, snapshots, rssi_by_user=rssi_by_user
                     )
-                    self._observe_decision(
-                        sim.now, len(states),
-                        "fallback:rssi:controller-outage",
-                    )
-                    if tracer.enabled:
-                        scores = self._rssi_fallback.score_candidates(
-                            demand.user_id,
-                            states,
-                            rssi=rssi_by_user[demand.user_id],
-                        )
-                        tracer.decision(
-                            DecisionRecord(
-                                user_id=demand.user_id,
-                                strategy=self._rssi_fallback.name,
-                                controller_id=controller_id,
-                                batch_id=batch_id,
-                                sim_time=sim.now,
-                                chosen=choice,
-                                candidates=candidates_from_states(
-                                    states, scores
-                                ),
-                                mode="single",
-                                note="fallback:rssi:controller-outage",
-                            )
-                        )
-                    place(demand, choice, controller_id)
-                return
-            with perf.timer("replay.assign_batch"):
-                placement = self.strategy.assign_batch(
-                    user_ids, snapshots, rssi_by_user=rssi_by_user
-                )
             if placement is None:
                 # Sequential fallback: live snapshots between picks, which
                 # is what an arrival-at-a-time controller does.
+                strategy = self._rssi_fallback if outage else self.strategy
                 for demand in batch:
-                    states = self._candidate_states(controller, down)
-                    choice = self.strategy.select(
-                        demand.user_id,
-                        states,
-                        rssi=rssi_by_user[demand.user_id],
+                    rssi = rssi_by_user[demand.user_id]
+                    states = controller.snapshots(down=down or ())
+                    choice = strategy.select(demand.user_id, states, rssi=rssi)
+                    note = (
+                        "fallback:rssi:controller-outage"
+                        if outage
+                        else strategy.consume_degradation()
                     )
-                    note = self.strategy.consume_degradation()
                     self._observe_decision(sim.now, len(states), note)
                     if tracer.enabled:
                         tracer.decision(
                             self._decision(
-                                demand, states, choice, controller_id,
-                                batch_id, sim.now, mode="single",
-                                rssi=rssi_by_user[demand.user_id],
-                                note=note,
+                                strategy, demand, states, choice, controller_id,
+                                batch_id, sim.now, "single", rssi, note,
                             )
                         )
                     place(demand, choice, controller_id)
                 return
 
             note = self.strategy.consume_degradation()
-            for demand in batch:
-                ap_id = placement.get(demand.user_id)
-                if ap_id is None:
-                    raise RuntimeError(
-                        f"strategy {self.strategy.name} returned no AP "
-                        f"for user {demand.user_id}"
+            missing = [d.user_id for d in batch if d.user_id not in placement]
+            if missing:
+                raise RuntimeError(
+                    f"strategy {self.strategy.name} returned no AP "
+                    f"for user {missing[0]}"
+                )
+            # Candidates are the pre-batch snapshots: the state the batch
+            # strategy actually scored against.  Placing moves the live
+            # index, so every record is built before the first placement.
+            records = (
+                [
+                    self._decision(
+                        self.strategy, demand, snapshots,
+                        placement[demand.user_id], controller_id, batch_id,
+                        sim.now, "batch", rssi_by_user[demand.user_id], note,
                     )
+                    for demand in batch
+                ]
+                if tracer.enabled
+                else []
+            )
+            for i, demand in enumerate(batch):
                 self._observe_decision(sim.now, len(snapshots), note)
-                if tracer.enabled:
-                    # Candidates are the pre-batch snapshots: the state the
-                    # batch strategy actually scored against.
-                    tracer.decision(
-                        self._decision(
-                            demand, snapshots, ap_id, controller_id,
-                            batch_id, sim.now, mode="batch",
-                            rssi=rssi_by_user[demand.user_id],
-                            note=note,
-                        )
-                    )
-                place(demand, ap_id, controller_id)
+                if records:
+                    tracer.decision(records[i])
+                place(demand, placement[demand.user_id], controller_id)
 
     def _observe_decision(
         self, sim_time: float, candidates: int, note: Optional[str]
@@ -955,8 +921,9 @@ class ReplayEngine:
 
     def _decision(
         self,
+        strategy: SelectionStrategy,
         demand: DemandSession,
-        states: Sequence[APState],
+        states: Candidates,
         chosen: str,
         controller_id: str,
         batch_id: str,
@@ -965,13 +932,12 @@ class ReplayEngine:
         rssi: Optional[Mapping[str, float]] = None,
         note: Optional[str] = None,
     ) -> DecisionRecord:
-        """Provenance for one placement (only built when tracing is on)."""
-        scores = self.strategy.score_candidates(
-            demand.user_id, states, rssi=rssi
-        )
+        """Provenance for one placement by ``strategy`` (only built when
+        tracing is on)."""
+        scores = strategy.score_candidates(demand.user_id, states, rssi=rssi)
         return DecisionRecord(
             user_id=demand.user_id,
-            strategy=self.strategy.name,
+            strategy=strategy.name,
             controller_id=controller_id,
             batch_id=batch_id,
             sim_time=sim_time,

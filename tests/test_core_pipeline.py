@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pipeline import S3Model, TrainingConfig, train_s3
 from repro.trace.records import TraceBundle
+from tests.selection_oracle import rebuilt
 
 
 class TestTrainingConfig:
@@ -49,7 +50,9 @@ class TestTrainS3:
         users = sorted(tiny_model.types.assignments)[:2]
         choice = selector.select(
             users[0],
-            [APState("x", 1e9, 0.0), APState("y", 1e9, 0.0)],
+            rebuilt(
+                selector.social, [APState("x", 1e9, 0.0), APState("y", 1e9, 0.0)]
+            ),
         )
         assert choice in ("x", "y")
 

@@ -17,7 +17,11 @@ from repro.core.selection import (
 )
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
-from tests.selection_oracle import oracle_added_cost, reference_place_exhaustive
+from tests.selection_oracle import (
+    oracle_added_cost,
+    rebuilt,
+    reference_place_exhaustive,
+)
 
 
 def make_social(pairs=None, affinity=0.0, assignments=None, alpha=0.3):
@@ -88,12 +92,12 @@ class TestSelect:
             ("a", 1000, 10.0, ["mate"]),  # holds the co-leaver
             ("b", 1000, 10.0, []),
         )
-        assert selector.select("new", states) == "b"
+        assert selector.select("new", rebuilt(selector.social, states)) == "b"
 
     def test_falls_back_to_llf_without_social_signal(self):
         selector = S3Selector(make_social(), estimator())
         states = aps(("a", 1000, 50.0, []), ("b", 1000, 5.0, []))
-        assert selector.select("new", states) == "b"
+        assert selector.select("new", rebuilt(selector.social, states)) == "b"
 
     def test_bandwidth_constraint_excludes_full_ap(self):
         selector = S3Selector(make_social(), estimator(default=20.0))
@@ -102,12 +106,12 @@ class TestSelect:
             ("b", 100, 95.0, []),
             ("c", 1000, 500.0, []),
         )
-        assert selector.select("new", states) == "c"
+        assert selector.select("new", rebuilt(selector.social, states)) == "c"
 
     def test_all_infeasible_degrades_to_least_loaded(self):
         selector = S3Selector(make_social(), estimator(default=1000.0))
         states = aps(("a", 100, 60.0, []), ("b", 100, 40.0, []))
-        assert selector.select("new", states) == "b"
+        assert selector.select("new", rebuilt(selector.social, states)) == "b"
 
     def test_no_candidates_rejected(self):
         selector = S3Selector(make_social(), estimator())
@@ -121,7 +125,7 @@ class TestSelect:
         selector = S3Selector(make_social(), estimator(default=30.0), config)
         states = aps(("a", 1000, 40.0, []), ("b", 1000, 10.0, []))
         # placing on b: loads (40, 40) balanced; placing on a: (70, 10).
-        assert selector.select("new", states) == "b"
+        assert selector.select("new", rebuilt(selector.social, states)) == "b"
 
     def test_added_social_cost_sums_over_residents(self):
         social = make_social(
@@ -129,7 +133,7 @@ class TestSelect:
         )
         selector = S3Selector(social, estimator())
         state = APState("a", 1000, 0.0, ("x", "y"))
-        (cost,) = selector.cost_row("new", [state])
+        (cost,) = selector.cost_row("new", rebuilt(social, [state]))
         assert cost == pytest.approx(0.9 + 0.4)
         assert cost == oracle_added_cost(social, "new", state.users)
         # An arrival already seated is scored against the others only.
@@ -138,10 +142,10 @@ class TestSelect:
         )
         typed_selector = S3Selector(typed, estimator())
         seated = APState("a", 1000, 0.0, ("x", "new", "y"))
-        assert typed_selector.cost_row("new", [seated]) == (
-            typed_selector.cost_row("new", [state])
+        assert typed_selector.cost_row("new", rebuilt(typed, [seated])) == (
+            typed_selector.cost_row("new", rebuilt(typed, [state]))
         )
-        assert typed_selector.cost_row("new", [seated]) == [
+        assert typed_selector.cost_row("new", rebuilt(typed, [seated])) == [
             oracle_added_cost(typed, "new", seated.users)
         ]
 
@@ -154,14 +158,14 @@ class TestAssignBatch:
         }
         selector = S3Selector(make_social(pairs=pairs), estimator())
         states = aps(*[(f"ap{i}", 1000, 0.0, []) for i in range(4)])
-        placement = selector.assign_batch(members, states)
+        placement = selector.assign_batch(members, rebuilt(selector.social, states))
         assert sorted(placement) == members
         assert len(set(placement.values())) == 4  # fully spread
 
     def test_strangers_balance_by_load(self):
         selector = S3Selector(make_social(), estimator(default=10.0))
         states = aps(("a", 1000, 0.0, []), ("b", 1000, 0.0, []))
-        placement = selector.assign_batch(["u1", "u2", "u3", "u4"], states)
+        placement = selector.assign_batch(["u1", "u2", "u3", "u4"], rebuilt(selector.social, states))
         counts = {ap: 0 for ap in ("a", "b")}
         for ap in placement.values():
             counts[ap] += 1
@@ -175,13 +179,14 @@ class TestAssignBatch:
         social = make_social(pairs={("new", "mate"): (9, 9)})
         selector = S3Selector(social, estimator())
         states = aps(("a", 1000, 0.0, ["mate"]), ("b", 1000, 0.0, []))
+        states = rebuilt(social, states)
         placement = selector.assign_batch(["new"], states)
         assert placement == {"new": selector.select("new", states)}
 
     def test_duplicate_users_deduped(self):
         selector = S3Selector(make_social(), estimator())
         states = aps(("a", 1000, 0.0, []), ("b", 1000, 0.0, []))
-        placement = selector.assign_batch(["u", "u"], states)
+        placement = selector.assign_batch(["u", "u"], rebuilt(selector.social, states))
         assert list(placement) == ["u"]
 
     def test_two_cliques_both_spread(self):
@@ -193,7 +198,7 @@ class TestAssignBatch:
         pairs[("b1", "b2")] = (9, 8)
         selector = S3Selector(make_social(pairs=pairs), estimator())
         states = aps(*[(f"ap{i}", 1000, 0.0, []) for i in range(3)])
-        placement = selector.assign_batch(clique1 + clique2, states)
+        placement = selector.assign_batch(clique1 + clique2, rebuilt(selector.social, states))
         assert len({placement[u] for u in clique1}) == 3
         assert placement["b1"] != placement["b2"]
 
@@ -205,7 +210,7 @@ class TestAssignBatch:
         config = SelectionConfig(max_enumeration=10)  # force greedy
         selector = S3Selector(make_social(pairs=pairs), estimator(), config)
         states = aps(*[(f"ap{i}", 1000, 0.0, []) for i in range(4)])
-        placement = selector.assign_batch(members, states)
+        placement = selector.assign_batch(members, rebuilt(selector.social, states))
         counts = {}
         for ap in placement.values():
             counts[ap] = counts.get(ap, 0) + 1
@@ -219,9 +224,34 @@ class TestAssignBatch:
             estimator(rates={m: 60.0 for m in members}),
         )
         states = aps(("a", 100, 0.0, []), ("b", 100, 0.0, []), ("c", 100, 0.0, []))
-        placement = selector.assign_batch(members, states)
+        placement = selector.assign_batch(members, rebuilt(selector.social, states))
         # 60 B/s each against 100 B/s APs: one user per AP is forced.
         assert len(set(placement.values())) == 3
+
+    @pytest.mark.parametrize("max_enumeration", [20000, 10])
+    def test_batch_leaves_the_index_as_it_was(self, max_enumeration):
+        # Placed cliques are seated only while the batch runs, on the
+        # exhaustive and the greedy path alike, and on the way out of an
+        # error too.
+        members = ["m1", "m2", "m3", "m4"]
+        pairs = {(a, b): (9, 9) for a, b in itertools.combinations(members, 2)}
+        selector = S3Selector(
+            make_social(pairs=pairs, affinity=0.3),
+            estimator(),
+            SelectionConfig(max_enumeration=max_enumeration),
+        )
+        states = rebuilt(
+            selector.social, aps(("a", 1000, 0.0, ["m1"]), ("b", 1000, 0.0, []))
+        )
+        index = states.index
+        before = [index.row(user) for user in members + ["x"]]
+        placement = selector.assign_batch(["m2", "m3", "m4", "x"], states)
+        assert sorted(placement) == ["m2", "m3", "m4", "x"]
+        assert [index.row(user) for user in members + ["x"]] == before
+        assert [index.position_of(user) for user in members] == [0, None, None, None]
+        with pytest.raises(ValueError, match="already associated"):
+            selector.assign_batch(["m1", "m2", "m3"], states)
+        assert [index.row(user) for user in members + ["x"]] == before
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
@@ -234,7 +264,7 @@ class TestAssignBatch:
                 pairs[(u, v)] = (int(rng.integers(2, 10)), int(rng.integers(0, 10)))
         selector = S3Selector(make_social(pairs=pairs, affinity=0.3), estimator())
         states = aps(*[(f"ap{i}", 1e6, float(rng.random() * 100), []) for i in range(3)])
-        placement = selector.assign_batch(users, states)
+        placement = selector.assign_batch(users, rebuilt(selector.social, states))
         assert sorted(placement) == sorted(users)
         assert all(ap in {"ap0", "ap1", "ap2"} for ap in placement.values())
 
@@ -280,7 +310,7 @@ def random_clique_case(seed, n_members, n_aps, top_fraction, affinity, regime):
         estimator(rates=rates),
         SelectionConfig(top_fraction=top_fraction),
     )
-    return selector, members, states
+    return selector, members, rebuilt(selector.social, states)
 
 
 class TestPlaceExhaustive:
@@ -316,10 +346,13 @@ class TestPlaceExhaustive:
             estimator(rates={m: 10.0 for m in members}),
             SelectionConfig(top_fraction=top_fraction),
         )
-        states = aps(
-            ("a", 1000, 0.0, ["x"]),
-            ("b", 1000, 10.0, []),
-            ("c", 1000, 20.0, ["y", "z"]),
+        states = rebuilt(
+            selector.social,
+            aps(
+                ("a", 1000, 0.0, ["x"]),
+                ("b", 1000, 10.0, []),
+                ("c", 1000, 20.0, ["y", "z"]),
+            ),
         )
         placement = selector._place_exhaustive(members, states)
         assert placement == reference_place_exhaustive(selector, members, states)
@@ -333,6 +366,7 @@ class TestPlaceExhaustive:
             estimator(),
             SelectionConfig(max_enumeration=len(states) ** len(members)),
         )
+        states = rebuilt(selector.social, states)
 
         def forbidden(path):
             def fail(*args, **kwargs):

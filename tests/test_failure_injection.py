@@ -15,6 +15,7 @@ from repro.trace.records import DemandSession, SessionRecord, TraceBundle
 from repro.trace.social import CampusLayout
 from repro.wlan.replay import ReplayEngine
 from repro.wlan.strategies import LeastLoadedFirst, SelectionStrategy
+from tests.selection_oracle import rebuilt
 
 
 class TestMalformedFiles:
@@ -124,7 +125,9 @@ class TestHostileSelectorInputs:
 
     def test_selector_survives_unknown_users(self, tiny_model):
         selector = tiny_model.selector()
-        states = [APState("a", 1e9, 0.0), APState("b", 1e9, 0.0)]
+        states = rebuilt(
+            selector.social, [APState("a", 1e9, 0.0), APState("b", 1e9, 0.0)]
+        )
         # A MAC address never seen in training must still be assignable.
         assert selector.select("brand-new-device", states) in ("a", "b")
         placement = selector.assign_batch(

@@ -19,7 +19,8 @@ from repro.service.admission import (
     AdmissionQueue,
 )
 from repro.service.events import StationJoin, StationLeave
-from repro.service.fastpath import ApRuntime, FastAssociator
+from repro.service.fastpath import FastAssociator
+from repro.wlan.entities import APRuntime
 from repro.service.loop import ControllerService, JoinTicket
 
 
@@ -32,7 +33,7 @@ def _associator(aps: int = 4) -> FastAssociator:
     return FastAssociator(
         SocialModel({}, type_model),
         DemandEstimator(),
-        [ApRuntime(f"ap{i}", 1e7) for i in range(aps)],
+        [APRuntime(f"ap{i}", 1e7) for i in range(aps)],
     )
 
 
@@ -74,7 +75,7 @@ def test_saturated_queue_sheds_to_llf() -> None:
         on_commit=lambda e, ap, mode, note: commits.append((e.user_id, mode, note)),
     )
     # Fill one AP so LLF has a unique answer.
-    associator.ap("ap0").load = 5e6
+    associator.ap("ap0").associate("resident", 5e6)
     queued = [_offer(queue, 0, 0.0), _offer(queue, 1, 0.0)]
     assert queue.depth == 2 and not any(t.done for t in queued)
     shed_ticket = _offer(queue, 2, 0.0)
@@ -187,7 +188,7 @@ def test_flag_stale_routes_next_decisions_to_llf() -> None:
             (e.user_id, ap, note)
         ),
     )
-    associator.ap("ap0").load = 5e6
+    associator.ap("ap0").associate("resident", 5e6)
     queue.flag_stale(2)
     assert queue.stale_remaining == 2
     queue.flag_stale(1)  # never shrinks an outstanding degradation

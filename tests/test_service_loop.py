@@ -19,7 +19,8 @@ from repro.service.events import (
     StationLeave,
     StatsReport,
 )
-from repro.service.fastpath import ApRuntime, FastAssociator
+from repro.service.fastpath import FastAssociator
+from repro.wlan.entities import APRuntime
 from repro.service.loop import (
     BalanceMonitorApp,
     ControllerService,
@@ -44,7 +45,7 @@ def _service(
     associator = FastAssociator(
         social,
         DemandEstimator(),
-        [ApRuntime(f"ap{i}", 1e7) for i in range(3)],
+        [APRuntime(f"ap{i}", 1e7) for i in range(3)],
     )
     return ControllerService(
         associator,

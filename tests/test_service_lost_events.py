@@ -11,7 +11,6 @@ delivery.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Dict, List
 
@@ -77,9 +76,9 @@ class _CheckedSupervisor(Supervisor):
                     f"{user_id} on {seats[user_id]} and {ap_id}"
                 )
                 seats[user_id] = ap_id
-            assert math.isclose(
-                ap.load, sum(ap.users.values()), rel_tol=1e-9, abs_tol=1e-6
-            ), f"{ap_id} load {ap.load} != residents' rates"
+            assert ap.load == sum(ap._sessions.values()), (
+                f"{ap_id} load {ap.load} != residents' rates"
+            )
         for user_id, ap_id in seats.items():
             assert service.associator.ap_of(user_id) == ap_id
         learner = service.learner

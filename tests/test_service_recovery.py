@@ -34,7 +34,8 @@ from repro.service.checkpoint import (
     restore_checkpoint,
     snapshot_seqs,
 )
-from repro.service.fastpath import ApRuntime, FastAssociator
+from repro.service.fastpath import FastAssociator
+from repro.wlan.entities import APRuntime
 from repro.service.loop import ControllerService
 from repro.service.soak import run_soak
 from repro.service.supervisor import (
@@ -395,7 +396,7 @@ def _rebuilt(associator: FastAssociator) -> FastAssociator:
         associator.social,
         associator.demand,
         [
-            ApRuntime(ap.ap_id, ap.bandwidth)
+            APRuntime(ap.ap_id, ap.bandwidth)
             for ap in map(associator.ap, associator.ap_ids)
         ],
     )
@@ -474,10 +475,11 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     # records, version 2 associators lack the cost caches and join
     # stamps, version 3 ones hold them instead of the core cost index,
     # version 4 ones have no WAL offset and pickle the social model's
-    # pairs one object at a time; their pickles must be refused, never
-    # mis-restored.
-    assert CHECKPOINT_VERSION == 5
-    for version in (1, 2, 3, 4, CHECKPOINT_VERSION + 1):
+    # pairs one object at a time, version 5 ones keep the associator's
+    # own AP table instead of a controller domain; their pickles must be
+    # refused, never mis-restored.
+    assert CHECKPOINT_VERSION == 6
+    for version in (1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)

@@ -1,11 +1,30 @@
 """Tests for WLAN runtime entities."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.selection import APState
+from repro.analysis.churn import make_pair
+from repro.core.selection import APState, CostIndex
+from repro.core.social import PairStats, SocialModel
+from repro.core.typing import TypeModel
 from repro.trace.social import CampusLayout
 from repro.wlan.entities import APRuntime, CampusRuntime, ControllerRuntime
+
+
+def _social() -> SocialModel:
+    """Two types over u0..u5 (u5 untyped) and a few co-leaving pairs."""
+    pairs = {
+        make_pair("u0", "u1"): PairStats(4, 2),
+        make_pair("u0", "u3"): PairStats(3, 1),
+        make_pair("u2", "u5"): PairStats(5, 4),
+    }
+    types = TypeModel(
+        np.zeros((2, 6)),
+        {f"u{i}": i % 2 for i in range(5)},
+        np.array([[0.3, 0.1], [0.1, 0.2]]),
+    )
+    return SocialModel(pairs, types, min_encounters=1)
 
 
 @pytest.fixture
@@ -96,6 +115,50 @@ class TestControllerRuntime:
         controller.aps[target].associate("u1", 1.0)
         assert controller.find_user("u1") == target
         assert controller.find_user("ghost") is None
+        controller.aps[target].disassociate("u1")
+        assert controller.find_user("u1") is None
+        assert controller.total_users() == 0
+
+    def test_one_seat_per_domain(self, campus):
+        controller = next(iter(campus.controllers.values()))
+        first, second = controller.ap_ids[:2]
+        controller.aps[first].associate("u1", 1.0)
+        with pytest.raises(ValueError, match="already associated"):
+            controller.aps[second].associate("u1", 1.0)
+        assert not controller.aps[second].is_associated("u1")
+        assert controller.find_user("u1") == first
+
+    def test_an_ap_belongs_to_one_domain(self):
+        ap = APRuntime("a", 1e6)
+        ControllerRuntime("c1", [ap])
+        with pytest.raises(ValueError, match="already has a controller"):
+            ControllerRuntime("c2", [ap])
+        with pytest.raises(ValueError, match="duplicate AP"):
+            ControllerRuntime("c3", [APRuntime("b", 1e6), APRuntime("b", 1e6)])
+        with pytest.raises(ValueError, match="bandwidth"):
+            APRuntime("x", 0.0)
+
+    def test_index_only_with_a_social_model(self, layout):
+        plain = CampusRuntime(layout)
+        assert all(c.index is None for c in plain.controllers.values())
+        social = CampusRuntime(layout, _social())
+        assert all(c.index is not None for c in social.controllers.values())
+        controller = next(iter(plain.controllers.values()))
+        with pytest.raises(ValueError, match="no cost index"):
+            controller.snapshots().costs("u0")
+
+    def test_snapshots_without_down_aps_keep_index_positions(self, layout):
+        controller = next(iter(CampusRuntime(layout, _social()).controllers.values()))
+        ap_ids = controller.ap_ids
+        controller.aps[ap_ids[0]].associate("u1", 5.0)
+        full = controller.snapshots()
+        assert full.index is controller.index
+        assert full.positions == tuple(range(len(ap_ids)))
+        up = controller.snapshots(down={ap_ids[1]})
+        assert [s.ap_id for s in up] == [a for a in ap_ids if a != ap_ids[1]]
+        assert up.positions == tuple(i for i in range(len(ap_ids)) if i != 1)
+        row = full.costs("u0")
+        assert up.costs("u0") == [row[i] for i in up.positions]
 
     def test_refresh_measurements_bulk(self, campus):
         controller = next(iter(campus.controllers.values()))
@@ -158,7 +221,10 @@ class TestCachedState:
     @settings(max_examples=200, deadline=None)
     @given(_steps)
     def test_caches_track_every_mutation(self, steps):
-        controller = CampusRuntime(CampusLayout.grid(1, 3)).controllers["ctrl-B00"]
+        social = _social()
+        controller = CampusRuntime(CampusLayout.grid(1, 3), social).controllers[
+            "ctrl-B00"
+        ]
         ap_ids = sorted(controller.aps)
         table = {ap_id: {} for ap_id in ap_ids}  # the association oracle
         measured = {ap_id: 0.0 for ap_id in ap_ids}
@@ -185,6 +251,20 @@ class TestCachedState:
                 controller.refresh_measurements()
                 measured = {a: sum(table[a].values()) for a in ap_ids}
             self._check(controller, ap_ids, table, measured)
+            self._check_index(controller, ap_ids, table, social)
+
+    def _check_index(self, controller, ap_ids, table, social):
+        """The live index equals one rebuilt from the tables, row for row."""
+        rebuilt = CostIndex(social, [table[ap_id] for ap_id in ap_ids])
+        for position in range(len(ap_ids)):
+            assert controller.index.type_counts(position) == rebuilt.type_counts(
+                position
+            )
+        for user in (f"u{i}" for i in range(7)):
+            assert controller.index.row(user) == rebuilt.row(user)
+            expected = next((a for a in ap_ids if user in table[a]), None)
+            assert controller.find_user(user) == expected
+        assert controller.total_users() == sum(len(t) for t in table.values())
 
     def _check(self, controller, ap_ids, table, measured):
         expected_states = []
@@ -194,18 +274,18 @@ class TestCachedState:
             assert _same(ap.load, load)
             assert _same(ap.measured_load, measured[ap_id])
             users = tuple(sorted(table[ap_id]))
-            fresh = APState(ap_id, ap.info.bandwidth, measured[ap_id], users)
+            fresh = APState(ap_id, ap.bandwidth, measured[ap_id], users)
             snapshot = ap.snapshot()
             assert snapshot == fresh and _same(snapshot.load, fresh.load)
             oracle = ap.snapshot(measured=False)
-            assert oracle == APState(ap_id, ap.info.bandwidth, load, users)
+            assert oracle == APState(ap_id, ap.bandwidth, load, users)
             assert _same(oracle.load, load)
             expected_states.append(fresh)
         loads = controller.loads()
         assert loads == [sum(table[a].values()) for a in ap_ids]
         assert all(_same(x, sum(table[a].values())) for x, a in zip(loads, ap_ids))
         assert controller.user_counts() == [len(table[a]) for a in ap_ids]
-        assert controller.snapshots() == expected_states
+        assert list(controller.snapshots()) == expected_states
         assert controller.ap_ids == ap_ids
 
     def test_unchanged_poll_keeps_the_cached_snapshot(self, campus):

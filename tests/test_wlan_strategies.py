@@ -10,6 +10,7 @@ from repro.wlan.strategies import (
     S3Strategy,
     StrongestSignal,
 )
+from tests.selection_oracle import rebuilt
 
 
 def aps(*specs):
@@ -86,14 +87,17 @@ class TestS3Strategy:
     def test_delegates_to_selector(self, tiny_model):
         strategy = S3Strategy(tiny_model.selector())
         assert strategy.name == "s3"
-        states = aps(("a", 0.0, []), ("b", 0.0, []))
+        states = rebuilt(strategy.social, aps(("a", 0.0, []), ("b", 0.0, [])))
         user = sorted(tiny_model.types.assignments)[0]
         assert strategy.select(user, states) in ("a", "b")
+        assert strategy.consume_degradation() is None
 
     def test_batch_assignment_total(self, tiny_model):
         strategy = S3Strategy(tiny_model.selector())
         users = sorted(tiny_model.types.assignments)[:6]
-        states = aps(("a", 0.0, []), ("b", 0.0, []), ("c", 0.0, []))
+        states = rebuilt(
+            strategy.social, aps(("a", 0.0, []), ("b", 0.0, []), ("c", 0.0, []))
+        )
         placement = strategy.assign_batch(users, states)
         assert placement is not None
         assert sorted(placement) == sorted(users)
