@@ -4,12 +4,15 @@ Unlike the figure benches (one-shot reproductions), these measure the hot
 paths with real repetition: the event kernel's throughput, maximum-clique
 search at controller-batch scale, k-means on campus-sized profile
 matrices, churn extraction over a week of sessions, S³'s exhaustive
-clique placement, a full replay of one evaluation day, and trace
-generation plus profile training (the paper pipeline's set-up front).
+clique placement, a full replay of one evaluation day, trace
+generation plus profile training (the paper pipeline's set-up front),
+and the service's write path (journal and WAL lines).
 Regressions here translate directly into slower experiment turnaround.
 """
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +26,14 @@ from repro.core.typing import TypeModel
 from repro.experiments.config import SMALL
 from repro.graph.clique import max_clique
 from repro.graph.graph import Graph
+from repro.obs import journal
+from repro.obs.journal import dumps_record, read_journal
+from repro.service.supervisor import wal_line
+from repro.service.workload import (
+    WorkloadSpec,
+    run_journaled_service,
+    synthetic_events,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.trace.generator import TraceGenerator
@@ -219,3 +230,44 @@ def test_bench_trace_generate(benchmark, report_writer):
         metrics={"demands": len(bundle.demands), "flows": bundle.n_flows},
     )
     assert len(profiles.user_ids) > 0
+
+
+def test_bench_journal_lines(benchmark, report_writer):
+    # The supervised service's per-event writes: every decision and
+    # balance-sample line of a recorded 2,000-event session, and the WAL
+    # line of every event it delivered.
+    spec = WorkloadSpec(users=64, aps=8, events=2000, seed=1)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "journal.jsonl"
+        run_journaled_service(spec, journal=path)
+        recorded = read_journal(path)
+    records = recorded.decisions + recorded.samples
+    events = synthetic_events(spec)
+
+    def write():
+        lines = [dumps_record(record) for record in records]
+        lines.extend(wal_line(event) for event in events)
+        return lines
+
+    # Each round starts from an empty float memo, as a fresh run does:
+    # a memo warmed by the previous round would hit on every value.
+    lines = benchmark.pedantic(
+        write,
+        setup=journal._FLOAT_TEXT.clear,
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    report_writer(
+        "micro_journal_lines",
+        f"service write path: {len(recorded.decisions)} decision, "
+        f"{len(recorded.samples)} sample and {len(events)} WAL lines",
+        benchmark=benchmark,
+        metrics={
+            "decisions": len(recorded.decisions),
+            "samples": len(recorded.samples),
+            "wal_lines": len(events),
+            "bytes": sum(len(line) for line in lines),
+        },
+    )
+    assert len(lines) == len(records) + len(events)

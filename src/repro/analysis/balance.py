@@ -22,6 +22,7 @@ used by Figs. 2-4 and the evaluation section.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -30,26 +31,72 @@ from repro.sim.timeline import Timeline
 from repro.trace.records import SessionRecord
 
 
-def balance_index(loads: Sequence[float]) -> float:
+def _pairwise_sum(values: List[float]) -> float:
+    """``values`` summed in numpy's pairwise order, so bit-identical to
+    ``np.sum`` of the same float64 vector.
+
+    numpy adds fewer than 8 values left to right from 0.0; up to 128
+    into 8 interleaved accumulators combined as a balanced tree, then
+    the tail; longer vectors split in two at a multiple of 8 below half.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        blocks = n - n % 8
+        for i in range(8, blocks, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[blocks:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def balance_index(loads: Iterable[float]) -> float:
     """Jain's fairness / balance index of a load vector.
 
     Ranges from ``1/n`` (all load on one AP) to 1 (perfectly even).  An
     all-zero vector is *perfectly balanced* by convention (returns 1.0) —
     an idle controller domain is not an unbalanced one.
+
+    Pure Python: the service samples 8-AP domains one at a time, where
+    numpy's per-call cost is most of the work.  The operations are
+    numpy's float64 ones in numpy's order (peak, divide, pairwise sums),
+    so the value is the one the vectorized form gives bit for bit.
     """
-    values = np.asarray(list(loads), dtype=float)
-    if values.size == 0:
+    values = list(map(float, loads))
+    if not values:
         raise ValueError("balance index of an empty load vector")
-    if np.any(values < 0):
-        raise ValueError("negative load")
-    peak = values.max()
+    low = min(values)
+    peak = max(values)
+    if not low >= 0.0 or peak != peak:
+        if any(value < 0 for value in values):
+            raise ValueError("negative load")
+        # numpy's max propagates NaN, and so does everything after it.
+        return math.nan
     if peak <= 0:
-        return 1.0
+        # Python's max can step over a NaN that numpy's would return.
+        return math.nan if any(value != value for value in values) else 1.0
     # The index is scale-invariant; normalizing by the peak load keeps the
     # squares well inside float range for arbitrarily tiny or huge loads.
-    scaled = values / peak
-    total = scaled.sum()
-    return float(total * total / (values.size * np.square(scaled).sum()))
+    scaled = [value / peak for value in values]
+    total = _pairwise_sum(scaled)
+    squares = _pairwise_sum([value * value for value in scaled])
+    return total * total / (len(values) * squares)
 
 
 def normalized_balance_index(loads: Sequence[float]) -> float:

@@ -116,6 +116,35 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
             "tests/test_core_selection.py::TestClosedFormBalance::test_sum_of_squares_ranks_as_normalized_jain",
         ),
     ),
+    "repro.analysis.balance.balance_index": ParityEntry(
+        # Pure Python in numpy's pairwise summation order: every value
+        # is the vectorized form's bit for bit.
+        reference="tests/balance_oracle.py::balance_index",
+        tests=(
+            "tests/test_analysis_balance.py::TestScalarIsNumpyBitForBit::test_every_length_up_to_600",
+            "tests/test_analysis_balance.py::TestScalarIsNumpyBitForBit::test_any_vector_matches_numpy",
+            "tests/test_analysis_balance.py::TestBalanceRows::test_every_row_is_the_scalar_byte_for_byte",
+        ),
+    ),
+    "repro.obs.journal.dumps_record": ParityEntry(
+        # Decision and sample lines are assembled by hand; the encoder
+        # over their dict payloads defines the bytes.
+        reference="tests/journal_oracle.py::record_line",
+        tests=(
+            "tests/test_journal_lines.py::test_decision_line_is_the_encoders",
+            "tests/test_journal_lines.py::test_sample_line_is_the_encoders",
+            "tests/test_journal_lines.py::test_float_memo_survives_hits_and_evictions",
+            "tests/test_write_path_digests.py::test_write_path_bytes_match_the_pinned_digests",
+        ),
+    ),
+    "repro.service.supervisor.wal_line": ParityEntry(
+        reference="tests/journal_oracle.py::wal_line",
+        tests=(
+            "tests/test_journal_lines.py::test_wal_line_is_the_sorted_key_encoders",
+            "tests/test_journal_lines.py::test_wal_lines_read_back_as_the_events",
+            "tests/test_write_path_digests.py::test_write_path_bytes_match_the_pinned_digests",
+        ),
+    ),
     "repro.runtime.engine.replay": ParityEntry(
         reference="repro.runtime.engine.replay_serial",
         fast="repro.runtime.engine.replay_process",

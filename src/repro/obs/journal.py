@@ -35,8 +35,10 @@ exit over the records an unstreamed tracer kept in memory:
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
@@ -65,9 +67,98 @@ _SEPARATORS = (",", ":")
 #: builds a new one per call).
 _ENCODER = json.JSONEncoder(separators=_SEPARATORS)
 
+#: Most floats a run writes were written before: one service run prints
+#: ~30k candidate values but only ~5k distinct loads and a few hundred
+#: distinct scores.  Their ``repr`` text is kept here, and the memo is
+#: emptied rather than evicted from once it holds this many.  It only
+#: saves work — a line is the same text with any content in it — so one
+#: memo serves the whole process.
+_FLOAT_MEMO_SIZE = 4096
+_FLOAT_TEXT: Dict[float, str] = {}
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """``value`` as the encoder writes a float, on a memo miss.
+
+    ``0.0`` and ``-0.0`` are equal keys, so zeros never enter the memo;
+    NaN and the infinities keep the encoder's ``NaN``/``Infinity``.
+    """
+    if value == 0.0:
+        return "-0.0" if math.copysign(1.0, value) < 0.0 else "0.0"
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    text = float.__repr__(value)
+    if len(_FLOAT_TEXT) >= _FLOAT_MEMO_SIZE:
+        _FLOAT_TEXT.clear()
+    _FLOAT_TEXT[value] = text
+    return text
+
+
+def json_scalar(value: Any) -> str:
+    """The JSON text the line encoder writes for one scalar ``value``.
+
+    ``str``, ``float``, ``int`` and ``None`` are written here; any other
+    type (``bool``, numpy scalars, containers) goes to the encoder.
+    """
+    kind = type(value)
+    if kind is float:
+        text = _FLOAT_TEXT.get(value)
+        return _float_text(value) if text is None else text
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    return _ENCODER.encode(value)
+
+
+def _decision_line(record: DecisionRecord) -> str:
+    text = json_scalar
+    candidates = ",".join([
+        f'{{"ap":{text(ap_id)},"load":{text(load)},'
+        f'"users":{text(users)},"score":{text(score)}}}'
+        for ap_id, load, users, score in record.candidates
+    ])
+    note = "" if record.note is None else f',"note":{text(record.note)}'
+    return (
+        f'{{"type":"decision","data":{{"user":{text(record.user_id)},'
+        f'"strategy":{text(record.strategy)},'
+        f'"controller":{text(record.controller_id)},'
+        f'"batch":{text(record.batch_id)},'
+        f'"sim_time":{text(record.sim_time)},'
+        f'"chosen":{text(record.chosen)},"mode":{text(record.mode)}{note},'
+        f'"candidates":[{candidates}]}}}}'
+    )
+
+
+def _sample_line(record: SampleRecord) -> str:
+    text = json_scalar
+    return (
+        f'{{"type":"sample","data":{{"sim_time":{text(record.sim_time)},'
+        f'"controller":{text(record.controller_id)},'
+        f'"balance":{text(record.balance)},'
+        f'"total_load":{text(record.total_load)},'
+        f'"users":{text(record.users)}}}}}'
+    )
+
 
 def dumps_record(record: JournalRecord) -> str:
-    """One journal line (no newline) for ``record``."""
+    """One journal line (no newline) for ``record``.
+
+    Decisions and samples — one per service event — are assembled
+    straight from their fields; every other kind is its ``payload()``
+    through the encoder.  The bytes are the encoder's either way.
+    """
+    if isinstance(record, DecisionRecord):
+        return _decision_line(record)
+    if isinstance(record, SampleRecord):
+        return _sample_line(record)
     kind, data, wall = record.payload()
     obj: Dict[str, Any] = {"type": kind, "data": data}
     if wall:

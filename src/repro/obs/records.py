@@ -7,8 +7,11 @@ Every record renders to one JSONL object of the form::
 with a fixed, hand-ordered key layout inside ``data`` so that two seeded
 runs produce byte-identical lines.  Everything derived from wall time —
 and *only* that — lives under the top-level ``"wall"`` key, which
-:func:`repro.obs.journal.strip_wall` removes before diffing.  The record
-kinds:
+:func:`repro.obs.journal.strip_wall` removes before diffing.  Most
+records build that object as a ``payload()``; the two the service writes
+per event — ``decision`` and ``sample`` — have no payload and are written
+straight from their fields by :func:`repro.obs.journal.dumps_record`,
+in the layout below.  The record kinds:
 
 ``meta``
     One header line per journal: schema version plus free-form run
@@ -19,10 +22,14 @@ kinds:
 ``decision``
     One association decision with full provenance: the user, the batch it
     arrived in, every candidate AP with its load/user-count and the
-    strategy's own score, and the chosen AP.
+    strategy's own score, and the chosen AP.  Keys: ``user``,
+    ``strategy``, ``controller``, ``batch``, ``sim_time``, ``chosen``,
+    ``mode``, ``note`` (only when set), then ``candidates`` — a list of
+    ``{"ap", "load", "users", "score"}`` objects.
 ``sample``
     One balance-index observation of a controller domain at a sampler
-    tick.
+    tick.  Keys: ``sim_time``, ``controller``, ``balance``,
+    ``total_load``, ``users``.
 ``fault``
     One injected fault firing (or a runtime worker failure): the event
     kind, its target, and a small deterministic detail map.  Replay
@@ -50,7 +57,16 @@ kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: Journal schema version, bumped on any breaking layout change.
 #: v2: ``fault`` records and the optional ``note`` key on decisions.
@@ -74,9 +90,12 @@ class APStateLike(Protocol):
     def users(self) -> Tuple[str, ...]: ...
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One candidate AP as the deciding strategy saw it."""
+class Candidate(NamedTuple):
+    """One candidate AP as the deciding strategy saw it.
+
+    A named tuple, not a dataclass: the service builds one per AP per
+    decision, and the journal writer unpacks it positionally.
+    """
 
     ap_id: str
     load: float
@@ -176,28 +195,6 @@ class DecisionRecord:
     #: when ``None`` so clean runs keep their byte layout.
     note: Optional[str] = None
 
-    def payload(self) -> Payload:
-        data: Dict[str, Any] = {
-            "user": self.user_id,
-            "strategy": self.strategy,
-            "controller": self.controller_id,
-            "batch": self.batch_id,
-            "sim_time": self.sim_time,
-            "chosen": self.chosen,
-            "mode": self.mode,
-        }
-        if self.note is not None:
-            data["note"] = self.note
-        data["candidates"] = [
-            {
-                "ap": c.ap_id,
-                "load": c.load,
-                "users": c.users,
-                "score": c.score,
-            }
-            for c in self.candidates
-        ]
-        return "decision", data, {}
 
 
 @dataclass
@@ -210,15 +207,6 @@ class SampleRecord:
     total_load: float
     users: int
 
-    def payload(self) -> Payload:
-        data: Dict[str, Any] = {
-            "sim_time": self.sim_time,
-            "controller": self.controller_id,
-            "balance": self.balance,
-            "total_load": self.total_load,
-            "users": self.users,
-        }
-        return "sample", data, {}
 
 
 @dataclass

@@ -101,10 +101,10 @@ class FastAssociator:
         """
         if costs is None:
             costs = self._index.row(user_id)
-        return tuple(
+        return tuple([
             Candidate(ap.ap_id, float(ap.load), ap.user_count, float(cost))
             for ap, cost in zip(self.controller.ranked, costs)
-        )
+        ])
 
     # ------------------------------------------------------------ decisions
 

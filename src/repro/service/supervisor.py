@@ -65,6 +65,7 @@ from repro.faults.model import (
     SERVICE_KINDS,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs.journal import json_scalar
 from repro.obs.records import RecoveryRecord
 from repro.obs.tracer import TRACER
 from repro.runtime.checkpoint import RunDirectory
@@ -106,25 +107,24 @@ def run_fingerprint(spec: WorkloadSpec, plan: FaultPlan) -> str:
 # ----------------------------------------------------------------- WAL I/O
 
 
-#: The WAL's one encoder: compact separators, sorted keys.
-_WAL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-
-
 def wal_line(event: ServiceEvent) -> str:
-    """One WAL line (no newline) for ``event``."""
-    payload: Dict[str, Any] = {
-        "seq": event.seq,
-        "time": event.time,
-        "user": event.user_id,
-    }
+    """One WAL line (no newline) for ``event``.
+
+    Compact JSON with sorted keys — ``kind``, (``rate``,) ``seq``,
+    ``time``, ``user`` — written directly rather than through an encoder.
+    """
+    seq = json_scalar(event.seq)
+    time = json_scalar(event.time)
+    user = json_scalar(event.user_id)
     if isinstance(event, StationJoin):
-        payload["kind"] = "join"
-    elif isinstance(event, StationLeave):
-        payload["kind"] = "leave"
-    else:
-        payload["kind"] = "stats"
-        payload["rate"] = event.mean_rate
-    return _WAL_ENCODER.encode(payload)
+        return f'{{"kind":"join","seq":{seq},"time":{time},"user":{user}}}'
+    if isinstance(event, StationLeave):
+        return f'{{"kind":"leave","seq":{seq},"time":{time},"user":{user}}}'
+    rate = json_scalar(event.mean_rate)
+    return (
+        f'{{"kind":"stats","rate":{rate},"seq":{seq},"time":{time},'
+        f'"user":{user}}}'
+    )
 
 
 def _event_from_wal(obj: Dict[str, Any]) -> ServiceEvent:

@@ -1,5 +1,8 @@
 """Unit and property tests for the balance index machinery."""
 
+import random
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from repro.analysis.balance import (
 )
 from repro.sim.timeline import Timeline
 from repro.trace.records import SessionRecord
+from tests import balance_oracle
 
 
 def make_session(user, ap, t0, t1, size):
@@ -78,6 +82,76 @@ class TestBalanceIndex:
 
     def test_permutation_invariance(self):
         assert balance_index([1, 5, 9]) == pytest.approx(balance_index([9, 1, 5]))
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(index, loads):
+    try:
+        value = index(loads)
+    except ValueError as error:
+        return str(error)
+    return "nan" if value != value else _bits(value)
+
+
+#: Loads that stress the summation order: zeros, subnormals, values near
+#: the top of the float range, and ordinary values whose sums round.
+_EDGE_LOADS = (0.0, -0.0, 5e-324, 2.2e-310, 1e-300, 1e308, 1.7976931348623157e308)
+
+
+def _mixed_loads(rng, n):
+    loads = []
+    for _ in range(n):
+        pick = rng.random()
+        if pick < 0.3:
+            loads.append(rng.choice(_EDGE_LOADS))
+        elif pick < 0.4:
+            loads.append(rng.random() * 1e308)
+        else:
+            loads.append(rng.random() * 10.0 ** rng.randint(-3, 6))
+    return loads
+
+
+class TestScalarIsNumpyBitForBit:
+    """The pure-Python scalar against numpy's (``tests/balance_oracle.py``)."""
+
+    def test_every_length_up_to_600(self):
+        # Below 8 (a plain loop), 8..128 (eight accumulators) and above
+        # (the recursive halving), with the split points in between.
+        rng = random.Random(600)
+        for n in range(1, 601):
+            for _ in range(3):
+                loads = _mixed_loads(rng, n)
+                assert _bits(balance_index(loads)) == _bits(
+                    balance_oracle.balance_index(loads)
+                ), n
+                assert _bits(normalized_balance_index(loads)) == _bits(
+                    balance_oracle.normalized_balance_index(loads)
+                ), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_LOADS + (-1.0, float("nan"), float("inf"))),
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_any_vector_matches_numpy(self, loads):
+        # NaN, infinities and negative loads included: a negative raises
+        # in both, a NaN anywhere is NaN in both.
+        assert _outcome(balance_index, loads) == _outcome(
+            balance_oracle.balance_index, loads
+        )
+        assert _outcome(normalized_balance_index, loads) == _outcome(
+            balance_oracle.normalized_balance_index, loads
+        )
 
 
 @st.composite
