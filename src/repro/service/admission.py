@@ -178,7 +178,7 @@ class AdmissionQueue:
                         note=STALE_NOTE,
                     )
                     continue
-                ap_id, costs = self.associator.decide(event.user_id)
+                ap_id, costs = self.associator.select(event.user_id)
                 self._commit(
                     event, ticket, enqueued, ap_id,
                     sim_time=now, batch_id=batch_id,

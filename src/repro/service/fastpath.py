@@ -15,7 +15,7 @@ adjacency in place, so the next row reads every pair a departure taught.
 
 Loads are exact sums of the residents' rates, as in replay, and the rank
 is :func:`~repro.core.selection.rank_singleton`, so
-``FastAssociator.select(u)`` equals ``S3Selector.select(u,
+``FastAssociator.select(u)[0]`` equals ``S3Selector.select(u,
 associator.snapshots())`` and the per-resident oracle on every arrival,
 exact ties included (``tests/test_service_fastpath.py``).
 
@@ -96,7 +96,7 @@ class FastAssociator:
 
         Each candidate carries the AP's load, resident count and the
         added social cost of ``user_id``.  ``costs`` is the cost row
-        :meth:`decide` returned for this user against the current state;
+        :meth:`select` returned for this user against the current state;
         without it the row is computed.
         """
         if costs is None:
@@ -112,15 +112,13 @@ class FastAssociator:
         """LLF over live state: the shed path's choice."""
         return least_loaded(self.controller.ranked).ap_id
 
-    def select(self, user_id: str) -> str:
+    def select(self, user_id: str) -> Tuple[str, List[float]]:
         """Algorithm 1 for a singleton clique, against live state.
 
-        Infeasible everywhere still admits at the least-loaded AP.
+        Returns the chosen AP and the cost row it ranked (the decision's
+        provenance).  Infeasible everywhere still admits at the
+        least-loaded AP.
         """
-        return self.decide(user_id)[0]
-
-    def decide(self, user_id: str) -> Tuple[str, List[float]]:
-        """:meth:`select`'s choice plus the cost row it ranked."""
         ranked = self.controller.ranked
         costs = self._index.row(user_id)
         choice = rank_singleton(
