@@ -35,7 +35,6 @@ exit over the records an unstreamed tracer kept in memory:
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -67,36 +66,31 @@ _SEPARATORS = (",", ":")
 #: builds a new one per call).
 _ENCODER = json.JSONEncoder(separators=_SEPARATORS)
 
-#: Most floats a run writes were written before: one service run prints
-#: ~30k candidate values but only ~5k distinct loads and a few hundred
-#: distinct scores.  Their ``repr`` text is kept here, and the memo is
-#: emptied rather than evicted from once it holds this many.  It only
-#: saves work — a line is the same text with any content in it — so one
-#: memo serves the whole process.
+#: Most floats a decision line writes were written before: one service
+#: run prints ~30k candidate values but only ~5k distinct loads and a few
+#: hundred distinct scores.  Their ``repr`` text is kept here, and the
+#: memo is emptied rather than evicted from once it holds this many.  It
+#: only saves work — a line is the same text with any content in it — so
+#: one memo serves the whole process.  WAL and sample floats (event
+#: times, rates, balances) seldom repeat, so they are rendered without it
+#: and cannot push the candidate values out.
 _FLOAT_MEMO_SIZE = 4096
 _FLOAT_TEXT: Dict[float, str] = {}
 _INF = float("inf")
 
 
 def _float_text(value: float) -> str:
-    """``value`` as the encoder writes a float, on a memo miss.
+    """``value`` as the encoder writes a float.
 
-    ``0.0`` and ``-0.0`` are equal keys, so zeros never enter the memo;
     NaN and the infinities keep the encoder's ``NaN``/``Infinity``.
     """
-    if value == 0.0:
-        return "-0.0" if math.copysign(1.0, value) < 0.0 else "0.0"
     if value != value:
         return "NaN"
     if value == _INF:
         return "Infinity"
     if value == -_INF:
         return "-Infinity"
-    text = float.__repr__(value)
-    if len(_FLOAT_TEXT) >= _FLOAT_MEMO_SIZE:
-        _FLOAT_TEXT.clear()
-    _FLOAT_TEXT[value] = text
-    return text
+    return float.__repr__(value)
 
 
 def json_scalar(value: Any) -> str:
@@ -107,8 +101,7 @@ def json_scalar(value: Any) -> str:
     """
     kind = type(value)
     if kind is float:
-        text = _FLOAT_TEXT.get(value)
-        return _float_text(value) if text is None else text
+        return _float_text(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
@@ -118,11 +111,30 @@ def json_scalar(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+def memo_scalar(value: Any) -> str:
+    """:func:`json_scalar`, with float texts kept in the memo.
+
+    ``0.0`` and ``-0.0`` are equal keys, so zeros never enter the memo,
+    and neither does NaN, which equals no key.
+    """
+    if type(value) is not float:
+        return json_scalar(value)
+    text = _FLOAT_TEXT.get(value)
+    if text is None:
+        text = _float_text(value)
+        if value != 0.0 and value == value:
+            if len(_FLOAT_TEXT) >= _FLOAT_MEMO_SIZE:
+                _FLOAT_TEXT.clear()
+            _FLOAT_TEXT[value] = text
+    return text
+
+
 def _decision_line(record: DecisionRecord) -> str:
     text = json_scalar
+    number = memo_scalar
     candidates = ",".join([
-        f'{{"ap":{text(ap_id)},"load":{text(load)},'
-        f'"users":{text(users)},"score":{text(score)}}}'
+        f'{{"ap":{text(ap_id)},"load":{number(load)},'
+        f'"users":{text(users)},"score":{number(score)}}}'
         for ap_id, load, users, score in record.candidates
     ])
     note = "" if record.note is None else f',"note":{text(record.note)}'
@@ -131,7 +143,7 @@ def _decision_line(record: DecisionRecord) -> str:
         f'"strategy":{text(record.strategy)},'
         f'"controller":{text(record.controller_id)},'
         f'"batch":{text(record.batch_id)},'
-        f'"sim_time":{text(record.sim_time)},'
+        f'"sim_time":{number(record.sim_time)},'
         f'"chosen":{text(record.chosen)},"mode":{text(record.mode)}{note},'
         f'"candidates":[{candidates}]}}}}'
     )

@@ -1,9 +1,9 @@
 """The hand-assembled journal and WAL lines against their encoder forms.
 
-Decision, sample and WAL lines are written by string assembly with a
-memo of float texts; ``tests/journal_oracle.py`` holds the dict payloads
-and encoders they replaced.  Every line must be the oracle's byte for
-byte, for any value the records can carry.
+Decision, sample and WAL lines are written by string assembly, decision
+floats through a memo of float texts; ``tests/journal_oracle.py`` holds
+the dict payloads and encoders they replaced.  Every line must be the
+oracle's byte for byte, for any value the records can carry.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import journal
-from repro.obs.journal import dumps_record, json_scalar
+from repro.obs.journal import dumps_record, json_scalar, memo_scalar
 from repro.obs.records import Candidate, DecisionRecord, SampleRecord
 from repro.service.events import StationJoin, StationLeave, StatsReport
 from repro.service.supervisor import read_wal, wal_line
@@ -106,13 +106,14 @@ def test_float_memo_survives_hits_and_evictions(values: list) -> None:
     with mock.patch.object(journal, "_FLOAT_MEMO_SIZE", 4), \
             mock.patch.object(journal, "_FLOAT_TEXT", {}):
         for value in values + values[::-1]:
+            assert memo_scalar(value) == _ENCODER.encode(value)
             assert json_scalar(value) == _ENCODER.encode(value)
             assert len(journal._FLOAT_TEXT) <= 4
 
 
 def test_signed_zeros_never_share_a_memo_entry() -> None:
     with mock.patch.object(journal, "_FLOAT_TEXT", {}):
-        texts = [json_scalar(value) for value in (0.0, -0.0, 0.0, -0.0)]
+        texts = [memo_scalar(value) for value in (0.0, -0.0, 0.0, -0.0)]
         assert texts == ["0.0", "-0.0", "0.0", "-0.0"]
         assert journal._FLOAT_TEXT == {}
 
@@ -120,8 +121,33 @@ def test_signed_zeros_never_share_a_memo_entry() -> None:
 def test_the_memo_is_bounded() -> None:
     with mock.patch.object(journal, "_FLOAT_TEXT", {}):
         for i in range(3 * journal._FLOAT_MEMO_SIZE):
-            json_scalar(i + 0.5)
+            memo_scalar(i + 0.5)
             assert len(journal._FLOAT_TEXT) <= journal._FLOAT_MEMO_SIZE
+
+
+def test_only_decision_lines_fill_the_memo() -> None:
+    # WAL and sample floats seldom repeat: writing them leaves the memo
+    # as it was, so they cannot clear out the decisions' candidate values.
+    events = [
+        StationJoin(seq=1, time=1.25, user_id="u"),
+        StationLeave(seq=2, time=2.5, user_id="u"),
+        StatsReport(seq=3, time=3.75, user_id="u", mean_rate=1e6 / 3),
+    ]
+    sample = SampleRecord(
+        sim_time=4.5, controller_id="c", balance=0.75, total_load=1.5, users=2
+    )
+    decision = DecisionRecord(
+        user_id="u", strategy="s3", controller_id="c", batch_id="b",
+        sim_time=5.5, chosen="ap0", mode="batch", note=None,
+        candidates=(Candidate("ap0", 0.5, 1, 0.25),),
+    )
+    with mock.patch.object(journal, "_FLOAT_TEXT", {}):
+        for event in events:
+            wal_line(event)
+        dumps_record(sample)
+        assert journal._FLOAT_TEXT == {}
+        dumps_record(decision)
+        assert sorted(journal._FLOAT_TEXT) == [0.25, 0.5, 5.5]
 
 
 users = st.text(max_size=10)
