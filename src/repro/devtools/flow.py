@@ -49,7 +49,13 @@ from typing import (
     Tuple,
 )
 
-from repro.devtools.project import LintModule, Project, parse_module
+from repro.devtools.project import (
+    LintModule,
+    Project,
+    module_name_for,
+    parse_module,
+    walk,
+)
 
 #: The stream-factory class the rng-stream rule tracks receivers of.
 RANDOM_STREAMS = "repro.sim.rng.RandomStreams"
@@ -208,7 +214,7 @@ class FlowAnalysis:
 
     def _index_module(self, module: LintModule) -> None:
         bindings: Dict[str, str] = {}
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -479,7 +485,7 @@ class FlowAnalysis:
                 env[arg.arg] = inferred
         self._env_memo[qualname] = env  # pre-publish: expr_type may recurse
         for _ in range(2):  # two passes pick up forward-referenced locals
-            for sub in ast.walk(node):
+            for sub in walk(node):
                 if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
                     target = sub.targets[0]
                     value = sub.value
@@ -557,7 +563,7 @@ class FlowAnalysis:
         if init is not None:
             init_info = self.functions[init]
             env = self.function_env(init)
-            for sub in ast.walk(init_info.def_node):
+            for sub in walk(init_info.def_node):
                 target: Optional[ast.expr] = None
                 value: Optional[ast.expr] = None
                 annotation: Optional[ast.expr] = None
@@ -623,7 +629,7 @@ class FlowAnalysis:
             return frozenset()
         env = self.function_env(qualname)
         out: Set[str] = set()
-        for node in ast.walk(info.def_node):
+        for node in walk(info.def_node):
             if isinstance(node, ast.Call):
                 target = self.resolve_call_target(info.module, node.func, env)
                 if target is not None:
@@ -730,7 +736,7 @@ class FlowAnalysis:
         }
         for info in self.module_functions(module.module):
             env = self.function_env(info.qualname)
-            for call in ast.walk(info.def_node):
+            for call in walk(info.def_node):
                 derivation = self._stream_call(module, call, env, info.qualname)
                 if derivation is not None:
                     yield derivation
@@ -798,23 +804,35 @@ class FlowAnalysis:
 # ----------------------------------------------------------------- loading
 
 
-def _load_src_tree(src_root: Path) -> Dict[str, LintModule]:
+def _load_src_tree(
+    src_root: Path, parsed: Iterable[LintModule] = ()
+) -> Dict[str, LintModule]:
+    """Every module under ``src_root``, parsed once per process.
+
+    A file the caller already ``parsed`` under its own name (a lint of
+    ``src`` parses every one) is taken as it is.
+    """
     key = str(src_root.resolve())
     if key in _TREE_CACHE:
         return _TREE_CACHE[key]
+    reuse = {
+        module.path.resolve(): module
+        for module in parsed
+        if module.module == module_name_for(module.path)
+    }
     modules: Dict[str, LintModule] = {}
 
-    def walk(directory: Path) -> None:
+    def descend(directory: Path) -> None:
         for child in sorted(directory.iterdir()):
             if child.is_dir():
                 if child.name not in _SKIP_DIRS:
-                    walk(child)
+                    descend(child)
             elif child.suffix == ".py":
-                module = parse_module(child)
+                module = reuse.get(child.resolve()) or parse_module(child)
                 modules[module.module] = module
 
     if src_root.is_dir():
-        walk(src_root)
+        descend(src_root)
     _TREE_CACHE[key] = modules
     return modules
 
@@ -831,7 +849,7 @@ def universe(project: Project) -> FlowAnalysis:
     cached = project.flow
     if isinstance(cached, FlowAnalysis):
         return cached
-    modules = dict(_load_src_tree(project.src_root))
+    modules = dict(_load_src_tree(project.src_root, project.modules))
     for module in project.modules:
         modules[module.module] = module
     analysis = FlowAnalysis(modules.values())

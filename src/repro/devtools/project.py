@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
@@ -57,6 +58,20 @@ class Project:
     flow: Optional["FlowAnalysis"] = field(default=None, repr=False)
 
 
+@lru_cache(maxsize=None)
+def walk(node: ast.AST) -> Tuple[ast.AST, ...]:
+    """Every node under ``node``, in :func:`ast.walk` order, once per node.
+
+    Parsed trees are never modified, and the rules walk the same modules
+    and functions again and again (every rule per file, every flow rule
+    per universe, every universe a lint or a test builds over the one
+    parsed ``src``): the walk dominated the suite's cost.  The tuples
+    live as long as the process, like the parsed ``src`` tree the flow
+    universe keeps.
+    """
+    return tuple(ast.walk(node))
+
+
 def default_repo_root() -> Path:
     """The repository root, located from this file (cwd-independent)."""
     # .../repo/src/repro/devtools/project.py -> parents[3] == repo
@@ -99,6 +114,21 @@ def parse_module(path: Path, module: Optional[str] = None) -> LintModule:
 # ---------------------------------------------------------------- resolution
 
 
+@lru_cache(maxsize=None)
+def _parsed_body(path: Path, version: Tuple[int, int]) -> List[ast.stmt]:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+
+
+def _body(path: Path) -> List[ast.stmt]:
+    """``path``'s top-level statements, parsed once per file version.
+
+    The parity registry names ~40 test nodes in ~16 test files; each
+    lint resolves every one of them.
+    """
+    stat = path.stat()
+    return _parsed_body(path, (stat.st_mtime_ns, stat.st_size))
+
+
 def _split_module(dotted: str, src_root: Path) -> Optional[Tuple[Path, List[str]]]:
     """Split ``pkg.mod.Class.attr`` into (module file, remaining parts)."""
     parts = dotted.split(".")
@@ -123,7 +153,7 @@ def resolve_dotted(dotted: str, src_root: Path) -> bool:
     path, remainder = split
     if not remainder:
         return True
-    body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    body = _body(path)
     for i, name in enumerate(remainder):
         match = next(
             (
@@ -168,7 +198,7 @@ def test_node_exists(test_id: str, repo_root: Path) -> bool:
     path = repo_root / file_part
     if not path.exists() or not parts:
         return False
-    body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    body = _body(path)
     for i, name in enumerate(parts):
         match = next(
             (

@@ -13,7 +13,7 @@ import ast
 from typing import Iterator
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 
 #: Constructor calls that produce a fresh mutable per call site.
@@ -39,7 +39,7 @@ class MutableDefault(Rule):
     description = "no mutable argument defaults ([] / {} / set() / dict())"
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
@@ -68,7 +68,7 @@ class BareExcept(Rule):
     description = "no bare except: clauses (they swallow KeyboardInterrupt too)"
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield Finding(
                     path=module.display_path,

@@ -14,9 +14,10 @@ call graph (:mod:`repro.devtools.flow`), and bans in the closure:
   different environment than the parent you debugged);
 * ``global`` statements and mutation of module-level mutable
   containers (state that silently diverges between serial and process
-  engines), except in :data:`SANCTIONED_STATE_MODULES`;
-* hidden-global RNG: stdlib ``random`` calls, legacy ``np.random.*``
-  global-state draws, and unseeded ``default_rng()``.
+  engines), except in :data:`SANCTIONED_STATE_MODULES`.
+
+Hidden-global RNG is not this rule's business: ``no-unseeded-rng`` bans
+it in every module, worker-reachable or not.
 
 Findings carry the call chain from the boundary entry, so a violation
 three calls deep is still attributable.
@@ -25,7 +26,7 @@ three calls deep is still attributable.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.findings import Finding
 from repro.devtools.flow import (
@@ -34,9 +35,8 @@ from repro.devtools.flow import (
     FunctionInfo,
     universe,
 )
-from repro.devtools.project import Project
+from repro.devtools.project import Project, walk
 from repro.devtools.registry import Rule, register
-from repro.devtools.rules.rng import CONSTRUCTORS, _numpy_random_member
 
 #: The module whose public functions execute inside worker processes.
 WORKERS_MODULE = "repro.runtime.workers"
@@ -57,7 +57,7 @@ TASK_SINKS: FrozenSet[str] = frozenset({"repro.runtime.sweep.make_task"})
 #: Modules whose module-level state is *deliberately* per-process and
 #: reset by ``init_worker`` (perf counters, tracer, the wall-clock
 #: funnel, the workload memo).  State checks (mutation / ``global``)
-#: are waived there; environment and RNG checks still apply.
+#: are waived there; the environment check still applies.
 SANCTIONED_STATE_MODULES: FrozenSet[str] = frozenset(
     {
         "repro.perf",
@@ -80,7 +80,7 @@ class BoundaryPurity(Rule):
     description = (
         "functions reachable from the worker boundary (runtime.workers "
         "entry points, retry runners, make_task callables) must not read "
-        "os.environ, mutate module state, or draw hidden-global RNG"
+        "os.environ or mutate module state"
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -117,7 +117,7 @@ class BoundaryPurity(Rule):
         sinks = RUNNER_SINKS | TASK_SINKS
         for info in flow.functions.values():
             env = flow.function_env(info.qualname)
-            for node in ast.walk(info.def_node):
+            for node in walk(info.def_node):
                 if not isinstance(node, ast.Call):
                     continue
                 target = flow.resolve_call_target(info.module, node.func, env)
@@ -168,7 +168,7 @@ class BoundaryPurity(Rule):
             if check_state
             else frozenset()
         )
-        for node in ast.walk(info.def_node):
+        for node in walk(info.def_node):
             if isinstance(node, ast.Global) and check_state:
                 yield (
                     node,
@@ -236,31 +236,6 @@ class BoundaryPurity(Rule):
                 "workers must not read the inherited environment; pass "
                 "configuration through the task payload",
             )
-            return
-        if dotted.startswith("random.") and "random" in imported_roots:
-            yield (
-                node,
-                f"stdlib {dotted}() (hidden global state) in "
-                f"worker-reachable {info.qualname}",
-                "draw from a seeded Generator threaded through the task",
-            )
-            return
-        member = _numpy_random_member(dotted)
-        if member is None:
-            return
-        if member not in CONSTRUCTORS:
-            yield (
-                node,
-                f"legacy np.random.{member}() (hidden global state) in "
-                f"worker-reachable {info.qualname}",
-                "draw from a seeded Generator threaded through the task",
-            )
-        elif member == "default_rng" and not node.args and not node.keywords:
-            yield (
-                node,
-                f"unseeded default_rng() in worker-reachable {info.qualname}",
-                "seed it from the task payload",
-            )
 
     @staticmethod
     def _imported_roots(
@@ -310,7 +285,7 @@ def _local_names(def_node: ast.AST) -> Set[str]:
         + ([args.kwarg] if args.kwarg else [])
     ):
         names.add(arg.arg)
-    for node in ast.walk(def_node):
+    for node in walk(def_node):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 _collect_targets(target, names)

@@ -28,7 +28,7 @@ import ast
 from typing import Iterator, Set, Tuple
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 
 
@@ -49,7 +49,7 @@ def _stored_self_attrs(func: ast.AST) -> Set[str]:
     the attribute (``self.X[...] = ...``).
     """
     stored: Set[str] = set()
-    for node in ast.walk(func):
+    for node in walk(func):
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -78,7 +78,7 @@ class CacheInvalidation(Rule):
     )
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(module, node)
 

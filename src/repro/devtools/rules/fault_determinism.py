@@ -35,7 +35,7 @@ import ast
 from typing import Iterator, Set
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 from repro.devtools.rules.imports import ImportMap, canonical_call
 
@@ -89,7 +89,7 @@ class FaultDeterminism(Rule):
             return
         imports = ImportMap(module.tree)
         allowed = self._faults_children(module.tree)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             if canonical_call(node.func, imports) == DEFAULT_RNG:
@@ -118,7 +118,7 @@ class FaultDeterminism(Rule):
     def _faults_children(self, tree: ast.AST) -> Set[str]:
         """Names assigned from a bare ``<expr>.child("faults")`` call."""
         allowed: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if isinstance(node, ast.Assign):
                 targets = node.targets
                 value = node.value

@@ -11,13 +11,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional, Tuple
 
+from repro.devtools.project import walk
+
 
 class ImportMap:
     """Local name -> imported dotted name, for one module."""
 
     def __init__(self, tree: ast.Module) -> None:
         self._names: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]

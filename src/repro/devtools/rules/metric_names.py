@@ -33,7 +33,7 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.devtools.findings import Finding
 from repro.devtools.flow import FlowAnalysis, universe
-from repro.devtools.project import LintModule, Project
+from repro.devtools.project import LintModule, Project, walk
 from repro.devtools.registry import Rule, register
 from repro.obs.metric_registry import SPECS_BY_NAME
 
@@ -126,7 +126,7 @@ class MetricNameRegistry(Rule):
         }
         for info in flow.module_functions(module.module):
             env = flow.function_env(info.qualname)
-            for node in ast.walk(info.def_node):
+            for node in walk(info.def_node):
                 yield from self._classify(flow, module, node, env)
         for node in flow.module_level_nodes(module, indexed):
             yield from self._classify(flow, module, node, {})

@@ -20,8 +20,8 @@ rule bans, in modules under ``repro.runtime``:
   ``.demand_columns()``, ``.flow_columns()``), or name a module-level
   value assigned from either.
 
-The analysis is local and flow-insensitive, like ``fork-safe-rng`` —
-enough to catch the construct the transport contract bans.
+The analysis is local and flow-insensitive — enough to catch the
+construct the transport contract bans.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import ast
 from typing import Iterator, Optional, Set
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 from repro.devtools.rules.imports import ImportMap, canonical_call
 
@@ -97,7 +97,7 @@ class NoPickledColumns(Rule):
             return
         imports = ImportMap(module.tree)
         column_locals = self._column_locals(module.tree, imports)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class_fields(module, node, imports)
             elif isinstance(node, ast.Call):
@@ -188,7 +188,7 @@ class NoPickledColumns(Rule):
     ) -> Set[str]:
         """Names assigned from banned constructors or column accessors."""
         names: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if isinstance(node, ast.Assign):
                 targets = node.targets
                 value = node.value

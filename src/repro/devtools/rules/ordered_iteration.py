@@ -21,7 +21,7 @@ import ast
 from typing import Iterator, Tuple
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 
 #: Packages whose outputs must be independent of hash order.
@@ -68,7 +68,7 @@ class OrderedIteration(Rule):
     def check_module(self, module: LintModule) -> Iterator[Finding]:
         if not module_in_scope(module.module):
             return
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from self._check_iter(module, node.iter)
             elif isinstance(

@@ -15,7 +15,7 @@ import ast
 from typing import FrozenSet, Iterator, Optional
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 from repro.devtools.rules.imports import ImportMap, canonical_call
 
@@ -64,7 +64,7 @@ class NoUnseededRng(Rule):
         if module.module == EXEMPT_MODULE:
             return
         imports = ImportMap(module.tree)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.findings import Finding
 from repro.devtools.flow import FlowAnalysis, StreamDerivation, universe
-from repro.devtools.project import LintModule, Project
+from repro.devtools.project import LintModule, Project, walk
 from repro.devtools.registry import Rule, register
 from repro.devtools.stream_registry import (
     DERIVERS,
@@ -300,7 +300,7 @@ class RngStreamRegistry(Rule):
         if info is None:
             return None
         values: List[str] = []
-        for node in ast.walk(info.def_node):
+        for node in walk(info.def_node):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -324,7 +324,7 @@ class RngStreamRegistry(Rule):
             if info.module == module.module
         }
         for info in flow.module_functions(module.module):
-            for node in ast.walk(info.def_node):
+            for node in walk(info.def_node):
                 site = self._default_rng_call(flow, module, node)
                 if site is None:
                     continue

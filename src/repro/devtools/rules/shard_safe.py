@@ -21,7 +21,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 
 
@@ -47,7 +47,7 @@ def _disables_sharding(cls: ast.ClassDef) -> Optional[int]:
     for item in cls.body:
         if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        for node in ast.walk(item):
+        for node in walk(item):
             if not isinstance(node, ast.Assign):
                 continue
             if not _is_false(node.value):
@@ -91,7 +91,7 @@ class ShardSafeNote(Rule):
     )
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             line = _disables_sharding(node)

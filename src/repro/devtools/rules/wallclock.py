@@ -17,7 +17,7 @@ import ast
 from typing import Iterator, Tuple
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import LintModule
+from repro.devtools.project import LintModule, walk
 from repro.devtools.registry import Rule, register
 from repro.devtools.rules.imports import ImportMap, canonical_call
 
@@ -69,7 +69,7 @@ class NoWallclock(Rule):
         if module_is_exempt(module.module):
             return
         imports = ImportMap(module.tree)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = canonical_call(node.func, imports)

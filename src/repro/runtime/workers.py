@@ -30,7 +30,8 @@ RNG contract: a worker never draws from a root-seeded
 :class:`~repro.sim.rng.RandomStreams` directly — per-shard streams are
 derived via ``child(shard_stream_name(controller_id))`` inside the
 replay engine, which is what makes worker draws bit-identical to the
-serial engine's (enforced by the ``fork-safe-rng`` lint rule).
+serial engine's (the ``rng-stream-registry`` lint rule rejects any
+stream this package draws itself: no stream name is registered to it).
 """
 
 from __future__ import annotations

@@ -94,8 +94,8 @@ class RandomStreams:
         streams to one built in the parent.  This cross-process stability
         is the invariant the parallel execution engine rests on: a shard
         is handed only its ``child(shard_stream_name(...))`` factory,
-        never the root factory itself (enforced by the ``fork-safe-rng``
-        lint rule).
+        never the root factory itself (the ``rng-stream-registry`` lint
+        rule rejects any stream :mod:`repro.runtime` draws itself).
         """
         if _OBSERVER is not None:
             _OBSERVER("child", name)

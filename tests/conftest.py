@@ -7,8 +7,13 @@ session through the same cache the experiment runners use.
 
 from __future__ import annotations
 
+from typing import List, NamedTuple
+
 import pytest
 
+from repro.devtools.findings import Finding
+from repro.devtools.lint import lint_paths
+from repro.devtools.project import Project, default_repo_root
 from repro.experiments.config import SMALL, TINY
 from repro.experiments.workload import build_workload, trained_model
 from repro.obs import metrics as obs_metrics
@@ -77,3 +82,25 @@ def small_workload():
 @pytest.fixture(scope="session")
 def small_model(small_workload):
     return trained_model(SMALL)
+
+
+class SrcLint(NamedTuple):
+    """``src`` linted once: the project the lint built, and its findings."""
+
+    project: Project
+    findings: List[Finding]
+
+
+@pytest.fixture(scope="session")
+def src_lint() -> SrcLint:
+    """Every rule over the whole ``src`` tree, run once per session.
+
+    The clean-tree gate and the whole-tree flow tests (registries in both
+    directions, layering, boundary purity, the universe itself) all read
+    this one project, so its flow universe is built once.
+    """
+    root = default_repo_root()
+    project = Project(
+        repo_root=root, src_root=root / "src", tests_root=root / "tests"
+    )
+    return SrcLint(project, lint_paths([root / "src"], project=project))

@@ -7,7 +7,8 @@ Three layers of proof for the flow rules:
 * **both directions** — an unregistered derivation fails lint (the
   fixtures), and a registry entry/deriver/fallback with no surviving
   call site fails lint too (patched registries against the real src
-  tree), with the unpatched registry exactly matching src;
+  tree), with the unpatched registry exactly matching src (the
+  session's one lint of ``src``, the ``src_lint`` fixture);
 * **runtime cross-check** — the stream names an actual tiny workload
   derives (observed via :func:`repro.sim.rng.observe_streams`) all
   match the static registry, so the table describes reality.
@@ -21,6 +22,7 @@ from typing import List, Tuple
 from repro.devtools.flow import universe
 from repro.devtools.lint import lint_paths
 from repro.devtools.project import Project, default_repo_root, parse_module
+from repro.devtools.registry import all_rules
 from repro.devtools.rules import metric_names as metric_names_module
 from repro.devtools.rules import rng_streams as rng_streams_module
 from repro.devtools.rules.boundary_purity import BoundaryPurity
@@ -45,20 +47,23 @@ def _fresh_project() -> Project:
 
 
 def _rule_findings(path: Path, rule: str) -> List[Tuple[int, str]]:
-    return [
-        (f.line, f.message)
-        for f in lint_paths([path])
-        if f.rule == rule
-    ]
+    """One rule's (line, message) findings on one fixture file."""
+    rules = [r for r in all_rules() if r.id == rule]
+    return [(f.line, f.message) for f in lint_paths([path], rules=rules)]
+
+
+def _src_findings(src_lint, rule: str) -> List[str]:
+    """One rule's findings in the session's lint of ``src``, rendered."""
+    return [f.render() for f in src_lint.findings if f.rule == rule]
 
 
 # ----------------------------------------------------------- flow universe
 
 
-def test_universe_covers_src_and_is_cached_on_the_project():
-    project = _fresh_project()
-    flow = universe(project)
-    assert project.flow is flow
+def test_universe_covers_src_and_is_cached_on_the_project(src_lint):
+    project = src_lint.project
+    flow = project.flow  # built by the lint's flow rules
+    assert flow is not None
     assert universe(project) is flow  # one build per lint invocation
     # spot-check the symbol index across layers
     assert "repro.sim.rng" in flow.modules
@@ -66,8 +71,8 @@ def test_universe_covers_src_and_is_cached_on_the_project():
     assert "repro.sim.rng.RandomStreams" in flow.classes
 
 
-def test_worker_closure_reaches_the_replay_engine():
-    flow = universe(_fresh_project())
+def test_worker_closure_reaches_the_replay_engine(src_lint):
+    flow = universe(src_lint.project)
     chains = flow.reachable(["repro.runtime.workers.run_replay_shard"])
     target = "repro.wlan.replay.ReplayEngine.run_window"
     assert target in chains
@@ -145,13 +150,13 @@ def test_stale_noqa_fixture():
 # --------------------------------------------------- registry, reverse proof
 
 
-def test_stream_registry_exactly_matches_src_in_both_directions():
+def test_stream_registry_exactly_matches_src_in_both_directions(src_lint):
     """The shipped registry has no unused entry and src has no stray site."""
-    findings = list(RngStreamRegistry().check_project(_fresh_project()))
-    assert findings == [], "\n".join(f.render() for f in findings)
+    findings = _src_findings(src_lint, "rng-stream-registry")
+    assert findings == [], "\n".join(findings)
 
 
-def test_unused_registry_entry_is_a_finding(monkeypatch):
+def test_unused_registry_entry_is_a_finding(monkeypatch, src_lint):
     extra = StreamEntry(
         kind="get",
         name="never-derived",
@@ -163,13 +168,13 @@ def test_unused_registry_entry_is_a_finding(monkeypatch):
         "STREAM_REGISTRY",
         rng_streams_module.STREAM_REGISTRY + (extra,),
     )
-    findings = list(RngStreamRegistry().check_project(_fresh_project()))
+    findings = list(RngStreamRegistry().check_project(src_lint.project))
     assert len(findings) == 1
     assert "matches no derivation call site" in findings[0].message
     assert "never-derived" in findings[0].message
 
 
-def test_unused_and_unresolved_derivers_are_findings(monkeypatch):
+def test_unused_and_unresolved_derivers_are_findings(monkeypatch, src_lint):
     monkeypatch.setattr(
         rng_streams_module,
         "DERIVERS",
@@ -191,7 +196,7 @@ def test_unused_and_unresolved_derivers_are_findings(monkeypatch):
     )
     messages = [
         f.message
-        for f in RngStreamRegistry().check_project(_fresh_project())
+        for f in RngStreamRegistry().check_project(src_lint.project)
     ]
     assert any(
         "repro.trace.social.build_world is never passed" in m for m in messages
@@ -201,7 +206,7 @@ def test_unused_and_unresolved_derivers_are_findings(monkeypatch):
     )
 
 
-def test_stale_fallback_generators_are_findings(monkeypatch):
+def test_stale_fallback_generators_are_findings(monkeypatch, src_lint):
     monkeypatch.setattr(
         rng_streams_module,
         "FALLBACK_GENERATORS",
@@ -213,7 +218,7 @@ def test_stale_fallback_generators_are_findings(monkeypatch):
     )
     messages = [
         f.message
-        for f in RngStreamRegistry().check_project(_fresh_project())
+        for f in RngStreamRegistry().check_project(src_lint.project)
     ]
     assert any("no longer calls" in m and "build_world" in m for m in messages)
     assert any(
@@ -221,13 +226,13 @@ def test_stale_fallback_generators_are_findings(monkeypatch):
     )
 
 
-def test_metric_registry_exactly_matches_src_in_both_directions():
+def test_metric_registry_exactly_matches_src_in_both_directions(src_lint):
     """The shipped specs have no unused entry and src has no stray site."""
-    findings = list(MetricNameRegistry().check_project(_fresh_project()))
-    assert findings == [], "\n".join(f.render() for f in findings)
+    findings = _src_findings(src_lint, "metric-name-registry")
+    assert findings == [], "\n".join(findings)
 
 
-def test_unused_metric_spec_is_a_finding(monkeypatch):
+def test_unused_metric_spec_is_a_finding(monkeypatch, src_lint):
     from repro.obs.metric_registry import MetricSpec
 
     extra = MetricSpec(
@@ -242,7 +247,7 @@ def test_unused_metric_spec_is_a_finding(monkeypatch):
         "SPECS_BY_NAME",
         {**metric_names_module.SPECS_BY_NAME, extra.name: extra},
     )
-    findings = list(MetricNameRegistry().check_project(_fresh_project()))
+    findings = list(MetricNameRegistry().check_project(src_lint.project))
     assert len(findings) == 1
     assert "matches no instrumentation call site" in findings[0].message
     assert "never.recorded" in findings[0].message
@@ -252,9 +257,9 @@ def test_unused_metric_spec_is_a_finding(monkeypatch):
 # -------------------------------------------------------------- layering
 
 
-def test_src_layering_is_clean_and_acyclic():
-    findings = list(ImportContract().check_project(_fresh_project()))
-    assert findings == [], "\n".join(f.render() for f in findings)
+def test_src_layering_is_clean_and_acyclic(src_lint):
+    findings = _src_findings(src_lint, "import-contract")
+    assert findings == [], "\n".join(findings)
 
 
 def test_import_cycle_is_detected(tmp_path):
@@ -300,8 +305,8 @@ def test_lazy_imports_are_exempt_from_the_cycle_check_only(tmp_path):
 # ------------------------------------------------------- boundary entries
 
 
-def test_boundary_entries_include_workers_and_task_callables():
-    flow = universe(_fresh_project())
+def test_boundary_entries_include_workers_and_task_callables(src_lint):
+    flow = universe(src_lint.project)
     entries = BoundaryPurity()._entries(flow)
     assert "repro.runtime.workers.run_replay_shard" in entries
     assert "repro.runtime.workers.run_sweep_call" in entries
@@ -311,9 +316,11 @@ def test_boundary_entries_include_workers_and_task_callables():
     assert "repro.runtime.sweep.experiment_task" in entries
 
 
-def test_src_boundary_is_pure():
-    findings = list(BoundaryPurity().check_project(_fresh_project()))
-    assert findings == [], "\n".join(f.render() for f in findings)
+def test_src_boundary_is_pure(src_lint):
+    # The lint linted every src module, so the rule reports in all of them.
+    assert src_lint.project.modules
+    findings = _src_findings(src_lint, "boundary-purity")
+    assert findings == [], "\n".join(findings)
 
 
 # ------------------------------------------------------ runtime cross-check

@@ -3,8 +3,9 @@
 Each rule has a fixture file under ``tests/fixtures/lint/`` with known
 violations; the tests pin the exact (line, rule) set so a rule that
 drifts (misses a case or over-fires) fails loudly.  The suite also
-asserts the invariant the framework exists for: ``src/`` is clean, and
-deliberately seeded violations are caught.
+asserts the invariant the framework exists for: ``src/`` is clean (the
+session's one lint of it, the ``src_lint`` fixture), and deliberately
+seeded violations are caught.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.devtools.lint import iter_python_files, lint_module, lint_paths, main
-from repro.devtools.parity_registry import PARITY_REGISTRY
+from repro.devtools.parity_registry import PARITY_REGISTRY, ParityEntry
 from repro.devtools.project import (
+    Project,
     default_repo_root,
     module_name_for,
     parse_module,
@@ -28,6 +29,7 @@ from repro.devtools.project import (
 )
 from repro.devtools.project import test_node_exists as node_exists
 from repro.devtools.registry import all_rules, rule_ids
+from repro.devtools.rules import engine_parity
 
 REPO = default_repo_root()
 FIXTURES = REPO / "tests" / "fixtures" / "lint"
@@ -38,7 +40,6 @@ EXPECTED_RULES = {
     "cache-invalidation",
     "engine-parity",
     "fault-determinism",
-    "fork-safe-rng",
     "import-contract",
     "metric-name-registry",
     "mutable-default",
@@ -134,18 +135,6 @@ def test_engine_parity_fixture():
     messages = "\n".join(f.message for f in findings)
     assert "engine_parity.resample" in messages
     assert "engine_parity.Pipeline.transform" in messages
-
-
-def test_fork_safe_rng_fixture_scoped_by_module_name():
-    path = FIXTURES / "repro" / "runtime" / "forkrng.py"
-    assert module_name_for(path) == "repro.runtime.forkrng"
-    findings = lint_module(parse_module(path))
-    assert lines_by_rule(findings, "fork-safe-rng") == [12, 17]
-    messages = "\n".join(f.message for f in findings)
-    assert "root-seeded" in messages
-    # the same code outside repro.runtime is not flagged
-    relaxed = lint_module(parse_module(path, module="repro.wlan.forkrng"))
-    assert lines_by_rule(relaxed, "fork-safe-rng") == []
 
 
 def test_no_pickled_columns_fixture_scoped_by_module_name():
@@ -284,8 +273,8 @@ def test_suppression_comments_report_rules_and_position():
 # ------------------------------------------------------------------ engine
 
 
-def test_src_tree_is_clean():
-    findings = lint_paths([REPO / "src"])
+def test_src_tree_is_clean(src_lint):
+    findings = src_lint.findings
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -320,33 +309,36 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rule_id in listed
 
 
-def test_cli_subprocess_matches_in_process():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.devtools.lint", "src"],
+def _run_cli(*args: str) -> "subprocess.CompletedProcess[str]":
+    return subprocess.run(
+        [sys.executable, "-m", "repro.devtools.lint", *args],
         cwd=REPO,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": "src"},
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_subprocess_matches_in_process():
+    # The default run (project checks included) passes a clean file ...
+    clean = _run_cli(str(FIXTURES / "clean.py"))
+    assert clean.returncode == 0, clean.stdout + clean.stderr
+    # ... and fails a dirty one, printing what the in-process lint finds.
+    dirty = _run_cli(str(FIXTURES / "wallclock.py"), "--no-project")
+    assert dirty.returncode == 1, dirty.stdout + dirty.stderr
+    expected = lint_paths(
+        [FIXTURES / "wallclock.py"], with_project_checks=False
+    )
+    assert expected
+    assert [line.split(":", 1)[1] for line in dirty.stdout.splitlines()] == [
+        f.render().split(":", 1)[1] for f in expected
+    ]
 
 
 # ------------------------------------------------------------ parity registry
 
 
-def test_registry_names_resolve_statically():
-    src_root = REPO / "src"
-    for dotted, entry in PARITY_REGISTRY.items():
-        assert resolve_dotted(dotted, src_root), dotted
-        assert reference_exists(entry.reference, REPO), entry.reference
-        if entry.fast is not None:
-            assert resolve_dotted(entry.fast, src_root), entry.fast
-        assert entry.tests, dotted
-        for test_id in entry.tests:
-            assert node_exists(test_id, REPO), test_id
-
-
-def test_resolution_rejects_missing_names():
+def test_resolution_rejects_missing_names(monkeypatch):
     src_root = REPO / "src"
     assert not resolve_dotted("repro.analysis.churn.no_such_function", src_root)
     assert not resolve_dotted("repro.no_such_module.f", src_root)
@@ -359,6 +351,45 @@ def test_resolution_rejects_missing_names():
     assert not node_exists(
         "tests/test_analysis_fastchurn.py::test_no_such", REPO
     )
+    assert not node_exists("tests/test_analysis_fastchurn.py", REPO)
+    assert not node_exists(
+        "tests/test_analysis_balance.py::TestNoSuchClass::test_x", REPO
+    )
+    # The shipped registry resolves (the session's src lint runs this
+    # check); a registry with a dead entry is a finding per dead name.
+    monkeypatch.setattr(
+        engine_parity,
+        "PARITY_REGISTRY",
+        {
+            "repro.analysis.churn.no_such_function": ParityEntry(
+                reference="tests/churn_oracle.py::no_such_oracle",
+                tests=(),
+                fast="repro.no_such_module.fast",
+            ),
+            "repro.analysis.churn.extract_churn": ParityEntry(
+                reference="tests/churn_oracle.py::extract_churn_python",
+                tests=("tests/test_analysis_fastchurn.py::test_no_such",),
+            ),
+        },
+    )
+    project = Project(
+        repo_root=REPO, src_root=src_root, tests_root=REPO / "tests"
+    )
+    messages = [
+        f.message for f in engine_parity.EngineParity().check_project(project)
+    ]
+    assert messages == [
+        "registry entry repro.analysis.churn.extract_churn: equivalence test "
+        "tests/test_analysis_fastchurn.py::test_no_such is not collected",
+        "registry entry repro.analysis.churn.no_such_function: implementation "
+        "repro.analysis.churn.no_such_function does not resolve under src/",
+        "registry entry repro.analysis.churn.no_such_function: implementation "
+        "repro.no_such_module.fast does not resolve under src/",
+        "registry entry repro.analysis.churn.no_such_function: oracle "
+        "tests/churn_oracle.py::no_such_oracle does not resolve",
+        "registry entry repro.analysis.churn.no_such_function lists no "
+        "equivalence tests",
+    ]
 
 
 def test_split_test_id_strips_parametrization():
@@ -369,27 +400,43 @@ def test_split_test_id_strips_parametrization():
     assert parts == ["test_extract_churn_engines_identical_random"]
 
 
-@pytest.mark.parametrize(
-    "test_file",
-    sorted({split_test_id(t)[0] for e in PARITY_REGISTRY.values() for t in e.tests}),
+REGISTRY_TEST_FILES = sorted(
+    {split_test_id(t)[0] for e in PARITY_REGISTRY.values() for t in e.tests}
 )
-def test_registry_tests_are_collected_by_pytest(test_file):
-    """Cross-check static resolution against real pytest collection."""
+
+
+@pytest.fixture(scope="module")
+def collected_registry_tests():
+    """Every registry test file collected by one real ``pytest`` run.
+
+    Returns ``file -> {node path}`` with parametrization stripped.
+    """
     proc = subprocess.run(
         # no explicit -q: addopts already passes one, and a second would
         # collapse the listing to per-file counts
-        [sys.executable, "-m", "pytest", "--collect-only", test_file],
+        [sys.executable, "-m", "pytest", "--collect-only"]
+        + REGISTRY_TEST_FILES,
         cwd=REPO,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    collected = {
-        line.split("::", 1)[1].split("[", 1)[0]
-        for line in proc.stdout.splitlines()
-        if "::" in line
-    }
+    collected = {test_file: set() for test_file in REGISTRY_TEST_FILES}
+    for line in proc.stdout.splitlines():
+        if "::" in line:
+            file_part, node = line.split("::", 1)
+            collected.setdefault(file_part, set()).add(node.split("[", 1)[0])
+    return collected
+
+
+@pytest.mark.parametrize("test_file", REGISTRY_TEST_FILES)
+def test_registry_tests_are_collected_by_pytest(
+    test_file, collected_registry_tests
+):
+    """Cross-check static resolution against real pytest collection."""
+    collected = collected_registry_tests[test_file]
+    assert collected, f"pytest collected nothing from {test_file}"
     for entry in PARITY_REGISTRY.values():
         for test_id in entry.tests:
             file_part, parts = split_test_id(test_id)
