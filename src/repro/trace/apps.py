@@ -162,6 +162,8 @@ class TrafficModel:
         missing = [realm for realm in REALMS if realm not in self._volumes]
         if missing:
             raise ValueError(f"traffic model missing realms: {missing}")
+        self._medians = np.array([self._volumes[r].median_bytes for r in REALMS])
+        self._sigmas = np.array([self._volumes[r].sigma for r in REALMS])
 
     def volume(self, realm: AppRealm) -> VolumeModel:
         """The volume model of one realm."""
@@ -179,18 +181,21 @@ class TrafficModel:
         vector over the six realms; a realm's volume is its model draw
         scaled by the user's relative interest, so users of different types
         produce visibly different traffic mixes.
+
+        The realms with positive weight draw in one ``lognormal`` call, in
+        realm order: the same draws as one :meth:`VolumeModel.sample` per
+        such realm.
         """
         weights = np.asarray(realm_weights, dtype=float)
         if weights.shape != (N_REALMS,):
             raise ValueError(f"expected {N_REALMS} realm weights, got {weights.shape}")
-        if np.any(weights < 0):
+        if np.count_nonzero(weights >= 0) < N_REALMS:
             raise ValueError("realm weights must be non-negative")
         hours = duration_seconds / 3600.0
+        if hours < 0:
+            raise ValueError(f"negative duration {hours!r}")
+        drawn = weights > 0
+        mu = np.log(self._medians[drawn] * max(hours, 1e-6))
         volumes = np.zeros(N_REALMS)
-        for realm in REALMS:
-            weight = weights[realm]
-            if weight <= 0:
-                continue
-            base = self._volumes[realm].sample(rng, hours, n=1)[0]
-            volumes[realm] = base * weight
+        volumes[drawn] = rng.lognormal(mu, self._sigmas[drawn]) * weights[drawn]
         return volumes

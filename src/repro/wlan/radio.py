@@ -15,7 +15,7 @@ deterministic per (user, session) via named RNG streams.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +40,14 @@ def path_loss_rssi(
     """Received signal strength (dBm) at ``distance`` meters."""
     if distance < 0:
         raise ValueError(f"negative distance {distance!r}")
-    d = max(distance, REFERENCE_DISTANCE_M)
+    return float(_received_dbm(distance, tx_power, exponent, shadowing_db))
+
+
+def _received_dbm(distance: Any, tx_power: float, exponent: float, shadowing_db: Any) -> Any:
+    """The log-distance formula, elementwise over floats or arrays alike."""
+    d = np.maximum(distance, REFERENCE_DISTANCE_M)
     loss = REFERENCE_LOSS_DB + 10.0 * exponent * np.log10(d / REFERENCE_DISTANCE_M)
-    return float(tx_power - loss + shadowing_db)
+    return tx_power - loss + shadowing_db
 
 
 def rssi_map(
@@ -54,22 +59,23 @@ def rssi_map(
     """RSSI from ``position`` to each AP, above the sensitivity floor.
 
     With ``rng`` and a positive ``shadowing_sigma_db``, i.i.d. log-normal
-    shadowing is applied per AP.  APs below the floor are omitted; callers
+    shadowing is applied per AP, one ``normal`` draw per AP in ``aps``
+    order, taken as one call.  APs below the floor are omitted; callers
     should treat an empty map as "no coverage here".
     """
+    aps = list(aps)
     x, y = position
-    out: Dict[str, float] = {}
-    for ap in aps:
-        dx = x - ap.position[0]
-        dy = y - ap.position[1]
-        distance = float(np.hypot(dx, dy))
-        shadow = 0.0
-        if rng is not None and shadowing_sigma_db > 0:
-            shadow = float(rng.normal(0.0, shadowing_sigma_db))
-        rssi = path_loss_rssi(distance, shadowing_db=shadow)
-        if rssi >= SENSITIVITY_FLOOR_DBM:
-            out[ap.ap_id] = rssi
-    return out
+    dx = np.array([x - ap.position[0] for ap in aps])
+    dy = np.array([y - ap.position[1] for ap in aps])
+    shadow: Any = 0.0
+    if rng is not None and shadowing_sigma_db > 0:
+        shadow = rng.normal(0.0, shadowing_sigma_db, size=len(aps))
+    rssi = _received_dbm(np.hypot(dx, dy), TX_POWER_DBM, PATH_LOSS_EXPONENT, shadow)
+    return {
+        ap.ap_id: value
+        for ap, value in zip(aps, rssi.tolist())
+        if value >= SENSITIVITY_FLOOR_DBM
+    }
 
 
 def sample_position(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.trace.social import CampusLayout
 from repro.wlan.radio import (
@@ -67,6 +67,33 @@ class TestRssiMap:
         a = rssi_map((0, 0), aps, rng=np.random.default_rng(5), shadowing_sigma_db=4.0)
         b = rssi_map((0, 0), aps, rng=np.random.default_rng(5), shadowing_sigma_db=4.0)
         assert a == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_aps=st.integers(0, 12),
+        sigma=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=12.0)),
+        spread=st.floats(min_value=0.5, max_value=400.0),
+    )
+    def test_map_equals_one_scalar_draw_per_ap(self, seed, n_aps, sigma, spread):
+        layout = CampusLayout.grid(1, max(n_aps, 1))
+        aps = list(layout.aps.values())[:n_aps]
+        points = np.random.default_rng(seed ^ 0x5EED).uniform(-spread, spread, size=2)
+        position = (float(points[0]), float(points[1]))
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = {}
+        for ap in aps:
+            distance = float(np.hypot(position[0] - ap.position[0], position[1] - ap.position[1]))
+            shadow = float(scalar.normal(0.0, sigma)) if sigma > 0 else 0.0
+            loss = 40.0 + 10.0 * 3.0 * np.log10(max(distance, 1.0) / 1.0)
+            rssi = float(20.0 - loss + shadow)
+            if rssi >= SENSITIVITY_FLOOR_DBM:
+                expected[ap.ap_id] = rssi
+        got = rssi_map(position, aps, rng=batched, shadowing_sigma_db=sigma)
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in expected.items()
+        }
+        assert batched.random() == scalar.random()
 
     def test_strongest_of_empty_rejected(self):
         with pytest.raises(ValueError):
