@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.sim.timeline import DAY, HOUR, MINUTE, day_index, weekday
+from repro.sim.timeline import DAY, MINUTE, day_index, weekday
 from repro.trace.apps import REALMS, applications_for_realm
 from repro.trace.classifier import PortClassifier
 from repro.trace.generator import GeneratorConfig, TraceGenerator, generate_trace
@@ -305,6 +305,12 @@ class TestGeneratorConfig:
             ("solo_duration_mean", -1.0),
             ("solo_duration_mean", 0.0),
             ("solo_duration_sigma", -0.1),
+            ("solo_diurnal", ()),
+            ("solo_diurnal", ((9.0, -0.1, 1.0), (14.0, 1.1, 1.0))),
+            ("solo_diurnal", ((9.0, float("nan"), 1.0),)),
+            ("solo_diurnal", ((9.0, 0.0, 1.0), (14.0, 0.0, 1.0))),
+            ("solo_diurnal", ((9.0, 1.0, 0.0),)),
+            ("solo_diurnal", ((9.0, 1.0, -1.0),)),
         ],
     )
     def test_rejects_bad_field(self, field, value):
