@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.experiments.config import PAPER, ExperimentConfig
 from repro.experiments.evaluation import (
-    daytime_samples,
     departure_peak_samples,
     hourly_means,
     mean_daytime_balance,

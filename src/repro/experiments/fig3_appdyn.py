@@ -18,7 +18,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.balance import (
-    ap_throughputs,
     churn_filtered_sessions,
     normalized_balance_index,
     variation_series,

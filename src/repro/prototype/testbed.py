@@ -86,7 +86,7 @@ class Testbed:
 
     def poll_loads_every(self, interval: float) -> None:
         """Schedule periodic AP load reports to the controller."""
-        self.sim.every(interval, self.controller.poll_loads, name="load-poll")
+        self.sim.every(interval, self.controller.poll_loads)
 
     def run(self, until: float) -> None:
         """Drive the simulation until the given time."""

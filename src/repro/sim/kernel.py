@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import get_tracer
@@ -32,12 +33,14 @@ class SimulationError(RuntimeError):
 
 @dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback with a handle, for callers that may cancel it.
 
     Events are ordered by ``(time, priority, seq)``.  ``priority`` lets a
     caller force ordering between events at the same instant (lower fires
     first); ``seq`` is a monotonically increasing insertion counter that
     guarantees a stable order among equal-priority simultaneous events.
+    One-shot callbacks that are never cancelled go on the queue without
+    an ``Event`` (:meth:`EventQueue.post`).
     """
 
     time: float
@@ -46,35 +49,51 @@ class Event:
     action: Callable[[], None] = field(compare=False)
     name: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
+    #: The queue's cancelled-seq set while this event is queued, else None.
+    _queued_in: Optional[Set[int]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __call__(self) -> None:
+        """Fire: the event has left its queue."""
+        self._queued_in = None
+        self.action()
 
     def cancel(self) -> None:
         """Mark this event so the run loop skips it.
 
-        Cancellation is lazy: the event stays in the heap but its action is
-        never invoked.  Cancelling twice raises, because double-cancel is
-        almost always a bookkeeping bug in the caller.
+        Cancellation is lazy: the entry stays in the heap, but the run loop
+        drops it unprocessed.  Cancelling twice raises, because double-cancel
+        is almost always a bookkeeping bug in the caller.
         """
         if self.cancelled:
             raise SimulationError(f"event {self.name or self.seq} already cancelled")
         self.cancelled = True
+        if self._queued_in is not None:
+            self._queued_in.add(self.seq)
 
 
 class EventQueue:
-    """A stable min-heap of :class:`Event` objects.
+    """A stable min-heap of scheduled callbacks.
 
-    Entries are stored as ``(time, priority, seq, event)`` tuples so every
-    heap comparison is a C-level tuple comparison — ``seq`` is unique, so
-    the ordering never falls through to the event itself.  At replay scale
-    the Python-level ``Event.__lt__`` calls this avoids are a measurable
-    slice of the whole run.
+    Entries are ``(time, priority, seq, action)`` tuples, so every heap
+    comparison is a C-level tuple comparison — ``seq`` is unique, so the
+    ordering never falls through to the action.  ``action`` is the bare
+    callable for a one-shot :meth:`post`, or the :class:`Event` handle
+    (itself callable) for a :meth:`push`.  Cancelled entries are
+    remembered by ``seq`` and dropped when they reach the top: at replay
+    scale most entries are one-shots, and none of them pays for an
+    ``Event`` or a per-entry cancelled check.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._counter = itertools.count()
+        #: Seqs of cancelled entries still in the heap.
+        self._cancelled: Set[int] = set()
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return len(self._heap) - len(self._cancelled)
 
     def push(
         self,
@@ -85,48 +104,75 @@ class EventQueue:
     ) -> Event:
         """Insert an event and return the handle (usable for cancellation)."""
         seq = next(self._counter)
-        # Replay-scale hot path (one push per arrival, departure, flush
-        # and periodic tick): build the event without the generated
-        # dataclass ``__init__`` — six ``__setattr__`` calls — by filling
-        # the instance dict directly.
-        event = Event.__new__(Event)
-        event.__dict__.update(
-            time=time,
-            priority=priority,
-            seq=seq,
-            action=action,
-            name=name,
-            cancelled=False,
-        )
+        event = Event(time, priority, seq, action, name, False, self._cancelled)
         heapq.heappush(self._heap, (time, priority, seq, event))
         return event
+
+    def post(
+        self, time: float, action: Callable[[], None], priority: int = 0
+    ) -> int:
+        """Insert a one-shot callback without a handle; returns its seq.
+
+        Only :meth:`cancel` with that seq can withdraw it.
+        """
+        seq = next(self._counter)
+        heapq.heappush(self._heap, (time, priority, seq, action))
+        return seq
+
+    def cancel(self, seq: int) -> None:
+        """Withdraw the :meth:`post` entry ``seq``, which must still be
+        queued (a popped seq would stay counted as cancelled)."""
+        self._cancelled.add(seq)
+
+    def _drop_cancelled_head(self) -> bool:
+        """Pop the top entry if it is cancelled; True when one was popped."""
+        seq = self._heap[0][2]
+        if seq not in self._cancelled:
+            return False
+        heapq.heappop(self._heap)
+        self._cancelled.discard(seq)
+        return True
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
 
+        A one-shot entry comes back as a fresh :class:`Event` (unnamed).
         Raises :class:`SimulationError` when the queue holds no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if not event.cancelled:
-                return event
+            if self._drop_cancelled_head():
+                continue
+            time, priority, seq, action = heapq.heappop(self._heap)
+            if isinstance(action, Event):
+                action._queued_in = None
+                return action
+            return Event(time, priority, seq, action)
         raise SimulationError("pop from an empty event queue")
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event, or ``None`` if empty."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+        while self._heap and self._drop_cancelled_head():
+            pass
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every queued event."""
+        for entry in self._heap:
+            if isinstance(entry[3], Event):
+                entry[3]._queued_in = None
         self._heap.clear()
+        self._cancelled.clear()
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over live events in heap (not chronological) order."""
-        return (entry[3] for entry in self._heap if not entry[3].cancelled)
+        for time, priority, seq, action in self._heap:
+            if seq in self._cancelled:
+                continue
+            yield action if isinstance(action, Event) else Event(
+                time, priority, seq, action
+            )
 
 
 class Simulator:
@@ -166,10 +212,26 @@ class Simulator:
     ) -> Event:
         """Schedule ``action`` at absolute simulation time ``time``."""
         if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.3f}, clock already at t={self._now:.3f}"
-            )
+            raise self._past(time)
         return self._queue.push(time, action, priority=priority, name=name)
+
+    def post(
+        self, time: float, action: Callable[[], None], priority: int = 0
+    ) -> None:
+        """Schedule a one-shot ``action`` at ``time`` with no handle.
+
+        It fires in the same ``(time, priority, seq)`` order as a
+        :meth:`schedule`, but builds no :class:`Event` and cannot be
+        cancelled: the form for the bulk of a replay's events.
+        """
+        if time < self._now:
+            raise self._past(time)
+        self._queue.post(time, action, priority)
+
+    def _past(self, time: float) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule at t={time:.3f}, clock already at t={self._now:.3f}"
+        )
 
     def schedule_after(
         self,
@@ -189,39 +251,47 @@ class Simulator:
         action: Callable[[], None],
         start: Optional[float] = None,
         priority: int = 0,
-        name: str = "",
     ) -> Callable[[], None]:
         """Schedule ``action`` periodically; returns a stopper callable.
 
         The first firing happens at ``start`` (defaulting to ``now +
         interval``); subsequent firings every ``interval`` seconds until the
-        returned stopper is invoked or the run horizon is reached.
+        returned stopper is invoked or the run horizon is reached.  Each
+        tick is a one-shot :meth:`post` entry; the stopper cancels the
+        queued one.  A stopper called from inside ``action`` takes effect
+        from the next tick, which still fires (as a no-op).
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        state = {"event": None, "stopped": False}
-        push = self._queue.push
+        post = self._queue.post
+        # The seq of the queued tick: None while a tick fires or once
+        # stopped.
+        queued: Optional[int] = None
+        stopped = False
 
         def fire() -> None:
-            if state["stopped"]:
+            nonlocal queued
+            queued = None
+            if stopped:
                 return
             action()
             # Reschedule straight onto the queue: ``interval`` is
-            # validated positive above, so ``schedule_after``'s delay
-            # check is redundant on this per-tick path.
-            state["event"] = push(
-                self._now + interval, fire, priority=priority, name=name
-            )
+            # validated positive above, so the past-time check is
+            # redundant on this per-tick path.
+            queued = post(self._now + interval, fire, priority)
 
         first = self._now + interval if start is None else start
-        state["event"] = self.schedule(first, fire, priority=priority, name=name)
+        if first < self._now:
+            raise self._past(first)
+        queued = post(first, fire, priority)
 
         def stop() -> None:
             """Cancel the periodic firing."""
-            state["stopped"] = True
-            event = state["event"]
-            if event is not None and not event.cancelled:
-                event.cancel()
+            nonlocal queued, stopped
+            stopped = True
+            if queued is not None:
+                self._queue.cancel(queued)
+                queued = None
 
         return stop
 
@@ -254,8 +324,17 @@ class Simulator:
                 # periodic grid.  Semantics are identical — drop
                 # cancelled heads lazily, stop at the horizon, pop and
                 # dispatch.
+                # The dispatch loop touches the queue's heap directly:
+                # at replay scale the ``peek_time()``/``pop()`` method
+                # pair costs a measurable slice of every run, and the
+                # sharded engine pays it once per shard for the same
+                # periodic grid.  Semantics are identical — drop
+                # cancelled entries unprocessed, stop at the horizon,
+                # pop and dispatch.
                 heap = self._queue._heap
+                cancelled = self._queue._cancelled
                 heappop = heapq.heappop
+                horizon = math.inf if until is None else until
                 # Metrics are host-scoped here (worker shards replay the
                 # same periodic grid, so counts depend on engine shape).
                 # The series and the window boundary are bound before
@@ -268,25 +347,23 @@ class Simulator:
                     events_series = registry.counter("sim.events")
                     depth_series = registry.gauge("sim.queue_depth")
                     next_boundary = (self._now // window + 1.0) * window
-                while not self._stopped:
-                    while heap and heap[0][3].cancelled:
-                        heappop(heap)
-                    if not heap:
+                while heap and not self._stopped:
+                    entry = heappop(heap)
+                    time, _, seq, action = entry
+                    if time > horizon:
+                        heapq.heappush(heap, entry)
                         break
-                    entry = heap[0]
-                    if until is not None and entry[0] > until:
-                        break
-                    heappop(heap)
-                    self._now = entry[0]
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
+                        continue
+                    self._now = time
                     self.events_processed += 1
                     if metrics_on:
-                        events_series.inc(1.0, entry[0])
-                        if entry[0] >= next_boundary:
-                            depth_series.set(float(len(heap)), entry[0])
-                            next_boundary = (
-                                entry[0] // window + 1.0
-                            ) * window
-                    entry[3].action()
+                        events_series.inc(1.0, time)
+                        if time >= next_boundary:
+                            depth_series.set(float(len(heap)), time)
+                            next_boundary = (time // window + 1.0) * window
+                    action()
                 if until is not None and until > self._now and not self._stopped:
                     self._now = until
             finally:

@@ -9,7 +9,7 @@ figure in the paper's evaluation is built from).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,13 +75,17 @@ class MetricsCollector:
         now: float,
         campus: CampusRuntime,
         controller_ids: Optional[Sequence[str]] = None,
+        changed: Optional[Collection[str]] = None,
     ) -> None:
         """Record one snapshot of every controller (or a fixed subset).
 
         ``controller_ids`` restricts the snapshot to a shard's domain(s);
         it must be sorted and stable across calls, which is how a sharded
         run's per-controller series line up sample-for-sample with a
-        whole-campus serial run.
+        whole-campus serial run.  ``changed``, when given, names the
+        controllers whose association tables may have moved since the
+        previous sample: every other controller already sampled repeats
+        its previous rows, which are what a fresh read would give.
         """
         self._times.append(now)
         ids = (
@@ -90,8 +94,14 @@ class MetricsCollector:
             else controller_ids
         )
         for controller_id in ids:
+            rows = self._loads.get(controller_id)
+            if rows and changed is not None and controller_id not in changed:
+                rows.append(rows[-1])
+                counts = self._counts[controller_id]
+                counts.append(counts[-1])
+                continue
             controller = campus.controllers[controller_id]
-            if controller_id not in self._ap_ids:
+            if rows is None:
                 self._ap_ids[controller_id] = controller.ap_ids
                 self._loads[controller_id] = []
                 self._counts[controller_id] = []

@@ -80,7 +80,7 @@ from repro.sim.timeline import MINUTE
 from repro.trace.columnar import DemandArrays
 from repro.trace.records import DemandSession, SessionRecord, TraceBundle
 from repro.trace.social import CampusLayout
-from repro.wlan.entities import CampusRuntime
+from repro.wlan.entities import CampusRuntime, ControllerRuntime
 from repro.wlan.metrics import ControllerSeries, MetricsCollector
 from repro.wlan.radio import rssi_map, sample_position
 from repro.wlan.strategies import SelectionStrategy, StrongestSignal
@@ -90,6 +90,17 @@ _PRIORITY_DEPARTURE = 0
 _PRIORITY_ARRIVAL = 1
 _PRIORITY_FLUSH = 2
 _PRIORITY_SAMPLE = 3
+
+
+def demand_constants(demand: DemandSession) -> Tuple[float, float]:
+    """``(bytes_total, mean_rate)`` of ``demand`` from one ``realm_bytes`` sum.
+
+    Equal, bit for bit, to the :class:`DemandSession` properties of the
+    same names, each of which re-sums ``realm_bytes`` on every read.
+    """
+    total = float(sum(demand.realm_bytes))
+    duration = demand.departure - demand.arrival
+    return total, (total / duration if duration > 0 else 0.0)
 
 
 def shard_stream_name(controller_id: str) -> str:
@@ -108,8 +119,11 @@ class StationRssi(Mapping[str, float]):
 
     Only strategies that steer by signal (strongest signal, S³'s
     no-candidate fallback, the controller-outage fallback, tracer scores)
-    read radio readings, so the engine hands every station this view,
-    which draws the map the first time anything reads it and keeps it.  Each station draws from its own named
+    read radio readings, so the engine hands each station this view,
+    which draws the map the first time anything reads it and keeps it.
+    A strategy that declares it never reads one
+    (``SelectionStrategy.reads_rssi``) gets no view at all, outside a
+    controller outage.  Each station draws from its own named
     ``radio-<user>-<arrival>`` stream, so deferring a draw, or never
     making it, changes no value anyone reads.
     """
@@ -134,6 +148,52 @@ class StationRssi(Mapping[str, float]):
 
     def __len__(self) -> int:
         return len(self._read())
+
+
+class ChangeTracker:
+    """Which controllers moved since their last load poll and last sample.
+
+    Only an association change or a recorded measurement moves what a
+    poll or a sample reads, and the engine marks the controller on each
+    (:meth:`mark`).  An unmarked controller's poll would re-record the
+    loads it already measured, and its sample would repeat its previous
+    rows, so :meth:`poll` skips it and :meth:`sample` has the collector
+    repeat the rows.  A poll that is not made (a lost, stale report)
+    leaves the mark for the next one.  Every controller starts marked:
+    the first poll turns an idle AP's measured ``0.0`` into its load, the
+    int ``0``.
+    """
+
+    __slots__ = ("_unpolled", "_unsampled")
+
+    def __init__(self, controller_ids: Sequence[str]) -> None:
+        self._unpolled: Set[str] = set(controller_ids)
+        self._unsampled: Set[str] = set(controller_ids)
+
+    def mark(self, controller_id: str) -> None:
+        """The controller's associations or measured loads moved."""
+        self._unpolled.add(controller_id)
+        self._unsampled.add(controller_id)
+
+    def poll(self, controller: ControllerRuntime) -> None:
+        """One load poll of ``controller``: a no-op unless it moved."""
+        if controller.controller_id in self._unpolled:
+            self._unpolled.discard(controller.controller_id)
+            controller.refresh_measurements()
+
+    def sample(
+        self,
+        collector: MetricsCollector,
+        now: float,
+        campus: CampusRuntime,
+        controller_ids: Sequence[str],
+    ) -> None:
+        """One metrics sample of ``controller_ids``, fresh rows only for
+        the controllers that moved."""
+        collector.sample(
+            now, campus, controller_ids=controller_ids, changed=self._unsampled
+        )
+        self._unsampled.clear()
 
 
 @dataclass(frozen=True)
@@ -345,6 +405,11 @@ class ReplayEngine:
             if controller_id not in campus.controllers:
                 raise KeyError(f"unknown controller {controller_id!r}")
         collector = MetricsCollector()
+        changes = ChangeTracker(sampled)
+        # id(demand) -> (bytes_total, mean_rate), computed once per demand
+        # the engine schedules (the engine holds every such demand, so
+        # its id is never reused while it is live).
+        constants: Dict[int, Tuple[float, float]] = {}
         sim = Simulator(start_time=window.start)
         tracer = get_tracer()
         if span is not None:
@@ -383,6 +448,8 @@ class ReplayEngine:
             del active[demand.user_id]
             ap_id, controller_id, _ = entry
             campus.controllers[controller_id].aps[ap_id].disassociate(demand.user_id)
+            changes.mark(controller_id)
+            total, rate = constants[id(demand)]
             sessions.append(
                 SessionRecord(
                     user_id=demand.user_id,
@@ -390,11 +457,11 @@ class ReplayEngine:
                     controller_id=controller_id,
                     connect=demand.arrival,
                     disconnect=demand.departure,
-                    bytes_total=demand.bytes_total,
+                    bytes_total=total,
                 )
             )
             self.strategy.observe_departure(
-                demand.user_id, ap_id, demand.departure, mean_rate=demand.mean_rate
+                demand.user_id, ap_id, demand.departure, mean_rate=rate
             )
 
         # user -> demands currently waiting in some controller's buffer.
@@ -415,6 +482,7 @@ class ReplayEngine:
                     f"{ap_id!r} for user {demand.user_id}"
                 )
             self.strategy.observe_arrival(demand.user_id, ap_id, sim.now)
+            total, rate = constants[id(demand)]
             if demand.departure <= sim.now:
                 sessions.append(
                     SessionRecord(
@@ -423,15 +491,15 @@ class ReplayEngine:
                         controller_id=controller_id,
                         connect=demand.arrival,
                         disconnect=demand.departure,
-                        bytes_total=demand.bytes_total,
+                        bytes_total=total,
                     )
                 )
                 self.strategy.observe_departure(
-                    demand.user_id, ap_id, demand.departure,
-                    mean_rate=demand.mean_rate,
+                    demand.user_id, ap_id, demand.departure, mean_rate=rate
                 )
                 return
-            controller.aps[ap_id].associate(demand.user_id, demand.mean_rate)
+            controller.aps[ap_id].associate(demand.user_id, rate)
+            changes.mark(controller_id)
             active[demand.user_id] = (ap_id, controller_id, demand)
 
         def flush(controller_id: str) -> None:
@@ -457,11 +525,8 @@ class ReplayEngine:
                             "no ApUp — the batch can never be served"
                         )
                     perf.count("faults.deferred_flushes")
-                    sim.schedule(
-                        next_up,
-                        lambda cid=controller_id: flush(cid),
-                        priority=_PRIORITY_FLUSH,
-                        name=f"flush-{controller_id}",
+                    sim.post(
+                        next_up, partial(flush, controller_id), _PRIORITY_FLUSH
                     )
                     return
             flush_scheduled[controller_id] = False
@@ -494,25 +559,22 @@ class ReplayEngine:
             for waiting in buffered.get(demand.user_id, ()):
                 if waiting.departure > demand.arrival:
                     return
-            controller = campus.controller_for_building(demand.building_id)
-            buffers.setdefault(controller.controller_id, []).append(demand)
+            controller_id = campus.controller_for_building(
+                demand.building_id
+            ).controller_id
+            buffers.setdefault(controller_id, []).append(demand)
             buffered.setdefault(demand.user_id, []).append(demand)
-            if not flush_scheduled.get(controller.controller_id, False):
-                flush_scheduled[controller.controller_id] = True
-                sim.schedule(
+            if not flush_scheduled.get(controller_id, False):
+                flush_scheduled[controller_id] = True
+                sim.post(
                     sim.now + self.config.batch_window,
-                    lambda cid=controller.controller_id: flush(cid),
-                    priority=_PRIORITY_FLUSH,
-                    name=f"flush-{controller.controller_id}",
+                    partial(flush, controller_id),
+                    _PRIORITY_FLUSH,
                 )
 
         for demand in demands:
-            sim.schedule(
-                demand.arrival,
-                lambda d=demand: handle_arrival(d),
-                priority=_PRIORITY_ARRIVAL,
-                name="arrival",
-            )
+            constants[id(demand)] = demand_constants(demand)
+            sim.post(demand.arrival, partial(handle_arrival, demand), _PRIORITY_ARRIVAL)
             # A session shorter than the batch window departs only after its
             # arrival batch has been flushed; the epsilon puts the departure
             # strictly after the flush event at the window boundary.
@@ -520,11 +582,10 @@ class ReplayEngine:
             flush_time = demand.arrival + self.config.batch_window
             if departure_time <= flush_time:
                 departure_time = flush_time + 1e-6
-            sim.schedule(
+            sim.post(
                 departure_time,
-                lambda d=demand: handle_departure(d),
-                priority=_PRIORITY_DEPARTURE,
-                name="departure",
+                partial(handle_departure, demand),
+                _PRIORITY_DEPARTURE,
             )
 
         def fault_ap_down(event: ApDown) -> None:
@@ -544,9 +605,12 @@ class ReplayEngine:
                     )
                 )
             perf.count("faults.evicted_users", len(evicted))
+            if evicted:
+                changes.mark(controller_id)
             for user_id in evicted:
                 ap_id, _, demand = active.pop(user_id)
                 ap.disassociate(user_id)
+                total, rate = constants[id(demand)]
                 # Truncated first leg: bytes prorated to the served
                 # fraction of the demanded dwell.
                 duration = demand.departure - demand.arrival
@@ -558,11 +622,11 @@ class ReplayEngine:
                         controller_id=controller_id,
                         connect=demand.arrival,
                         disconnect=sim.now,
-                        bytes_total=demand.bytes_total * served,
+                        bytes_total=total * served,
                     )
                 )
                 self.strategy.observe_departure(
-                    user_id, ap_id, sim.now, mean_rate=demand.mean_rate
+                    user_id, ap_id, sim.now, mean_rate=rate
                 )
                 if demand.departure <= sim.now:
                     continue
@@ -576,16 +640,16 @@ class ReplayEngine:
                         b * remaining for b in demand.realm_bytes
                     ),
                 )
+                constants[id(remainder)] = demand_constants(remainder)
                 handle_arrival(remainder)
                 departure_time = remainder.departure
                 flush_time = sim.now + self.config.batch_window
                 if departure_time <= flush_time:
                     departure_time = flush_time + 1e-6
-                sim.schedule(
+                sim.post(
                     departure_time,
-                    lambda d=remainder: handle_departure(d),
-                    priority=_PRIORITY_DEPARTURE,
-                    name="departure",
+                    partial(handle_departure, remainder),
+                    _PRIORITY_DEPARTURE,
                 )
 
         def fault_ap_up(event: ApUp) -> None:
@@ -652,16 +716,11 @@ class ReplayEngine:
         # order makes same-instant faults fire identically everywhere
         # (the merge layer keys fragments the same way).
         for event in fault_events:
-            sim.schedule(
-                event.time,
-                lambda e=event: fire_fault(e),
-                priority=_PRIORITY_FAULT,
-                name=f"fault-{event.kind}",
-            )
+            sim.post(event.time, partial(fire_fault, event), _PRIORITY_FAULT)
 
         def take_sample() -> None:
             ticks["sample"] += 1
-            collector.sample(sim.now, campus, controller_ids=sampled)
+            changes.sample(collector, sim.now, campus, sampled)
             metrics_on = obs_metrics.REGISTRY.enabled
             if tracer.enabled or metrics_on:
                 for controller_id in sampled:
@@ -691,7 +750,6 @@ class ReplayEngine:
             take_sample,
             start=window.start,
             priority=_PRIORITY_SAMPLE,
-            name="sample",
         )
 
         def poll_loads() -> None:
@@ -700,18 +758,17 @@ class ReplayEngine:
                 if controller_id in stale_pending:
                     # StaleLoadReport: this poll is lost; strategies keep
                     # steering on the previous measurement for one more
-                    # interval.
+                    # interval, and the controller's change stays pending.
                     stale_pending.discard(controller_id)
                     perf.count("faults.stale_polls")
                     continue
-                campus.controllers[controller_id].refresh_measurements()
+                changes.poll(campus.controllers[controller_id])
 
         stop_poller = sim.every(
             self.config.load_measurement_interval,
             poll_loads,
             start=window.start,
             priority=_PRIORITY_DEPARTURE,  # polls see departures of the instant
-            name="load-poll",
         )
         sim.run(until=window.horizon)
         stop_sampler()
@@ -798,10 +855,24 @@ class ReplayEngine:
     ) -> None:
         controller = campus.controllers[controller_id]
         tracer = get_tracer()
-        rssi_by_user = {
-            d.user_id: StationRssi(partial(self._station_rssi, d, controller_id))
-            for d in batch
-        }
+        metrics_on = obs_metrics.REGISTRY.enabled
+        outage_end = (
+            None if outage_until is None else outage_until.get(controller_id)
+        )
+        outage = outage_end is not None and sim.now < outage_end
+        # Radio views only where something may read one: the strategy,
+        # unless it declares it never does, or the outage fallback.
+        # Without views every station's reading is None.
+        rssi_by_user: Dict[str, StationRssi] = (
+            {
+                d.user_id: StationRssi(
+                    partial(self._station_rssi, d, controller_id)
+                )
+                for d in batch
+            }
+            if outage or self.strategy.reads_rssi
+            else {}
+        )
         user_ids = [d.user_id for d in batch]
         snapshots = controller.snapshots(down=down or ())
         perf.count("replay.batches")
@@ -820,36 +891,41 @@ class ReplayEngine:
             else NULL_SPAN
         )
         with span:
-            outage_end = (
-                None if outage_until is None
-                else outage_until.get(controller_id)
-            )
-            outage = outage_end is not None and sim.now < outage_end
             placement = None
             if outage:
                 # Controller unreachable: the engine steers each station
                 # to its strongest signal, the declared last resort of
                 # every fallback chain.
                 perf.count("faults.outage_fallback", len(batch))
-            else:
+            elif (
+                type(self.strategy).assign_batch
+                is not SelectionStrategy.assign_batch
+            ):
+                # The base hook always declines: only an override is
+                # called (and timed).
                 with perf.timer("replay.assign_batch"):
                     placement = self.strategy.assign_batch(
-                        user_ids, snapshots, rssi_by_user=rssi_by_user
+                        user_ids, snapshots, rssi_by_user=rssi_by_user or None
                     )
             if placement is None:
                 # Sequential fallback: live snapshots between picks, which
                 # is what an arrival-at-a-time controller does.
                 strategy = self._rssi_fallback if outage else self.strategy
-                for demand in batch:
-                    rssi = rssi_by_user[demand.user_id]
-                    states = controller.snapshots(down=down or ())
+                # The first pick sees the pre-batch state: nothing has
+                # moved since it was snapshotted.
+                states = snapshots
+                for i, demand in enumerate(batch):
+                    rssi = rssi_by_user.get(demand.user_id)
+                    if i:
+                        states = controller.snapshots(down=down or ())
                     choice = strategy.select(demand.user_id, states, rssi=rssi)
                     note = (
                         "fallback:rssi:controller-outage"
                         if outage
                         else strategy.consume_degradation()
                     )
-                    self._observe_decision(sim.now, len(states), note)
+                    if metrics_on:
+                        self._observe_decision(sim.now, len(states), note)
                     if tracer.enabled:
                         tracer.decision(
                             self._decision(
@@ -875,7 +951,8 @@ class ReplayEngine:
                     self._decision(
                         self.strategy, demand, snapshots,
                         placement[demand.user_id], controller_id, batch_id,
-                        sim.now, "batch", rssi_by_user[demand.user_id], note,
+                        sim.now, "batch", rssi_by_user.get(demand.user_id),
+                        note,
                     )
                     for demand in batch
                 ]
@@ -883,7 +960,8 @@ class ReplayEngine:
                 else []
             )
             for i, demand in enumerate(batch):
-                self._observe_decision(sim.now, len(snapshots), note)
+                if metrics_on:
+                    self._observe_decision(sim.now, len(snapshots), note)
                 if records:
                     tracer.decision(records[i])
                 place(demand, placement[demand.user_id], controller_id)
@@ -891,7 +969,7 @@ class ReplayEngine:
     def _observe_decision(
         self, sim_time: float, candidates: int, note: Optional[str]
     ) -> None:
-        """Record one decision's run-scoped metrics (no-op when disabled).
+        """Record one decision's run-scoped metrics (metrics enabled).
 
         ``fallback_depth`` is the position in the strategy's declared
         ``fallback_chain`` that produced the decision: 0 for the primary
@@ -900,8 +978,6 @@ class ReplayEngine:
         not name.
         """
         registry = obs_metrics.REGISTRY
-        if not registry.enabled:
-            return
         registry.counter("replay.decisions").inc(1.0, sim_time)
         registry.histogram("replay.candidate_set_size").observe(
             float(candidates), sim_time

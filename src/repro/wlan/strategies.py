@@ -65,6 +65,13 @@ class SelectionStrategy(abc.ABC):
     #: controller domain they run keeps one live cost index over it.
     social: Optional[SocialModel] = None
 
+    #: Whether ``select``, ``assign_batch`` or ``score_candidates`` may
+    #: read the station RSSI they are handed.  The replay engine builds no
+    #: radio view for a strategy that declares it never does (it passes
+    #: ``None``), except under a controller outage, whose strongest-signal
+    #: fallback reads them.
+    reads_rssi: bool = True
+
     def consume_degradation(self) -> Optional[str]:
         """The degradation note of the most recent ``select`` /
         ``assign_batch`` call, cleared on read.
@@ -178,6 +185,8 @@ class LeastLoadedFirst(SelectionStrategy):
     parenthetical variant "or with the least number of users").
     """
 
+    reads_rssi = False
+
     def __init__(self, metric: str = "load") -> None:
         if metric not in ("load", "users"):
             raise ValueError(f"unknown LLF metric {metric!r}")
@@ -213,6 +222,7 @@ class RandomSelection(SelectionStrategy):
     """Uniform random choice — the floor any useful strategy must beat."""
 
     name = "random"
+    reads_rssi = False
     # One generator consumed in global arrival order: sharding reorders
     # the draws, so the serial and process engines would diverge.
     shard_safe = False

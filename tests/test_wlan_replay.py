@@ -1,13 +1,14 @@
 """Tests for the trace-driven replay engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.analysis.balance import normalized_balance_index
 from repro.core.selection import CostIndex
 from repro.experiments import fig12_compare
 from repro.experiments.config import TINY
-from repro.faults import targeted_ap_outage
+from repro.faults import ControllerOutage, FaultPlan, targeted_ap_outage
 from repro.trace.records import DemandSession, TraceBundle
 from repro.trace.social import CampusLayout
 from repro.sim.rng import observe_streams
@@ -16,6 +17,7 @@ from repro.wlan.replay import (
     ReplayEngine,
     StationRssi,
     collect_trace,
+    demand_constants,
 )
 from repro.wlan.strategies import LeastLoadedFirst, S3Strategy, StrongestSignal
 from tests.selection_oracle import rebuilt
@@ -225,6 +227,38 @@ class TestRadioDraws:
             ReplayEngine(layout, StrongestSignal()).run(self._demands())
         assert [name for name in derived if name.startswith("radio-")]
 
+    def test_strategy_that_declares_no_rssi_read_gets_no_radio_view(self):
+        layout = CampusLayout.grid(3, 3)
+
+        class Recording(LeastLoadedFirst):
+            def __init__(self, reads_rssi):
+                super().__init__()
+                self.reads_rssi = reads_rssi
+                self.handed = []
+
+            def select(self, user_id, aps, rssi=None):
+                self.handed.append(rssi)
+                return super().select(user_id, aps, rssi=rssi)
+
+        blind, reading = Recording(False), Recording(True)
+        first = ReplayEngine(layout, blind).run(self._demands())
+        second = ReplayEngine(layout, reading).run(self._demands())
+        assert _placements(first) == _placements(second)
+        assert blind.handed and all(rssi is None for rssi in blind.handed)
+        assert all(isinstance(rssi, StationRssi) for rssi in reading.handed)
+        assert not LeastLoadedFirst().reads_rssi
+        assert StrongestSignal().reads_rssi
+
+    def test_controller_outage_still_steers_a_blind_strategy_by_signal(self):
+        layout = CampusLayout.grid(1, 3)
+        demands = [demand(f"u{i}", 100.0 + i, 3000.0) for i in range(6)]
+        plan = FaultPlan(
+            (ControllerOutage(time=100.0, controller_id="ctrl-B00", duration=500.0),)
+        )
+        outage = ReplayEngine(layout, LeastLoadedFirst(), fault_plan=plan).run(demands)
+        rssi = ReplayEngine(layout, StrongestSignal()).run(demands)
+        assert _placements(outage) == _placements(rssi)
+
     def test_station_rssi_draws_once_on_first_read(self):
         draws = []
 
@@ -301,3 +335,21 @@ class TestLiveCostIndex:
         assert strategy.checked >= len(result.sessions) > 40
         evicted = perf.snapshot().counters.get("faults.evicted_users", 0.0)
         assert (evicted > 0) == outage
+
+
+_VOLUME = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrival=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    dwell=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    ),
+    volumes=st.lists(_VOLUME, min_size=6, max_size=6),
+)
+def test_demand_constants_equal_the_demand_properties(arrival, dwell, volumes):
+    session = DemandSession("u", "B00", arrival, arrival + dwell, tuple(volumes))
+    total, rate = demand_constants(session)
+    assert (total, type(total)) == (session.bytes_total, type(session.bytes_total))
+    assert (rate, type(rate)) == (session.mean_rate, type(session.mean_rate))
