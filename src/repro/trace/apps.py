@@ -19,6 +19,7 @@ This module defines:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -131,10 +132,17 @@ class VolumeModel:
 
     def sample(self, rng: np.random.Generator, hours: float, n: int = 1) -> np.ndarray:
         """Draw ``n`` session volumes for a session lasting ``hours``."""
-        if hours < 0:
-            raise ValueError(f"negative duration {hours!r}")
+        _check_hours(hours)
         mu = np.log(self.median_bytes * max(hours, 1e-6))
         return rng.lognormal(mean=mu, sigma=self.sigma, size=n)
+
+
+def _check_hours(hours: float) -> None:
+    """Reject a negative or NaN session length."""
+    if not hours >= 0:
+        raise ValueError(
+            f"negative duration {hours!r}" if hours < 0 else "NaN duration"
+        )
 
 
 class TrafficModel:
@@ -182,20 +190,72 @@ class TrafficModel:
         scaled by the user's relative interest, so users of different types
         produce visibly different traffic mixes.
 
-        The realms with positive weight draw in one ``lognormal`` call, in
-        realm order: the same draws as one :meth:`VolumeModel.sample` per
-        such realm.
+        The realms with positive weight draw one ``standard_normal(k)``
+        call, in realm order, turned into volumes by
+        :meth:`session_volumes`: the same draws and the same bits as one
+        ``lognormal`` call over those realms (and as one
+        :meth:`VolumeModel.sample` per such realm).
         """
         weights = np.asarray(realm_weights, dtype=float)
         if weights.shape != (N_REALMS,):
             raise ValueError(f"expected {N_REALMS} realm weights, got {weights.shape}")
-        if np.count_nonzero(weights >= 0) < N_REALMS:
-            raise ValueError("realm weights must be non-negative")
-        hours = duration_seconds / 3600.0
-        if hours < 0:
-            raise ValueError(f"negative duration {hours!r}")
-        drawn = weights > 0
-        mu = np.log(self._medians[drawn] * max(hours, 1e-6))
-        volumes = np.zeros(N_REALMS)
-        volumes[drawn] = rng.lognormal(mu, self._sigmas[drawn]) * weights[drawn]
+        _check_weights(weights)
+        _check_hours(duration_seconds / 3600.0)
+        normals = rng.standard_normal(np.count_nonzero(weights > 0))
+        volumes: np.ndarray = self.session_volumes(
+            weights[np.newaxis], np.array([duration_seconds]), normals
+        )[0]
         return volumes
+
+    def session_volumes(
+        self,
+        realm_weights: np.ndarray,
+        durations_seconds: np.ndarray,
+        normals: np.ndarray,
+    ) -> np.ndarray:
+        """Per-realm volumes of many sessions from their drawn normals.
+
+        Row ``i`` of ``realm_weights`` (shape ``(n, N_REALMS)``) is session
+        ``i``'s interest vector and ``durations_seconds[i]`` its length;
+        ``normals`` holds every session's standard normals, sessions in
+        order and, within one, one per positive-weight realm in realm
+        order.  A drawn realm's volume is ``exp(mu + sigma * z) * weight``
+        with ``mu = log(median * max(hours, 1e-6))``: numpy's
+        ``lognormal`` is ``exp(mean + sigma * standard_normal())`` in C,
+        and :func:`math.exp` is that same C ``exp``, so the volumes equal
+        :meth:`sample_session_volumes`' old one-``lognormal`` form bit for
+        bit (``np.exp`` is not: its vector kernel rounds a few percent of
+        these exponents differently).  The checks run once over all rows
+        and reject exactly what the per-session checks reject.
+        """
+        weights = np.asarray(realm_weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != N_REALMS:
+            raise ValueError(
+                f"expected (n, {N_REALMS}) realm weights, got {weights.shape}"
+            )
+        hours = np.asarray(durations_seconds, dtype=float) / 3600.0
+        if hours.shape != weights.shape[:1]:
+            raise ValueError("one duration per session")
+        _check_weights(weights)
+        valid = hours >= 0
+        if not valid.all():
+            _check_hours(float(hours[np.argmin(valid)]))
+        drawn = weights > 0
+        z = np.asarray(normals, dtype=float)
+        if z.shape != (np.count_nonzero(drawn),):
+            raise ValueError("one normal per drawn realm")
+        scaled = (self._medians * np.maximum(hours, 1e-6)[:, np.newaxis])[drawn]
+        sigmas = np.broadcast_to(self._sigmas, weights.shape)[drawn]
+        exponents = np.log(scaled) + sigmas * z
+        volumes = np.zeros(weights.shape)
+        volumes[drawn] = (
+            np.fromiter(map(math.exp, exponents.tolist()), float, len(exponents))
+            * weights[drawn]
+        )
+        return volumes
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """Reject a negative or NaN realm weight."""
+    if np.count_nonzero(weights >= 0) < weights.size:
+        raise ValueError("realm weights must be non-negative")

@@ -45,6 +45,7 @@ from repro.trace.records import (
     DemandSession,
     FlowRecord,
     SessionRecord,
+    demand_rows,
     format_ipv4,
     parse_ipv4,
 )
@@ -387,38 +388,21 @@ class DemandArrays:
 
         This is the worker-side hot path of the shared-memory transport
         (every shard materializes its row range once per run), so the
-        decode is batched — ``tolist()`` converts each column to plain
-        Python values in one C call — and records are built by direct
-        ``__dict__`` assignment.  Skipping the frozen dataclass
-        ``__init__`` also skips ``__post_init__`` validation, which is
-        sound here: the columns came from records that were validated
-        when they were first constructed.
+        rows go through :func:`~repro.trace.records.demand_rows`: the
+        columns are checked once and each record is built field by field,
+        without the dataclass ``__init__``'s per-record argument handling.
         """
         user_ids = self.user_ids
         building_ids = self.building_ids
         group_ids = self.group_ids
-        users = self.user.tolist()
-        buildings = self.building.tolist()
-        groups = self.group.tolist()
-        arrivals = self.arrival.tolist()
-        departures = self.departure.tolist()
-        realms = self.realm_bytes.tolist()
-        new = DemandSession.__new__
-        out: List[DemandSession] = []
-        append = out.append
-        for i in range(self.n_rows):
-            g = groups[i]
-            record = new(DemandSession)
-            record.__dict__.update({
-                "user_id": user_ids[users[i]],
-                "building_id": building_ids[buildings[i]],
-                "arrival": arrivals[i],
-                "departure": departures[i],
-                "realm_bytes": tuple(realms[i]),
-                "group_id": None if g < 0 else group_ids[g],
-            })
-            append(record)
-        return out
+        return demand_rows(
+            [user_ids[u] for u in self.user.tolist()],
+            [building_ids[b] for b in self.building.tolist()],
+            self.arrival,
+            self.departure,
+            self.realm_bytes,
+            [None if g < 0 else group_ids[g] for g in self.group.tolist()],
+        )
 
 
 #: protocol codes used by :class:`FlowArrays` (index == code).

@@ -37,17 +37,28 @@ per user.  ``day-<d>`` is drawn in this order:
    each member in member order: the attendance coin ``random()`` (none
    for an absent member); for an attending member the arrival and
    departure jitter, ``normal`` twice; then, unless the interval overlaps
-   one the member already holds, the demand's volumes;
+   one the member already holds, the demand's volume normals;
 3. for each present user in id order: the solo-session count
    ``poisson``; per session the start (the mixture component by one
    ``random()`` searched in the diurnal weights' CDF, as
    ``choice(p=...)`` does, then ``normal``), the duration ``lognormal``
    and, for a session that is kept, the building (``random()``, plus
-   ``integers`` away from home) and the volumes.
+   ``integers`` away from home) and the volume normals.
 
-A demand's volumes are one ``lognormal`` call over its positive-weight
-realms in realm order (:meth:`~repro.trace.apps.TrafficModel.
-sample_session_volumes`).
+Each scalar ``normal`` and ``lognormal`` is drawn as numpy computes it:
+``loc + scale * z`` and ``exp(mean + sigma * z)`` over ``z`` from
+``standard_normal``, which is the same stream use and the same bits for
+less per-call overhead.  A demand's volume normals are one
+``standard_normal(k)`` call, ``k`` its positive-weight realms in realm
+order: the draws one ``lognormal`` call over those realms makes.  Nothing
+in the day's loop reads a volume, so the volumes are computed after the
+day's draws, for all its demands at once, by
+:meth:`~repro.trace.apps.TrafficModel.session_volumes`: per drawn realm
+``exp(log(median * max(hours, 1e-6)) + sigma * z) * weight``, with
+``math.exp``, the C ``exp`` numpy's ``lognormal`` calls.  The mood rows
+the volumes use and the demand records are checked once per day, as
+columns (:func:`~repro.trace.records.demand_rows`), rejecting what the
+per-demand checks reject.
 
 Flows follow **flow layout v2**: each day's flows come from their own
 ``flows.v2-<d>`` stream, so a day's flows do not depend on the days
@@ -76,6 +87,7 @@ no per-flow object is built.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -87,8 +99,8 @@ from repro.sim.rng import RandomStreams
 from repro.sim.timeline import DAY, HOUR, MINUTE
 from repro.trace.apps import N_REALMS, REALMS, TrafficModel, applications_for_realm
 from repro.trace.columnar import FLOW_PROTOCOLS, FlowArrays
-from repro.trace.records import DemandSession, TraceBundle
-from repro.trace.social import SocialWorld, WorldConfig, build_world
+from repro.trace.records import DemandSession, TraceBundle, demand_rows
+from repro.trace.social import SocialGroup, SocialWorld, WorldConfig, build_world
 
 
 @dataclass
@@ -165,7 +177,8 @@ class TraceGenerator:
         cdf = (np.asarray(weights) / sum(weights)).cumsum()
         cdf /= cdf[-1]
         self._solo_cdf: List[float] = cdf.tolist()
-        self._solo_log_mean = np.log(config.solo_duration_mean)
+        self._solo_log_mean = float(np.log(config.solo_duration_mean))
+        self._row_of = {uid: row for row, uid in enumerate(self._user_order)}
         self._buildings = sorted(world.layout.buildings)
 
     # ----------------------------------------------------------- public API
@@ -192,15 +205,40 @@ class TraceGenerator:
     def generate_day(self, day: int) -> List[DemandSession]:
         """Generate all demand sessions for calendar day ``day``."""
         rng = self.streams.get(f"day-{day}")
+        normal = rng.standard_normal
         dow = day % 7
         moods = self._daily_moods(day)
+        realm_counts: List[int] = np.count_nonzero(moods > 0, axis=1).tolist()
         absent = {
             uid
             for uid, coin in zip(self.world.users, rng.random(len(self.world.users)))
             if coin < self.config.absent_probability
         }
-        demands: List[DemandSession] = []
         busy: Dict[str, List[Tuple[float, float]]] = {uid: [] for uid in self.world.users}
+        # The day's demands as columns; volumes are computed after the draws.
+        rows: List[int] = []
+        user_ids: List[str] = []
+        building_ids: List[str] = []
+        arrivals: List[float] = []
+        departures: List[float] = []
+        group_ids: List[Optional[str]] = []
+        normals: List[np.ndarray] = []
+
+        def add(
+            user_id: str,
+            building_id: str,
+            arrival: float,
+            departure: float,
+            group_id: Optional[str],
+        ) -> None:
+            row = self._row_of[user_id]
+            normals.append(normal(realm_counts[row]))
+            rows.append(row)
+            user_ids.append(user_id)
+            building_ids.append(building_id)
+            arrivals.append(arrival)
+            departures.append(departure)
+            group_ids.append(group_id)
 
         # Group activities (workday slots) — the social demand.
         for group_id in sorted(self.world.groups):
@@ -214,23 +252,11 @@ class TraceGenerator:
                     user = self.world.users[user_id]
                     if user_id in absent or rng.random() > user.attendance:
                         continue
-                    arrival = start + abs(rng.normal(0.0, group.arrival_jitter))
-                    departure = end + rng.normal(0.0, group.departure_jitter)
-                    departure = max(departure, arrival + MINUTE)
+                    arrival, departure = self._member_times(rng, group, start, end)
                     if self._overlaps(busy[user_id], arrival, departure):
                         continue
                     busy[user_id].append((arrival, departure))
-                    demands.append(
-                        self._demand(
-                            rng,
-                            user_id,
-                            group.building_id,
-                            arrival,
-                            departure,
-                            moods[user_id],
-                            group_id=group_id,
-                        )
-                    )
+                    add(user_id, group.building_id, arrival, departure, group_id)
 
         # Solo sessions — the asocial background churn.
         rate_factor = 1.0 if dow < 5 else self.config.weekend_factor
@@ -241,9 +267,7 @@ class TraceGenerator:
             count = rng.poisson(user.solo_rate * rate_factor)
             for _ in range(count):
                 arrival = day * DAY + self._solo_start(rng)
-                duration = rng.lognormal(
-                    self._solo_log_mean, self.config.solo_duration_sigma
-                )
+                duration = self._solo_duration(rng)
                 departure = min(arrival + duration, (day + 1) * DAY - 1.0)
                 if departure <= arrival:
                     continue
@@ -251,68 +275,76 @@ class TraceGenerator:
                     continue
                 busy[user_id].append((arrival, departure))
                 building = self._solo_building(rng, user.home_building)
-                demands.append(
-                    self._demand(
-                        rng,
-                        user_id,
-                        building,
-                        arrival,
-                        departure,
-                        moods[user_id],
-                        group_id=None,
-                    )
-                )
+                add(user_id, building, arrival, departure, None)
+
+        arrival_column = np.array(arrivals, dtype=float)
+        departure_column = np.array(departures, dtype=float)
+        volumes = self.traffic.session_volumes(
+            moods[rows].reshape(len(rows), N_REALMS),
+            departure_column - arrival_column,
+            np.concatenate(normals) if normals else np.zeros(0),
+        )
+        demands = demand_rows(
+            user_ids, building_ids, arrival_column, departure_column, volumes, group_ids
+        )
         demands.sort(key=lambda d: (d.arrival, d.user_id))
         return demands
 
     # ------------------------------------------------------------ internals
 
-    def _daily_moods(self, day: int) -> Dict[str, np.ndarray]:
-        """Per-user interest vectors for the day (type interest x mood noise)."""
-        moods = dirichlet_rows(self.streams.get(f"mood-{day}"), self._mood_alpha)
-        return dict(zip(self._user_order, moods))
+    def _daily_moods(self, day: int) -> np.ndarray:
+        """Per-user interest vectors for the day (type interest x mood
+        noise), one row per user in id order."""
+        return dirichlet_rows(self.streams.get(f"mood-{day}"), self._mood_alpha)
 
     @staticmethod
     def _overlaps(intervals: List[Tuple[float, float]], lo: float, hi: float) -> bool:
         return any(lo < b and hi > a for a, b in intervals)
 
+    @staticmethod
+    def _member_times(
+        rng: np.random.Generator, group: SocialGroup, start: float, end: float
+    ) -> Tuple[float, float]:
+        """An attending member's jittered arrival and departure.
+
+        ``rng.normal(0.0, s)`` is ``0.0 + s * standard_normal()``; the two
+        normals come from one ``standard_normal(2)``, arrival first.  The
+        0.0 is left out: it only turns a -0.0 into 0.0, and neither sum
+        below can tell the two apart.
+        """
+        z_arrival, z_departure = rng.standard_normal(2).tolist()
+        arrival = start + abs(group.arrival_jitter * z_arrival)
+        departure = end + group.departure_jitter * z_departure
+        return arrival, max(departure, arrival + MINUTE)
+
     def _solo_start(self, rng: np.random.Generator) -> float:
         """Draw a seconds-since-midnight start from the diurnal mixture.
 
         The component is the search ``rng.choice(p=weights)`` makes in
-        the weights' CDF, over the same single ``random()`` draw.
+        the weights' CDF, over the same single ``random()`` draw; the
+        start is ``rng.normal(hour, std)``, that is ``hour + std *
+        standard_normal()``.
         """
         component = bisect_right(self._solo_cdf, rng.random())
-        start = rng.normal(self._solo_hours[component], self._solo_stds[component])
+        start = (
+            self._solo_hours[component]
+            + self._solo_stds[component] * rng.standard_normal()
+        )
         return min(max(start * HOUR, 6 * HOUR), 23.5 * HOUR)
+
+    def _solo_duration(self, rng: np.random.Generator) -> float:
+        """A solo session's length: ``rng.lognormal(log_mean, sigma)``,
+        which is ``exp(log_mean + sigma * standard_normal())`` in C."""
+        return math.exp(
+            self._solo_log_mean
+            + self.config.solo_duration_sigma * rng.standard_normal()
+        )
 
     def _solo_building(self, rng: np.random.Generator, home: str) -> str:
         """Solo sessions happen mostly in the user's home building."""
         if rng.random() < 0.8:
             return home
         return self._buildings[int(rng.integers(len(self._buildings)))]
-
-    def _demand(
-        self,
-        rng: np.random.Generator,
-        user_id: str,
-        building_id: str,
-        arrival: float,
-        departure: float,
-        mood: np.ndarray,
-        group_id: Optional[str],
-    ) -> DemandSession:
-        volumes = self.traffic.sample_session_volumes(
-            rng, mood, duration_seconds=departure - arrival
-        )
-        return DemandSession(
-            user_id=user_id,
-            building_id=building_id,
-            arrival=float(arrival),
-            departure=float(departure),
-            realm_bytes=tuple(volumes.tolist()),
-            group_id=group_id,
-        )
 
     def _day_flows(self, day: int, demands: List[DemandSession]) -> FlowArrays:
         """Split one day's demand volumes into port-bearing flows (layout v2).

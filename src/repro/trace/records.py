@@ -21,7 +21,16 @@ Three record families mirror the paper's data sources (Section III.A):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar imports us)
     from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
@@ -151,17 +160,17 @@ class DemandSession:
     group_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.departure < self.arrival:
+        if not self.departure >= self.arrival:
             raise ValueError(
                 f"demand for {self.user_id} departs at {self.departure} "
-                f"before arriving at {self.arrival}"
+                f"before arriving at {self.arrival}, or either is NaN"
             )
         if len(self.realm_bytes) != N_REALMS:
             raise ValueError(
                 f"expected {N_REALMS} realm volumes, got {len(self.realm_bytes)}"
             )
-        if any(b < 0 for b in self.realm_bytes):
-            raise ValueError("negative realm volume")
+        if not all(b >= 0 for b in self.realm_bytes):
+            raise ValueError("negative or NaN realm volume")
 
     @property
     def duration(self) -> float:
@@ -183,6 +192,95 @@ class DemandSession:
     def realm_vector(self) -> np.ndarray:
         """The per-realm volumes as a numpy vector."""
         return np.asarray(self.realm_bytes, dtype=float)
+
+
+def session_rows(
+    rows: Iterable[Tuple[str, str, str, float, float, float]],
+) -> List[SessionRecord]:
+    """One :class:`SessionRecord` per ``(user_id, ap_id, controller_id,
+    connect, disconnect, bytes_total)`` row, checked once.
+
+    The rows are checked as columns; the first row the record's own
+    checks reject is rejected with its error.  Each record is then built
+    field by field with ``object.__setattr__``, as the frozen dataclass
+    ``__init__`` builds it, without its per-record argument handling and
+    checks: the same records as one ``SessionRecord(*row)`` per row.
+    """
+    rows = rows if isinstance(rows, list) else list(rows)
+    if rows:
+        _, _, _, connect, disconnect, size = zip(*rows)
+        bad = np.less(disconnect, connect) | np.less(size, 0)
+        if bad.any():
+            SessionRecord(*rows[int(np.argmax(bad))])
+    new, put = object.__new__, object.__setattr__
+    out: List[SessionRecord] = []
+    append = out.append
+    for user_id, ap_id, controller_id, connect, disconnect, size in rows:
+        record = new(SessionRecord)
+        put(record, "user_id", user_id)
+        put(record, "ap_id", ap_id)
+        put(record, "controller_id", controller_id)
+        put(record, "connect", connect)
+        put(record, "disconnect", disconnect)
+        put(record, "bytes_total", size)
+        append(record)
+    return out
+
+
+def demand_rows(
+    user_ids: Sequence[str],
+    building_ids: Sequence[str],
+    arrivals: np.ndarray,
+    departures: np.ndarray,
+    realm_bytes: np.ndarray,
+    group_ids: Sequence[Optional[str]],
+) -> List[DemandSession]:
+    """One :class:`DemandSession` per row of these columns, checked once.
+
+    ``arrivals`` and ``departures`` are float vectors and ``realm_bytes``
+    an ``(n, N_REALMS)`` float matrix.  The columns are checked as
+    columns; the first row the record's own checks reject is rejected
+    with its error.  Each record is then built as :func:`session_rows`
+    builds one: the same records as one ``DemandSession(...)`` per row.
+    """
+    arrival = np.asarray(arrivals, dtype=float)
+    departure = np.asarray(departures, dtype=float)
+    volumes = np.asarray(realm_bytes, dtype=float)
+    n = len(arrival)
+    if not len(user_ids) == len(building_ids) == len(group_ids) == len(departure) == n:
+        raise ValueError("column lengths disagree")
+    if not n:
+        return []
+    if volumes.shape != (n, N_REALMS):
+        raise ValueError(
+            f"expected {N_REALMS} realm volumes per row, got {volumes.shape}"
+        )
+    rows = list(
+        zip(
+            user_ids,
+            building_ids,
+            arrival.tolist(),
+            departure.tolist(),
+            map(tuple, volumes.tolist()),
+            group_ids,
+        )
+    )
+    bad = ~(departure >= arrival) | (np.count_nonzero(volumes >= 0, axis=1) < N_REALMS)
+    if bad.any():
+        DemandSession(*rows[int(np.argmax(bad))])
+    new, put = object.__new__, object.__setattr__
+    out: List[DemandSession] = []
+    append = out.append
+    for user_id, building_id, start, end, realms, group_id in rows:
+        record = new(DemandSession)
+        put(record, "user_id", user_id)
+        put(record, "building_id", building_id)
+        put(record, "arrival", start)
+        put(record, "departure", end)
+        put(record, "realm_bytes", realms)
+        put(record, "group_id", group_id)
+        append(record)
+    return out
 
 
 class TraceBundle:

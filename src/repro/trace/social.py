@@ -251,6 +251,8 @@ class SocialGroup:
             raise ValueError(f"group {self.group_id} has no members")
         if not self.slots:
             raise ValueError(f"group {self.group_id} has no schedule")
+        if not (self.arrival_jitter >= 0 and self.departure_jitter >= 0):
+            raise ValueError(f"group {self.group_id}: jitter must be non-negative")
 
 
 #: Standard campus slot templates.  End times are aligned with the paper's

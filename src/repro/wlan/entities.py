@@ -13,7 +13,7 @@ receive the domain's :class:`~repro.core.selection.Candidates`.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.selection import APState, Candidates, CostIndex
 from repro.core.social import SocialModel
@@ -164,6 +164,7 @@ class ControllerRuntime:
         #: The APs in :attr:`ap_ids` order (index positions); ``aps`` is
         #: fixed after construction, so it is sorted once.
         self.ranked: Tuple[APRuntime, ...] = tuple(self.aps.values())
+        self._positions = tuple(range(len(self.ranked)))
         residents = [ap._sessions for ap in self.ranked]
         self.index = None if social is None else CostIndex(social, residents)
         #: user id -> the id of the AP serving them in this domain.
@@ -183,12 +184,12 @@ class ControllerRuntime:
     ) -> Candidates:
         """The strategies' view: every AP not ``down``, sorted by id, as
         immutable snapshots carrying the domain's live index."""
-        up = [ap for ap in self.ranked if ap.ap_id not in down]
-        return Candidates(
-            [ap.snapshot(measured=measured) for ap in up],
-            self.index,
-            [ap._position for ap in up],
-        )
+        if down:
+            up = [ap for ap in self.ranked if ap.ap_id not in down]
+            positions: Sequence[int] = [ap._position for ap in up]
+        else:
+            up, positions = self.ranked, self._positions
+        return Candidates([ap.snapshot(measured) for ap in up], self.index, positions)
 
     def refresh_measurements(self) -> None:
         """Poll every AP: measured loads catch up to the truth."""

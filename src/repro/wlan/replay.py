@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -78,7 +79,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timeline import MINUTE
 from repro.trace.columnar import DemandArrays
-from repro.trace.records import DemandSession, SessionRecord, TraceBundle
+from repro.trace.records import (
+    DemandSession,
+    SessionRecord,
+    TraceBundle,
+    session_rows,
+)
 from repro.trace.social import CampusLayout
 from repro.wlan.entities import CampusRuntime, ControllerRuntime
 from repro.wlan.metrics import ControllerSeries, MetricsCollector
@@ -90,6 +96,9 @@ _PRIORITY_DEPARTURE = 0
 _PRIORITY_ARRIVAL = 1
 _PRIORITY_FLUSH = 2
 _PRIORITY_SAMPLE = 3
+
+#: Session rows sort as their records do: by connect time, then user.
+_CONNECT_USER = itemgetter(3, 0)
 
 
 def demand_constants(demand: DemandSession) -> Tuple[float, float]:
@@ -396,6 +405,11 @@ class ReplayEngine:
             )
 
         campus = CampusRuntime(self.layout, self.strategy.social)
+        controller_of = {
+            building_id: building.controller_id
+            for building_id, building in self.layout.buildings.items()
+            if building.controller_id in campus.controllers
+        }
         sampled = (
             sorted(campus.controllers)
             if controllers is None
@@ -419,7 +433,9 @@ class ReplayEngine:
         ticks = {"sample": 0, "poll": 0}
         # Per-controller flush sequence numbers for decision provenance.
         batch_seq: Dict[str, int] = {}
-        sessions: List[SessionRecord] = []
+        # The session log as (user, AP, controller, connect, disconnect,
+        # bytes) rows; records are built once, after the run.
+        sessions: List[Tuple[str, str, str, float, float, float]] = []
         # Per-controller arrival buffers and their pending flush flags.
         buffers: Dict[str, List[DemandSession]] = {}
         flush_scheduled: Dict[str, bool] = {}
@@ -451,14 +467,8 @@ class ReplayEngine:
             changes.mark(controller_id)
             total, rate = constants[id(demand)]
             sessions.append(
-                SessionRecord(
-                    user_id=demand.user_id,
-                    ap_id=ap_id,
-                    controller_id=controller_id,
-                    connect=demand.arrival,
-                    disconnect=demand.departure,
-                    bytes_total=total,
-                )
+                (demand.user_id, ap_id, controller_id, demand.arrival,
+                 demand.departure, total)
             )
             self.strategy.observe_departure(
                 demand.user_id, ap_id, demand.departure, mean_rate=rate
@@ -485,14 +495,8 @@ class ReplayEngine:
             total, rate = constants[id(demand)]
             if demand.departure <= sim.now:
                 sessions.append(
-                    SessionRecord(
-                        user_id=demand.user_id,
-                        ap_id=ap_id,
-                        controller_id=controller_id,
-                        connect=demand.arrival,
-                        disconnect=demand.departure,
-                        bytes_total=total,
-                    )
+                    (demand.user_id, ap_id, controller_id, demand.arrival,
+                     demand.departure, total)
                 )
                 self.strategy.observe_departure(
                     demand.user_id, ap_id, demand.departure, mean_rate=rate
@@ -559,9 +563,11 @@ class ReplayEngine:
             for waiting in buffered.get(demand.user_id, ()):
                 if waiting.departure > demand.arrival:
                     return
-            controller_id = campus.controller_for_building(
-                demand.building_id
-            ).controller_id
+            controller_id = controller_of.get(demand.building_id)
+            if controller_id is None:  # an unknown building: this raises
+                controller_id = campus.controller_for_building(
+                    demand.building_id
+                ).controller_id
             buffers.setdefault(controller_id, []).append(demand)
             buffered.setdefault(demand.user_id, []).append(demand)
             if not flush_scheduled.get(controller_id, False):
@@ -616,14 +622,8 @@ class ReplayEngine:
                 duration = demand.departure - demand.arrival
                 served = (sim.now - demand.arrival) / duration
                 sessions.append(
-                    SessionRecord(
-                        user_id=user_id,
-                        ap_id=ap_id,
-                        controller_id=controller_id,
-                        connect=demand.arrival,
-                        disconnect=sim.now,
-                        bytes_total=total * served,
-                    )
+                    (user_id, ap_id, controller_id, demand.arrival, sim.now,
+                     total * served)
                 )
                 self.strategy.observe_departure(
                     user_id, ap_id, sim.now, mean_rate=rate
@@ -778,7 +778,7 @@ class ReplayEngine:
 
         result = ReplayResult(
             strategy_name=self.strategy.name,
-            sessions=sorted(sessions, key=lambda s: (s.connect, s.user_id)),
+            sessions=session_rows(sorted(sessions, key=_CONNECT_USER)),
             series=collector.series(),
             events_processed=sim.events_processed,
         )

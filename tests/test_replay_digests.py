@@ -3,9 +3,10 @@
 The digests in ``tests/fixtures/replay_digests.json`` are the SHA-256 of
 what :meth:`ReplayEngine.run` returns for the TINY and SMALL evaluation
 days under ``llf``, ``llf-users``, ``rssi``, ``s3`` and ``s3-online``,
-of the LLF collection replay of their training days (``<preset>_collect``),
-and of one SMALL LLF run with a fault plan armed (AP down and up, a
-controller outage, stale load reports).  Each digest covers:
+of the LLF collection replay of their training days (``<preset>_collect``,
+and ``paper_collect`` for PAPER's), and of one SMALL LLF run with a fault
+plan armed (AP down and up, a controller outage, stale load reports).
+Each digest covers:
 
 * every :class:`SessionRecord` in result order, one line each, floats
   written with :meth:`float.hex`;
@@ -32,7 +33,7 @@ import pytest
 
 from repro.core.online import OnlineS3Strategy
 from repro.experiments import workload
-from repro.experiments.config import SMALL, TINY, ExperimentConfig
+from repro.experiments.config import PAPER, SMALL, TINY, ExperimentConfig
 from repro.faults import FaultPlan, generate_plan
 from repro.faults.schedule import ChaosConfig
 from repro.sim.rng import RandomStreams
@@ -125,9 +126,14 @@ def collect(config: ExperimentConfig) -> ReplayResult:
     return engine.run(built.collected.demands)
 
 
-def compute_digests(presets: Sequence[str] = tuple(PRESETS)) -> Dict[str, str]:
-    """The pinned digests of each preset's replays."""
+def compute_digests(
+    presets: Sequence[str] = tuple(PRESETS), paper: bool = True
+) -> Dict[str, str]:
+    """The pinned digests of each preset's replays, and with ``paper``
+    the PAPER collection's."""
     digests: Dict[str, str] = {}
+    if paper:
+        digests["paper_collect"] = result_digest(collect(PAPER))
     for name in presets:
         config = PRESETS[name]
         for strategy in STRATEGIES:
@@ -144,7 +150,12 @@ def compute_digests(presets: Sequence[str] = tuple(PRESETS)) -> Dict[str, str]:
 def test_replays_match_the_pinned_digests(preset: str) -> None:
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     expected = {key: value for key, value in pinned.items() if key.startswith(f"{preset}_")}
-    assert compute_digests([preset]) == expected
+    assert compute_digests([preset], paper=False) == expected
+
+
+def test_paper_collection_matches_the_pinned_digest() -> None:
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert compute_digests([]) == {"paper_collect": pinned["paper_collect"]}
 
 
 def test_armed_plan_covers_every_replay_fault_kind() -> None:

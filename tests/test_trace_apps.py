@@ -52,6 +52,11 @@ class TestVolumeModel:
         with pytest.raises(ValueError):
             model.sample(np.random.default_rng(0), hours=-1.0)
 
+    def test_nan_duration_rejected(self):
+        model = VolumeModel(median_bytes=1e6, sigma=0.5)
+        with pytest.raises(ValueError, match="NaN duration"):
+            model.sample(np.random.default_rng(0), hours=float("nan"))
+
     def test_samples_positive(self):
         model = VolumeModel(median_bytes=1e6, sigma=1.0)
         draws = model.sample(np.random.default_rng(1), hours=2.0, n=100)
@@ -101,6 +106,13 @@ class TestTrafficModel:
         model = TrafficModel()
         with pytest.raises(ValueError, match="negative duration"):
             model.sample_session_volumes(np.random.default_rng(0), [1.0] * 6, -1.0)
+
+    def test_session_nan_duration_rejected(self):
+        model = TrafficModel()
+        with pytest.raises(ValueError, match="NaN duration"):
+            model.sample_session_volumes(
+                np.random.default_rng(0), [1.0] * 6, float("nan")
+            )
 
     def test_interest_bias_visible_in_expectation(self):
         model = TrafficModel()

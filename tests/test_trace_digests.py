@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.config import PAPER, SMALL, TINY
 from repro.sim.rng import RandomStreams
-from repro.sim.timeline import HOUR
+from repro.sim.timeline import HOUR, MINUTE
 from repro.trace.apps import N_REALMS, REALMS, TrafficModel
 from repro.trace.columnar import FlowArrays
 from repro.trace.generator import (
@@ -42,7 +42,7 @@ from repro.trace.generator import (
     generate_trace,
 )
 from repro.trace.records import DemandSession
-from repro.trace.social import WorldConfig, build_world
+from repro.trace.social import ScheduleSlot, SocialGroup, WorldConfig, build_world
 
 DIGESTS = Path(__file__).parent / "fixtures" / "trace_digests.json"
 
@@ -165,6 +165,140 @@ def test_session_volumes_equal_one_draw_per_realm(
     assert _same_state(batched, scalar)
 
 
+def _lognormal_volumes(
+    model: TrafficModel,
+    rng: np.random.Generator,
+    weights: Sequence[float],
+    seconds: float,
+) -> np.ndarray:
+    """The one-``lognormal`` form :meth:`TrafficModel.sample_session_volumes`
+    replaced: one call over the positive-weight realms, in realm order."""
+    weights = np.asarray(weights, dtype=float)
+    medians = np.array([model.volume(realm).median_bytes for realm in REALMS])
+    sigmas = np.array([model.volume(realm).sigma for realm in REALMS])
+    drawn = weights > 0
+    mu = np.log(medians[drawn] * max(seconds / 3600.0, 1e-6))
+    volumes = np.zeros(N_REALMS)
+    volumes[drawn] = rng.lognormal(mu, sigmas[drawn]) * weights[drawn]
+    return volumes
+
+
+_SECONDS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=3.6e-3),  # below the 1e-6 h clamp
+    st.floats(min_value=0.0, max_value=2 * 86400.0),
+)
+_WEIGHTS = st.one_of(
+    st.just([0.0] * N_REALMS),
+    st.lists(_WEIGHT, min_size=N_REALMS, max_size=N_REALMS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weights=_WEIGHTS, seconds=_SECONDS)
+def test_session_volumes_equal_one_lognormal(
+    seed: int, weights: List[float], seconds: float
+) -> None:
+    model = TrafficModel()
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    volumes = model.sample_session_volumes(batched, weights, seconds)
+    expected = _lognormal_volumes(model, scalar, weights, seconds)
+    assert volumes.tobytes() == expected.tobytes()
+    assert _same_state(batched, scalar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sessions=st.lists(st.tuples(_WEIGHTS, _SECONDS), max_size=8),
+)
+def test_day_volumes_equal_one_lognormal_per_session(seed: int, sessions) -> None:
+    """The generator's form: each session's normals drawn in turn, the
+    volumes computed afterwards for all sessions at once."""
+    model = TrafficModel()
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    weights = np.array([w for w, _ in sessions], dtype=float).reshape(-1, N_REALMS)
+    normals = [batched.standard_normal(np.count_nonzero(row > 0)) for row in weights]
+    volumes = model.session_volumes(
+        weights,
+        np.array([seconds for _, seconds in sessions], dtype=float),
+        np.concatenate(normals) if normals else np.zeros(0),
+    )
+    expected = [_lognormal_volumes(model, scalar, w, s) for w, s in sessions]
+    assert [row.tobytes() for row in volumes] == [row.tobytes() for row in expected]
+    assert _same_state(batched, scalar)
+
+
+def test_day_volumes_reject_what_one_session_rejects() -> None:
+    model = TrafficModel()
+    weights = np.ones((2, N_REALMS))
+    normals = np.zeros(2 * N_REALMS)
+    for seconds in ([60.0, -1.0], [float("nan"), 60.0]):
+        with pytest.raises(ValueError, match="duration"):
+            model.session_volumes(weights, np.array(seconds), normals)
+    bad = weights.copy()
+    bad[1, 3] = float("nan")
+    with pytest.raises(ValueError, match="non-negative"):
+        model.session_volumes(bad, np.array([60.0, 60.0]), normals)
+    with pytest.raises(ValueError, match="one normal per drawn realm"):
+        model.session_volumes(weights, np.array([60.0, 60.0]), normals[1:])
+
+
+_JITTER = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=4000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    arrival_jitter=_JITTER,
+    departure_jitter=_JITTER,
+    start=st.floats(min_value=0.0, max_value=30 * 86400.0),
+    length=st.floats(min_value=60.0, max_value=4 * 3600.0),
+)
+def test_member_times_equal_two_normals(
+    seed: int,
+    arrival_jitter: float,
+    departure_jitter: float,
+    start: float,
+    length: float,
+) -> None:
+    group = SocialGroup(
+        "g", ("u1",), "B00", (ScheduleSlot(0, 8 * HOUR, HOUR),),
+        arrival_jitter=arrival_jitter, departure_jitter=departure_jitter,
+    )
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        times = TraceGenerator._member_times(batched, group, start, start + length)
+        arrival = start + abs(scalar.normal(0.0, arrival_jitter))
+        departure = start + length + scalar.normal(0.0, departure_jitter)
+        assert times == (arrival, max(departure, arrival + MINUTE))
+    assert _same_state(batched, scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mean=st.floats(min_value=1.0, max_value=1e5),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=3.0)),
+)
+def test_solo_duration_equals_lognormal(seed: int, mean: float, sigma: float) -> None:
+    config = GeneratorConfig(
+        world=WorldConfig(n_buildings=1, aps_per_building=2, n_users=4, n_groups=1),
+        n_days=1,
+        seed=3,
+        solo_duration_mean=mean,
+        solo_duration_sigma=sigma,
+    )
+    streams = RandomStreams(config.seed)
+    world = build_world(config.world, streams)
+    generator = TraceGenerator(world, config, streams=streams)
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        expected = scalar.lognormal(np.log(mean), sigma)
+        assert generator._solo_duration(batched) == expected
+    assert _same_state(batched, scalar)
+
+
 def _solo_generator(diurnal) -> TraceGenerator:
     config = GeneratorConfig(
         world=WorldConfig(n_buildings=1, aps_per_building=2, n_users=4, n_groups=1),
@@ -214,10 +348,11 @@ def test_moods_equal_one_dirichlet_per_user() -> None:
     for day in range(config.n_days):
         moods = generator._daily_moods(day)
         rng = RandomStreams(config.seed).get(f"mood-{day}")
-        for user_id in sorted(generator.world.users):
+        assert moods.shape == (len(generator.world.users), N_REALMS)
+        for row, user_id in enumerate(sorted(generator.world.users)):
             base = generator.world.users[user_id].interest_vector()
             expected = rng.dirichlet(config.mood_concentration * base + 0.05)
-            assert moods[user_id].tobytes() == expected.tobytes()
+            assert moods[row].tobytes() == expected.tobytes()
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Unit and property tests for trace records and TraceBundle."""
 
+import pickle
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.trace.records import (
     DemandSession,
     FlowRecord,
     SessionRecord,
     TraceBundle,
+    demand_rows,
+    session_rows,
 )
 
 
@@ -86,11 +91,113 @@ class TestDemandSession:
         with pytest.raises(ValueError):
             DemandSession("u", "B", 0.0, 1.0, (1.0, -1.0, 0, 0, 0, 0))
 
+    def test_rejects_nan_departure(self):
+        with pytest.raises(ValueError, match="departs at nan"):
+            DemandSession("u", "B", 0.0, float("nan"), (1.0,) * 6)
+
+    def test_rejects_nan_volume(self):
+        with pytest.raises(ValueError, match="NaN realm volume"):
+            DemandSession("u", "B", 0.0, 1.0, (1.0, float("nan"), 0, 0, 0, 0))
+
     def test_totals(self):
         demand = make_demand(volume=600.0)
         assert demand.bytes_total == pytest.approx(600.0)
         assert demand.mean_rate == pytest.approx(6.0)
         assert demand.realm_vector().sum() == pytest.approx(600.0)
+
+
+_TIME = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0), st.just(float("nan"))
+)
+_VOLUME = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1.0, max_value=1e9),
+    st.just(float("nan")),
+)
+
+
+class TestDemandRows:
+    """``demand_rows`` is one checked ``DemandSession(...)`` per row."""
+
+    @staticmethod
+    def _one_by_one(rows):
+        try:
+            return [DemandSession(*row) for row in rows]
+        except ValueError:
+            return ValueError
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u1", "u2"]),
+                st.sampled_from(["B00", "B01"]),
+                _TIME,
+                _TIME,
+                st.tuples(*[_VOLUME] * 6),
+                st.sampled_from([None, "g1"]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_equal_records_and_equal_rejections(self, rows):
+        expected = self._one_by_one(rows)
+        columns = list(zip(*rows)) or [(), (), (), (), (), ()]
+        users, buildings, arrivals, departures, volumes, groups = columns
+
+        def call():
+            return demand_rows(
+                users,
+                buildings,
+                np.array(arrivals, dtype=float),
+                np.array(departures, dtype=float),
+                np.array(volumes, dtype=float).reshape(len(rows), 6),
+                groups,
+            )
+
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                call()
+            return
+        built = call()
+        assert built == expected
+        assert [pickle.dumps(r) for r in built] == [pickle.dumps(r) for r in expected]
+        assert all(type(r.arrival) is float for r in built)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="lengths"):
+            demand_rows(["u"], [], np.zeros(1), np.ones(1), np.zeros((1, 6)), [None])
+        with pytest.raises(ValueError, match="realm volumes"):
+            demand_rows(["u"], ["B"], np.zeros(1), np.ones(1), np.zeros((1, 5)), [None])
+
+
+class TestSessionRows:
+    """``session_rows`` is one checked ``SessionRecord(*row)`` per row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u1", "u2"]),
+                st.sampled_from(["ap1", "ap2"]),
+                st.just("c1"),
+                _TIME,
+                _TIME,
+                _VOLUME,
+            ),
+            max_size=6,
+        )
+    )
+    def test_equal_records_and_equal_rejections(self, rows):
+        try:
+            expected = [SessionRecord(*row) for row in rows]
+        except ValueError as error:
+            with pytest.raises(ValueError, match=str(error).split(" at ")[0]):
+                session_rows(rows)
+            return
+        built = session_rows(rows)
+        assert built == expected
+        assert [pickle.dumps(r) for r in built] == [pickle.dumps(r) for r in expected]
 
 
 class TestTraceBundle:

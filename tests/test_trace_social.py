@@ -92,6 +92,14 @@ class TestSocialGroup:
         with pytest.raises(ValueError):
             SocialGroup("g", ("u1", "u2"), "B00", ())
 
+    @pytest.mark.parametrize(
+        "jitters", [(-1.0, 75.0), (240.0, -1.0), (float("nan"), 75.0)]
+    )
+    def test_negative_or_nan_jitter_rejected(self, jitters):
+        slot = ScheduleSlot(0, 9 * HOUR, HOUR)
+        with pytest.raises(ValueError, match="jitter"):
+            SocialGroup("g", ("u1",), "B00", (slot,), *jitters)
+
     def test_departure_jitter_much_tighter_than_arrival(self):
         slot = ScheduleSlot(0, 9 * HOUR, HOUR)
         group = SocialGroup("g", ("u1", "u2"), "B00", (slot,))
