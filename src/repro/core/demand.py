@@ -33,8 +33,8 @@ class DemandEstimator:
 
     def observe(self, user_id: str, mean_rate: float) -> None:
         """Fold one finished session's mean rate into the user's estimate."""
-        if mean_rate < 0:
-            raise ValueError(f"negative rate {mean_rate!r}")
+        if not mean_rate >= 0:
+            raise ValueError(f"negative or NaN rate {mean_rate!r}")
         if user_id in self._rates:
             old = self._rates[user_id]
             self._rates[user_id] = (

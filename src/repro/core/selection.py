@@ -74,10 +74,10 @@ class APState:
     users: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"AP {self.ap_id}: non-positive bandwidth")
-        if self.load < 0:
-            raise ValueError(f"AP {self.ap_id}: negative load")
+        if not self.bandwidth > 0:
+            raise ValueError(f"AP {self.ap_id}: non-positive or NaN bandwidth")
+        if not self.load >= 0:
+            raise ValueError(f"AP {self.ap_id}: negative or NaN load")
 
     @property
     def user_count(self) -> int:
@@ -115,20 +115,60 @@ class SelectionConfig:
             raise ValueError("edge_threshold must be non-negative")
 
 
-@functools.lru_cache(maxsize=64)
-def _distributions(n_aps: int, n_members: int) -> np.ndarray:
-    """Every user->AP distribution of ``n_members`` users over ``n_aps``
-    APs as an ``(n_aps ** n_members, n_members)`` index array.
+class _Distributions:
+    """The per-shape tables of the exhaustive clique placement.
 
-    Rows follow ``itertools.product`` order (the last member varies
-    fastest), so row order is the combos' lexicographic order.  Cached
-    and read-only: ``max_enumeration`` bounds every array the exhaustive
-    placement asks for.
+    The distributions of ``n_members`` users over ``n_aps`` APs are
+    numbered in ``itertools.product`` order: member 0's AP is the most
+    significant base-``n_aps`` digit and the last member varies fastest,
+    so a distribution's number is its lexicographic rank.
+
+    * ``members_in`` — ``(n_members, n_subsets)`` bools: member ``i`` is
+      in subset ``s``.  A subset is numbered by its bitmask (bit ``i``:
+      member ``i``); with two or more APs every subset occurs, with one
+      only the whole clique does, numbered 0.
+    * ``cells`` — ``(rows, n_aps)``: the subset each distribution seats
+      at each AP, as a flat index ``subset * n_aps + ap`` into an
+      ``(n_subsets, n_aps)`` matrix.
+    * ``pairs``/``together`` — every member pair ``(i, j)``, ``i < j``,
+      in ``itertools.combinations`` order, and its co-location mask: one
+      bool per distribution, set where it seats the two at one AP.
+
+    Read-only.  ``max_enumeration`` bounds ``rows``, and with it the
+    ``2 ** n_members <= rows`` subsets.
     """
-    grid = np.indices((n_aps,) * n_members).reshape(n_members, -1).T
-    combos = np.ascontiguousarray(grid, dtype=np.intp)
-    combos.setflags(write=False)
-    return combos
+
+    __slots__ = ("members_in", "cells", "pairs", "together")
+
+    def __init__(self, n_aps: int, n_members: int) -> None:
+        grid = np.indices((n_aps,) * n_members).reshape(n_members, -1)
+        if n_aps == 1:
+            self.members_in = np.ones((n_members, 1), dtype=bool)
+            self.cells = np.zeros((1, 1), dtype=np.intp)
+        else:
+            bits = np.arange(n_members, dtype=np.intp)[:, None]
+            self.members_in = (np.arange(1 << n_members) >> bits & 1).astype(bool)
+            seated = grid[:, :, None] == np.arange(n_aps)
+            subsets = (seated << bits[:, :, None]).sum(axis=0)
+            self.cells = subsets * n_aps + np.arange(n_aps)
+        self.pairs = list(itertools.combinations(range(n_members), 2))
+        self.together = np.empty((len(self.pairs), grid.shape[1]), dtype=bool)
+        for together, (i, j) in zip(self.together, self.pairs):
+            np.equal(grid[i], grid[j], out=together)
+        for table in (self.members_in, self.cells, self.together):
+            table.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _distributions(n_aps: int, n_members: int) -> _Distributions:
+    """The cached :class:`_Distributions` of one clique shape.
+
+    A replay meets few shapes: PAPER's five-AP domains reach cliques of
+    two to six members, 1.1 MB of tables in all.  The cache keeps the 8
+    most recent; under the default ``max_enumeration`` one shape's
+    tables take at most 2.0 MB (2 APs, 14 members).
+    """
+    return _Distributions(n_aps, n_members)
 
 
 class CandidateAP(Protocol):
@@ -486,50 +526,64 @@ class S3Selector:
     def _place_exhaustive(
         self, members: List[str], aps: Candidates
     ) -> Dict[str, str]:
-        combos = _distributions(len(aps), len(members))
-        rows = np.arange(len(combos))
-        member_costs = np.array([aps.costs(user) for user in members], dtype=float)
-        # Every distribution's cost and added load, summed in one fixed
-        # order from 0.0: member costs in member order, then the internal
-        # delta of each co-located member pair in (i, j) order.  Each
-        # element therefore takes exactly the float additions a
-        # per-distribution loop would, so ties and cuts are bit-identical.
-        cost = np.zeros(len(combos))
-        added_load = np.zeros((len(combos), len(aps)))
-        for i, user in enumerate(members):
-            column = combos[:, i]
-            cost += member_costs[i, column]
-            added_load[rows, column] += self.demand.estimate(user)
-        for i, j in itertools.combinations(range(len(members)), 2):
+        n_aps = len(aps)
+        tables = _distributions(n_aps, len(members))
+        # Every distribution's cost, summed in one fixed order from 0.0:
+        # member costs in member order, then the internal delta of each
+        # co-located member pair in (i, j) order.  Each element therefore
+        # takes exactly the float additions a per-distribution loop
+        # would, so ties and cuts are bit-identical.  The member sums are
+        # an outer sum over the product grid, which flattens in
+        # distribution order.
+        cost = np.zeros(())
+        for user in members:
+            cost = np.add.outer(cost, np.array(aps.costs(user), dtype=float))
+        cost = cost.reshape(-1)
+        for (i, j), together in zip(tables.pairs, tables.together):
             delta = self.social.social_index(members[i], members[j])
-            np.add(cost, delta, out=cost, where=combos[:, i] == combos[:, j])
-        loads_after = np.array([ap.load for ap in aps]) + added_load
+            np.add(cost, delta, out=cost, where=together)
+        # The load a distribution adds at an AP is its subset's rates,
+        # summed in member order from 0.0 as the per-distribution loop
+        # adds them, so it is worked out once per subset: ``after`` is
+        # every subset's load after at every AP.
+        subset_load = np.zeros(tables.members_in.shape[1])
+        for user, member_in in zip(members, tables.members_in):
+            np.add(
+                subset_load, self.demand.estimate(user),
+                out=subset_load, where=member_in,
+            )
+        after = np.array([ap.load for ap in aps]) + subset_load[:, None]
         bandwidth = np.array([ap.bandwidth for ap in aps])
-        overloaded = (added_load > 0) & (loads_after > bandwidth)
-        feasible = np.flatnonzero(~overloaded.any(axis=1))
+        overloaded = (subset_load[:, None] > 0) & (after > bandwidth)
+        if overloaded.any():
+            infeasible = overloaded.reshape(-1).take(tables.cells).any(axis=1)
+            feasible = np.flatnonzero(~infeasible)
+        else:
+            feasible = np.arange(len(cost))
 
         if not len(feasible):
             # Bandwidth rules everything out; admit greedily anyway.
             return self._place_greedy(members, aps, ignore_bandwidth=True)
 
         keep = max(1, math.ceil(len(feasible) * self.config.top_fraction))
-        # Only distributions no dearer than the keep-th cheapest can enter
-        # the top band, ties at the cut included.  ``band`` stays in
-        # enumeration order, so the stable sorts break ties by the
-        # combo's lexicographic order.
+        # The top band is the keep cheapest distributions by (cost,
+        # balance, enumeration order), and the pick is its best balance,
+        # then the lower cost, then enumeration order.  The band of every
+        # distribution no dearer than the keep-th cheapest gives the same
+        # pick, with no sort: fewer than keep rows are cheaper than the
+        # cut, so the top band admits at least the first of the rows tied
+        # at the cut, in (balance, enumeration order), and no excluded
+        # tied row beats it.
         feasible_cost = cost[feasible]
         cut = np.partition(feasible_cost, keep - 1)[keep - 1]
         band = feasible[feasible_cost <= cut]
-        # Balance re-rank in closed form: the sum of squared loads after
-        # (lower is better balanced).
-        squares = balance_squares(loads_after[band])
-        band_cost = cost[band]
-        # Sort by (cost, balance), keep the top band, then pick the best
-        # balance in it; enumeration order breaks every remaining tie.
-        top = np.lexsort((squares, band_cost))[:keep]
-        best = top[np.lexsort((top, band_cost[top], squares[top]))[0]]
-        combo = combos[band[best]].tolist()
-        return {member: aps[combo[i]].ap_id for i, member in enumerate(members)}
+        # Balance in closed form: the sum of squared loads after (lower
+        # is better balanced).
+        squares = balance_squares(after.reshape(-1).take(tables.cells[band]))
+        best = band[squares == squares.min()]
+        best = best[cost[best] == cost[best].min()]
+        combo = np.unravel_index(best[0], (n_aps,) * len(members))
+        return {member: aps[int(combo[i])].ap_id for i, member in enumerate(members)}
 
     def _place_greedy(
         self,

@@ -175,6 +175,59 @@ class EventQueue:
             )
 
 
+class _Periodic:
+    """The ticks of one :meth:`Simulator.every`: each fires the action and
+    posts the next, ``interval`` after its own time, straight onto the
+    queue (``interval`` is validated positive, so the past-time check is
+    redundant on this per-tick path).
+
+    A queued tick and its queue refer to each other.  :meth:`stop` drops
+    the action and, unless a tick is firing, the queue: a stopped
+    periodic holds nothing, and a simulator freed after its run leaves
+    no reference cycle behind.
+    """
+
+    __slots__ = ("_queue", "_action", "_interval", "_priority", "_time", "_queued")
+
+    def __init__(
+        self,
+        queue: EventQueue,
+        action: Callable[[], None],
+        interval: float,
+        priority: int,
+        first: float,
+    ) -> None:
+        self._queue: Optional[EventQueue] = queue
+        self._action: Optional[Callable[[], None]] = action
+        self._interval = interval
+        self._priority = priority
+        self._time = first
+        #: The seq of the queued tick: None while a tick fires or once
+        #: stopped.
+        self._queued: Optional[int] = queue.post(first, self, priority)
+
+    def __call__(self) -> None:
+        self._queued = None
+        action = self._action
+        if action is None:
+            self._queue = None
+            return
+        action()
+        queue = self._queue
+        assert queue is not None
+        self._time += self._interval
+        self._queued = queue.post(self._time, self, self._priority)
+
+    def stop(self) -> None:
+        """Cancel the periodic firing."""
+        self._action = None
+        if self._queued is not None:
+            assert self._queue is not None
+            self._queue.cancel(self._queued)
+            self._queued = None
+            self._queue = None
+
+
 class Simulator:
     """The discrete-event run loop.
 
@@ -263,37 +316,10 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        post = self._queue.post
-        # The seq of the queued tick: None while a tick fires or once
-        # stopped.
-        queued: Optional[int] = None
-        stopped = False
-
-        def fire() -> None:
-            nonlocal queued
-            queued = None
-            if stopped:
-                return
-            action()
-            # Reschedule straight onto the queue: ``interval`` is
-            # validated positive above, so the past-time check is
-            # redundant on this per-tick path.
-            queued = post(self._now + interval, fire, priority)
-
         first = self._now + interval if start is None else start
         if first < self._now:
             raise self._past(first)
-        queued = post(first, fire, priority)
-
-        def stop() -> None:
-            """Cancel the periodic firing."""
-            nonlocal queued, stopped
-            stopped = True
-            if queued is not None:
-                self._queue.cancel(queued)
-                queued = None
-
-        return stop
+        return _Periodic(self._queue, action, interval, priority, first).stop
 
     def stop(self) -> None:
         """Request the run loop to exit after the current event."""

@@ -10,13 +10,23 @@ properties a single shared generator cannot:
   experiment, an extra sampler) does not shift the draws seen by existing
   consumers, because each name deterministically derives an independent
   stream via ``numpy``'s SeedSequence spawning.
+
+A consumer that draws a little from each of many short-lived streams
+(the replay's one ``radio-<user>-<arrival>`` stream per station) pays
+more for the generators than for the draws.  It can
+:meth:`~RandomStreams.prepare` the names' seeds in one vectorised pass
+(:func:`seed_words`: numpy's SeedSequence hash over columns of names) and
+:meth:`~RandomStreams.recycle` its generators once drawn; a recycled
+generator is pointed at the next stream's start instead of building a
+new one.  Either way every draw is the one a fresh
+``Generator(PCG64(SeedSequence(...)))`` makes.
 """
 
 from __future__ import annotations
 
 import zlib
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +55,97 @@ def observe_streams(callback: Callable[[str, str], None]) -> Iterator[None]:
         _OBSERVER = previous
 
 
+# numpy's SeedSequence hash constants (``numpy.random.bit_generator``),
+# for a pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def seed_words(entropy: int, tags: Sequence[int]) -> np.ndarray:
+    """The PCG64 seed words of many spawned streams at once.
+
+    Row ``r`` equals ``np.random.SeedSequence(entropy=entropy,
+    spawn_key=(tags[r],)).generate_state(4, np.uint64)``, bit for bit:
+    this is numpy's SeedSequence algorithm (entropy words mixed into a
+    pool of four, then hashed out) run over uint32 columns, one row a
+    stream.  ``entropy`` may take several 32-bit words (child seeds reach
+    2**63); each tag is one word.  numpy's stream-compatibility policy
+    keeps this algorithm stable; ``tests/test_sim_rng.py`` checks it
+    against SeedSequence itself.
+    """
+    if entropy < 0:
+        raise ValueError(f"entropy must be non-negative, got {entropy}")
+    column = np.asarray(tags, dtype=np.int64)
+    if column.size and (column.min() < 0 or column.max() > _MASK32):
+        raise ValueError("tags must be 32-bit unsigned words")
+    # numpy's entropy words: low word first, at least one, zero-padded
+    # to the pool size because a spawn key follows.
+    bits = max(entropy.bit_length(), 1)
+    run = [entropy >> shift & _MASK32 for shift in range(0, bits, 32)]
+    run += [0] * (_POOL_SIZE - len(run))
+    words = [np.full(len(column), word, dtype=np.uint32) for word in run]
+    words.append(column.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(words[i]) for i in range(_POOL_SIZE)]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in words[_POOL_SIZE:]:
+        for target in range(_POOL_SIZE):
+            pool[target] = mix(pool[target], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Pairs of 32-bit words, low word first, make the 64-bit words.
+    return np.stack(
+        [low | high << np.uint64(32) for low, high in zip(state[::2], state[1::2])],
+        axis=1,
+    )
+
+
+def _restart(bit_generator: np.random.BitGenerator, words: Sequence[int]) -> None:
+    """Point ``bit_generator`` where ``PCG64`` seeded with ``words`` (a
+    SeedSequence's four uint64 seed words) starts: PCG64's seeding
+    arithmetic, state and increment from the first and last two words."""
+    w0, w1, w2, w3 = (int(word) for word in words)
+    increment = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+    start = ((increment + ((w0 << 64) | w1)) * _PCG64_MULTIPLIER + increment) & _MASK128
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": start, "inc": increment},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 class RandomStreams:
     """A factory of named, independent ``numpy`` generators.
 
@@ -60,6 +161,10 @@ class RandomStreams:
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = seed
         self._streams: Dict[str, np.random.Generator] = {}
+        #: Seed words of prepared names (:meth:`prepare`).
+        self._prepared: Dict[str, List[int]] = {}
+        #: Recycled generators, free to start another stream.
+        self._recycled: List[np.random.Generator] = []
 
     @property
     def seed(self) -> int:
@@ -73,13 +178,42 @@ class RandomStreams:
         mapping from name to stream is stable across processes and Python
         versions (unlike ``hash``, which is salted).
         """
-        if name not in self._streams:
+        generator = self._streams.get(name)
+        if generator is None:
             if _OBSERVER is not None:
                 _OBSERVER("get", name)
-            tag = zlib.crc32(name.encode("utf-8"))
-            sequence = np.random.SeedSequence(entropy=self._seed, spawn_key=(tag,))
-            self._streams[name] = np.random.Generator(np.random.PCG64(sequence))
-        return self._streams[name]
+            if self._recycled:
+                generator = self._recycled.pop()
+                words = self._prepared.get(name)
+                if words is None:
+                    words = self._sequence(name).generate_state(4, np.uint64)
+                _restart(generator.bit_generator, words)
+            else:
+                generator = np.random.Generator(np.random.PCG64(self._sequence(name)))
+            self._streams[name] = generator
+        return generator
+
+    def _sequence(self, name: str) -> np.random.SeedSequence:
+        tag = zlib.crc32(name.encode("utf-8"))
+        return np.random.SeedSequence(entropy=self._seed, spawn_key=(tag,))
+
+    def prepare(self, names: Iterable[str]) -> None:
+        """Derive the seeds of ``names`` now, all in one pass
+        (:func:`seed_words`); a later :meth:`get` of one of them that
+        starts a recycled generator reads its seed from here.  Changes
+        no draw."""
+        fresh = [name for name in dict.fromkeys(names) if name not in self._prepared]
+        tags = [zlib.crc32(name.encode("utf-8")) for name in fresh]
+        self._prepared.update(zip(fresh, seed_words(self._seed, tags).tolist()))
+
+    def recycle(self) -> None:
+        """Forget every materialized stream, as :meth:`reset` does, but
+        keep the generators: a later :meth:`get` of any name points one
+        of them at that stream's start, which costs less than building a
+        generator.  Generators handed out before must not be drawn from
+        again."""
+        self._recycled.extend(self._streams.values())
+        self._streams.clear()
 
     def stream_names(self) -> List[str]:
         """The names materialized so far on this factory, sorted."""

@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -154,6 +154,17 @@ class GeneratorConfig:
             raise ValueError("solo_diurnal stds must be positive")
 
 
+class _DayColumns(NamedTuple):
+    """The columns of one day's demands the flow layout reads, rows in
+    the demands' (sorted) order: realm volumes ``(n, N_REALMS)``,
+    arrivals, departures and user ids."""
+
+    volumes: np.ndarray
+    arrival: np.ndarray
+    departure: np.ndarray
+    user_ids: List[str]
+
+
 class TraceGenerator:
     """Generates demand sessions + flow records for a social world."""
 
@@ -194,9 +205,9 @@ class TraceGenerator:
             users=self.config.world.n_users,
         ) as span:
             for day in range(self.config.n_days):
-                day_demands = self.generate_day(day)
+                day_demands, columns = self._day(day)
                 demands.extend(day_demands)
-                days.append(self._day_flows(day, day_demands))
+                days.append(self._day_flows(day, columns))
             flows = FlowArrays.concat(days)
             span.sim_end = self.config.n_days * DAY
             span.set(demands=len(demands), flows=flows.n_rows)
@@ -204,6 +215,13 @@ class TraceGenerator:
 
     def generate_day(self, day: int) -> List[DemandSession]:
         """Generate all demand sessions for calendar day ``day``."""
+        return self._day(day)[0]
+
+    # ------------------------------------------------------------ internals
+
+    def _day(self, day: int) -> Tuple[List[DemandSession], _DayColumns]:
+        """Day ``day``'s demands, sorted by ``(arrival, user id)``, and
+        their columns in that order."""
         rng = self.streams.get(f"day-{day}")
         normal = rng.standard_normal
         dow = day % 7
@@ -287,10 +305,17 @@ class TraceGenerator:
         demands = demand_rows(
             user_ids, building_ids, arrival_column, departure_column, volumes, group_ids
         )
-        demands.sort(key=lambda d: (d.arrival, d.user_id))
-        return demands
-
-    # ------------------------------------------------------------ internals
+        # The stable sort of the records by (arrival, user id), made on the
+        # columns they were built from, so the columns follow it too.
+        order = sorted(range(len(demands)), key=lambda i: (arrivals[i], user_ids[i]))
+        index = np.array(order, dtype=np.intp)
+        columns = _DayColumns(
+            volumes[index],
+            arrival_column[index],
+            departure_column[index],
+            [user_ids[i] for i in order],
+        )
+        return [demands[i] for i in order], columns
 
     def _daily_moods(self, day: int) -> np.ndarray:
         """Per-user interest vectors for the day (type interest x mood
@@ -346,7 +371,7 @@ class TraceGenerator:
             return home
         return self._buildings[int(rng.integers(len(self._buildings)))]
 
-    def _day_flows(self, day: int, demands: List[DemandSession]) -> FlowArrays:
+    def _day_flows(self, day: int, columns: _DayColumns) -> FlowArrays:
         """Split one day's demand volumes into port-bearing flows (layout v2).
 
         Draws whole columns from the day's ``flows.v2-<day>`` stream in the
@@ -357,9 +382,9 @@ class TraceGenerator:
         index (the paper's Fig. 3).  The rest are bursty short flows
         somewhere inside the session.
         """
-        if not demands:
+        volumes = columns.volumes
+        if not len(volumes):
             return FlowArrays.concat([])
-        volumes = np.array([d.realm_bytes for d in demands], dtype=float)
         group_demand, group_realm = np.nonzero(volumes > 0)
         if not len(group_demand):
             return FlowArrays.concat([])
@@ -379,8 +404,8 @@ class TraceGenerator:
         src_ports = rng.integers(32768, 61000, size=n_flows)
 
         demand = group_demand[group]
-        arrival = np.array([d.arrival for d in demands])[demand]
-        departure = np.array([d.departure for d in demands])[demand]
+        arrival = columns.arrival[demand]
+        departure = columns.departure[demand]
         span = departure - arrival
         bursty_start = arrival + start_fraction * 0.5 * span
         start = np.where(
@@ -394,9 +419,9 @@ class TraceGenerator:
         end = np.minimum(end, departure)
         flow_bytes = volumes[demand, realm] * share
 
-        user_ids = sorted({d.user_id for d in demands})
+        user_ids = sorted(set(columns.user_ids))
         user_code = {user_id: code for code, user_id in enumerate(user_ids)}
-        user = np.array([user_code[d.user_id] for d in demands])[demand]
+        user = np.array([user_code[user_id] for user_id in columns.user_ids])[demand]
         user_ips = [_user_ip(user_id) for user_id in user_ids]
         src_ips = sorted(set(user_ips))
         src_code = {ip: code for code, ip in enumerate(src_ips)}

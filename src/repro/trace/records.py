@@ -21,6 +21,7 @@ Three record families mirror the paper's data sources (Section III.A):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -29,6 +30,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -283,6 +285,24 @@ def demand_rows(
     return out
 
 
+R = TypeVar("R")
+
+
+def _sorted_rows(rows: Iterable[R], first: str, *rest: str) -> List[R]:
+    """``sorted(rows, key=attrgetter(first, *rest))``, with no sort when
+    the rows already are in that order, as generated demands and
+    replayed sessions arrive (a stable sort leaves such rows as they
+    are).  ``first`` is a float field: the order is checked on it as a
+    column, and on the whole key only where it does not increase."""
+    rows = list(rows)
+    key = attrgetter(first, *rest)
+    leading = np.fromiter(map(attrgetter(first), rows), dtype=float, count=len(rows))
+    stalls = np.flatnonzero(~(leading[:-1] < leading[1:])).tolist()
+    if all(key(rows[i]) <= key(rows[i + 1]) for i in stalls):
+        return rows
+    return sorted(rows, key=key)
+
+
 class TraceBundle:
     """An immutable-ish container for one synthetic (or loaded) trace.
 
@@ -306,14 +326,14 @@ class TraceBundle:
     ) -> None:
         from repro.trace.columnar import FlowArrays
 
-        self.sessions: List[SessionRecord] = sorted(
-            sessions, key=lambda r: (r.connect, r.user_id, r.ap_id)
+        self.sessions: List[SessionRecord] = _sorted_rows(
+            sessions, "connect", "user_id", "ap_id"
         )
         if not isinstance(flows, FlowArrays):
             flows = FlowArrays.from_flows(list(flows))
         self._flows: "FlowArrays" = flows.sorted_by_start()
-        self.demands: List[DemandSession] = sorted(
-            demands, key=lambda r: (r.arrival, r.user_id)
+        self.demands: List[DemandSession] = _sorted_rows(
+            demands, "arrival", "user_id"
         )
         self._sessions_by_user: Optional[Dict[str, List[SessionRecord]]] = None
         self._sessions_by_ap: Optional[Dict[str, List[SessionRecord]]] = None

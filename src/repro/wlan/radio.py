@@ -63,19 +63,40 @@ def rssi_map(
     order, taken as one call.  APs below the floor are omitted; callers
     should treat an empty map as "no coverage here".
     """
-    aps = list(aps)
-    x, y = position
-    dx = np.array([x - ap.position[0] for ap in aps])
-    dy = np.array([y - ap.position[1] for ap in aps])
-    shadow: Any = 0.0
-    if rng is not None and shadowing_sigma_db > 0:
-        shadow = rng.normal(0.0, shadowing_sigma_db, size=len(aps))
-    rssi = _received_dbm(np.hypot(dx, dy), TX_POWER_DBM, PATH_LOSS_EXPONENT, shadow)
-    return {
-        ap.ap_id: value
-        for ap, value in zip(aps, rssi.tolist())
-        if value >= SENSITIVITY_FLOOR_DBM
-    }
+    return ApPositions(aps).rssi_map(position, rng, shadowing_sigma_db)
+
+
+class ApPositions:
+    """The ids and coordinates of a fixed list of APs, as arrays, for
+    the RSSI maps of many stations (:func:`rssi_map` for each)."""
+
+    __slots__ = ("ap_ids", "x", "y")
+
+    def __init__(self, aps: Iterable[AccessPointInfo]) -> None:
+        aps = list(aps)
+        self.ap_ids = [ap.ap_id for ap in aps]
+        self.x = np.array([ap.position[0] for ap in aps], dtype=float)
+        self.y = np.array([ap.position[1] for ap in aps], dtype=float)
+
+    def rssi_map(
+        self,
+        position: Tuple[float, float],
+        rng: Optional[np.random.Generator] = None,
+        shadowing_sigma_db: float = 0.0,
+    ) -> Dict[str, float]:
+        """:func:`rssi_map` from ``position`` to these APs."""
+        x, y = position
+        shadow: Any = 0.0
+        if rng is not None and shadowing_sigma_db > 0:
+            shadow = rng.normal(0.0, shadowing_sigma_db, size=len(self.ap_ids))
+        rssi = _received_dbm(
+            np.hypot(x - self.x, y - self.y), TX_POWER_DBM, PATH_LOSS_EXPONENT, shadow
+        )
+        return {
+            ap_id: value
+            for ap_id, value in zip(self.ap_ids, rssi.tolist())
+            if value >= SENSITIVITY_FLOOR_DBM
+        }
 
 
 def sample_position(

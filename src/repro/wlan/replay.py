@@ -88,7 +88,7 @@ from repro.trace.records import (
 from repro.trace.social import CampusLayout
 from repro.wlan.entities import CampusRuntime, ControllerRuntime
 from repro.wlan.metrics import ControllerSeries, MetricsCollector
-from repro.wlan.radio import rssi_map, sample_position
+from repro.wlan.radio import ApPositions, sample_position
 from repro.wlan.strategies import SelectionStrategy, StrongestSignal
 
 _PRIORITY_FAULT = -1
@@ -132,9 +132,11 @@ class StationRssi(Mapping[str, float]):
     which draws the map the first time anything reads it and keeps it.
     A strategy that declares it never reads one
     (``SelectionStrategy.reads_rssi``) gets no view at all, outside a
-    controller outage.  Each station draws from its own named
-    ``radio-<user>-<arrival>`` stream, so deferring a draw, or never
-    making it, changes no value anyone reads.
+    controller outage.  Each station draws from the start of its own
+    named ``radio-<user>-<arrival>`` stream (:class:`StationRadios`), so
+    deferring a draw, or never making it, changes no value anyone reads.
+    The draws stay lazy and per station; only the streams' seeds are
+    derived ahead, per controller, on its first radio read.
     """
 
     __slots__ = ("_draw", "_drawn")
@@ -157,6 +159,69 @@ class StationRssi(Mapping[str, float]):
 
     def __len__(self) -> int:
         return len(self._read())
+
+
+class StationRadios:
+    """One run's station RSSI draws, the source of its radio views.
+
+    Each station draws from the start of its own ``radio-<user>-<arrival>``
+    stream of its controller's radio factory,
+    ``child(shard_stream_name(c))``, so the serial engine and a
+    per-controller worker draw alike.  A controller's factory is derived
+    on its first radio read, with the seeds of every radio stream its
+    demands name prepared in one pass; each station's generator is
+    recycled once drawn and started on the next station's stream, and
+    each building's AP positions are arrays built on first use.  Nothing
+    outlives the run: a second run of one engine starts every stream
+    over.
+    """
+
+    __slots__ = (
+        "_streams", "_layout", "_sigma", "_demands", "_controller_of",
+        "_radios", "_positions",
+    )
+
+    def __init__(
+        self,
+        streams: RandomStreams,
+        layout: CampusLayout,
+        shadowing_sigma_db: float,
+        demands: Sequence[DemandSession],
+        controller_of: Mapping[str, str],
+    ) -> None:
+        self._streams = streams
+        self._layout = layout
+        self._sigma = shadowing_sigma_db
+        self._demands = demands
+        self._controller_of = controller_of
+        self._radios: Dict[str, RandomStreams] = {}
+        self._positions: Dict[str, ApPositions] = {}
+
+    def _radio_streams(self, controller_id: str) -> RandomStreams:
+        radios = self._radios.get(controller_id)
+        if radios is None:
+            radios = self._streams.child(shard_stream_name(controller_id))
+            radios.prepare(
+                f"radio-{d.user_id}-{d.arrival:.3f}"
+                for d in self._demands
+                if self._controller_of.get(d.building_id) == controller_id
+            )
+            self._radios[controller_id] = radios
+        return radios
+
+    def draw(self, demand: DemandSession, controller_id: str) -> Dict[str, float]:
+        """The station's RSSI map: a position in its building, then one
+        shadowing draw per AP of the building."""
+        radios = self._radio_streams(controller_id)
+        rng = radios.get(f"radio-{demand.user_id}-{demand.arrival:.3f}")
+        position = sample_position(self._layout.buildings[demand.building_id], rng)
+        positions = self._positions.get(demand.building_id)
+        if positions is None:
+            positions = ApPositions(self._layout.aps_of_building(demand.building_id))
+            self._positions[demand.building_id] = positions
+        drawn = positions.rssi_map(position, rng, self._sigma)
+        radios.recycle()
+        return drawn
 
 
 class ChangeTracker:
@@ -454,6 +519,10 @@ class ReplayEngine:
         # controller has every AP down.
         up_times: Dict[str, List[float]] = {}
         fault_events = self._plan_events(window, sampled, up_times)
+        radios = StationRadios(
+            self._streams, self.layout, self.config.shadowing_sigma_db,
+            demands, controller_of,
+        )
 
         def handle_departure(demand: DemandSession) -> None:
             entry = active.get(demand.user_id)
@@ -546,7 +615,7 @@ class ReplayEngine:
             seq = batch_seq.get(controller_id, 0)
             batch_seq[controller_id] = seq + 1
             self._assign_batch(
-                campus, controller_id, batch, place, sim,
+                campus, controller_id, batch, place, sim, radios,
                 batch_id=f"{controller_id}#{seq}",
                 down=down,
                 outage_until=outage_until,
@@ -770,9 +839,17 @@ class ReplayEngine:
             start=window.start,
             priority=_PRIORITY_DEPARTURE,  # polls see departures of the instant
         )
-        sim.run(until=window.horizon)
-        stop_sampler()
-        stop_poller()
+        try:
+            sim.run(until=window.horizon)
+        finally:
+            stop_sampler()
+            stop_poller()
+            # ``flush`` posts itself (a deferred flush): a reference cycle
+            # through its own cell, which would keep the run's state (the
+            # session log, sampler rows, campus) alive until a full
+            # collection.  Emptying the cell lets reference counting free
+            # it with the run.
+            del flush
         if span is not None:
             span.sim_end = sim.now
 
@@ -849,6 +926,7 @@ class ReplayEngine:
         batch: List[DemandSession],
         place: Callable[[DemandSession, str, str], None],
         sim: Simulator,
+        radios: StationRadios,
         batch_id: str = "",
         down: Optional[Set[str]] = None,
         outage_until: Optional[Dict[str, float]] = None,
@@ -865,9 +943,7 @@ class ReplayEngine:
         # Without views every station's reading is None.
         rssi_by_user: Dict[str, StationRssi] = (
             {
-                d.user_id: StationRssi(
-                    partial(self._station_rssi, d, controller_id)
-                )
+                d.user_id: StationRssi(partial(radios.draw, d, controller_id))
                 for d in batch
             }
             if outage or self.strategy.reads_rssi
@@ -1021,34 +1097,6 @@ class ReplayEngine:
             candidates=candidates_from_states(states, scores),
             mode=mode,
             note=note,
-        )
-
-    def _radio_streams(self, controller_id: str) -> RandomStreams:
-        """A fresh shard-scoped child factory for one controller's radios.
-
-        Derived via ``child(shard_stream_name(controller_id))`` so the
-        serial engine and a per-controller :mod:`repro.runtime` worker
-        draw from identical streams regardless of which other controllers
-        (if any) they simulate.  Nothing keeps the factory, or the
-        generators it caches: every run of an engine restarts each
-        station's stream, and no generator outlives its draw.
-        """
-        return self._streams.child(shard_stream_name(controller_id))
-
-    def _station_rssi(
-        self, demand: DemandSession, controller_id: str
-    ) -> Dict[str, float]:
-        """Deterministic per-session RSSI map for the arriving station."""
-        rng = self._radio_streams(controller_id).get(
-            f"radio-{demand.user_id}-{demand.arrival:.3f}"
-        )
-        building = self.layout.buildings[demand.building_id]
-        position = sample_position(building, rng)
-        return rssi_map(
-            position,
-            self.layout.aps_of_building(demand.building_id),
-            rng=rng,
-            shadowing_sigma_db=self.config.shadowing_sigma_db,
         )
 
 

@@ -32,6 +32,10 @@ class TestDemandEstimator:
         with pytest.raises(ValueError):
             DemandEstimator().observe("u", -5.0)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="NaN rate"):
+            DemandEstimator().observe("u", float("nan"))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DemandEstimator(smoothing=0.0)

@@ -59,6 +59,13 @@ class TestAPState:
         with pytest.raises(ValueError):
             APState("a", 10.0, -1.0)
 
+    def test_nan_load_and_bandwidth_rejected(self):
+        # The clique step's balance pick has no answer over NaN loads.
+        with pytest.raises(ValueError, match="NaN load"):
+            APState("a", 10.0, float("nan"))
+        with pytest.raises(ValueError, match="NaN bandwidth"):
+            APState("a", float("nan"), 0.0)
+
     def test_with_user(self):
         state = APState("a", 100.0, 10.0, ("u1",))
         grown = state.with_user("u2", 5.0)
@@ -313,6 +320,53 @@ def random_clique_case(seed, n_members, n_aps, top_fraction, affinity, regime):
     return selector, members, rebuilt(selector.social, states)
 
 
+def integer_clique_case(seed, n_members, n_aps, top_fraction, room):
+    """A clique case whose costs, rates and loads are all small integers.
+
+    Integer values make many distributions tie in cost, and many in the
+    sum of squared loads, so the top band's cut falls inside a tie.
+    ``room`` sets the bandwidth: ``"roomy"`` admits every distribution,
+    ``"tight"`` leaves each AP room for 0 to all of the clique's rate,
+    ``"none"`` no room at all (no distribution with a positive rate is
+    feasible).
+    """
+    rng = np.random.default_rng(seed)
+    members = [f"m{i}" for i in range(n_members)]
+    residents = [f"r{i}" for i in range(int(rng.integers(0, 7)))]
+    users = members + residents
+    # Integer type affinities at alpha 1, and conditional terms of 0 or 1
+    # (no shrinkage, co-leavings 0 or at least the encounters).
+    model = TypeModel(
+        centroids=np.zeros((2, 6)),
+        assignments={user: int(rng.integers(2)) for user in users},
+        affinity=rng.integers(0, 3, size=(2, 2)).astype(float),
+    )
+    pairs = {}
+    for u, v in itertools.combinations(users, 2):
+        if rng.random() < 0.5:
+            encounters = int(rng.integers(2, 5))
+            co = int(rng.choice([0, encounters, encounters + 1]))
+            pairs[(u, v)] = PairStats(encounters=encounters, co_leavings=co)
+    social = SocialModel(pairs, model, alpha=1.0, shrinkage=0.0)
+    rates = {m: float(rng.integers(0, 4)) for m in members}
+    seat = {r: int(rng.integers(n_aps)) for r in residents}
+    states = []
+    for a in range(n_aps):
+        load = float(rng.integers(0, 5))
+        if room == "roomy":
+            bandwidth = load + sum(rates.values()) + 1.0
+        elif room == "tight":
+            bandwidth = load + float(rng.integers(0, sum(rates.values()) + 1))
+        else:
+            bandwidth = load
+        users_here = tuple(r for r in residents if seat[r] == a)
+        states.append(APState(f"ap{a}", max(bandwidth, 1.0), load, users_here))
+    selector = S3Selector(
+        social, estimator(rates=rates), SelectionConfig(top_fraction=top_fraction)
+    )
+    return selector, members, rebuilt(social, states)
+
+
 class TestPlaceExhaustive:
     """The vectorized clique step decides exactly as the per-distribution
     loop does, ties and bandwidth fall-backs included."""
@@ -335,6 +389,34 @@ class TestPlaceExhaustive:
         assert selector._place_exhaustive(members, states) == (
             reference_place_exhaustive(selector, members, states)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_members=st.integers(min_value=2, max_value=6),
+        n_aps=st.integers(min_value=1, max_value=5),
+        top_fraction=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
+        room=st.sampled_from(["roomy", "tight", "none"]),
+    )
+    @example(seed=3, n_members=5, n_aps=4, top_fraction=0.3, room="none")
+    def test_integer_ties_at_the_cut_match_reference_loop(
+        self, seed, n_members, n_aps, top_fraction, room
+    ):
+        selector, members, states = integer_clique_case(
+            seed, n_members, n_aps, top_fraction, room
+        )
+        assert selector._place_exhaustive(members, states) == (
+            reference_place_exhaustive(selector, members, states)
+        )
+
+    def test_no_feasible_distribution_places_greedily_in_demand_order(self):
+        selector, members, states = integer_clique_case(3, 5, 4, 0.3, "none")
+        assert any(selector.demand.estimate(m) > 0 for m in members)
+        placement = selector._place_exhaustive(members, states)
+        assert list(placement.items()) == list(
+            selector._place_greedy(members, states, ignore_bandwidth=True).items()
+        )
+        assert placement == reference_place_exhaustive(selector, members, states)
 
     @pytest.mark.parametrize("top_fraction", [0.1, 0.3, 1.0])
     def test_equal_cost_ties_at_the_cut(self, top_fraction):

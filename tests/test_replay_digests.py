@@ -4,8 +4,11 @@ The digests in ``tests/fixtures/replay_digests.json`` are the SHA-256 of
 what :meth:`ReplayEngine.run` returns for the TINY and SMALL evaluation
 days under ``llf``, ``llf-users``, ``rssi``, ``s3`` and ``s3-online``,
 of the LLF collection replay of their training days (``<preset>_collect``,
-and ``paper_collect`` for PAPER's), and of one SMALL LLF run with a fault
-plan armed (AP down and up, a controller outage, stale load reports).
+and ``paper_collect`` for PAPER's), of PAPER's evaluation days under the
+four Fig. 12 strategies (``paper_<strategy>``: the only replays that reach
+five-AP cliques of six and draw PAPER's radio streams), and of one SMALL
+LLF run with a fault plan armed (AP down and up, a controller outage,
+stale load reports).
 Each digest covers:
 
 * every :class:`SessionRecord` in result order, one line each, floats
@@ -60,6 +63,9 @@ STRATEGIES: Dict[str, Callable[[ExperimentConfig], SelectionStrategy]] = {
         copy.deepcopy(workload.trained_model(config)).selector()
     ),
 }
+
+#: PAPER's evaluation replays: the strategies Fig. 12 compares.
+PAPER_STRATEGIES = ("llf", "llf-users", "rssi", "s3")
 
 #: The armed run: every replay fault kind, on SMALL's evaluation days.
 CHAOS = ChaosConfig(ap_outages=2, controller_outages=1, stale_reports=4)
@@ -130,10 +136,12 @@ def compute_digests(
     presets: Sequence[str] = tuple(PRESETS), paper: bool = True
 ) -> Dict[str, str]:
     """The pinned digests of each preset's replays, and with ``paper``
-    the PAPER collection's."""
+    PAPER's collection and evaluation replays."""
     digests: Dict[str, str] = {}
     if paper:
         digests["paper_collect"] = result_digest(collect(PAPER))
+        for strategy in PAPER_STRATEGIES:
+            digests[f"paper_{strategy}"] = result_digest(replay(PAPER, strategy))
     for name in presets:
         config = PRESETS[name]
         for strategy in STRATEGIES:
@@ -155,7 +163,13 @@ def test_replays_match_the_pinned_digests(preset: str) -> None:
 
 def test_paper_collection_matches_the_pinned_digest() -> None:
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert compute_digests([]) == {"paper_collect": pinned["paper_collect"]}
+    assert result_digest(collect(PAPER)) == pinned["paper_collect"]
+
+
+@pytest.mark.parametrize("strategy", PAPER_STRATEGIES)
+def test_paper_evaluation_replay_matches_the_pinned_digest(strategy: str) -> None:
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert result_digest(replay(PAPER, strategy)) == pinned[f"paper_{strategy}"]
 
 
 def test_armed_plan_covers_every_replay_fault_kind() -> None:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, observe_streams, seed_words
 
 
 class TestRandomStreams:
@@ -58,6 +59,104 @@ class TestRandomStreams:
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomStreams(seed="abc")  # type: ignore[arg-type]
+
+
+class TestSeedWords:
+    """The vectorised derivation is numpy's SeedSequence, word for word."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        tags=st.lists(
+            st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=8
+        ),
+    )
+    @example(seed=0, tags=[0])
+    @example(seed=2**32 - 1, tags=[2**32 - 1])
+    @example(seed=2**32, tags=[1])
+    @example(seed=2**63 - 1, tags=[0, 2**32 - 1])
+    def test_rows_equal_seed_sequence_state(self, seed, tags):
+        words = seed_words(seed, tags)
+        assert words.dtype == np.uint64 and words.shape == (len(tags), 4)
+        for row, tag in zip(words, tags):
+            expected = np.random.SeedSequence(
+                entropy=seed, spawn_key=(tag,)
+            ).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist()
+
+    def test_multi_word_entropy_and_no_tags(self):
+        for seed in (2**64 + 5, 2**100, 2**130 + 7):
+            expected = np.random.SeedSequence(
+                entropy=seed, spawn_key=(9,)
+            ).generate_state(4, np.uint64)
+            assert seed_words(seed, [9])[0].tolist() == expected.tolist()
+        assert seed_words(3, []).shape == (0, 4)
+
+    def test_out_of_range_input_rejected(self):
+        with pytest.raises(ValueError):
+            seed_words(-1, [0])
+        with pytest.raises(ValueError):
+            seed_words(1, [2**32])
+        with pytest.raises(ValueError):
+            seed_words(1, [-1])
+
+
+class TestRecycledGenerators:
+    """Prepared seeds and recycled generators draw what fresh ones do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        controller=st.sampled_from(["shard:ctrl-B00", "shard:ctrl-B07"]),
+        stations=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 8), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_station_draws_equal_fresh_stream_draws(
+        self, seed, controller, stations
+    ):
+        # A station draws an angle, a radius and one shadowing normal per
+        # AP; names may repeat (each draw starts its stream over) and may
+        # be left out of the prepared set.
+        names = [f"radio-u{user}-{user * 1.5:.3f}" for user, _, _ in stations]
+        radios = RandomStreams(seed).child(controller)
+        radios.prepare(name for name, (_, _, ready) in zip(names, stations) if ready)
+        for name, (_, aps, _) in zip(names, stations):
+            rng = radios.get(name)
+            drawn = [rng.random(), rng.random(), *rng.normal(0.0, 4.0, size=aps)]
+            radios.recycle()
+            fresh = RandomStreams(seed).child(controller).get(name)
+            expected = [
+                fresh.random(), fresh.random(), *fresh.normal(0.0, 4.0, size=aps)
+            ]
+            assert drawn == expected
+
+    def test_prepare_derives_no_stream_and_get_reports_each(self):
+        derived = []
+        radios = RandomStreams(5).child("shard:c")
+        with observe_streams(lambda kind, name: derived.append((kind, name))):
+            radios.prepare(["radio-a-1.000", "radio-b-2.000"])
+            assert derived == []
+            radios.get("radio-a-1.000")
+            radios.recycle()
+            radios.get("radio-a-1.000")
+        assert derived == [("get", "radio-a-1.000")] * 2
+
+    def test_recycle_starts_streams_over_and_keeps_one_generator(self):
+        streams = RandomStreams(seed=3)
+        first = streams.get("x")
+        draws = first.random(4)
+        streams.recycle()
+        assert streams.stream_names() == []
+        second = streams.get("y")
+        assert second is first
+        assert np.array_equal(
+            second.random(4), RandomStreams(seed=3).get("y").random(4)
+        )
+        streams.recycle()
+        assert np.array_equal(streams.get("x").random(4), draws)
 
 
 def _child_draw(args):

@@ -60,7 +60,7 @@ class TestGeneratorColumns:
     def test_each_day_equals_per_record_materialisation(self):
         columnar, oracle = fresh_generator(TINY), fresh_generator(TINY)
         for day in range(TINY.generator_config().n_days):
-            columns = columnar._day_flows(day, columnar.generate_day(day))
+            columns = columnar._day_flows(day, columnar._day(day)[1])
             records = day_flow_records(oracle, day, oracle.generate_day(day))
             assert reprs(columns.to_flows()) == reprs(records)
 

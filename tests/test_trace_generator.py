@@ -153,7 +153,7 @@ class TestFlowLayout:
         assert [repr(f) for f in bundle_short.flows] == first
         # A day generated on its own draws what it draws inside a run.
         generator = day_generator(long)
-        alone = generator._day_flows(4, generator.generate_day(4)).to_flows()
+        alone = generator._day_flows(4, generator._day(4)[1]).to_flows()
         assert sorted(map(repr, alone)) == sorted(
             repr(f) for f in bundle_long.flows if day_index(f.start) == 4
         )
@@ -162,8 +162,8 @@ class TestFlowLayout:
         """The columns come from ``flows.v2-<day>`` in the documented order."""
         config = GeneratorConfig(world=TINY_WORLD, n_days=1, seed=13)
         generator = day_generator(config)
-        demands = generator.generate_day(0)
-        flows = generator._day_flows(0, demands).to_flows()
+        demands, columns = generator._day(0)
+        flows = generator._day_flows(0, columns).to_flows()
 
         rng = RandomStreams(config.seed).get("flows.v2-0")
         groups = [

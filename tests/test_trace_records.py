@@ -201,6 +201,35 @@ class TestSessionRows:
 
 
 class TestTraceBundle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from(["ap1", "ap2"]),
+                st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+            ),
+            max_size=12,
+        ),
+        presorted=st.booleans(),
+    )
+    def test_records_take_the_key_order_sorted_gives(self, rows, presorted):
+        # Ties in the leading time are common (equal arrivals): the order
+        # check must fall back to the whole key there, and keep equal
+        # keys in their given order, as the stable sort does.
+        sessions = [make_session(u, ap, t0=t, t1=t + 1.0) for u, ap, t in rows]
+        demands = [make_demand(u, ap, t0=t, t1=t + 1.0) for u, ap, t in rows]
+        if presorted:
+            sessions.sort(key=lambda r: (r.connect, r.user_id, r.ap_id))
+            demands.sort(key=lambda r: (r.arrival, r.user_id))
+        bundle = TraceBundle(sessions=iter(sessions), demands=iter(demands))
+        expected_sessions = sorted(
+            sessions, key=lambda r: (r.connect, r.user_id, r.ap_id)
+        )
+        expected_demands = sorted(demands, key=lambda r: (r.arrival, r.user_id))
+        assert [id(r) for r in bundle.sessions] == [id(r) for r in expected_sessions]
+        assert [id(r) for r in bundle.demands] == [id(r) for r in expected_demands]
+
     def test_sessions_sorted_by_connect(self):
         bundle = TraceBundle(
             sessions=[make_session(t0=50.0, t1=60.0), make_session(t0=1.0, t1=2.0)]

@@ -1,5 +1,7 @@
 """Tests for the trace-driven replay engine."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -272,6 +274,54 @@ class TestRadioDraws:
         assert dict(rssi) == {"ap-b": -60.0, "ap-a": -50.0}
         assert len(rssi) == 2 and bool(rssi)
         assert draws == [1]
+
+
+class TestBoundedMemory:
+    """A finished run leaves no reference cycle: reference counting frees
+    its session log, sampler rows, campus and radio factories with it,
+    not the next full collection."""
+
+    @pytest.mark.parametrize("strategy", ["llf", "rssi", "s3", "llf-outage"])
+    def test_finished_run_leaves_no_cyclic_garbage(
+        self, tiny_workload, tiny_model, strategy
+    ):
+        layout = tiny_workload.world.layout
+        demands = tiny_workload.test_demands
+        config = tiny_workload.config.replay
+        plan = None
+        if strategy == "llf-outage":
+            # An AP outage evicts its residents; a controller outage
+            # steers a blind strategy by signal.
+            ap_id = sorted(layout.aps)[0]
+            start = demands[len(demands) // 2].arrival
+            plan = FaultPlan(
+                targeted_ap_outage(ap_id, start, 3600.0).events
+                + (
+                    ControllerOutage(
+                        time=start,
+                        controller_id=layout.controller_of_ap(ap_id),
+                        duration=600.0,
+                    ),
+                )
+            )
+        chosen = {
+            "llf": LeastLoadedFirst,
+            "llf-outage": LeastLoadedFirst,
+            "rssi": StrongestSignal,
+            "s3": lambda: S3Strategy(tiny_model.selector()),
+        }[strategy]()
+        engine = ReplayEngine(layout, chosen, config, fault_plan=plan)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = engine.run(demands)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert result.sessions
+        assert garbage == []
 
 
 class _RebuildCheckedS3(S3Strategy):
