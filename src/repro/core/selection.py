@@ -386,9 +386,11 @@ def rank_singleton(
     2. sort the rest by ``(cost, load, ap_id)``;
     3. keep the cheapest ``ceil(top_fraction * n)``, at least one;
     4. pick the best balance index among them: in closed form (module
-       docstring), ``min(load, user_count, ap_id)``.
+       docstring), ``min(load, user_count, ap_id)``, the first in band
+       order on a full tie.
 
-    ``costs[i]`` is C(AP) of ``aps[i]``.
+    ``costs[i]`` is C(AP) of ``aps[i]``.  A band of one is its own pick;
+    a wider band reads an AP's user count only where loads tie.
     """
     ranked = [
         (cost, ap.load, ap.ap_id, position)
@@ -399,10 +401,24 @@ def rank_singleton(
     if not ranked:
         return None
     keep = max(1, math.ceil(len(ranked) * top_fraction))
-    return min(
-        ranked[:keep],
-        key=lambda entry: (entry[1], aps[entry[3]].user_count, entry[2]),
-    )[3]
+    best = ranked[0]
+    if keep == 1:
+        return best[3]
+    _, best_load, best_id, best_position = best
+    best_count = -1  # read on the first load tie
+    for _, load, ap_id, position in ranked[1:keep]:
+        if load > best_load:
+            continue
+        if load < best_load:
+            best_load, best_id, best_position = load, ap_id, position
+            best_count = -1
+            continue
+        if best_count < 0:
+            best_count = aps[best_position].user_count
+        count = aps[position].user_count
+        if count < best_count or (count == best_count and ap_id < best_id):
+            best_id, best_position, best_count = ap_id, position, count
+    return best_position
 
 
 def balance_squares(loads_after: np.ndarray) -> np.ndarray:

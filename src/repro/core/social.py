@@ -102,11 +102,6 @@ class SocialModel:
         self._delta_cache: "OrderedDict[Tuple[str, ...], Tuple[int, np.ndarray]]" = (
             OrderedDict()
         )
-        # Per-user stamps: the generation at which a user was last
-        # touched by a mutator.  Nothing in the package reads them (the
-        # service's cost index reads conditional_partners); they stay
-        # because service snapshots pickle them.
-        self._user_generation: Dict[str, int] = {}
         self._extended: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------- pickling
@@ -188,17 +183,6 @@ class SocialModel:
     def generation(self) -> int:
         """Bumped by every mutator; stamps the fast-path caches."""
         return self._generation
-
-    def user_generation(self, user_id: str) -> int:
-        """The generation at which ``user_id`` was last touched (0 never).
-
-        The per-user counterpart of :attr:`generation`, kept by every
-        mutator.  No consumer in this package reads it — the service's
-        :class:`~repro.core.selection.CostIndex` reads
-        :meth:`conditional_partners` — but the stamps are part of the
-        pickled state, so service snapshots carry them.
-        """
-        return self._user_generation.get(user_id, 0)
 
     def _extended_affinity(self) -> np.ndarray:
         """The (k+1) x (k+1) affinity with the unknown-user mean appended.
@@ -350,8 +334,7 @@ class SocialModel:
         entries recomputed — in the same operation order as the batch
         build, so patched matrices stay *byte-identical* to a from-scratch
         rebuild (the equivalence the parity registry proves).  Everything
-        is restamped to the new generation; only the two touched users'
-        :meth:`user_generation` stamps move.
+        is restamped to the new generation.
         """
         if encounters < 0 or co_leavings < 0:
             raise ValueError("event deltas must be non-negative")
@@ -367,8 +350,6 @@ class SocialModel:
         self._pairs[pair] = stats
         self._generation += 1
         generation = self._generation
-        self._user_generation[pair[0]] = generation
-        self._user_generation[pair[1]] = generation
 
         conditional = 0.0
         above_floor = stats.encounters >= self.min_encounters
@@ -410,12 +391,14 @@ class SocialModel:
         The same updates, in the same order, as one :meth:`record_events`
         call per pair — ``encounters=1`` with each of ``encountered``,
         then ``co_leavings=1`` with each of ``co_left`` — including one
-        generation per pair and the per-user stamps, so pair order,
-        adjacency order and pickles come out identical.  The loop is
-        inlined for the service's common state, a live adjacency and
-        nothing else cached; with the partner index live or a delta
-        matrix cached it defers to :meth:`record_events` per pair, whose
-        patches those structures need.
+        generation per pair, so pair order, adjacency order and pickles
+        come out identical.  The loop is inlined for the service's
+        common state, a live adjacency and nothing else cached; with the
+        partner index live or a delta matrix cached it defers to
+        :meth:`record_events` per pair, whose patches those structures
+        need.  The departing user's adjacency row is looked up once; a
+        row it does not have yet is created where the per-pair updates
+        would create it, so the adjacency's row order is theirs too.
         """
         if self._delta_cache or self._partners_generation == self._generation:
             record = self.record_events
@@ -427,13 +410,15 @@ class SocialModel:
         if user_id in encountered or user_id in co_left:
             raise ValueError(f"a pair needs two distinct users, got {user_id!r} twice")
         pairs = self._pairs
-        stamps = self._user_generation
         floor = self.min_encounters
         shrinkage = self.shrinkage
-        generation = self._generation
+        generation = self._generation + len(encountered) + len(co_left)
         adjacency = (
-            self._adjacency if self._adjacency_generation == generation else None
+            self._adjacency
+            if self._adjacency_generation == self._generation
+            else None
         )
+        row = adjacency.get(user_id) if adjacency is not None else None
         new = tuple.__new__  # PairStats(...) without its Python-level __new__
         for partners, encounter, co_leaving in (
             (encountered, 1, 0),
@@ -443,22 +428,27 @@ class SocialModel:
                 pair = (user_id, other) if user_id < other else (other, user_id)
                 old = pairs.get(pair)
                 if old is None:
-                    stats = new(PairStats, (encounter, co_leaving))
+                    encounters, co_leavings = encounter, co_leaving
                 else:
-                    stats = new(
-                        PairStats,
-                        (old.encounters + encounter, old.co_leavings + co_leaving),
-                    )
-                pairs[pair] = stats
-                generation += 1
-                stamps[pair[0]] = generation
-                stamps[pair[1]] = generation
-                if adjacency is not None and stats.encounters >= floor:
-                    conditional = min(
-                        1.0, stats.co_leavings / (stats.encounters + shrinkage)
-                    )
-                    adjacency.setdefault(pair[0], {})[pair[1]] = conditional
-                    adjacency.setdefault(pair[1], {})[pair[0]] = conditional
+                    encounters, co_leavings = old
+                    encounters += encounter
+                    co_leavings += co_leaving
+                pairs[pair] = new(PairStats, (encounters, co_leavings))
+                if adjacency is not None and encounters >= floor:
+                    conditional = co_leavings / (encounters + shrinkage)
+                    if conditional > 1.0:
+                        conditional = 1.0
+                    if row is None:
+                        # The smaller id's row is the first one created.
+                        if other < user_id:
+                            adjacency.setdefault(other, {})
+                        row = adjacency[user_id] = {}
+                    row[other] = conditional
+                    partner_row = adjacency.get(other)
+                    if partner_row is None:
+                        adjacency[other] = {user_id: conditional}
+                    else:
+                        partner_row[user_id] = conditional
         self._generation = generation
         if adjacency is not None:
             self._adjacency_generation = generation
@@ -483,7 +473,6 @@ class SocialModel:
         self.type_model.assignments[user_id] = type_index
         self._generation += 1
         generation = self._generation
-        self._user_generation[user_id] = generation
         # The partner/adjacency indexes hold conditional terms only; a
         # type change leaves them valid, so just restamp.
         if self._partners_generation == generation - 1:

@@ -73,7 +73,7 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
         ),
     ),
     "repro.core.social.SocialModel.record_departure": ParityEntry(
-        # One departure's pairs in one pass: the same model, stamps,
+        # One departure's pairs in one pass: the same model, generation,
         # adjacency order and pickle bytes as one record_events call per
         # pair, which the oracle learner makes.
         reference="tests/social_oracle.py::per_pair_departure",
@@ -100,8 +100,9 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
         ),
     ),
     "repro.core.selection.rank_singleton": ParityEntry(
-        reference="tests/selection_oracle.py::oracle_select",
+        reference="tests/selection_oracle.py::literal_rank_singleton",
         tests=(
+            "tests/test_core_selection.py::TestRankSingleton::test_matches_the_literal_reading",
             "tests/test_service_fastpath.py::test_cost_row_is_bit_identical_to_per_ap_walk",
             "tests/test_service_fastpath.py::test_kernel_parity_on_every_small_interleaving",
             "tests/test_service_fastpath.py::test_tiny_replay_stream_matches_selector",

@@ -21,13 +21,16 @@ series: ``service.queue_depth`` (gauge), ``service.batch_size``
 (histogram), ``service.shed`` (counter) — all run-scoped, since the
 queue is a pure function of the event stream — and the host-scoped
 ``service.decision_latency`` histogram (wall seconds from enqueue to
-commit, measured through :func:`repro.perf.wall_seconds`).
+commit, measured through :func:`repro.perf.wall_seconds`).  A join's
+latency has a reader when the metrics registry is enabled or
+``track_latency`` is set as it is enqueued; only then is the host clock
+read, at enqueue and at commit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import perf
 from repro.obs import metrics as obs_metrics
@@ -93,8 +96,12 @@ class AdmissionQueue:
         self.config = config if config is not None else AdmissionConfig()
         self.controller_id = controller_id
         self.on_commit = on_commit
-        #: ``(event, ticket, wall at enqueue)`` in seq order.
-        self._pending: List[Tuple[StationJoin, "JoinTicket", float]] = []
+        #: ``(event, ticket, wall at enqueue)`` in seq order; the wall
+        #: time is ``None`` when nothing reads the join's latency.
+        self._pending: List[Tuple[StationJoin, "JoinTicket", Optional[float]]] = []
+        #: The users of ``_pending``.  Derived from it, so it is left out
+        #: of the pickled state and rebuilt on load.
+        self._pending_users: Set[str] = set()
         self.decisions = 0
         self.batches = 0
         self.sheds = 0
@@ -106,6 +113,15 @@ class AdmissionQueue:
         #: Wall seconds enqueue->commit when ``track_latency`` is set.
         self.latencies: List[float] = []
 
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_pending_users"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._pending_users = {event.user_id for event, _, _ in self._pending}
+
     # ------------------------------------------------------------- queries
 
     @property
@@ -115,7 +131,7 @@ class AdmissionQueue:
 
     def pending_user(self, user_id: str) -> bool:
         """Whether ``user_id`` has a join waiting in the queue."""
-        return any(event.user_id == user_id for event, _, _ in self._pending)
+        return user_id in self._pending_users
 
     # ------------------------------------------------------- degraded mode
 
@@ -140,7 +156,8 @@ class AdmissionQueue:
         if len(self._pending) >= self.config.queue_capacity:
             self._shed(event, ticket)
             return
-        self._pending.append((event, ticket, perf.wall_seconds()))
+        self._pending.append((event, ticket, self._enqueue_stamp()))
+        self._pending_users.add(event.user_id)
         obs_metrics.set_gauge(
             "service.queue_depth", float(len(self._pending)), event.time
         )
@@ -160,11 +177,11 @@ class AdmissionQueue:
         if not self._pending:
             return
         pending, self._pending = self._pending, []
+        self._pending_users.clear()
         size = self.config.max_batch
         for start in range(0, len(pending), size):
             chunk = pending[start : start + size]
             self.batches += 1
-            batch_id = f"{self.controller_id}#{self.batches}"
             obs_metrics.observe("service.batch_size", float(len(chunk)), now)
             for event, ticket, enqueued in chunk:
                 if self.stale_remaining > 0:
@@ -173,16 +190,15 @@ class AdmissionQueue:
                     self._commit(
                         event, ticket, enqueued,
                         self.associator.least_loaded(),
-                        sim_time=now, batch_id=batch_id,
-                        strategy=FALLBACK_CHAIN[1], mode="batch",
-                        note=STALE_NOTE,
+                        sim_time=now, strategy=FALLBACK_CHAIN[1],
+                        mode="batch", note=STALE_NOTE,
                     )
                     continue
                 ap_id, costs = self.associator.select(event.user_id)
                 self._commit(
                     event, ticket, enqueued, ap_id,
-                    sim_time=now, batch_id=batch_id,
-                    strategy="s3", mode="batch", note=None, costs=costs,
+                    sim_time=now, strategy="s3", mode="batch", note=None,
+                    costs=costs,
                 )
         obs_metrics.set_gauge("service.queue_depth", 0.0, now)
 
@@ -196,20 +212,31 @@ class AdmissionQueue:
         obs_metrics.inc("service.shed", 1.0, event.time)
         ap_id = self.associator.least_loaded()
         self._commit(
-            event, ticket, perf.wall_seconds(), ap_id,
-            sim_time=event.time,
-            batch_id=f"{self.controller_id}#shed-{self.sheds}",
-            strategy=FALLBACK_CHAIN[1], mode="single", note=SHED_NOTE,
+            event, ticket, self._enqueue_stamp(), ap_id,
+            sim_time=event.time, strategy=FALLBACK_CHAIN[1], mode="single",
+            note=SHED_NOTE,
         )
+
+    def _enqueue_stamp(self) -> Optional[float]:
+        """The wall clock now, if anything reads a latency from it."""
+        if self.config.track_latency or obs_metrics.REGISTRY.enabled:
+            return perf.wall_seconds()
+        return None
+
+    def _batch_id(self, mode: str) -> str:
+        """The journaled batch of a decision being committed: the flush
+        chunk under way (``mode`` ``"batch"``), else its own shed."""
+        if mode == "batch":
+            return f"{self.controller_id}#{self.batches}"
+        return f"{self.controller_id}#shed-{self.sheds}"
 
     def _commit(
         self,
         event: StationJoin,
         ticket: "JoinTicket",
-        enqueued: float,
+        enqueued: Optional[float],
         ap_id: str,
         sim_time: float,
-        batch_id: str,
         strategy: str,
         mode: str,
         note: Optional[str],
@@ -217,8 +244,9 @@ class AdmissionQueue:
     ) -> None:
         """Apply, journal and meter one decision; resolve its ticket.
 
-        ``costs`` is the cost row the decision ranked, when it ranked one;
-        the journaled provenance reuses it.
+        ``enqueued`` is the join's wall stamp (``None``: its latency has
+        no reader).  ``costs`` is the cost row the decision ranked, when
+        it ranked one; the journaled provenance reuses it.
         """
         tracer = TRACER
         if tracer.enabled:
@@ -227,7 +255,7 @@ class AdmissionQueue:
                     user_id=event.user_id,
                     strategy=strategy,
                     controller_id=self.controller_id,
-                    batch_id=batch_id,
+                    batch_id=self._batch_id(mode),
                     sim_time=sim_time,
                     chosen=ap_id,
                     candidates=self.associator.candidates(event.user_id, costs),
@@ -238,10 +266,15 @@ class AdmissionQueue:
         self.associator.apply_join(event.user_id, ap_id)
         self.decisions += 1
         obs_metrics.inc("service.decisions", 1.0, sim_time)
+        if enqueued is not None:
+            self._meter_latency(enqueued, sim_time)
+        ticket.resolve(ap_id)
+        if self.on_commit is not None:
+            self.on_commit(event, ap_id, mode, note)
+
+    def _meter_latency(self, enqueued: float, sim_time: float) -> None:
+        """Record one decision's wall latency, enqueue to commit."""
         latency = perf.wall_seconds() - enqueued
         obs_metrics.observe("service.decision_latency", latency, sim_time)
         if self.config.track_latency:
             self.latencies.append(latency)
-        ticket.resolve(ap_id)
-        if self.on_commit is not None:
-            self.on_commit(event, ap_id, mode, note)

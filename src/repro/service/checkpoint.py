@@ -51,8 +51,9 @@ from repro.service.loop import ControllerService
 #: 5 added :attr:`ServiceCheckpoint.wal_offset` and the columnar
 #: ``SocialModel`` pickle state; version 6 keeps the associator's APs in
 #: a :class:`~repro.wlan.entities.ControllerRuntime`, which version-5
-#: pickles do not have.
-CHECKPOINT_VERSION = 6
+#: pickles do not have; version 7 drops the social model's per-user
+#: generation stamps and pickles service events through ``__reduce__``.
+CHECKPOINT_VERSION = 7
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"

@@ -147,14 +147,19 @@ class BalanceMonitorApp(ServiceApp):
             )
         self.samples_taken += 1
 
+    # Most events fall between two grid points: the hooks skip the
+    # sampling call for them.
     def on_join(self, event: StationJoin, ap_id: str) -> None:
-        self._maybe_sample(event.time)
+        if self._next_at is None or event.time >= self._next_at:
+            self._maybe_sample(event.time)
 
     def on_leave(self, event: StationLeave, ap_id: Optional[str]) -> None:
-        self._maybe_sample(event.time)
+        if self._next_at is None or event.time >= self._next_at:
+            self._maybe_sample(event.time)
 
     def on_stats(self, event: StatsReport) -> None:
-        self._maybe_sample(event.time)
+        if self._next_at is None or event.time >= self._next_at:
+            self._maybe_sample(event.time)
 
 
 class ControllerService:
@@ -330,15 +335,16 @@ class ControllerService:
     def _process(
         self, event: ServiceEvent, ticket: Optional[JoinTicket]
     ) -> None:
-        if event.time < self._last_time:
+        now = event.time
+        if now < self._last_time:
             raise ValueError(
                 f"event seq {event.seq} moves the sim clock backwards "
-                f"({event.time} < {self._last_time})"
+                f"({now} < {self._last_time})"
             )
-        self._last_time = event.time
+        self._last_time = now
         self.events_processed += 1
-        obs_metrics.inc("service.events", 1.0, event.time)
-        self.admission.maybe_flush(event.time)
+        obs_metrics.inc("service.events", 1.0, now)
+        self.admission.maybe_flush(now)
         if isinstance(event, StationJoin):
             self._on_join(event, ticket)
         elif isinstance(event, StationLeave):

@@ -110,6 +110,27 @@ def oracle_select(
     return min(top, key=lambda ap: (ap.load, ap.user_count, ap.ap_id)).ap_id
 
 
+def literal_rank_singleton(
+    aps: Sequence, costs: Sequence[float], top_fraction: float, rate=None
+) -> Optional[int]:
+    """:func:`~repro.core.selection.rank_singleton` as its docstring
+    reads: keep the APs with room for ``rate``, sort them by ``(cost,
+    load, ap_id)``, keep the cheapest ``max(1, ceil(f * n))`` and take
+    the first minimum of ``(load, user_count, ap_id)``; None when no AP
+    has room."""
+    feasible = [
+        i for i, ap in enumerate(aps) if rate is None or ap.load + rate <= ap.bandwidth
+    ]
+    if not feasible:
+        return None
+    ranked = sorted(feasible, key=lambda i: (costs[i], aps[i].load, aps[i].ap_id))
+    keep = max(1, math.ceil(len(ranked) * top_fraction))
+    return min(
+        ranked[:keep],
+        key=lambda i: (aps[i].load, aps[i].user_count, aps[i].ap_id),
+    )
+
+
 def reference_place_exhaustive(
     selector: S3Selector, members: List[str], aps: Sequence
 ) -> Dict[str, str]:

@@ -14,10 +14,12 @@ from repro.core.selection import (
     SelectionConfig,
     balance_squares,
     least_loaded,
+    rank_singleton,
 )
 from repro.core.social import PairStats, SocialModel
 from repro.core.typing import TypeModel
 from tests.selection_oracle import (
+    literal_rank_singleton,
     oracle_added_cost,
     rebuilt,
     reference_place_exhaustive,
@@ -513,6 +515,40 @@ class TestClosedFormBalance:
         ):
             if abs(jain_a - jain_b) > 1e-12:
                 assert (squares_a < squares_b) == (jain_a > jain_b)
+
+
+class TestRankSingleton:
+    """The band pick reads user counts only on load ties and stops at a
+    band of one; its answer is the literal reading's, ties included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                st.sampled_from([0.0, 1.0, 2.0, 2.5]),  # load
+                st.sampled_from([1.0, 2.5, 3.0, 100.0]),  # bandwidth
+                st.integers(0, 3),  # residents
+                st.sampled_from([0.0, 0.1, 0.25, 0.5]),  # cost
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        top_fraction=st.one_of(
+            st.sampled_from([1e-9, 0.3, 0.5, 1.0]),
+            st.floats(min_value=1e-6, max_value=1.0),
+        ),
+        rate=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 50.0])),
+    )
+    def test_matches_the_literal_reading(self, entries, top_fraction, rate):
+        states = [
+            APState(ap_id, bandwidth, load, tuple(f"r{i}.{j}" for j in range(users)))
+            for i, (ap_id, load, bandwidth, users, _) in enumerate(entries)
+        ]
+        costs = [cost for *_, cost in entries]
+        assert rank_singleton(states, costs, top_fraction, rate) == (
+            literal_rank_singleton(states, costs, top_fraction, rate)
+        )
 
 
 class TestSelectionConfig:

@@ -212,20 +212,6 @@ def test_floor_crossing_is_patched_exactly():
     )
 
 
-def test_user_generation_moves_only_for_touched_users():
-    users = ["a", "b", "c"]
-    model = SocialModel({}, _type_model(users, seed=3))
-    assert model.user_generation("a") == 0
-    model.record_events("a", "b", encounters=1)
-    assert model.user_generation("a") == model.generation
-    assert model.user_generation("b") == model.generation
-    assert model.user_generation("c") == 0
-    stamp_a = model.user_generation("a")
-    model.record_events("b", "c", co_leavings=1)
-    assert model.user_generation("a") == stamp_a
-    assert model.user_generation("c") == model.generation
-
-
 def test_streamed_model_matches_build_social_model():
     """The streamed endpoint equals the offline training constructor."""
     users = [f"u{i}" for i in range(8)]

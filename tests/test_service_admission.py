@@ -6,8 +6,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.demand import DemandEstimator
+from repro.core.online import OnlineLearner
 from repro.core.social import SocialModel
 from repro.core.typing import TypeModel
 from repro.obs import metrics as obs_metrics
@@ -18,10 +20,11 @@ from repro.service.admission import (
     AdmissionConfig,
     AdmissionQueue,
 )
-from repro.service.events import StationJoin, StationLeave
+from repro.service.checkpoint import capture_checkpoint, restore_checkpoint
+from repro.service.events import StationJoin, StationLeave, StatsReport
 from repro.service.fastpath import FastAssociator
 from repro.wlan.entities import APRuntime
-from repro.service.loop import ControllerService, JoinTicket
+from repro.service.loop import ControllerService, JoinTicket, ServiceApp
 
 
 def _associator(aps: int = 4) -> FastAssociator:
@@ -211,3 +214,79 @@ def test_config_validation() -> None:
         AdmissionConfig(flush_horizon=-1.0)
     with pytest.raises(ValueError, match="queue_capacity"):
         AdmissionConfig(max_batch=8, queue_capacity=4)
+
+
+def _assert_index_is_scan(queue: AdmissionQueue) -> None:
+    scan = {event.user_id for event, _, _ in queue._pending}
+    assert queue._pending_users == scan
+    for user in scan | {f"u{i}" for i in range(5)}:
+        assert queue.pending_user(user) == (user in scan)
+
+
+class _IndexCheck(ServiceApp):
+    """Checks the pending index against the queue at every commit."""
+
+    def __init__(self) -> None:
+        self.queue: Optional[AdmissionQueue] = None
+        self.commits = 0
+
+    def on_join(self, event: StationJoin, ap_id: str) -> None:
+        assert self.queue is not None
+        _assert_index_is_scan(self.queue)
+        self.commits += 1
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["join", "join", "leave", "stats", "stale", "flush"]),
+        st.integers(0, 4),  # user, or stale decisions
+        st.sampled_from([0.0, 0.0, 0.4, 1.0]),  # clock advance
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, capture_at=st.integers(0, 40))
+def test_pending_index_is_a_scan_of_the_queue(
+    ops: List[Tuple[str, int, float]], capture_at: int
+) -> None:
+    check = _IndexCheck()
+    associator = _associator(aps=3)
+    service = ControllerService(
+        associator,
+        admission=AdmissionConfig(max_batch=2, queue_capacity=3, flush_horizon=1.0),
+        apps=[check],
+        learner=OnlineLearner(associator.social),
+    )
+    check.queue = service.admission
+    now = 0.0
+    for seq, (kind, user, advance) in enumerate(ops):
+        if seq == capture_at:
+            # Derived state is rebuilt, not pickled: a restored queue
+            # indexes exactly what it holds.
+            restored = restore_checkpoint(capture_checkpoint(service, "fp"), "fp")
+            assert "_pending_users" not in restored.admission.__getstate__()
+            _assert_index_is_scan(restored.admission)
+            assert restored.admission._pending_users == service.admission._pending_users
+            service = restored
+            check = service.apps[0]
+            assert check.queue is service.admission
+        now += advance
+        queue = service.admission
+        if kind == "join":
+            service.submit(StationJoin(seq=seq, time=now, user_id=f"u{user}"))
+        elif kind == "leave":
+            service.submit(StationLeave(seq=seq, time=now, user_id=f"u{user}"))
+        else:
+            service.submit(
+                StatsReport(seq=seq, time=now, user_id=f"u{user}", mean_rate=1e3)
+            )
+            if kind == "stale":
+                queue.flag_stale(user)
+            elif kind == "flush":
+                queue.flush(now)
+        _assert_index_is_scan(service.admission)
+    service.drain()
+    _assert_index_is_scan(service.admission)
+    assert check.commits == service.admission.decisions

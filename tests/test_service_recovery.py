@@ -453,8 +453,9 @@ def _snapshot_pickles(spec: WorkloadSpec, every: int) -> List[bytes]:
 def test_folded_learner_snapshots_match_per_pair_oracle(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # Pending joins carry their host enqueue time, so raw snapshot bytes
-    # are a function of the stream only with that clock pinned.
+    # Pending joins carry their host enqueue time whenever a latency
+    # reader exists, so raw snapshot bytes are a function of the stream
+    # only with that clock pinned.
     monkeypatch.setattr(perf, "wall_seconds", lambda: 0.0)
     spec = WorkloadSpec(users=64, aps=8, events=4000, seed=5)
     folded = _snapshot_pickles(spec, 100)
@@ -476,10 +477,11 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     # stamps, version 3 ones hold them instead of the core cost index,
     # version 4 ones have no WAL offset and pickle the social model's
     # pairs one object at a time, version 5 ones keep the associator's
-    # own AP table instead of a controller domain; their pickles must be
-    # refused, never mis-restored.
-    assert CHECKPOINT_VERSION == 6
-    for version in (1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1):
+    # own AP table instead of a controller domain, version 6 ones carry
+    # the social model's per-user generation stamps; their pickles must
+    # be refused, never mis-restored.
+    assert CHECKPOINT_VERSION == 7
+    for version in (1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
