@@ -71,9 +71,9 @@ _ENCODER = json.JSONEncoder(separators=_SEPARATORS)
 #: hundred distinct scores.  Their ``repr`` text is kept here, and the
 #: memo is emptied rather than evicted from once it holds this many.  It
 #: only saves work — a line is the same text with any content in it — so
-#: one memo serves the whole process.  WAL and sample floats (event
-#: times, rates, balances) seldom repeat, so they are rendered without it
-#: and cannot push the candidate values out.
+#: one memo serves the whole process.  Times (a decision's flush time,
+#: WAL and sample event times), rates and balances seldom repeat, so
+#: they are rendered without it and cannot push the candidate values out.
 _FLOAT_MEMO_SIZE = 4096
 _FLOAT_TEXT: Dict[float, str] = {}
 _INF = float("inf")
@@ -143,7 +143,7 @@ def _decision_line(record: DecisionRecord) -> str:
         f'"strategy":{text(record.strategy)},'
         f'"controller":{text(record.controller_id)},'
         f'"batch":{text(record.batch_id)},'
-        f'"sim_time":{number(record.sim_time)},'
+        f'"sim_time":{text(record.sim_time)},'
         f'"chosen":{text(record.chosen)},"mode":{text(record.mode)}{note},'
         f'"candidates":[{candidates}]}}}}'
     )

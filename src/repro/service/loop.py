@@ -32,6 +32,7 @@ lines the batch replay engine emits.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.balance import normalized_balance_index
@@ -47,6 +48,9 @@ from repro.service.events import (
     StatsReport,
 )
 from repro.service.fastpath import FastAssociator
+
+_INF = math.inf
+_NEG_INF = -math.inf
 
 
 class JoinTicket:
@@ -106,8 +110,8 @@ class BalanceMonitorApp(ServiceApp):
     """
 
     def __init__(self, interval: float = 60.0) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval < _INF:
+            raise ValueError("interval must be positive and finite")
         self.interval = interval
         self.samples_taken = 0
         self._service: Optional["ControllerService"] = None
@@ -336,7 +340,13 @@ class ControllerService:
         self, event: ServiceEvent, ticket: Optional[JoinTicket]
     ) -> None:
         now = event.time
-        if now < self._last_time:
+        # One comparison chain refuses a NaN, an infinite and a
+        # backwards time alike; the message tells them apart.
+        if not (_NEG_INF < now < _INF and now >= self._last_time):
+            if not math.isfinite(now):
+                raise ValueError(
+                    f"event seq {event.seq} has a non-finite time ({now})"
+                )
             raise ValueError(
                 f"event seq {event.seq} moves the sim clock backwards "
                 f"({now} < {self._last_time})"

@@ -18,6 +18,7 @@ byte-diffs serial against eight-producer runs on that basis.
 from __future__ import annotations
 
 import asyncio
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,7 @@ from repro.service.events import (
 )
 from repro.service.fastpath import FastAssociator
 from repro.service.loop import BalanceMonitorApp, ControllerService, run_events
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import IndexDraws, RandomStreams
 from repro.wlan.entities import APRuntime
 
 
@@ -67,10 +68,10 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.users < 1 or self.aps < 1 or self.events < 0:
             raise ValueError("users/aps must be >= 1, events >= 0")
-        if self.bandwidth <= 0 or self.mean_gap <= 0:
-            raise ValueError("bandwidth and mean_gap must be positive")
-        if self.stats_scale <= 0 or self.monitor_interval <= 0:
-            raise ValueError("stats_scale/monitor_interval must be positive")
+        for name in ("bandwidth", "mean_gap", "stats_scale", "monitor_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.type_count < 1:
             raise ValueError("type_count must be >= 1")
 
@@ -81,29 +82,44 @@ def synthetic_events(spec: WorkloadSpec) -> List[ServiceEvent]:
     Present/absent users are kept in lists mutated only by indexed pops
     and appends, so every draw's choice set has one deterministic order
     — no iteration over sets anywhere.
+
+    Each index is ``rng.integers(len(choices))``, drawn by
+    :class:`~repro.sim.rng.IndexDraws` (the same bits, without a numpy
+    call per draw), and each event is built field by field with
+    ``object.__setattr__``, as the frozen dataclass ``__init__`` builds
+    it: the same events as the constructors make.  numpy's scalar
+    ``exponential`` and ``random`` draws are already Python floats.
     """
     rng = RandomStreams(spec.seed).get("service")
+    exponential, random, index = rng.exponential, rng.random, IndexDraws(rng)
+    mean_gap, stats_scale = spec.mean_gap, spec.stats_scale
+    new, put = object.__new__, object.__setattr__
     absent = [f"u{i:03d}" for i in range(spec.users)]
     present: List[str] = []
     events: List[ServiceEvent] = []
+    append = events.append
     time = 0.0
     for seq in range(spec.events):
-        time += float(rng.exponential(spec.mean_gap))
-        roll = float(rng.random())
+        time += exponential(mean_gap)
+        roll = random()
         if absent and (not present or roll < 0.45):
-            user = absent.pop(int(rng.integers(len(absent))))
+            user = absent.pop(index(len(absent)))
             present.append(user)
-            events.append(StationJoin(seq=seq, time=time, user_id=user))
+            event: ServiceEvent = new(StationJoin)
         elif present and roll < 0.7:
-            user = present.pop(int(rng.integers(len(present))))
+            user = present.pop(index(len(present)))
             absent.append(user)
-            events.append(StationLeave(seq=seq, time=time, user_id=user))
+            event = new(StationLeave)
         else:
-            user = present[int(rng.integers(len(present)))]
-            rate = float(rng.exponential(spec.stats_scale))
-            events.append(
-                StatsReport(seq=seq, time=time, user_id=user, mean_rate=rate)
-            )
+            user = present[index(len(present))]
+            event = new(StatsReport)
+            put(event, "mean_rate", exponential(stats_scale))
+        put(event, "seq", seq)
+        put(event, "time", time)
+        put(event, "user_id", user)
+        append(event)
+    # The generator is this call's own, so the draws' held half-word
+    # is never written back (``IndexDraws.sync``).
     return events
 
 

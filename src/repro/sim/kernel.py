@@ -348,13 +348,6 @@ class Simulator:
                 # pair costs a measurable slice of every run, and the
                 # sharded engine pays it once per shard for the same
                 # periodic grid.  Semantics are identical — drop
-                # cancelled heads lazily, stop at the horizon, pop and
-                # dispatch.
-                # The dispatch loop touches the queue's heap directly:
-                # at replay scale the ``peek_time()``/``pop()`` method
-                # pair costs a measurable slice of every run, and the
-                # sharded engine pays it once per shard for the same
-                # periodic grid.  Semantics are identical — drop
                 # cancelled entries unprocessed, stop at the horizon,
                 # pop and dispatch.
                 heap = self._queue._heap

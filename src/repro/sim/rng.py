@@ -146,6 +146,87 @@ def _restart(bit_generator: np.random.BitGenerator, words: Sequence[int]) -> Non
     }
 
 
+class IndexDraws:
+    """``int(generator.integers(n))`` for one ``generator``, bit for bit,
+    at a fraction of a numpy call's cost.
+
+    numpy draws an integer in ``[0, n)`` for ``n <= 2**32 - 1`` by
+    Lemire's multiply-and-reject over one 32-bit word (Lemire 2019,
+    "Fast Random Integer Generation in an Interval"); ``n == 1`` draws
+    nothing.  PCG64 makes 32-bit words from 64-bit ones, low half first,
+    and holds the high half for the next 32-bit draw.  This object runs
+    the same arithmetic in Python over ``bit_generator.random_raw()``
+    and holds that half itself, starting from the bit generator's own
+    ``has_uint32``/``uinteger``.
+
+    Draws of whole 64-bit words (``random()``, ``exponential()``) never
+    touch the held half, so they may interleave freely with these.  A
+    draw that reads it (``generator.integers`` itself, float32 draws)
+    must come after :meth:`sync`, which writes the held half back.  A
+    bit generator other than PCG64, and an ``n`` outside
+    ``[1, 2**32 - 1]``, go to ``generator.integers`` (after a
+    :meth:`sync`).  ``n`` is a Python int.
+    """
+
+    __slots__ = ("_generator", "_raw", "_has", "_held")
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        bit_generator = generator.bit_generator
+        self._generator = generator
+        #: ``random_raw`` of an exact bit generator, else ``None``.
+        self._raw: Optional[Callable[[], int]] = None
+        if type(bit_generator) is np.random.PCG64:
+            self._raw = bit_generator.random_raw
+        self._has = False
+        self._held = 0
+        self._load()
+
+    def __call__(self, n: int) -> int:
+        if n == 1:
+            return 0
+        raw = self._raw
+        if raw is None or not 0 < n <= _MASK32:
+            return self._numpy(n)
+        while True:
+            if self._has:
+                self._has = False
+                m = self._held * n
+            else:
+                word = raw()
+                self._has = True
+                self._held = word >> 32
+                m = (word & _MASK32) * n
+            # Accept unless the low word falls under Lemire's threshold,
+            # (2**32 - n) % n; it is below n, so most draws skip it.
+            leftover = m & _MASK32
+            if leftover >= n or leftover >= (_MASK32 + 1 - n) % n:
+                return m >> 32
+
+    def sync(self) -> None:
+        """Write the held half-word back into the bit generator's state:
+        the generator is then where ``generator.integers`` would have
+        left it."""
+        if self._raw is None:
+            return
+        bit_generator = self._generator.bit_generator
+        state = bit_generator.state
+        state["has_uint32"] = int(self._has)
+        state["uinteger"] = self._held
+        bit_generator.state = state
+
+    def _load(self) -> None:
+        if self._raw is not None:
+            state = self._generator.bit_generator.state
+            self._has = bool(state["has_uint32"])
+            self._held = state["uinteger"]
+
+    def _numpy(self, n: int) -> int:
+        self.sync()
+        value = int(self._generator.integers(n))
+        self._load()
+        return value
+
+
 class RandomStreams:
     """A factory of named, independent ``numpy`` generators.
 

@@ -28,8 +28,8 @@ class APRuntime:
                  "_snapshot", "_seats", "_index", "_position")
 
     def __init__(self, ap_id: str, bandwidth: float) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"AP {ap_id}: non-positive bandwidth")
+        if not bandwidth > 0:
+            raise ValueError(f"AP {ap_id}: non-positive or NaN bandwidth")
         self.ap_id = ap_id
         self.bandwidth = bandwidth
         self._sessions: Dict[str, float] = {}  # user id -> rate (bytes/s)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -119,6 +120,45 @@ def test_clock_must_not_run_backwards() -> None:
     service.submit(StationJoin(seq=0, time=5.0, user_id="a"))
     with pytest.raises(ValueError, match="backwards"):
         service.submit(StationJoin(seq=1, time=4.0, user_id="b"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_non_finite_times_are_refused(bad: float, first: bool) -> None:
+    # A NaN time compares false against any clock, so a NaN clock took
+    # every later time; an infinite one wedged the monitor's sampling
+    # grid (``inf + interval == inf``).  Both are refused on arrival.
+    service = make_service(WorkloadSpec(users=4, aps=2, events=0))
+    seq = 0
+    if not first:
+        service.submit(StationJoin(seq=0, time=1.0, user_id="u000"))
+        seq = 1
+    with pytest.raises(ValueError, match="non-finite time"):
+        service.submit(StationJoin(seq=seq, time=bad, user_id="u001"))
+    assert service.events_processed == seq
+
+
+@pytest.mark.parametrize(
+    "field", ["bandwidth", "mean_gap", "stats_scale", "monitor_interval"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_workload_spec_refuses_non_finite_or_non_positive(
+    field: str, bad: float
+) -> None:
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        WorkloadSpec(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_ap_runtime_refuses_nan_or_non_positive_bandwidth(bad: float) -> None:
+    with pytest.raises(ValueError, match="bandwidth"):
+        APRuntime("ap0", bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_monitor_interval_must_be_positive_and_finite(bad: float) -> None:
+    with pytest.raises(ValueError, match="positive and finite"):
+        BalanceMonitorApp(interval=bad)
 
 
 def test_join_while_associated_or_pending_is_an_implicit_leave() -> None:
