@@ -155,7 +155,7 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
             "tests/test_runtime_parity.py::test_merged_journal_byte_identical",
             "tests/test_faults_parity.py::test_fault_replay_engines_identical",
             "tests/test_faults_parity.py::test_fault_journal_byte_identical",
-            "tests/test_runtime_shm.py::test_shm_replay_byte_identical_with_faults_armed",
+            "tests/test_faults_parity.py::test_process_replay_byte_identical_with_faults_armed",
             "tests/test_obs_metrics_parity.py::test_metric_series_byte_identical_across_engines",
         ),
     ),

@@ -19,7 +19,6 @@ rule is kept by one mutation of ``src`` that only it catches
 | `import-contract` | repro.* imports must follow the layering table in repro/devtools/rules/import_contract.py; private modules stay package-internal; no top-level import cycles |
 | `metric-name-registry` | metric names recorded via repro.obs.metrics must match a MetricSpec in repro.obs.metric_registry — registered, owned by the recording module, kind-consistent, and checked against call sites in both directions |
 | `mutable-default` | no mutable argument defaults ([] / {} / set() / dict()) |
-| `no-pickled-columns` | code under repro.runtime may not pickle SessionArrays/DemandArrays/FlowArrays/TraceBundle across a process pool; publish through repro.runtime.shm instead |
 | `no-unseeded-rng` | no `import random`, no legacy np.random.* global-state calls, no unseeded default_rng(); thread seeded Generator objects instead |
 | `no-wallclock` | wall-clock reads (time.time / datetime.now / time.monotonic ...) are only allowed in repro.perf and repro.prototype |
 | `ordered-iteration` | no iteration over sets / .keys() in repro.analysis, repro.core, repro.wlan — wrap in sorted() to fix the order |
@@ -38,7 +37,6 @@ from repro.devtools.rules import (  # noqa: F401  (registration side effects)
     fault_determinism,
     import_contract,
     metric_names,
-    no_pickled_columns,
     ordered_iteration,
     rng,
     rng_streams,

@@ -7,23 +7,23 @@ silently interleave their windows — a collision no per-file rule can
 see.  This whole-program rule checks every instrumentation site against
 :mod:`repro.obs.metric_registry` in **both directions**:
 
-* a call to ``repro.obs.metrics.inc`` / ``set_gauge`` / ``observe`` /
-  ``register_memory_source`` (resolved through the import graph), or a
-  ``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)`` factory
-  call, whose name is not a registered literal fails lint;
+* a call to ``repro.obs.metrics.inc`` / ``set_gauge`` / ``observe``
+  (resolved through the import graph), or a ``.counter(...)`` /
+  ``.gauge(...)`` / ``.histogram(...)`` factory call, whose name is not
+  a registered literal fails lint;
 * a site naming a metric outside its registered ``owner`` module fails
   lint (global collision-freedom follows: names have unique owners);
 * a site whose call form contradicts the registered kind fails lint —
-  ``inc`` records counters, ``set_gauge`` gauges, ``observe``
-  histograms, and ``register_memory_source`` needs a **host**-scoped
-  gauge (its samples live under the strippable ``"wall"`` key);
+  ``inc`` records counters, ``set_gauge`` gauges and ``observe``
+  histograms;
 * and — the reverse direction — a :class:`MetricSpec` with no surviving
   instrumentation site fails lint, so the registry cannot drift from
   the code.
 
 :mod:`repro.obs.metrics` itself is exempt from findings (its factory
-methods forward variable names by design) but is still scanned, so the
-``mem.peak_rss_bytes`` registration it hosts counts as a call site.
+methods forward variable names by design) but is still scanned, and the
+registered names keyed in its dict literals (the memory probe's fixed
+source table, ``mem.peak_rss_bytes``) count as call sites.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ MODULE_FUNCS: Dict[str, str] = {
     "repro.obs.metrics.inc": "counter",
     "repro.obs.metrics.set_gauge": "gauge",
     "repro.obs.metrics.observe": "histogram",
-    "repro.obs.metrics.register_memory_source": "gauge",
 }
 
 #: Registry factory methods -> the kind they create.
@@ -70,6 +69,17 @@ def _name_argument(node: ast.Call) -> Optional[ast.expr]:
         if keyword.arg == "name":
             return keyword.value
     return None
+
+
+def _table_keys(module: LintModule) -> Set[str]:
+    """Registered names that key a dict literal in ``module``."""
+    return {
+        key.value
+        for node in walk(module.tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and key.value in SPECS_BY_NAME
+    }
 
 
 @register
@@ -98,6 +108,8 @@ class MetricNameRegistry(Rule):
                     used.add(spec_name)
                 if finding is not None and report:
                     yield finding
+            if module_name == EXEMPT_MODULE:
+                used.update(_table_keys(module))
         # Reverse direction: the registry must not outlive the code.
         for name in sorted(SPECS_BY_NAME):
             if name not in used:
@@ -191,20 +203,6 @@ class MetricNameRegistry(Rule):
         yield from self._check_name(
             module, node, literal, MODULE_FUNCS[target], f"{target}()"
         )
-        if target.endswith(".register_memory_source"):
-            spec = SPECS_BY_NAME.get(literal)
-            if spec is not None and spec.scope != "host":
-                yield (
-                    self._finding(
-                        module,
-                        node,
-                        f"register_memory_source needs a host-scoped gauge; "
-                        f"{literal!r} is {spec.scope}-scoped",
-                        "memory samples are wall-derived and must live "
-                        'under the strippable "wall" key',
-                    ),
-                    literal,
-                )
 
     def _check_name(
         self,

@@ -291,14 +291,6 @@ METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
         description="peak RSS of the process tree at window boundaries",
         unit="bytes",
     ),
-    MetricSpec(
-        name="mem.shm_bytes",
-        kind="gauge",
-        scope="host",
-        owner="repro.runtime.shm",
-        description="live published shared-memory segment bytes",
-        unit="bytes",
-    ),
 )
 
 #: The registry indexed by metric name.

@@ -27,9 +27,8 @@ arguments only (no ``**labels`` dict is ever built) and return after one
 attribute check, so instrumentation can stay in the hot loops.
 
 A :class:`MemoryProbe` piggybacks on window boundaries: the first record
-that crosses into a new window samples every registered memory source
-(peak RSS by default; :mod:`repro.runtime.shm` registers live segment
-bytes) into host-scoped gauges.
+that crosses into a new window samples the process tree's peak RSS into
+a host-scoped gauge.
 
 ``python -m repro.obs.metrics run.jsonl --format prometheus`` exports a
 journal's metric records as Prometheus text or CSV.
@@ -187,25 +186,11 @@ AnySeries = Union[CounterSeries, GaugeSeries, HistogramSeries]
 
 # --------------------------------------------------------- memory probe
 
-#: Named zero-arg callables sampled at window boundaries (host gauges).
-#: Other layers add theirs via :func:`register_memory_source`.
-_MEMORY_SOURCES: Dict[str, Callable[[], float]] = {}
-
-
-def register_memory_source(name: str, source: Callable[[], float]) -> None:
-    """Register a memory quantity for :class:`MemoryProbe` sampling.
-
-    ``name`` must be a registered **host-scoped gauge** in
-    :mod:`repro.obs.metric_registry`; ``source`` is polled (zero-arg) at
-    every window boundary of every enabled registry.
-    """
-    spec = spec_for(name)
-    if spec.kind != "gauge" or spec.scope != "host":
-        raise ValueError(
-            f"memory source {name!r} must be registered as a host-scoped "
-            f"gauge, not {spec.scope} {spec.kind}"
-        )
-    _MEMORY_SOURCES[name] = source
+#: Named zero-arg callables sampled at window boundaries (host gauges):
+#: the process tree's peak RSS.
+_MEMORY_SOURCES: Dict[str, Callable[[], float]] = {
+    "mem.peak_rss_bytes": perf_module.peak_rss_bytes,
+}
 
 
 class MemoryProbe:
@@ -214,21 +199,19 @@ class MemoryProbe:
     The probe fires from :meth:`MetricsRegistry._touch` the first time a
     record crosses into a new window — i.e. on the sim-time grid, not a
     wall-time one — so the resulting series line up with every other
-    metric's windows.  Values (RSS, shm bytes) are host facts and land
-    under the journal's strippable ``"wall"`` key.
+    metric's windows.  Values (RSS) are host facts and land under the
+    journal's strippable ``"wall"`` key.  ``sources`` replaces the
+    default source map (tests pass fakes).
     """
 
     def __init__(
         self, sources: Optional[Dict[str, Callable[[], float]]] = None
     ) -> None:
-        self._extra = dict(sources) if sources is not None else None
+        self._sources = dict(_MEMORY_SOURCES if sources is None else sources)
 
     def sources(self) -> Dict[str, Callable[[], float]]:
-        """The effective source map (module defaults plus overrides)."""
-        merged = dict(_MEMORY_SOURCES)
-        if self._extra is not None:
-            merged.update(self._extra)
-        return merged
+        """The source map this probe samples."""
+        return self._sources
 
     def sample(
         self, registry: "MetricsRegistry", window: int, sim_time: float
@@ -869,11 +852,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-# The default probe source: the perf helper covering the whole process
-# tree (registered here so the registry and the lint table agree).
-register_memory_source("mem.peak_rss_bytes", perf_module.peak_rss_bytes)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke

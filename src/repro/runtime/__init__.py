@@ -16,11 +16,11 @@ while preserving **byte-identical** results:
 * :func:`run_sweep` executes a :class:`SweepPlan` task graph with the
   same engine contract;
 * :class:`RunDirectory` checkpoints completed shards/tasks so an
-  interrupted run resumes with only the unfinished pieces;
-* :mod:`repro.runtime.shm` moves a replay's demand rows through
-  ``multiprocessing.shared_memory`` — published once per run by a
-  :class:`SegmentSet`, sliced by row range in the workers — so nothing
-  heavier than an :class:`ShmHandle` crosses the pool boundary.
+  interrupted run resumes with only the unfinished pieces.
+
+Each replay task carries its own demand rows by value
+(:class:`~repro.trace.columnar.DemandArrays`, sliced by the plan's row
+ranges), so a worker needs nothing but its pickled task.
 
 Determinism rests on two invariants: named RNG streams are derived by
 content (``RandomStreams.child`` is stable across processes), and every
@@ -33,13 +33,6 @@ from repro.runtime.engine import replay, replay_process, replay_serial
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.resilience import TaskFailure, shutdown_pools
 from repro.runtime.shards import ReplayShard, ShardPlan, plan_replay_shards
-from repro.runtime.shm import (
-    SegmentSet,
-    ShmHandle,
-    ShmSlice,
-    attach_demands,
-    reap_orphans,
-)
 from repro.runtime.sweep import (
     SweepPlan,
     SweepTask,
@@ -54,16 +47,11 @@ __all__ = [
     "ReplayWindow",
     "RunDirectory",
     "RuntimeOptions",
-    "SegmentSet",
     "ShardPlan",
-    "ShmHandle",
-    "ShmSlice",
     "SweepPlan",
     "SweepTask",
     "TaskFailure",
-    "attach_demands",
     "plan_replay_shards",
-    "reap_orphans",
     "replay",
     "replay_process",
     "replay_serial",

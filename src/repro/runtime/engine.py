@@ -34,7 +34,6 @@ from repro.runtime.checkpoint import RunDirectory
 from repro.runtime.merge import merge_journal_fragments, merge_shard_results
 from repro.runtime.resilience import journal_failure, run_pool_with_retries
 from repro.runtime.shards import ShardPlan, plan_replay_shards
-from repro.runtime.shm import SegmentSet, ShmSlice, reap_orphans
 from repro.runtime.workers import (
     ShardOutcome,
     ShardTask,
@@ -179,9 +178,6 @@ def replay_process(
         # Nothing to shard; keep the serial engine's empty-result shape.
         return replay_serial(layout, strategy, demands, config, fault_plan=fault_plan)
     plan = plan_replay_shards(layout, demands, config)
-    # Quarantine segments a hard-killed earlier run may have left behind
-    # before publishing our own.
-    reap_orphans()
     tracer = get_tracer()
     metrics_registry = obs_metrics.get_metrics()
     with perf.timer(f"replay.run.{strategy.name}"):
@@ -192,45 +188,40 @@ def replay_process(
         ) as span:
             span.sim_start = plan.window.start
             ordered, ranges = plan.demand_layout()
-            with SegmentSet() as segments:
-                with perf.timer("shm.publish"):
-                    handle = segments.publish_demands(
-                        DemandArrays.from_demands(ordered)
-                    )
-                # One task per pool worker, not per controller: a
-                # worker replays its whole (contiguous) shard group in
-                # a single simulator pass, so the periodic sampler and
-                # poller grids — which every per-controller shard would
-                # otherwise duplicate — run once per worker.
-                groups = plan.worker_groups(
-                    resolve_workers(workers, len(plan.shards))
-                )
-                tasks = [
-                    ShardTask(
-                        shard_id="+".join(s.shard_id for s in group),
-                        controller_id=group[0].controller_id,
-                        controller_ids=tuple(
-                            s.controller_id for s in group
-                        ),
-                        demands=ShmSlice(
-                            handle,
+            arrays = DemandArrays.from_demands(ordered)
+            # One task per pool worker, not per controller: a worker
+            # replays its whole (contiguous) shard group in a single
+            # simulator pass, so the periodic sampler and poller grids
+            # — which every per-controller shard would otherwise
+            # duplicate — run once per worker.
+            groups = plan.worker_groups(
+                resolve_workers(workers, len(plan.shards))
+            )
+            tasks = [
+                ShardTask(
+                    shard_id="+".join(s.shard_id for s in group),
+                    controller_id=group[0].controller_id,
+                    controller_ids=tuple(s.controller_id for s in group),
+                    demands=arrays.slice_rows(
+                        slice(
                             ranges[group[0].shard_id][0],
                             ranges[group[-1].shard_id][1],
-                        ),
-                        layout=layout,
-                        strategy=strategy,
-                        config=config,
-                        window=plan.window,
-                        trace=tracer.enabled,
-                        metrics=metrics_registry.enabled,
-                        metrics_window=metrics_registry.window_seconds,
-                        fault_plan=fault_plan,
-                    )
-                    for group in groups
-                ]
-                outcomes = _execute_shards(
-                    plan, tasks, workers, run_dir, max_task_retries
+                        )
+                    ).copy(),
+                    layout=layout,
+                    strategy=strategy,
+                    config=config,
+                    window=plan.window,
+                    trace=tracer.enabled,
+                    metrics=metrics_registry.enabled,
+                    metrics_window=metrics_registry.window_seconds,
+                    fault_plan=fault_plan,
                 )
+                for group in groups
+            ]
+            outcomes = _execute_shards(
+                plan, tasks, workers, run_dir, max_task_retries
+            )
             for outcome in outcomes:
                 perf.merge(outcome.perf)
                 if metrics_registry.enabled and outcome.metrics:
@@ -336,10 +327,10 @@ def _execute_shards(
 def _fingerprint(plan: ShardPlan, tasks: List[ShardTask]) -> str:
     """Checkpoint fingerprint: plan shape, strategy/config/trace, faults.
 
-    The ``transport=`` tag versions the :class:`ShardOutcome` pickle
-    shape — a run directory checkpointed before the shared-memory
-    transport landed fails the fingerprint guard loudly instead of
-    crashing at merge time with half-loaded outcomes.  The ``groups=``
+    The ``transport=`` tag versions the task and :class:`ShardOutcome`
+    pickle shapes: ``value-v2`` tasks carry their demand rows by value,
+    and a run directory checkpointed under an earlier tag fails the
+    fingerprint guard loudly instead of half-resuming.  The ``groups=``
     tag pins the worker-group shape: checkpoints are keyed by group id,
     so a directory written at one worker count refuses to half-resume
     at another instead of silently recomputing under different keys.
@@ -352,6 +343,6 @@ def _fingerprint(plan: ShardPlan, tasks: List[ShardTask]) -> str:
     return (
         f"{plan.fingerprint()}|{first.strategy.name}|{first.config!r}"
         f"|trace={first.trace}|metrics={first.metrics}"
-        f"|faults={faults}|transport=shm-v1"
+        f"|faults={faults}|transport=value-v2"
         f"|groups={groups}"
     )

@@ -63,10 +63,11 @@ class ShardPlan:
     ) -> Tuple[List[DemandSession], Dict[str, Tuple[int, int]]]:
         """The plan's demands flattened shard-by-shard, plus row ranges.
 
-        This is the shape the zero-copy transport wants: one flat list
-        to publish once, and a half-open ``[start, stop)`` row range per
-        ``shard_id`` for the workers to slice.  Within each range the
-        demands keep their shard order (sorted ``(arrival, user_id)``).
+        This is the shape the process engine wants: one flat list to
+        transpose once, and a half-open ``[start, stop)`` row range per
+        ``shard_id`` to slice each worker group's rows from.  Within
+        each range the demands keep their shard order (sorted
+        ``(arrival, user_id)``).
         """
         ordered: List[DemandSession] = []
         ranges: Dict[str, Tuple[int, int]] = {}
@@ -85,9 +86,9 @@ class ShardPlan:
         every controller of the group instead of one duplicated grid
         per controller — the dominant decomposition overhead when
         workers are few.  Groups are contiguous in plan order, so each
-        group's rows stay one half-open range of the published demand
-        layout, and are balanced by demand count (a group closes once
-        it reaches its fair share of the rows).
+        group's rows stay one half-open range of the demand layout,
+        and are balanced by demand count (a group closes once it
+        reaches its fair share of the rows).
 
         The grouping never changes the merged result: the merge layer
         reassembles outcomes by controller and canonical sort keys, not

@@ -16,15 +16,12 @@ Lifecycle contract:
   them.  Per-task reset means a pool process serving many tasks never
   double-counts.
 
-Transport contract: demand rows reach a replay worker through the
-zero-copy shared-memory path — a :class:`ShardTask` carries only a
-:class:`~repro.runtime.shm.ShmSlice` (segment name + row range, a few
-hundred bytes of pickle) and the worker copies its rows out with
-:func:`~repro.runtime.shm.fetch_demands`.  Results travel back as
-:class:`SessionColumns` — flat numpy columns plus small id tables —
-instead of per-object pickled :class:`~repro.trace.records.SessionRecord`
-lists.  The ``no-pickled-columns`` lint rule enforces that no
-heavyweight columnar container crosses the pool boundary by value.
+Transport contract: a :class:`ShardTask` carries its worker group's
+demand rows by value, as a :class:`~repro.trace.columnar.DemandArrays`
+(flat numpy columns plus small id tables, one pickle of a few hundred
+kB at PAPER scale).  Results travel back as :class:`SessionColumns` —
+the same shape — instead of per-object pickled
+:class:`~repro.trace.records.SessionRecord` lists.
 
 RNG contract: a worker never draws from a root-seeded
 :class:`~repro.sim.rng.RandomStreams` directly — per-shard streams are
@@ -47,7 +44,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import TracedRecord, get_tracer
 from repro.perf import PerfSnapshot
-from repro.runtime.shm import ShmSlice, fetch_demands
+from repro.trace.columnar import DemandArrays
 from repro.trace.records import SessionRecord
 from repro.trace.social import CampusLayout
 from repro.wlan.metrics import ControllerSeries
@@ -57,15 +54,11 @@ from repro.wlan.strategies import SelectionStrategy
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One replay shard (or worker group of shards), picklable small.
-
-    The demand payload stays in shared memory; ``demands`` only names
-    the published segment and this task's row range.
-    """
+    """One replay shard (or worker group of shards) and its demand rows."""
 
     shard_id: str
     controller_id: str
-    demands: ShmSlice
+    demands: DemandArrays
     layout: CampusLayout
     strategy: SelectionStrategy
     config: ReplayConfig
@@ -241,8 +234,6 @@ def run_replay_shard(task: ShardTask) -> ShardOutcome:
     registry.reset()
     registry.window_seconds = task.metrics_window
     registry.enabled = task.metrics
-    with perf.timer("shm.attach"):
-        demands = fetch_demands(task.demands)
     engine = ReplayEngine(
         task.layout, task.strategy, task.config, fault_plan=task.fault_plan
     )
@@ -251,7 +242,7 @@ def run_replay_shard(task: ShardTask) -> ShardOutcome:
     # overhead, directly readable off a perf snapshot.
     with perf.timer("shard.run"):
         run = engine.run_window(
-            demands,
+            task.demands,
             task.window,
             controllers=task.controller_ids or (task.controller_id,),
         )

@@ -52,8 +52,9 @@ from repro.service.loop import ControllerService
 #: ``SocialModel`` pickle state; version 6 keeps the associator's APs in
 #: a :class:`~repro.wlan.entities.ControllerRuntime`, which version-5
 #: pickles do not have; version 7 drops the social model's per-user
-#: generation stamps and pickles service events through ``__reduce__``.
-CHECKPOINT_VERSION = 7
+#: generation stamps and pickles service events through ``__reduce__``;
+#: version 8 services carry the event-time bound of their apps.
+CHECKPOINT_VERSION = 8
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"

@@ -50,7 +50,6 @@ from repro.service.events import (
 from repro.service.fastpath import FastAssociator
 
 _INF = math.inf
-_NEG_INF = -math.inf
 
 
 class JoinTicket:
@@ -113,6 +112,12 @@ class BalanceMonitorApp(ServiceApp):
         if not 0 < interval < _INF:
             raise ValueError("interval must be positive and finite")
         self.interval = interval
+        #: Event times must stay below this in magnitude, and the service
+        #: refuses any that do not.  Below 2**52 intervals a float's
+        #: spacing is under one interval, so every grid step advances;
+        #: past it ``t + interval == t`` can hold and the sampling loop
+        #: would never return.
+        self.time_bound = interval * 2.0**52
         self.samples_taken = 0
         self._service: Optional["ControllerService"] = None
         self._next_at: Optional[float] = None
@@ -206,6 +211,11 @@ class ControllerService:
             attach = getattr(app, "attach", None)
             if callable(attach):
                 attach(self)
+        #: The tightest ``time_bound`` of the apps (the balance monitor's).
+        self._time_bound = min(
+            (getattr(app, "time_bound", _INF) for app in self.apps),
+            default=_INF,
+        )
         #: seq -> (event, ticket) parked until the gap before them fills.
         self._parked: Dict[int, Tuple[ServiceEvent, Optional[JoinTicket]]] = {}
         self._next_seq = 0
@@ -340,12 +350,18 @@ class ControllerService:
         self, event: ServiceEvent, ticket: Optional[JoinTicket]
     ) -> None:
         now = event.time
-        # One comparison chain refuses a NaN, an infinite and a
-        # backwards time alike; the message tells them apart.
-        if not (_NEG_INF < now < _INF and now >= self._last_time):
+        bound = self._time_bound
+        # One comparison chain refuses a NaN, an infinite, an out-of-
+        # bound and a backwards time alike; the message tells them apart.
+        if not (-bound < now < bound and now >= self._last_time):
             if not math.isfinite(now):
                 raise ValueError(
                     f"event seq {event.seq} has a non-finite time ({now})"
+                )
+            if not -bound < now < bound:
+                raise ValueError(
+                    f"event seq {event.seq} has time {now}, past the "
+                    f"sampling grid's bound (|time| < {bound})"
                 )
             raise ValueError(
                 f"event seq {event.seq} moves the sim clock backwards "

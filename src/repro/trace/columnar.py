@@ -24,11 +24,11 @@ any future vectorized consumer.
 
 :class:`DemandArrays` and :class:`FlowArrays` are the matching columnar
 transposes of the other two record families.  :class:`DemandArrays` exists
-for transport: the sharded runtime (:mod:`repro.runtime.shm`) publishes a
-run's demand stream into shared memory once as flat columns, and each
-worker slices its controller-domain rows by index range
-(:meth:`DemandArrays.slice_rows`) instead of unpickling a list of record
-objects.  :class:`FlowArrays` is the only in-memory flow log: the
+for transport: the sharded runtime transposes a run's demand stream once,
+slices each worker group's controller-domain rows by index range
+(:meth:`DemandArrays.slice_rows`) and sends the rows by value, one pickle
+of flat columns instead of a list of record objects.
+:class:`FlowArrays` is the only in-memory flow log: the
 generator draws it, :class:`~repro.trace.records.TraceBundle` stores it,
 and profiles are built from it.  Both round-trip exactly —
 ``to_demands()`` / ``to_flows()`` reproduce the original records, field
@@ -363,11 +363,8 @@ class DemandArrays:
     def copy(self) -> "DemandArrays":
         """An owned deep copy (fresh arrays, no shared buffers).
 
-        The worker attach path slices its rows out of a shared-memory
-        segment and copies them, so the segment can be closed while the
-        demand columns stay alive.  ``ndarray.copy()`` is unconditional —
-        ``ascontiguousarray`` would pass a contiguous view through and
-        leave it dangling once the segment unmaps.
+        The process engine copies each worker group's row slice, so a
+        task holds only its own rows, never a view of the whole stream.
         """
         return DemandArrays(
             list(self.user_ids),
@@ -386,7 +383,7 @@ class DemandArrays:
     def to_demands(self) -> List[DemandSession]:
         """Materialize the rows back into :class:`DemandSession` records.
 
-        This is the worker-side hot path of the shared-memory transport
+        This is the worker-side hot path of the process engine
         (every shard materializes its row range once per run), so the
         rows go through :func:`~repro.trace.records.demand_rows`: the
         columns are checked once and each record is built field by field,

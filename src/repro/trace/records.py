@@ -35,7 +35,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar imports us)
-    from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
+    from repro.trace.columnar import FlowArrays, SessionArrays
 
 import numpy as np
 
@@ -339,7 +339,6 @@ class TraceBundle:
         self._sessions_by_ap: Optional[Dict[str, List[SessionRecord]]] = None
         self._flows_by_user: Optional[Dict[str, "FlowArrays"]] = None
         self._columns: Optional["SessionArrays"] = None
-        self._demand_columns: Optional["DemandArrays"] = None
 
     # ------------------------------------------------------------------ ids
 
@@ -423,18 +422,6 @@ class TraceBundle:
 
             self._columns = SessionArrays.from_sessions(self.sessions)
         return self._columns
-
-    def demand_columns(self) -> "DemandArrays":
-        """The demand stream as cached :class:`~repro.trace.columnar.DemandArrays`.
-
-        This is the transport form the sharded runtime publishes into
-        shared memory; like :meth:`columns` it is built once and shared.
-        """
-        if self._demand_columns is None:
-            from repro.trace.columnar import DemandArrays
-
-            self._demand_columns = DemandArrays.from_demands(self.demands)
-        return self._demand_columns
 
     def flows_by_user(self) -> Dict[str, "FlowArrays"]:
         """user id -> that user's flows in log order (built lazily).

@@ -441,7 +441,7 @@ class ReplayEngine:
         span or perf wrapper is opened — the parent process owns those —
         and the raw :class:`ShardRun` bookkeeping is returned for the
         deterministic merge.  ``demands`` may arrive in columnar form
-        (the shared-memory transport hands workers
+        (a worker's task carries its rows by value as
         :class:`~repro.trace.columnar.DemandArrays`); the engine
         materializes the records itself.
         """

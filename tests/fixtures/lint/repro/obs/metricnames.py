@@ -8,7 +8,7 @@ metric-name-registry violation except the last two.
 from typing import Dict
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import MetricsRegistry, inc, register_memory_source
+from repro.obs.metrics import MetricsRegistry, inc
 
 
 def unregistered_literal() -> None:
@@ -39,12 +39,6 @@ def factory_unregistered(registry: MetricsRegistry) -> None:
 def factory_kind_mismatch(registry: MetricsRegistry) -> None:
     # "sim.queue_depth" is declared a gauge, not a histogram.
     registry.histogram("sim.queue_depth")
-
-
-def run_scoped_memory_source() -> None:
-    # owned by repro.wlan.replay AND run-scoped: memory sources must be
-    # host gauges (their samples are wall-derived) — two findings.
-    register_memory_source("replay.controller_load", lambda: 0.0)
 
 
 def untyped_nonliteral_is_spared(table: Dict[str, int], key: str) -> int:

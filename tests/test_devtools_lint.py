@@ -43,7 +43,6 @@ EXPECTED_RULES = {
     "import-contract",
     "metric-name-registry",
     "mutable-default",
-    "no-pickled-columns",
     "no-unseeded-rng",
     "no-wallclock",
     "ordered-iteration",
@@ -135,19 +134,6 @@ def test_engine_parity_fixture():
     messages = "\n".join(f.message for f in findings)
     assert "engine_parity.resample" in messages
     assert "engine_parity.Pipeline.transform" in messages
-
-
-def test_no_pickled_columns_fixture_scoped_by_module_name():
-    path = FIXTURES / "repro" / "runtime" / "pickledcols.py"
-    assert module_name_for(path) == "repro.runtime.pickledcols"
-    findings = lint_module(parse_module(path))
-    assert lines_by_rule(findings, "no-pickled-columns") == [17, 26, 30, 35]
-    messages = "\n".join(f.message for f in findings)
-    assert "repro.trace.columnar.DemandArrays" in messages
-    assert "demand_columns" in messages
-    # the same code outside repro.runtime is not flagged
-    relaxed = lint_module(parse_module(path, module="repro.wlan.pickledcols"))
-    assert lines_by_rule(relaxed, "no-pickled-columns") == []
 
 
 def test_fault_determinism_fixture_scoped_by_module_name():

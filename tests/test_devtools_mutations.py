@@ -51,14 +51,12 @@ MUTATIONS: Dict[str, Mutation] = {
         '        except:\n'
         '            self._note = "fallback:llf:selector-error"\n',
     ),
-    # A worker's copy-out of its shared-memory rows hangs on its env.
+    # Whether a shard collects metrics hangs on its worker's env.
     "boundary-purity": Mutation(
-        "src/repro/runtime/shm.py",
-        "        return arrays.slice_rows(slice(rows.start, rows.stop))"
-        ".copy()\n",
-        "        return arrays.slice_rows(slice(rows.start, rows.stop))"
-        '.copy() if os.environ.get("REPRO_SHM_COPY", "1") == "1" else '
-        "arrays.slice_rows(slice(rows.start, rows.stop))\n",
+        "src/repro/runtime/workers.py",
+        "    registry.enabled = task.metrics\n",
+        "    import os; registry.enabled = task.metrics and "
+        'os.environ.get("REPRO_SHARD_METRICS", "1") == "1"\n',
     ),
     # A memo in a class whose observe() moves the values it would hold.
     "cache-invalidation": Mutation(
@@ -107,12 +105,6 @@ MUTATIONS: Dict[str, Mutation] = {
         "src/repro/obs/metrics.py",
         "def _prom_labels(labels: Labels, extra: Labels = ()) -> str:\n",
         "def _prom_labels(labels: Labels, extra: Labels = []) -> str:\n",
-    ),
-    # Shard tasks declared to carry the demand arrays themselves.
-    "no-pickled-columns": Mutation(
-        "src/repro/runtime/shm.py",
-        "    handle: ShmHandle\n    start: int\n",
-        "    handle: DemandArrays\n    start: int\n",
     ),
     # RandomSelection's fallback generator seeded from the OS.
     "no-unseeded-rng": Mutation(

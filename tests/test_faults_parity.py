@@ -108,3 +108,38 @@ def test_fault_journal_byte_identical(small_workload):
     # Every planned replay event fired and surfaced as a fault record.
     journal = parse_journal(serial_journal)
     assert len(journal.faults) == len(plan.of_kinds(REPLAY_KINDS))
+
+
+def test_process_replay_byte_identical_with_faults_armed(small_workload):
+    """Chaos replay journals from the process engine byte-match serial."""
+    layout = small_workload.world.layout
+    demands = small_workload.test_demands
+    config = small_workload.config.replay
+    plan = chaos_plan(small_workload)
+    assert not plan.is_empty
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    try:
+        tracer.enabled = True
+
+        tracer.reset()
+        perf.reset()
+        serial = replay_serial(
+            layout, LeastLoadedFirst(), demands, config, fault_plan=plan
+        )
+        serial_journal = journal_text()
+
+        tracer.reset()
+        perf.reset()
+        process = replay_process(
+            layout, LeastLoadedFirst(), demands, config, workers=2,
+            fault_plan=plan,
+        )
+        process_journal = journal_text()
+    finally:
+        tracer.enabled = was_enabled
+        tracer.reset()
+        perf.reset()
+    assert process.sessions == serial.sessions
+    assert process.events_processed == serial.events_processed
+    assert strip_wall(process_journal) == strip_wall(serial_journal)

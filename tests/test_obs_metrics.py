@@ -265,12 +265,6 @@ class TestMemoryProbe:
         assert gauge.windows[0] == (10.0, 123.0)
         assert gauge.spec.scope == "host"
 
-    def test_register_memory_source_rejects_non_host_gauges(self):
-        with pytest.raises(ValueError, match="host-scoped"):
-            obs_metrics.register_memory_source(
-                "replay.decisions", lambda: 0.0
-            )
-
     def test_default_probe_samples_peak_rss(self):
         registry = MetricsRegistry(enabled=True)
         registry.inc("replay.decisions", 1.0, sim_time=10.0)

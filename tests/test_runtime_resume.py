@@ -266,6 +266,35 @@ def test_auto_replay_checkpoints_and_resumes_on_one_busy_shard(
             )
 
 
+def test_replay_refuses_a_shared_memory_run_directory(small_workload, tmp_path):
+    """A run directory checkpointed under ``transport=shm-v1`` is refused."""
+    layout = small_workload.world.layout
+    config = small_workload.config.replay
+    controller = layout.controller_ids[0]
+    demands = [
+        d
+        for d in small_workload.test_demands
+        if layout.buildings[d.building_id].controller_id == controller
+    ]
+    run_dir = tmp_path / "run"
+    replay_process(
+        layout, LeastLoadedFirst(), demands, config, workers=1,
+        run_dir=run_dir,
+    )
+    meta_path = run_dir / "meta.json"
+    meta = meta_path.read_text(encoding="utf-8")
+    assert "|transport=value-v2|" in meta
+    meta_path.write_text(
+        meta.replace("|transport=value-v2|", "|transport=shm-v1|"),
+        encoding="utf-8",
+    )
+    with pytest.raises(RuntimeError, match="belongs to a different run"):
+        replay_process(
+            layout, LeastLoadedFirst(), demands, config, workers=1,
+            run_dir=run_dir,
+        )
+
+
 # ------------------------------------------------- checkpoint corruption
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import List, Optional, Tuple
+import signal
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -136,6 +138,47 @@ def test_non_finite_times_are_refused(bad: float, first: bool) -> None:
     with pytest.raises(ValueError, match="non-finite time"):
         service.submit(StationJoin(seq=seq, time=bad, user_id="u001"))
     assert service.events_processed == seq
+
+
+@contextmanager
+def _deadline(seconds: int) -> Iterator[None]:
+    """Fail the block with ``TimeoutError`` if it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_times_past_the_sampling_grid_are_refused() -> None:
+    # At 1e17 a 5 s step no longer moves a float (1e17 + 5 == 1e17):
+    # the monitor's grid stood still and drain() never returned.
+    with _deadline(10):
+        service = make_service(WorkloadSpec(users=4, aps=2, events=0))
+        for seq, time in enumerate((1e17, 1e17 + 64)):
+            with pytest.raises(ValueError, match="sampling grid"):
+                service.submit(StationJoin(seq=seq, time=time, user_id="u000"))
+        service.drain()
+        assert service.events_processed == 0
+        # Just inside the bound the grid still advances and samples.
+        service = make_service(WorkloadSpec(users=4, aps=2, events=0))
+        monitor = service.apps[0]
+        assert isinstance(monitor, BalanceMonitorApp)
+        start = monitor.time_bound * (1 - 2.0**-10)
+        service.submit(StationJoin(seq=0, time=start, user_id="u000"))
+        service.submit(StationLeave(seq=1, time=start + 64, user_id="u000"))
+        service.drain()
+        assert monitor.samples_taken > 0
+    # An unmonitored service has no grid to bound its clock.
+    plain = make_service(WorkloadSpec(users=4, aps=2, events=0), monitor=False)
+    plain.submit(StationJoin(seq=0, time=1e17, user_id="u000"))
+    assert plain.events_processed == 1
 
 
 @pytest.mark.parametrize(

@@ -478,10 +478,11 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     # version 4 ones have no WAL offset and pickle the social model's
     # pairs one object at a time, version 5 ones keep the associator's
     # own AP table instead of a controller domain, version 6 ones carry
-    # the social model's per-user generation stamps; their pickles must
-    # be refused, never mis-restored.
-    assert CHECKPOINT_VERSION == 7
-    for version in (1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1):
+    # the social model's per-user generation stamps, version 7 services
+    # have no event-time bound; their pickles must be refused, never
+    # mis-restored.
+    assert CHECKPOINT_VERSION == 8
+    for version in (1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
