@@ -17,8 +17,7 @@ from repro import perf
 from repro.experiments import resilience
 from repro.experiments.config import PAPER
 from repro.faults import targeted_ap_outage
-from repro.runtime import replay_serial
-from repro.wlan.replay import window_for
+from repro.wlan.replay import ReplayEngine, window_for
 from repro.wlan.strategies import LeastLoadedFirst
 
 from conftest import run_once
@@ -50,12 +49,12 @@ def test_bench_dormant_fault_plan_overhead(paper_workload, report_writer):
     )
 
     clean, clean_s = _best_of(
-        lambda: replay_serial(layout, LeastLoadedFirst(), demands, config)
+        lambda: ReplayEngine(layout, LeastLoadedFirst(), config).run(demands)
     )
     armed, armed_s = _best_of(
-        lambda: replay_serial(
-            layout, LeastLoadedFirst(), demands, config, fault_plan=dormant
-        )
+        lambda: ReplayEngine(
+            layout, LeastLoadedFirst(), config, fault_plan=dormant
+        ).run(demands)
     )
     assert armed.sessions == clean.sessions
     assert armed.events_processed == clean.events_processed

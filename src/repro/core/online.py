@@ -204,30 +204,13 @@ class OnlineS3Strategy(SelectionStrategy):
     from the events it observes, which is exactly the bootstrap story an
     operator needs.
 
-    **Why ``shard_safe = False`` stays false.**  The learner folds every
-    ``observe_arrival`` / ``observe_departure`` into the shared
-    :class:`~repro.core.social.SocialModel` in global event order, and
-    each ``select`` reads the model *as of* that moment.  Sharding the
-    demand stream across controller processes changes which events a
-    worker has seen before each of its decisions — not merely the order
-    of independent work, but the training set behind every answer — so
-    serial and process engines would legitimately disagree.  The PR 9
-    incremental patch path does not change this: patches are cheap, but
-    they are still writes, and the write order *is* the model.  A
-    read-only replay of a frozen model is exactly what the plain
-    :class:`~repro.wlan.strategies.S3Strategy` already provides, so
-    flipping the flag here would only duplicate that mode while losing
-    the learning semantics this class exists for.  The machine-readable
-    half of this paragraph is ``shard_safe_reason``, enforced by the
-    **shard-safe-note** lint rule.
+    The learner folds every ``observe_arrival`` / ``observe_departure``
+    into the shared :class:`~repro.core.social.SocialModel` in global
+    event order, and each ``select`` reads the model *as of* that
+    moment: the write order *is* the model.
     """
 
     name = "s3-online"
-    shard_safe = False
-    shard_safe_reason = (
-        "online learner mutates the shared social model from observe "
-        "hooks in global event order"
-    )
 
     def __init__(
         self,

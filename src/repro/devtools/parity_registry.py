@@ -146,19 +146,6 @@ PARITY_REGISTRY: Dict[str, ParityEntry] = {
             "tests/test_write_path_digests.py::test_write_path_bytes_match_the_pinned_digests",
         ),
     ),
-    "repro.runtime.engine.replay": ParityEntry(
-        reference="repro.runtime.engine.replay_serial",
-        fast="repro.runtime.engine.replay_process",
-        tests=(
-            "tests/test_runtime_parity.py::test_replay_engines_identical_llf",
-            "tests/test_runtime_parity.py::test_replay_engines_identical_s3",
-            "tests/test_runtime_parity.py::test_merged_journal_byte_identical",
-            "tests/test_faults_parity.py::test_fault_replay_engines_identical",
-            "tests/test_faults_parity.py::test_fault_journal_byte_identical",
-            "tests/test_faults_parity.py::test_process_replay_byte_identical_with_faults_armed",
-            "tests/test_obs_metrics_parity.py::test_metric_series_byte_identical_across_engines",
-        ),
-    ),
     "repro.service.supervisor.run_supervised": ParityEntry(
         # Not an ``engine=`` dispatcher but the same contract: a
         # crashed-and-recovered supervised run must journal

@@ -23,7 +23,6 @@ rule is kept by one mutation of ``src`` that only it catches
 | `no-wallclock` | wall-clock reads (time.time / datetime.now / time.monotonic ...) are only allowed in repro.perf and repro.prototype |
 | `ordered-iteration` | no iteration over sets / .keys() in repro.analysis, repro.core, repro.wlan — wrap in sorted() to fix the order |
 | `rng-stream-registry` | RandomStreams.get/child names and default_rng fallback sites must match repro.devtools.stream_registry, which is checked against call sites in both directions |
-| `shard-safe-note` | a class disabling sharding (shard_safe = False) must declare a non-empty shard_safe_reason string explaining why |
 | `stale-noqa` | a `# repro: noqa[...]` must suppress at least one current finding on its line; stale suppressions are findings themselves |
 """
 
@@ -40,7 +39,6 @@ from repro.devtools.rules import (  # noqa: F401  (registration side effects)
     ordered_iteration,
     rng,
     rng_streams,
-    shard_safe,
     stale_noqa,
     wallclock,
 )

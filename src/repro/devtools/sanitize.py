@@ -9,8 +9,7 @@ iteration over hash order, any ``hash()``-derived seed, any set-ordered
 event list shows up as a journal divergence.
 
     python -m repro.devtools.sanitize fig2 --preset tiny
-    python -m repro.devtools.sanitize replay --preset tiny \\
-        --engine process --workers 2
+    python -m repro.devtools.sanitize replay --preset tiny
     python -m repro.devtools.sanitize --diff a.jsonl b.jsonl
 
 Each scenario is executed in a fresh subprocess (hash seeding is fixed
@@ -38,8 +37,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.devtools.project import default_repo_root
 from repro.obs.journal import strip_wall
 
-#: The scenario name that replays via the runtime engine CLI instead of
-#: the experiments CLI (and therefore honors ``--engine/--workers``).
+#: The scenario name that replays via ``python -m repro.runtime replay``
+#: instead of the experiments CLI.
 REPLAY_SCENARIO = "replay"
 
 
@@ -190,30 +189,19 @@ def _render_report(report: Dict[str, Any]) -> str:
 
 
 def _scenario_command(
-    scenario: str,
-    preset: str,
-    engine: str,
-    workers: Optional[int],
-    journal_path: Path,
+    scenario: str, preset: str, journal_path: Path
 ) -> List[str]:
     """The subprocess argv that runs ``scenario`` and writes a journal."""
     if scenario == REPLAY_SCENARIO:
-        command = [
+        return [
             sys.executable,
             "-m",
             "repro.runtime",
             "replay",
             preset,
-            "--engine",
-            engine,
             "--journal",
             str(journal_path),
         ]
-        if workers is not None:
-            command.extend(["--workers", str(workers)])
-        return command
-    # Experiment scenarios journal one in-process run; engine/workers do
-    # not apply (the experiments CLI rejects --journal with --workers).
     return [
         sys.executable,
         "-m",
@@ -228,14 +216,12 @@ def _scenario_command(
 def _run_scenario(
     scenario: str,
     preset: str,
-    engine: str,
-    workers: Optional[int],
     hash_seed: str,
     journal_path: Path,
     repo_root: Path,
 ) -> Optional[str]:
     """Run one journaled subprocess; returns an error string on failure."""
-    command = _scenario_command(scenario, preset, engine, workers, journal_path)
+    command = _scenario_command(scenario, preset, journal_path)
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     src = str(repo_root / "src")
@@ -286,8 +272,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scenario",
         nargs="?",
         help=(
-            "experiment name (fig2, table1, ...) or 'replay' for the "
-            "runtime engine CLI"
+            "experiment name (fig2, table1, ...) or 'replay' for one "
+            "journaled evaluation replay"
         ),
     )
     parser.add_argument(
@@ -295,15 +281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="tiny",
         choices=["tiny", "small", "paper"],
         help="workload preset (default: tiny)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="serial",
-        choices=["auto", "serial", "process"],
-        help="replay engine (replay scenario only; default: serial)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker processes (replay)"
     )
     parser.add_argument(
         "--hash-seeds",
@@ -351,8 +328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "mode": "run",
             "scenario": options.scenario,
             "preset": options.preset,
-            "engine": options.engine,
-            "workers": options.workers,
             "hash_seeds": list(options.hash_seeds),
         }
         repo_root = default_repo_root()
@@ -363,8 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 error = _run_scenario(
                     options.scenario,
                     options.preset,
-                    options.engine,
-                    options.workers,
                     hash_seed,
                     journal_path,
                     repo_root,

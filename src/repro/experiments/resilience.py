@@ -28,10 +28,9 @@ from repro.faults.model import FaultPlan
 from repro.faults.schedule import targeted_ap_outage
 from repro.obs.journal import Journal, parse_journal, render_journal
 from repro.obs.tracer import get_tracer
-from repro.runtime.engine import replay_serial
 from repro.trace.records import DemandSession
 from repro.trace.social import CampusLayout
-from repro.wlan.replay import ReplayConfig, window_for
+from repro.wlan.replay import ReplayConfig, ReplayEngine, window_for
 from repro.wlan.strategies import LeastLoadedFirst, S3Strategy, SelectionStrategy
 
 #: A post-restore sample at or above this fraction of the pre-fault mean
@@ -172,9 +171,9 @@ def journaled_replay(
         obs.enable(reset=True)
     start = len(tracer.records)
     try:
-        replay_serial(
-            layout, strategy, list(demands), replay_config, fault_plan=fault_plan
-        )
+        ReplayEngine(
+            layout, strategy, replay_config, fault_plan=fault_plan
+        ).run(list(demands))
         text = render_journal(list(tracer.records[start:]))
     finally:
         if owned:

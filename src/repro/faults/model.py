@@ -31,9 +31,9 @@ Event kinds map one-to-one onto injection points:
                           latest :class:`~repro.service.checkpoint.ServiceCheckpoint`.
 ========================  =====================================================
 
-Events order canonically by ``(time, kind, target)``; the runtime merge
-layer relies on that same key to reassemble fault records from sharded
-workers into the exact serial stream (see :mod:`repro.runtime.merge`).
+Events order canonically by ``(time, kind, target)``; the replay engine
+schedules same-instant faults in that order, so their fault records
+journal in one fixed order.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class ApDown:
 
     @property
     def target(self) -> str:
-        """The entity this event acts on (merge/sort tie-break key)."""
+        """The entity this event acts on (sort tie-break key)."""
         return self.ap_id
 
 
@@ -321,7 +321,7 @@ SERVICE_KINDS = frozenset(
 
 
 def event_sort_key(event: FaultEvent) -> Tuple[float, str, str]:
-    """Canonical plan order — and the merge layer's tie-break key."""
+    """Canonical plan order: time, then kind, then target."""
     return (event.time, event.kind, event.target)
 
 

@@ -7,12 +7,6 @@ compact separators — so two same-seed runs produce byte-identical
 journals once :func:`strip_wall` has removed the ``"wall"`` key (the only
 place wall-clock values are allowed to appear).
 
-The byte contract extends across process boundaries: a sharded replay
-(:mod:`repro.runtime`) collects each worker's record fragment and
-reassembles them (:mod:`repro.runtime.merge`) into the exact stream the
-serial engine would have traced, so journals stay ``strip_wall``-byte-
-identical whichever engine produced them.
-
 There is one writing path.  :func:`open_journal` writes the meta line
 and attaches a :class:`JournalWriter` to the tracer, which from then on
 writes every record as its line the moment the record completes;

@@ -14,13 +14,14 @@ stream names.
 Scope is part of the declaration:
 
 ``run``
-    Deterministic for a seed — byte-identical between the serial and
-    process engines after the runtime merge.  Serialized under a journal
-    line's ``data`` key, so it participates in ``strip_wall`` diffs.
+    Deterministic for a seed — byte-identical between two same-seed
+    runs.  Serialized under a journal line's ``data`` key, so it
+    participates in ``strip_wall`` diffs.
 ``host``
-    A property of the host or the engine shape (wall durations, RSS,
-    queue depths, per-worker duplicated periodic grids).  Serialized
-    under the ``"wall"`` key only, so ``strip_wall`` drops it.
+    A property of the host or of how the run was executed (wall
+    durations, RSS, pool queue depths, the kernel's own work).
+    Serialized under the ``"wall"`` key only, so ``strip_wall`` drops
+    it.
 """
 
 from __future__ import annotations
@@ -238,8 +239,9 @@ METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
         buckets=(0.00001, 0.0001, 0.001, 0.01, 0.1, 1.0),
     ),
     # ----------------------------------------------- kernel (host-scoped)
-    # Engine-shape dependent: every worker of a sharded run replays the
-    # full periodic grid, so summed event counts exceed the serial run's.
+    # The kernel's own work, not the campus's: an engine refactor may
+    # change how many events it schedules without moving one decision
+    # or sample, so these stay out of the strip_wall byte contract.
     MetricSpec(
         name="sim.events",
         kind="counter",
@@ -257,15 +259,6 @@ METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
         unit="events",
     ),
     # ---------------------------------------------- runtime (host-scoped)
-    MetricSpec(
-        name="runtime.task_seconds",
-        kind="histogram",
-        scope="host",
-        owner="repro.runtime.workers",
-        description="wall seconds per shard task, measured in the worker",
-        unit="s",
-        buckets=(0.1, 0.5, 1.0, 5.0, 30.0, 120.0),
-    ),
     MetricSpec(
         name="runtime.task_retries",
         kind="counter",

@@ -14,12 +14,10 @@ Determinism scope is declared per metric in
 
 * ``run``-scoped series (replay decisions, candidate sets, fault
   injections, per-controller load) are part of the journal's
-  ``strip_wall`` byte contract — a sharded run's worker snapshots merge
-  (:meth:`MetricsRegistry.merge`) into exactly the series the serial
-  engine records;
-* ``host``-scoped series (kernel event throughput, worker task
-  latencies, RSS) are serialized under the journal's strippable
-  ``"wall"`` key, because they depend on the engine shape or the host.
+  ``strip_wall`` byte contract;
+* ``host``-scoped series (kernel event throughput, pool queue depths,
+  RSS) are serialized under the journal's strippable ``"wall"`` key,
+  because they depend on how the run was executed or on the host.
 
 The disabled fast path allocates nothing: module-level
 :func:`inc` / :func:`set_gauge` / :func:`observe` take positional
@@ -243,9 +241,9 @@ class SeriesSnapshot:
 class MetricsSnapshot:
     """A registry's picklable state — the cross-process hand-off format.
 
-    Like :class:`repro.perf.PerfSnapshot`: a worker resets its registry,
-    runs, and ships a snapshot home; the parent folds every snapshot in
-    with :meth:`MetricsRegistry.merge`.  Series are sorted by
+    Like :class:`repro.perf.PerfSnapshot`: a checkpoint carries one, and
+    :meth:`MetricsRegistry.restore_state` folds it back in with
+    :meth:`MetricsRegistry.merge`.  Series are sorted by
     ``(name, labels)`` so the snapshot itself is deterministic.
     """
 
@@ -423,14 +421,12 @@ class MetricsRegistry:
         return MetricsSnapshot(window_seconds=self.window_seconds, series=out)
 
     def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a worker's snapshot into this registry, deterministically.
+        """Fold a snapshot into this registry, deterministically.
 
         Counters add per window; gauges keep the lexicographically
-        largest ``(sim_time, value)`` point per window (shard series are
-        label-disjoint, so this only breaks genuine cross-process ties);
-        histograms add bucket counts.  The result is independent of the
-        order snapshots arrive in, which is what lets a sharded run
-        reproduce the serial engine's series byte for byte.
+        largest ``(sim_time, value)`` point per window; histograms add
+        bucket counts.  The result is independent of the order snapshots
+        arrive in.
         """
         if snapshot.window_seconds != self.window_seconds:
             raise ValueError(

@@ -252,21 +252,6 @@ class Tracer:
             )
         )
 
-    def inject(self, records: List[TracedRecord]) -> None:
-        """Append pre-built records (a merged journal fragment) verbatim.
-
-        Used by :mod:`repro.runtime` to splice canonically ordered,
-        renumbered worker records into the parent's journal.  The id
-        allocator is advanced past every injected span id so spans opened
-        afterwards cannot collide.
-        """
-        if not self.enabled:
-            return
-        for record in records:
-            self._emit(record)
-            if isinstance(record, SpanRecord) and record.span_id >= self._next_id:
-                self._next_id = record.span_id + 1
-
     def decision(self, record: DecisionRecord) -> None:
         """Journal one association decision (no-op when disabled)."""
         if self.enabled:

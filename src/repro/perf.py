@@ -66,9 +66,9 @@ class TimerStat:
 class PerfSnapshot:
     """A picklable, immutable-by-convention copy of a registry's state.
 
-    This is the hand-off format of :mod:`repro.runtime`: a worker process
-    resets its registry, does its work, and ships a snapshot back; the
-    parent folds every snapshot into its own registry with
+    This is the hand-off format of :mod:`repro.runtime` sweeps: a worker
+    process resets its registry, runs its task, and ships a snapshot
+    back; the parent folds every snapshot into its own registry with
     :meth:`PerfRegistry.merge`, so the final report covers work done in
     all processes instead of silently dropping child-process timings.
     """
@@ -285,8 +285,6 @@ def peak_rss_bytes() -> int:
     a large parent would report the parent's peak, while ``VmHWM``
     starts afresh with the new program.  Elsewhere ``RUSAGE_SELF``'s
     ``ru_maxrss`` (kilobytes on Linux, bytes on macOS; normalized here).
-    Pool workers report their own peaks
-    (:attr:`repro.wlan.replay.ReplayResult.worker_peak_rss_bytes`).
     Deliberately *not* part of :class:`PerfSnapshot`: it is a one-shot
     host measurement, not a mergeable per-task statistic.
     """

@@ -1,31 +1,31 @@
-"""Drive the sharded execution engine from the command line.
+"""Run sweeps, or one journaled replay, from the command line.
 
     python -m repro.runtime replay [paper|small|tiny]
-        [--strategy llf|s3] [--engine auto|serial|process]
-        [--workers N] [--run-dir PATH] [--journal PATH]
+        [--strategy llf|s3] [--journal PATH]
+        [--fault-seed N | --fault-plan PATH]
 
     python -m repro.runtime sweep {terms,threshold,staleness,batching}
         [paper|small|tiny] [--engine auto|serial|process]
-        [--workers N] [--run-dir PATH]
+        [--workers N] [--run-dir PATH] [--retries N]
 
 ``replay`` replays the preset's evaluation demands under one strategy
-through :func:`repro.runtime.engine.replay` and prints the result shape
-plus the mean daytime balance; ``--journal`` additionally records the
-run's structured journal (byte-identical across engines after
-``strip_wall``).  ``sweep`` executes one of the ablation planners
-through :func:`repro.runtime.sweep.run_sweep` and prints each task's
-value.  ``--run-dir`` makes either mode resumable: a re-invocation after
-a mid-run kill re-executes only the unfinished shards/tasks.  Only the
-process engine checkpoints and retries, so for ``replay`` ``--engine
-auto`` with ``--run-dir`` or ``--retries`` runs it, ``--engine serial``
-rejects them, and the engine printed and journalled is the one that ran.
+through :meth:`repro.wlan.replay.ReplayEngine.run` and prints the result
+shape plus the mean daytime balance; ``--journal`` streams the run's
+structured journal to ``PATH`` as the run goes.  A replay runs in this
+process, so ``replay`` refuses the sweep's ``--engine``, ``--workers``,
+``--run-dir`` and ``--retries``.
+
+``sweep`` executes one of the ablation planners through
+:func:`repro.runtime.sweep.run_sweep` and prints each task's value.
+``--run-dir`` makes it resumable: a re-invocation after a mid-run kill
+re-executes only the unfinished tasks; ``--retries N`` retries a failed
+task up to ``N`` times before giving up.
 
 Fault injection (``replay`` only): ``--fault-seed N`` generates a
 deterministic chaos plan (one AP outage by default) from seed ``N`` over
 the run's window; ``--fault-plan PATH`` replays a plan saved as JSON
 (see :mod:`repro.faults`).  Same seed or same file, same faults — the
-journal stays byte-identical across engines.  ``--retries N`` retries
-crashed shard workers up to ``N`` times before giving up (both modes).
+journal stays byte-identical after ``strip_wall``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from repro.runtime.options import ENGINES
 
 _USAGE = (
     "usage: python -m repro.runtime replay [preset] [--strategy llf|s3]\n"
-    "           [--engine auto|serial|process] [--workers N]\n"
-    "           [--run-dir PATH] [--journal PATH]\n"
-    "           [--fault-seed N | --fault-plan PATH] [--retries N]\n"
+    "           [--journal PATH] [--fault-seed N | --fault-plan PATH]\n"
     "       python -m repro.runtime sweep {terms,threshold,staleness,"
     "batching}\n"
     "           [preset] [--engine auto|serial|process] [--workers N]\n"
@@ -47,6 +45,9 @@ _USAGE = (
 )
 
 _SWEEPS = ("terms", "threshold", "staleness", "batching")
+
+#: Sweep options ``replay`` refuses: a replay runs in this process.
+_SWEEP_ONLY = ("--engine", "--workers", "--run-dir", "--retries")
 
 
 def _pop_option(args: List[str], flag: str) -> Optional[str]:
@@ -64,7 +65,7 @@ def _pop_option(args: List[str], flag: str) -> Optional[str]:
     return value
 
 
-def _parse_common(
+def _parse_sweep_options(
     args: List[str],
 ) -> Tuple[str, Optional[int], Optional[str], int]:
     """Extract ``--engine/--workers/--run-dir/--retries`` in place."""
@@ -100,10 +101,15 @@ def _cmd_replay(args: List[str]) -> int:
     from repro.experiments.__main__ import PRESETS
     from repro.experiments.evaluation import mean_daytime_balance
     from repro.experiments.workload import build_workload, trained_model
-    from repro.runtime.engine import engine_for_replay, replay
+    from repro.wlan.replay import ReplayEngine
     from repro.wlan.strategies import LeastLoadedFirst, S3Strategy, SelectionStrategy
 
-    engine, workers, run_dir, retries = _parse_common(args)
+    for flag in _SWEEP_ONLY:
+        if flag in args:
+            raise ValueError(
+                f"replay takes no {flag}: a replay runs in this process "
+                "(the option belongs to sweep)"
+            )
     journal_path = _pop_option(args, "--journal")
     strategy_name = _pop_option(args, "--strategy") or "llf"
     fault_seed = _pop_option(args, "--fault-seed")
@@ -125,40 +131,22 @@ def _cmd_replay(args: List[str]) -> int:
     fault_plan = _fault_plan(
         fault_seed, fault_plan_path, workload, config.replay
     )
-    engine = engine_for_replay(
-        workload.world.layout, strategy, workload.test_demands, config.replay,
-        engine, run_dir=run_dir, max_task_retries=retries,
+    engine = ReplayEngine(
+        workload.world.layout, strategy, config.replay, fault_plan=fault_plan
     )
-    if journal_path is not None:
+    if journal_path is None:
+        result = engine.run(workload.test_demands)
+    else:
+        meta = {"preset": preset_key, "strategy": strategy.name}
+        if fault_plan is not None:
+            meta["faults"] = fault_plan.fingerprint()
         obs.enable(reset=True)
-    try:
-        result = replay(
-            workload.world.layout,
-            strategy,
-            workload.test_demands,
-            config.replay,
-            engine=engine,
-            workers=workers,
-            run_dir=run_dir,
-            fault_plan=fault_plan,
-            max_task_retries=retries,
-        )
-        if journal_path is not None:
-            meta = {
-                "preset": preset_key,
-                "strategy": strategy.name,
-                "engine": engine,
-            }
-            if fault_plan is not None:
-                meta["faults"] = fault_plan.fingerprint()
-            obs.write_journal(journal_path, meta=meta)
-    finally:
-        if journal_path is not None:
+        try:
+            with obs.streamed_journal(journal_path, meta):
+                result = engine.run(workload.test_demands)
+        finally:
             obs.disable()
-    print(
-        f"replay preset={preset_key} strategy={strategy.name} "
-        f"engine={engine}"
-    )
+    print(f"replay preset={preset_key} strategy={strategy.name}")
     print(
         f"  sessions={len(result.sessions)} events={result.events_processed} "
         f"controllers={len(result.series)}"
@@ -208,7 +196,7 @@ def _cmd_sweep(args: List[str]) -> int:
     if not args or args[0] not in _SWEEPS:
         raise ValueError(f"sweep needs one of {_SWEEPS}")
     sweep_name = args.pop(0)
-    engine, workers, run_dir, retries = _parse_common(args)
+    engine, workers, run_dir, retries = _parse_sweep_options(args)
     preset_key = _pop_preset(args)
     if args:
         raise ValueError(f"unexpected arguments: {args}")
@@ -247,7 +235,7 @@ def main(argv: Sequence[str]) -> int:
         if command == "sweep":
             return _cmd_sweep(args)
     except ValueError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}\n{_USAGE}")
         return 2
     print(f"unknown command {command!r}\n{_USAGE}")
     return 2

@@ -1,8 +1,8 @@
-"""Checkpoint/resume for sharded runs.
+"""Checkpoint/resume for sweeps and service snapshots.
 
 A :class:`RunDirectory` owns one directory holding:
 
-* ``meta.json`` — the run ``kind`` (``"replay"`` / ``"sweep"``) and the
+* ``meta.json`` — the run ``kind`` (``"sweep"``, or the service's) and the
   plan fingerprint.  A directory created for one plan refuses to serve
   another: resuming a sweep with different parameters against stale
   results would silently mix runs.

@@ -1,4 +1,4 @@
-"""Execution options shared by the replay and sweep dispatchers."""
+"""Execution options of the sweep dispatcher."""
 
 from __future__ import annotations
 
@@ -6,19 +6,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-#: The engine names every dispatcher in this package accepts.
+#: The engine names :func:`~repro.runtime.sweep.run_sweep` accepts.
 ENGINES = ("auto", "serial", "process")
 
 
 @dataclass(frozen=True)
 class RuntimeOptions:
-    """How to execute a shardable run.
+    """How to execute a sweep.
 
     ``engine="auto"`` picks the process pool when a sweep has more than
-    one task, and for replays by the rule of
-    :func:`~repro.runtime.engine.resolve_engine`; ``workers`` caps the
-    pool size (defaults to the CPU count); ``run_dir`` enables
-    checkpoint/resume via
+    one task; ``workers`` caps the pool size (defaults to the CPU
+    count); ``run_dir`` enables checkpoint/resume via
     :class:`~repro.runtime.checkpoint.RunDirectory`.
     """
 
@@ -33,8 +31,3 @@ class RuntimeOptions:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
-#: The default: serial execution, no checkpointing — byte-for-byte the
-#: behaviour every caller had before this package existed.
-SERIAL = RuntimeOptions(engine="serial")

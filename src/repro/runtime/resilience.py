@@ -1,8 +1,7 @@
 """Bounded retry and quarantine for pool-executed task graphs.
 
-One failure policy shared by the replay dispatcher
-(:mod:`repro.runtime.engine`) and the sweep executor
-(:mod:`repro.runtime.sweep`):
+The failure policy of the sweep executor (:mod:`repro.runtime.sweep`),
+the same in its serial and process engines:
 
 * a task that raises — or whose worker process dies outright, surfacing
   as ``BrokenProcessPool`` for everything in flight — is retried up to
@@ -21,7 +20,7 @@ the returned values.
 
 Pool reuse: starting a :class:`ProcessPoolExecutor` costs tens of
 milliseconds to seconds (workers are spawned from clean interpreters,
-see :func:`_acquire_pool`) — enough to dominate small parallel replays.
+see :func:`_acquire_pool`) — enough to dominate a sweep of short tasks.
 A round that
 completes **fully clean** (every task succeeded, no exception escaped)
 returns its pool to a per-size cache for the next call to reuse; any
@@ -38,6 +37,7 @@ from __future__ import annotations
 import atexit
 import logging
 import multiprocessing
+import os
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
@@ -68,8 +68,8 @@ def _acquire_pool(size: int) -> ProcessPoolExecutor:
     Workers are *spawned*, not forked, on every platform.  A forked
     worker inherits the parent's full heap image copy-on-write: its
     first write to any inherited page takes a COW fault, and every
-    cyclic-GC pass walks the parent's objects — measurably slowing the
-    replay loop itself (~5% on the benchmark campus) on top of the
+    cyclic-GC pass walks the parent's objects — measurably slowing a
+    replay inside the task (~5% on a 4,027-demand campus) on top of the
     fork-inheritance hazards ``init_worker`` exists to defuse.  A
     spawned worker starts from a clean interpreter: its heap holds only
     what the task unpickles.  The higher start-up cost (a fresh
@@ -102,6 +102,13 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
+
+
+def resolve_workers(workers: Optional[int], pending: int) -> int:
+    """The pool size: requested (or CPU count), never above the work."""
+    limit = workers if workers is not None else os.cpu_count() or 1
+    return max(1, min(limit, pending))
+
 
 TaskT = TypeVar("TaskT")
 OutcomeT = TypeVar("OutcomeT")
@@ -193,7 +200,7 @@ def run_pool_with_retries(
     ``chunk_size`` groups that many tasks into one submission
     (:func:`_run_task_chunk`), cutting pool round-trips when tasks are
     few and short — each handoff costs wakeups through the executor's
-    management thread, which dominates small replays.  Failure semantics
+    management thread, which dominates short tasks.  Failure semantics
     are unchanged: soft failures are caught per-task inside the chunk,
     and a hard-killed worker burns one attempt for every task of its
     chunk — just as it breaks every in-flight future today.  The one
@@ -204,9 +211,6 @@ def run_pool_with_retries(
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    # Imported lazily to keep the one-way dependency engine -> resilience.
-    from repro.runtime.engine import resolve_workers
-
     pending: List[TaskT] = list(tasks)
     attempts: Dict[str, int] = {}
     failures: Dict[str, TaskFailure] = {}

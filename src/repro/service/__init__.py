@@ -1,6 +1,6 @@
 """``repro.service`` — the controller as a long-running asyncio service.
 
-The batch replay engine (:mod:`repro.runtime`) answers "what would S³
+The batch replay engine (:mod:`repro.wlan.replay`) answers "what would S³
 have done over this trace"; this package answers the operational
 question the paper's controller actually faces: association queries
 arriving concurrently, a sociality model that must learn from the same

@@ -345,17 +345,16 @@ class Simulator:
             try:
                 # The dispatch loop touches the queue's heap directly:
                 # at replay scale the ``peek_time()``/``pop()`` method
-                # pair costs a measurable slice of every run, and the
-                # sharded engine pays it once per shard for the same
-                # periodic grid.  Semantics are identical — drop
-                # cancelled entries unprocessed, stop at the horizon,
-                # pop and dispatch.
+                # pair costs a measurable slice of every run.  Semantics
+                # are identical — drop cancelled entries unprocessed,
+                # stop at the horizon, pop and dispatch.
                 heap = self._queue._heap
                 cancelled = self._queue._cancelled
                 heappop = heapq.heappop
                 horizon = math.inf if until is None else until
-                # Metrics are host-scoped here (worker shards replay the
-                # same periodic grid, so counts depend on engine shape).
+                # Metrics are host-scoped here (they count the kernel's
+                # own work, which an engine refactor may move without
+                # moving any replay output).
                 # The series and the window boundary are bound before
                 # the loop: the disabled path pays one local bool test
                 # per event, nothing more.

@@ -305,12 +305,10 @@ class RandomStreams:
 
         The derivation is pure integer arithmetic on ``(root seed,
         crc32(name))`` — no process state — so a child factory built
-        inside a :mod:`repro.runtime` worker process yields bit-identical
-        streams to one built in the parent.  This cross-process stability
-        is the invariant the parallel execution engine rests on: a shard
-        is handed only its ``child(shard_stream_name(...))`` factory,
-        never the root factory itself (the ``rng-stream-registry`` lint
-        rule rejects any stream :mod:`repro.runtime` draws itself).
+        in any process, at any point of a run, yields bit-identical
+        streams: the replay engine derives each controller domain's
+        radio factory (``child(shard_stream_name(...))``) on its first
+        radio read, and nothing else the run drew moves its draws.
         """
         if _OBSERVER is not None:
             _OBSERVER("child", name)

@@ -22,17 +22,12 @@ Build the arrays once per trace (``TraceBundle.columns()`` memoizes) and
 share them between ``extract_churn``, ``coleaving_fraction_per_user`` and
 any future vectorized consumer.
 
-:class:`DemandArrays` and :class:`FlowArrays` are the matching columnar
-transposes of the other two record families.  :class:`DemandArrays` exists
-for transport: the sharded runtime transposes a run's demand stream once,
-slices each worker group's controller-domain rows by index range
-(:meth:`DemandArrays.slice_rows`) and sends the rows by value, one pickle
-of flat columns instead of a list of record objects.
-:class:`FlowArrays` is the only in-memory flow log: the
-generator draws it, :class:`~repro.trace.records.TraceBundle` stores it,
-and profiles are built from it.  Both round-trip exactly —
-``to_demands()`` / ``to_flows()`` reproduce the original records, field
-for field (float64 round-trips through numpy losslessly).
+:class:`FlowArrays` is the matching columnar transpose of the flow log,
+and the only in-memory one: the generator draws it,
+:class:`~repro.trace.records.TraceBundle` stores it, and profiles are
+built from it.  It round-trips exactly — ``to_flows()`` reproduces the
+original records, field for field (float64 round-trips through numpy
+losslessly).
 """
 
 from __future__ import annotations
@@ -42,10 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.trace.records import (
-    DemandSession,
     FlowRecord,
     SessionRecord,
-    demand_rows,
     format_ipv4,
     parse_ipv4,
 )
@@ -228,177 +221,6 @@ class SessionArrays:
             self.ap[rows],
             self.connect[rows],
             self.disconnect[rows],
-        )
-
-
-class DemandArrays:
-    """A columnar transpose of a demand stream, built for transport.
-
-    Codes are ``int64`` against sorted id tables (like
-    :class:`SessionArrays`); ``group`` uses ``-1`` for demands without a
-    ground-truth group.  ``realm_bytes`` is an ``(n, N_REALMS)`` float64
-    matrix in :class:`~repro.trace.apps.AppRealm` order.
-    ``to_demands()`` reproduces the original records field for field.
-    """
-
-    __slots__ = (
-        "user_ids",
-        "building_ids",
-        "group_ids",
-        "user",
-        "building",
-        "group",
-        "arrival",
-        "departure",
-        "realm_bytes",
-    )
-
-    def __init__(
-        self,
-        user_ids: Sequence[str],
-        building_ids: Sequence[str],
-        group_ids: Sequence[str],
-        user: np.ndarray,
-        building: np.ndarray,
-        group: np.ndarray,
-        arrival: np.ndarray,
-        departure: np.ndarray,
-        realm_bytes: np.ndarray,
-    ) -> None:
-        self.user_ids: List[str] = list(user_ids)
-        self.building_ids: List[str] = list(building_ids)
-        self.group_ids: List[str] = list(group_ids)
-        self.user = np.asarray(user, dtype=np.int64)
-        self.building = np.asarray(building, dtype=np.int64)
-        self.group = np.asarray(group, dtype=np.int64)
-        self.arrival = np.asarray(arrival, dtype=np.float64)
-        self.departure = np.asarray(departure, dtype=np.float64)
-        self.realm_bytes = np.asarray(realm_bytes, dtype=np.float64)
-        n = self.user.shape[0]
-        if not (
-            self.building.shape[0] == self.group.shape[0]
-            == self.arrival.shape[0] == self.departure.shape[0]
-            == self.realm_bytes.shape[0] == n
-        ):
-            raise ValueError("column lengths disagree")
-        if self.realm_bytes.ndim != 2:
-            raise ValueError("realm_bytes must be a 2-d matrix")
-
-    # ----------------------------------------------------------- construction
-
-    @classmethod
-    def from_demands(cls, demands: Sequence[DemandSession]) -> "DemandArrays":
-        """Transpose a demand stream into columns."""
-        from repro.trace.apps import N_REALMS
-
-        n = len(demands)
-        user_ids, user_code = _encode_table([d.user_id for d in demands])
-        building_ids, building_code = _encode_table(
-            [d.building_id for d in demands]
-        )
-        group_ids, group_code = _encode_table(
-            [d.group_id for d in demands if d.group_id is not None]
-        )
-        # Encode column-at-a-time: one list comprehension per column
-        # plus a single C-level ``np.array`` conversion beats per-row
-        # scattered stores (``realm_bytes[i] = ...`` pays a numpy
-        # assignment per demand).  This runs on the publish path of
-        # every sharded replay.
-        user = np.array([user_code[d.user_id] for d in demands], dtype=np.int64)
-        building = np.array(
-            [building_code[d.building_id] for d in demands], dtype=np.int64
-        )
-        group = np.array(
-            [
-                -1 if d.group_id is None else group_code[d.group_id]
-                for d in demands
-            ],
-            dtype=np.int64,
-        )
-        arrival = np.array([d.arrival for d in demands], dtype=np.float64)
-        departure = np.array([d.departure for d in demands], dtype=np.float64)
-        if n:
-            realm_bytes = np.array(
-                [d.realm_bytes for d in demands], dtype=np.float64
-            )
-        else:
-            realm_bytes = np.empty((0, N_REALMS), dtype=np.float64)
-        return cls(
-            user_ids, building_ids, group_ids,
-            user, building, group, arrival, departure, realm_bytes,
-        )
-
-    # -------------------------------------------------------------- basic API
-
-    @property
-    def n_rows(self) -> int:
-        """Number of demand rows."""
-        return int(self.user.shape[0])
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    def __repr__(self) -> str:
-        return (
-            f"DemandArrays(demands={self.n_rows}, users={len(self.user_ids)}, "
-            f"buildings={len(self.building_ids)})"
-        )
-
-    # ---------------------------------------------------------------- slicing
-
-    def slice_rows(self, rows: RowSelector) -> "DemandArrays":
-        """A row subset sharing this instance's id tables."""
-        return DemandArrays(
-            self.user_ids,
-            self.building_ids,
-            self.group_ids,
-            self.user[rows],
-            self.building[rows],
-            self.group[rows],
-            self.arrival[rows],
-            self.departure[rows],
-            self.realm_bytes[rows],
-        )
-
-    def copy(self) -> "DemandArrays":
-        """An owned deep copy (fresh arrays, no shared buffers).
-
-        The process engine copies each worker group's row slice, so a
-        task holds only its own rows, never a view of the whole stream.
-        """
-        return DemandArrays(
-            list(self.user_ids),
-            list(self.building_ids),
-            list(self.group_ids),
-            self.user.copy(),
-            self.building.copy(),
-            self.group.copy(),
-            self.arrival.copy(),
-            self.departure.copy(),
-            self.realm_bytes.copy(),
-        )
-
-    # --------------------------------------------------------------- decoding
-
-    def to_demands(self) -> List[DemandSession]:
-        """Materialize the rows back into :class:`DemandSession` records.
-
-        This is the worker-side hot path of the process engine
-        (every shard materializes its row range once per run), so the
-        rows go through :func:`~repro.trace.records.demand_rows`: the
-        columns are checked once and each record is built field by field,
-        without the dataclass ``__init__``'s per-record argument handling.
-        """
-        user_ids = self.user_ids
-        building_ids = self.building_ids
-        group_ids = self.group_ids
-        return demand_rows(
-            [user_ids[u] for u in self.user.tolist()],
-            [building_ids[b] for b in self.building.tolist()],
-            self.arrival,
-            self.departure,
-            self.realm_bytes,
-            [None if g < 0 else group_ids[g] for g in self.group.tolist()],
         )
 
 

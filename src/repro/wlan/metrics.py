@@ -79,10 +79,10 @@ class MetricsCollector:
     ) -> None:
         """Record one snapshot of every controller (or a fixed subset).
 
-        ``controller_ids`` restricts the snapshot to a shard's domain(s);
-        it must be sorted and stable across calls, which is how a sharded
-        run's per-controller series line up sample-for-sample with a
-        whole-campus serial run.  ``changed``, when given, names the
+        ``controller_ids`` restricts the snapshot to a subset of
+        controllers; it must be sorted and stable across calls, so each
+        controller's series lines up sample for sample.  ``changed``,
+        when given, names the
         controllers whose association tables may have moved since the
         previous sample: every other controller already sampled repeats
         its previous rows, which are what a fresh read would give.

@@ -32,8 +32,7 @@ hides the AP from candidate sets until the matching ``ApUp``.
 ``ControllerOutage`` degrades steering to per-station strongest-signal
 while it lasts; ``StaleLoadReport`` skips the controller's next load
 poll.  All fault handling is keyed off the plan alone, so same-seed
-chaos replays stay byte-identical under both engines (see
-``docs/robustness.md``).
+chaos replays stay byte-identical (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ from repro.obs.tracer import NULL_SPAN, AnySpan, get_tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.timeline import MINUTE
-from repro.trace.columnar import DemandArrays
 from repro.trace.records import (
     DemandSession,
     SessionRecord,
@@ -113,12 +111,12 @@ def demand_constants(demand: DemandSession) -> Tuple[float, float]:
 
 
 def shard_stream_name(controller_id: str) -> str:
-    """The :meth:`~repro.sim.rng.RandomStreams.child` name of one shard.
+    """The :meth:`~repro.sim.rng.RandomStreams.child` name of one domain.
 
-    Both the serial engine and a :mod:`repro.runtime` worker derive the
-    radio streams of controller ``c`` from the *same* child factory,
-    ``RandomStreams(seed).child(shard_stream_name(c))`` — which is what
-    makes per-shard draws identical across engines by construction.
+    The engine derives the radio streams of controller ``c`` from the
+    child factory ``RandomStreams(seed).child(shard_stream_name(c))``.
+    The name seeds every station's draws, so it is part of the replay's
+    output: changing it moves every pinned replay digest.
     """
     return f"shard:{controller_id}"
 
@@ -166,8 +164,8 @@ class StationRadios:
 
     Each station draws from the start of its own ``radio-<user>-<arrival>``
     stream of its controller's radio factory,
-    ``child(shard_stream_name(c))``, so the serial engine and a
-    per-controller worker draw alike.  A controller's factory is derived
+    ``child(shard_stream_name(c))``, so a station's draws depend on
+    nothing else the run does.  A controller's factory is derived
     on its first radio read, with the seeds of every radio stream its
     demands name prepared in one pass; each station's generator is
     recycled once drawn and started on the next station's stream, and
@@ -272,13 +270,11 @@ class ChangeTracker:
 
 @dataclass(frozen=True)
 class ReplayWindow:
-    """The global event grid of one replay run.
+    """The event grid of one replay run: first arrival to horizon.
 
-    A sharded run must sample and poll on the *whole* run's grid — first
-    arrival to horizon — not on each shard's local extent, or the merged
-    series would disagree with a single-process run.  The window pins
-    that grid: ``start`` anchors the simulator clock and both periodic
-    schedules, ``horizon`` is the run-until instant.
+    ``start`` anchors the simulator clock and both periodic schedules,
+    ``horizon`` is the run-until instant.  Fault plans are generated
+    over a run's window (:func:`window_for`) before the run starts.
     """
 
     start: float
@@ -294,29 +290,13 @@ class ReplayWindow:
 def window_for(
     demands: Sequence[DemandSession], config: ReplayConfig
 ) -> ReplayWindow:
-    """The window a serial run of ``demands`` would use."""
+    """The window a run of ``demands`` uses."""
     if not demands:
         raise ValueError("cannot derive a window from zero demands")
     return ReplayWindow(
         start=min(d.arrival for d in demands),
         horizon=max(d.departure for d in demands) + config.batch_window,
     )
-
-
-@dataclass
-class ShardRun:
-    """One engine pass plus the bookkeeping a deterministic merge needs.
-
-    ``sampler_ticks``/``poller_ticks`` count the periodic events the pass
-    processed; every shard of one window processes the same number, and
-    the merge subtracts the duplicates so the summed event count equals
-    the serial engine's.
-    """
-
-    result: ReplayResult
-    final_now: float
-    sampler_ticks: int
-    poller_ticks: int
 
 
 @dataclass(frozen=True)
@@ -357,9 +337,6 @@ class ReplayResult:
     sessions: List[SessionRecord]
     series: Dict[str, ControllerSeries]
     events_processed: int
-    #: Each process-engine worker's own peak RSS when its shard finished
-    #: (empty for a serial run): a host measurement, not a replay output.
-    worker_peak_rss_bytes: Tuple[int, ...] = ()
 
     def to_bundle(
         self, source: Optional[TraceBundle] = None
@@ -416,7 +393,7 @@ class ReplayEngine:
                 strategy=self.strategy.name,
                 demands=len(demands),
             ) as span:
-                result = self._run(demands, span).result
+                result = self._run(demands, span)
                 span.set(
                     sessions=len(result.sessions),
                     events=result.events_processed,
@@ -425,49 +402,13 @@ class ReplayEngine:
         perf.count("replay.sessions", len(result.sessions))
         return result
 
-    def run_window(
-        self,
-        demands: "Sequence[DemandSession] | DemandArrays",
-        window: ReplayWindow,
-        controllers: Optional[Sequence[str]] = None,
-    ) -> ShardRun:
-        """Replay one shard of a larger run on an externally fixed grid.
-
-        This is the :mod:`repro.runtime` worker entry point: ``window``
-        pins the simulator start and horizon to the *whole* run's extent
-        (so sampler and poller ticks land on the global grid), and
-        ``controllers`` restricts sampling, polling and tracer samples to
-        the shard's controller domain(s).  Unlike :meth:`run`, no outer
-        span or perf wrapper is opened — the parent process owns those —
-        and the raw :class:`ShardRun` bookkeeping is returned for the
-        deterministic merge.  ``demands`` may arrive in columnar form
-        (a worker's task carries its rows by value as
-        :class:`~repro.trace.columnar.DemandArrays`); the engine
-        materializes the records itself.
-        """
-        return self._run(demands, window=window, controllers=controllers)
-
     def _run(
-        self,
-        demands: "Sequence[DemandSession] | DemandArrays",
-        span: Optional[AnySpan] = None,
-        window: Optional[ReplayWindow] = None,
-        controllers: Optional[Sequence[str]] = None,
-    ) -> ShardRun:
-        if isinstance(demands, DemandArrays):
-            demands = demands.to_demands()
+        self, demands: Sequence[DemandSession], span: AnySpan
+    ) -> ReplayResult:
         demands = sorted(demands, key=lambda d: (d.arrival, d.user_id))
-        if not demands and window is None:
-            return ShardRun(
-                ReplayResult(self.strategy.name, [], {}, 0), 0.0, 0, 0
-            )
-        if window is None:
-            window = window_for(demands, self.config)
-        if demands and demands[0].arrival < window.start:
-            raise ValueError(
-                f"demand arrives at {demands[0].arrival} before the "
-                f"window start {window.start}"
-            )
+        if not demands:
+            return ReplayResult(self.strategy.name, [], {}, 0)
+        window = window_for(demands, self.config)
 
         campus = CampusRuntime(self.layout, self.strategy.social)
         controller_of = {
@@ -475,14 +416,7 @@ class ReplayEngine:
             for building_id, building in self.layout.buildings.items()
             if building.controller_id in campus.controllers
         }
-        sampled = (
-            sorted(campus.controllers)
-            if controllers is None
-            else sorted(controllers)
-        )
-        for controller_id in sampled:
-            if controller_id not in campus.controllers:
-                raise KeyError(f"unknown controller {controller_id!r}")
+        sampled = sorted(campus.controllers)
         collector = MetricsCollector()
         changes = ChangeTracker(sampled)
         # id(demand) -> (bytes_total, mean_rate), computed once per demand
@@ -491,11 +425,7 @@ class ReplayEngine:
         constants: Dict[int, Tuple[float, float]] = {}
         sim = Simulator(start_time=window.start)
         tracer = get_tracer()
-        if span is not None:
-            span.sim_start = window.start
-        # Periodic ticks processed; every shard of one window sees the
-        # same counts, which the merge layer relies on (see ShardRun).
-        ticks = {"sample": 0, "poll": 0}
+        span.sim_start = window.start
         # Per-controller flush sequence numbers for decision provenance.
         batch_seq: Dict[str, int] = {}
         # The session log as (user, AP, controller, connect, disconnect,
@@ -518,7 +448,7 @@ class ReplayEngine:
         # controller -> sorted ApUp times, for deferring a flush whose
         # controller has every AP down.
         up_times: Dict[str, List[float]] = {}
-        fault_events = self._plan_events(window, sampled, up_times)
+        fault_events = self._plan_events(window, up_times)
         radios = StationRadios(
             self._streams, self.layout, self.config.shadowing_sigma_db,
             demands, controller_of,
@@ -767,8 +697,6 @@ class ReplayEngine:
 
         def fire_fault(event: FaultEvent) -> None:
             perf.count(f"faults.{event.kind}")
-            # Run-scoped: _plan_events filtered the plan to this pass's
-            # controllers, so sharded counts merge to the serial totals.
             obs_metrics.inc("faults.injected", 1.0, sim.now)
             if isinstance(event, ApDown):
                 fault_ap_down(event)
@@ -782,13 +710,11 @@ class ReplayEngine:
                 raise TypeError(f"unexpected fault event {event!r}")
 
         # Plan order is sorted (time, kind, target); scheduling in plan
-        # order makes same-instant faults fire identically everywhere
-        # (the merge layer keys fragments the same way).
+        # order makes same-instant faults fire in one fixed order.
         for event in fault_events:
             sim.post(event.time, partial(fire_fault, event), _PRIORITY_FAULT)
 
         def take_sample() -> None:
-            ticks["sample"] += 1
             changes.sample(collector, sim.now, campus, sampled)
             metrics_on = obs_metrics.REGISTRY.enabled
             if tracer.enabled or metrics_on:
@@ -822,7 +748,6 @@ class ReplayEngine:
         )
 
         def poll_loads() -> None:
-            ticks["poll"] += 1
             for controller_id in sampled:
                 if controller_id in stale_pending:
                     # StaleLoadReport: this poll is lost; strategies keep
@@ -850,45 +775,31 @@ class ReplayEngine:
             # collection.  Emptying the cell lets reference counting free
             # it with the run.
             del flush
-        if span is not None:
-            span.sim_end = sim.now
-
-        result = ReplayResult(
+        span.sim_end = sim.now
+        return ReplayResult(
             strategy_name=self.strategy.name,
             sessions=session_rows(sorted(sessions, key=_CONNECT_USER)),
             series=collector.series(),
             events_processed=sim.events_processed,
         )
-        return ShardRun(
-            result=result,
-            final_now=sim.now,
-            sampler_ticks=ticks["sample"],
-            poller_ticks=ticks["poll"],
-        )
 
     # ----------------------------------------------------------- internals
 
     def _plan_events(
-        self,
-        window: ReplayWindow,
-        sampled: Sequence[str],
-        up_times: Dict[str, List[float]],
+        self, window: ReplayWindow, up_times: Dict[str, List[float]]
     ) -> List[FaultEvent]:
-        """Validate and filter the fault plan for one engine pass.
+        """Validate and filter the fault plan for one run.
 
-        Returns the replay-relevant events whose controller is in the
-        pass's ``sampled`` domain — which is what keeps a sharded run's
-        fault handling identical to the serial engine's: each worker
-        fires exactly the events the serial run fires on its controllers.
-        Events before the window start are an error; events past the
-        horizon never fire and are dropped silently (a plan may outlive a
-        short replay).  ``up_times`` is filled with each controller's
-        sorted ApUp instants (for flush deferral).
+        Returns the plan's replay-relevant events.  Events naming an
+        unknown AP or controller, or firing before the window start, are
+        an error; events past the horizon never fire and are dropped
+        silently (a plan may outlive a short replay).  ``up_times`` is
+        filled with each controller's sorted ApUp instants (for flush
+        deferral).
         """
         if self.fault_plan is None:
             return []
         events: List[FaultEvent] = []
-        sampled_set = set(sampled)
         for event in self.fault_plan.of_kinds(REPLAY_KINDS):
             if isinstance(event, (ApDown, ApUp)):
                 if event.ap_id not in self.layout.aps:
@@ -908,8 +819,6 @@ class ReplayEngine:
                     f"fault event {event.kind!r} at t={event.time} "
                     f"precedes the window start {window.start}"
                 )
-            if controller_id not in sampled_set:
-                continue
             if event.time > window.horizon:
                 continue
             events.append(event)

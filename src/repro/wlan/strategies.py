@@ -39,24 +39,6 @@ class SelectionStrategy(abc.ABC):
     #: Human-readable name used in reports and benchmark tables.
     name: str = "strategy"
 
-    #: Whether per-controller sharding preserves this strategy's
-    #: behaviour.  True for strategies whose decisions depend only on the
-    #: arriving batch and the owning controller's state (LLF, RSSI, the
-    #: trained S3 selector).  False for strategies carrying *mutable*
-    #: cross-controller state — a shared RNG consumed in global arrival
-    #: order, or an online learner updated by observe hooks — where
-    #: splitting the demand stream changes the call order and therefore
-    #: the decisions.  ``repro.runtime`` refuses ``engine="process"`` for
-    #: these and ``engine="auto"`` falls back to serial.
-    shard_safe: bool = True
-
-    #: Why ``shard_safe`` is ``False`` — one sentence naming the mutable
-    #: cross-controller state.  The **shard-safe-note** lint rule
-    #: requires a non-empty value on every class that flips the flag
-    #: off, so the constraint stays greppable instead of living only in
-    #: a comment.  Empty for strategies keeping the default contract.
-    shard_safe_reason: str = ""
-
     #: Declared graceful-degradation order, most- to least-preferred
     #: strategy name.  Empty for strategies with no fallback logic.
     fallback_chain: Tuple[str, ...] = ()
@@ -223,10 +205,6 @@ class RandomSelection(SelectionStrategy):
 
     name = "random"
     reads_rssi = False
-    # One generator consumed in global arrival order: sharding reorders
-    # the draws, so the serial and process engines would diverge.
-    shard_safe = False
-    shard_safe_reason = "shared RNG consumed in global arrival order"
 
     def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -264,12 +242,6 @@ class S3Strategy(SelectionStrategy):
 
     name = "s3"
     fallback_chain = ("s3", "llf", "rssi")
-    # Only applies when ``model_max_age`` arms the staleness clock; the
-    # ageless configuration stays shard-safe (see ``__init__``).
-    shard_safe_reason = (
-        "staleness clock advanced by observe hooks is mutable "
-        "cross-controller state"
-    )
 
     def __init__(
         self,
@@ -292,10 +264,6 @@ class S3Strategy(SelectionStrategy):
                 raise ValueError(
                     f"model_max_age must be positive, got {model_max_age!r}"
                 )
-            # The staleness clock is mutable cross-controller state:
-            # sharding the demand stream changes what each decision has
-            # observed, so the engines could diverge mid-run.
-            self.shard_safe = False
 
     def _model_stale(self) -> bool:
         if self.model_max_age is None:

@@ -67,16 +67,18 @@ def test_universe_covers_src_and_is_cached_on_the_project(src_lint):
     assert universe(project) is flow  # one build per lint invocation
     # spot-check the symbol index across layers
     assert "repro.sim.rng" in flow.modules
-    assert "repro.runtime.workers.run_replay_shard" in flow.functions
+    assert "repro.runtime.workers.run_sweep_call" in flow.functions
     assert "repro.sim.rng.RandomStreams" in flow.classes
 
 
 def test_worker_closure_reaches_the_replay_engine(src_lint):
     flow = universe(src_lint.project)
-    chains = flow.reachable(["repro.runtime.workers.run_replay_shard"])
-    target = "repro.wlan.replay.ReplayEngine.run_window"
+    # balance_task reaches the engine through Workload.replay_test, a
+    # method call on the value build_workload returns.
+    chains = flow.reachable(["repro.runtime.sweep.balance_task"])
+    target = "repro.wlan.replay.ReplayEngine.run"
     assert target in chains
-    assert chains[target][0] == "repro.runtime.workers.run_replay_shard"
+    assert chains[target][0] == "repro.runtime.sweep.balance_task"
 
 
 # ------------------------------------------------------------ rule fixtures
@@ -304,7 +306,6 @@ def test_lazy_imports_are_exempt_from_the_cycle_check_only(tmp_path):
 def test_boundary_entries_include_workers_and_task_callables(src_lint):
     flow = universe(src_lint.project)
     entries = BoundaryPurity()._entries(flow)
-    assert "repro.runtime.workers.run_replay_shard" in entries
     assert "repro.runtime.workers.run_sweep_call" in entries
     assert "repro.runtime.workers.init_worker" in entries
     # make_task callables resolved through the sweep call sites

@@ -47,7 +47,6 @@ EXPECTED_RULES = {
     "no-wallclock",
     "ordered-iteration",
     "rng-stream-registry",
-    "shard-safe-note",
     "stale-noqa",
 }
 
@@ -160,16 +159,6 @@ def test_fault_determinism_extends_to_service_supervisor_and_soak():
     # ... but the rest of repro.service (live dispatch) is not
     relaxed = lint_module(parse_module(path, module="repro.service.loop"))
     assert lines_by_rule(relaxed, "fault-determinism") == []
-
-
-def test_shard_safe_fixture():
-    findings = findings_for("shard_safe.py")
-    assert lines_by_rule(findings, "shard-safe-note") == [5, 12, 19]
-    messages = "\n".join(f.message for f in findings)
-    assert "SilentOptOut" in messages
-    assert "EmptyReason" in messages
-    assert "ConditionalOptOut" in messages
-    assert "Documented" not in messages.replace("DocumentedConditional", "")
 
 
 def test_mutable_default_fixture():

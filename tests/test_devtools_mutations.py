@@ -51,12 +51,12 @@ MUTATIONS: Dict[str, Mutation] = {
         '        except:\n'
         '            self._note = "fallback:llf:selector-error"\n',
     ),
-    # Whether a shard collects metrics hangs on its worker's env.
+    # Whether a sweep worker resets its perf registry hangs on its env.
     "boundary-purity": Mutation(
         "src/repro/runtime/workers.py",
-        "    registry.enabled = task.metrics\n",
-        "    import os; registry.enabled = task.metrics and "
-        'os.environ.get("REPRO_SHARD_METRICS", "1") == "1"\n',
+        "    perf.reset()\n    value = call.fn(**call.kwargs_dict)\n",
+        '    import os; os.environ.get("REPRO_KEEP_PERF") or perf.reset()\n'
+        "    value = call.fn(**call.kwargs_dict)\n",
     ),
     # A memo in a class whose observe() moves the values it would hold.
     "cache-invalidation": Mutation(
@@ -129,14 +129,6 @@ MUTATIONS: Dict[str, Mutation] = {
         "src/repro/cli.py",
         "        return RandomSelection(np.random.default_rng(0))\n",
         '        return RandomSelection(RandomStreams(0).get("world"))\n',
-    ),
-    # The serial-only strategy loses the reason it cannot shard.
-    "shard-safe-note": Mutation(
-        "src/repro/wlan/strategies.py",
-        '    shard_safe = False\n'
-        '    shard_safe_reason = "shared RNG consumed in global arrival '
-        'order"\n',
-        "    shard_safe = False\n",
     ),
     # A waiver naming a rule that never fires on its line.
     "stale-noqa": Mutation(

@@ -135,7 +135,7 @@ def test_diff_mode_exit_codes(tmp_path, capsys):
 
 
 def test_sanitize_replay_tiny_smoke(tmp_path):
-    """Two hash seeds, serial engine: journals must be byte-identical."""
+    """Two hash seeds: the replay journals must be byte-identical."""
     report_path = tmp_path / "report.json"
     proc = subprocess.run(
         [
@@ -145,8 +145,6 @@ def test_sanitize_replay_tiny_smoke(tmp_path):
             "replay",
             "--preset",
             "tiny",
-            "--engine",
-            "serial",
             "--hash-seeds",
             "1",
             "2",

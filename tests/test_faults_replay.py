@@ -4,6 +4,9 @@ A tiny hand-built campus (one building, two APs) makes every effect of
 an injected fault checkable by hand: which users an ``ApDown`` evicts,
 where their prorated remainders land, when the downed AP rejoins the
 candidate set, and how the engine degrades when the controller is out.
+A seeded multi-kind chaos plan over the SMALL campus then checks the
+whole-run contract: the plan changes the run, every planned event
+journals once, and a same-seed rerun journals the same bytes.
 """
 
 from __future__ import annotations
@@ -12,14 +15,25 @@ import pytest
 
 from repro import obs, perf
 from repro.faults import (
+    REPLAY_KINDS,
     ApDown,
     ApUp,
+    ChaosConfig,
     ControllerOutage,
     FaultPlan,
     StaleLoadReport,
+    generate_plan,
     targeted_ap_outage,
 )
+from repro.obs.journal import (
+    parse_journal,
+    perf_snapshot,
+    render_journal,
+    strip_wall,
+)
+from repro.obs.records import MetaRecord
 from repro.obs.tracer import get_tracer
+from repro.sim.rng import RandomStreams
 from repro.trace.records import DemandSession
 from repro.trace.social import CampusLayout
 from repro.wlan.replay import ReplayConfig, ReplayEngine, window_for
@@ -226,3 +240,74 @@ def test_plan_rejects_unknown_targets_and_early_events():
     # plan/trace mismatch, not a silently reinterpreted instant.
     with pytest.raises(ValueError, match="precedes the window start"):
         run_engine(layout, demands, targeted_ap_outage("ap-B00-00", 50.0, 10.0))
+
+
+# ------------------------------------------------- seeded chaos, SMALL campus
+
+
+def chaos_plan(workload):
+    """A multi-kind plan drawn from a fixed seed over the test window."""
+    window = window_for(workload.test_demands, workload.config.replay)
+    return generate_plan(
+        workload.world.layout,
+        window.start,
+        window.horizon,
+        RandomStreams(7),
+        ChaosConfig(ap_outages=2, controller_outages=1, stale_reports=2),
+    )
+
+
+def chaos_replay(workload, plan):
+    """One fault-armed LLF replay of the test demands."""
+    engine = ReplayEngine(
+        workload.world.layout, LeastLoadedFirst(), workload.config.replay,
+        fault_plan=plan,
+    )
+    return engine.run(workload.test_demands)
+
+
+def journaled_chaos_replay(workload, plan):
+    """The replay plus its journal text (meta, records, perf footer)."""
+    tracer = obs.enable(reset=True)
+    perf.reset()
+    try:
+        result = chaos_replay(workload, plan)
+        records = [MetaRecord(fields={"test": "faults-replay"})]
+        records.extend(tracer.records)
+        records.append(perf_snapshot())
+        return result, render_journal(records)
+    finally:
+        obs.disable()
+        tracer.reset()
+        perf.reset()
+
+
+def test_chaos_plan_changes_the_sessions(small_workload):
+    plan = chaos_plan(small_workload)
+    assert not plan.is_empty
+    armed = chaos_replay(small_workload, plan)
+    clean = chaos_replay(small_workload, None)
+    assert armed.sessions != clean.sessions
+
+
+def test_every_planned_event_journals_one_fault_record(small_workload):
+    plan = chaos_plan(small_workload)
+    _, text = journaled_chaos_replay(small_workload, plan)
+    fired = sorted(
+        (f.sim_time, f.kind, f.target) for f in parse_journal(text).faults
+    )
+    planned = plan.of_kinds(REPLAY_KINDS)
+    assert planned
+    assert fired == sorted((e.time, e.kind, e.target) for e in planned)
+
+
+def test_same_seed_fault_replays_journal_identically(small_workload):
+    plan = chaos_plan(small_workload)
+    first, first_text = journaled_chaos_replay(small_workload, plan)
+    second, second_text = journaled_chaos_replay(
+        small_workload, chaos_plan(small_workload)
+    )
+    assert second.sessions == first.sessions
+    assert second.events_processed == first.events_processed
+    assert '"type":"fault"' in first_text
+    assert strip_wall(second_text) == strip_wall(first_text)

@@ -23,6 +23,7 @@ from repro.obs.journal import (
     write_journal,
 )
 from repro.obs.records import Candidate, DecisionRecord, SampleRecord
+from repro.obs import tracer as tracer_module
 from repro.obs.tracer import Tracer
 from repro.wlan.replay import ReplayEngine
 from repro.wlan.strategies import LeastLoadedFirst, S3Strategy
@@ -207,20 +208,26 @@ def _decision(user: str) -> DecisionRecord:
 
 
 class TestStreaming:
-    def test_streamed_bytes_equal_write_journal(self, tmp_path):
+    def test_streamed_bytes_equal_write_journal(self, tmp_path, monkeypatch):
         # One framing path: records streamed as they complete land as the
-        # same bytes write_journal renders from memory at exit.
+        # same bytes write_journal renders from memory at exit.  The span
+        # clock is pinned so both runs carry the same wall values.
+        monkeypatch.setattr(tracer_module, "wall_time", lambda: 0.0)
         registry = perf.PerfRegistry()
         registry.count("replay.events", 3)
-        memory = Tracer(enabled=True)
-        with memory.span("run", sim_time=0.0):
-            memory.decision(_decision("u1"))
-        memory.sample(
-            SampleRecord(
-                sim_time=2.0, controller_id="c0", balance=0.5,
-                total_load=1.0, users=1,
+
+        def record(tracer):
+            with tracer.span("run", sim_time=0.0):
+                tracer.decision(_decision("u1"))
+            tracer.sample(
+                SampleRecord(
+                    sim_time=2.0, controller_id="c0", balance=0.5,
+                    total_load=1.0, users=1,
+                )
             )
-        )
+
+        memory = Tracer(enabled=True)
+        record(memory)
         at_exit = write_journal(
             tmp_path / "exit.jsonl", tracer=memory, perf_registry=registry,
             meta={"k": "v"},
@@ -228,7 +235,7 @@ class TestStreaming:
         assert len(memory.records) == 3  # write_journal leaves them be
         streaming = Tracer(enabled=True)
         open_journal(tmp_path / "streamed.jsonl", {"k": "v"}, streaming)
-        streaming.inject(memory.records)
+        record(streaming)
         streamed = close_journal(streaming, perf_registry=registry)
         assert streaming.records == [] and streaming.sink is None
         assert streamed.read_bytes() == at_exit.read_bytes()

@@ -2,9 +2,10 @@
 
 Covers the windowing arithmetic, histogram ``le`` bucket semantics at
 the boundaries, the snapshot/merge fold (order independence — the
-property the process engine's byte parity rests on), the registry-name
-and label contracts, the memory probe, and the allocation-free disabled
-path.
+property checkpoint restore rests on), the registry-name and label
+contracts, the memory probe, the allocation-free disabled path, and the
+byte identity of a fault-armed replay's run-scoped series across two
+same-seed runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import sys
 
 import pytest
 
+from repro.faults import ChaosConfig, generate_plan
 from repro.obs import metrics as obs_metrics
+from repro.obs.journal import render_journal
 from repro.obs.metric_registry import DEFAULT_BUCKETS, spec_for
 from repro.obs.metrics import (
     MemoryProbe,
@@ -25,6 +28,9 @@ from repro.obs.metrics import (
     render_prometheus,
     series_key,
 )
+from repro.sim.rng import RandomStreams
+from repro.wlan.replay import ReplayEngine, window_for
+from repro.wlan.strategies import LeastLoadedFirst
 
 WINDOW = obs_metrics.DEFAULT_WINDOW_SECONDS
 
@@ -330,3 +336,46 @@ class TestRecordsAndExport:
         # Per-window histogram rows are raw bucket counts plus sum/count.
         assert any(line.endswith(",le=+Inf,1") for line in lines)
         assert any(line.endswith(",count,2") for line in lines)
+
+
+class TestReplaySeries:
+    @staticmethod
+    def run_scoped_lines(workload, plan):
+        """One metrics-on replay's run-scoped records, rendered."""
+        registry = obs_metrics.get_metrics()
+        try:
+            registry.reset()
+            registry.enabled = True
+            ReplayEngine(
+                workload.world.layout, LeastLoadedFirst(),
+                workload.config.replay, fault_plan=plan,
+            ).run(workload.test_demands)
+            records = [r for r in metric_records() if r.scope == "run"]
+        finally:
+            registry.reset()
+            registry.enabled = False
+        return records, render_journal(records)
+
+    def test_same_seed_replays_record_identical_run_series(
+        self, small_workload
+    ):
+        # Chaos stays armed so the fault counters are part of the check.
+        window = window_for(
+            small_workload.test_demands, small_workload.config.replay
+        )
+        plan = generate_plan(
+            small_workload.world.layout,
+            window.start,
+            window.horizon,
+            RandomStreams(7),
+            ChaosConfig(ap_outages=2, controller_outages=1, stale_reports=2),
+        )
+        assert not plan.is_empty
+        first, first_text = self.run_scoped_lines(small_workload, plan)
+        second, second_text = self.run_scoped_lines(small_workload, plan)
+        assert first, "the replay recorded no run-scoped metrics?"
+        assert second == first
+        assert second_text == first_text
+        names = {record.name for record in first}
+        assert "faults.injected" in names
+        assert "replay.decisions" in names

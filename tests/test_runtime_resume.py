@@ -17,18 +17,13 @@ import pytest
 from repro import obs
 from repro.obs.records import FaultRecord
 from repro.obs.tracer import get_tracer
-from repro.runtime import replay, replay_process, replay_serial
 from repro.runtime.checkpoint import RunDirectory
-from repro.runtime.engine import resolve_workers
-from repro.runtime.resilience import TaskFailure
+from repro.runtime.resilience import TaskFailure, resolve_workers
 from repro.runtime.sweep import SweepPlan, make_task, run_sweep
-from repro.runtime.workers import run_replay_shard
-from repro.wlan.strategies import LeastLoadedFirst
 
-#: Env vars steering the module-level worker bodies below (worker
+#: Env var steering the module-level worker bodies below (worker
 #: processes cannot see test-local state, but they inherit the env).
 _MARKER_DIR = "REPRO_TEST_MARKER_DIR"
-_FAIL_SHARD = "REPRO_TEST_FAIL_SHARD"
 
 
 def _mark(name: str) -> int:
@@ -51,22 +46,6 @@ def _square_task(x: int, name: str, fail_first: bool = False) -> int:
     if _mark(name) == 1 and fail_first:
         raise RuntimeError(f"injected failure in {name}")
     return x * x
-
-
-def _failing_shard_body(task):
-    """Replay-shard body that dies (once per pool) on one chosen shard."""
-    _mark(task.controller_id)
-    if task.controller_id == os.environ[_FAIL_SHARD]:
-        raise RuntimeError(f"injected failure in {task.shard_id}")
-    return run_replay_shard(task)
-
-
-def _fail_once_shard_body(task):
-    """Replay-shard body that raises only on the chosen shard's first try."""
-    count = _mark(task.controller_id)
-    if task.controller_id == os.environ[_FAIL_SHARD] and count == 1:
-        raise RuntimeError(f"injected failure in {task.shard_id}")
-    return run_replay_shard(task)
 
 
 def _kill_task(x: int, name: str) -> int:
@@ -96,7 +75,7 @@ def test_run_directory_refuses_other_runs(tmp_path):
     with pytest.raises(RuntimeError, match="refusing to mix checkpoints"):
         RunDirectory(path, kind="sweep", fingerprint="fp-2")
     with pytest.raises(RuntimeError, match="refusing to mix checkpoints"):
-        RunDirectory(path, kind="replay", fingerprint="fp-1")
+        RunDirectory(path, kind="service", fingerprint="fp-1")
     # the original identity still opens
     RunDirectory(path, kind="sweep", fingerprint="fp-1")
 
@@ -161,138 +140,6 @@ def test_serial_sweep_resumes_from_checkpoints(tmp_path, monkeypatch):
     assert first == again == {"a": 4, "b": 9}
     assert _runs(tmp_path, "ser-a") == 1  # second call served from disk
     assert _runs(tmp_path, "ser-b") == 1
-
-
-# ------------------------------------------------------ replay kill/resume
-
-
-def test_replay_resumes_only_unfinished_shards(
-    small_workload, tmp_path, monkeypatch
-):
-    layout = small_workload.world.layout
-    demands = small_workload.test_demands
-    config = small_workload.config.replay
-    controllers = layout.controller_ids
-    fail_controller = controllers[-1]
-    monkeypatch.setenv(_MARKER_DIR, str(tmp_path))
-    monkeypatch.setenv(_FAIL_SHARD, fail_controller)
-    run_dir = tmp_path / "run"
-    # first invocation: one shard dies, the others finish and checkpoint
-    import repro.runtime.engine as engine_module
-
-    monkeypatch.setattr(
-        engine_module, "run_replay_shard", _failing_shard_body
-    )
-    with pytest.raises(RuntimeError, match="injected failure"):
-        replay_process(
-            layout, LeastLoadedFirst(), demands, config, workers=2,
-            run_dir=run_dir,
-        )
-    for controller_id in controllers:
-        assert _runs(tmp_path, controller_id) == 1
-    # re-invocation (the "kill and re-run" path): only the failed shard
-    # executes again, and the merged result still matches serial exactly
-    monkeypatch.setenv(_FAIL_SHARD, "none")
-    resumed = replay_process(
-        layout, LeastLoadedFirst(), demands, config, workers=2,
-        run_dir=run_dir,
-    )
-    assert _runs(tmp_path, fail_controller) == 2
-    for controller_id in controllers[:-1]:
-        assert _runs(tmp_path, controller_id) == 1
-    serial = replay_serial(layout, LeastLoadedFirst(), demands, config)
-    assert resumed.sessions == serial.sessions
-    assert resumed.events_processed == serial.events_processed
-
-
-def test_replay_retries_killed_shard_and_matches_serial(
-    small_workload, tmp_path, monkeypatch
-):
-    """``max_task_retries`` heals a one-off shard failure in-run."""
-    layout = small_workload.world.layout
-    demands = small_workload.test_demands
-    config = small_workload.config.replay
-    fail_controller = layout.controller_ids[0]
-    monkeypatch.setenv(_MARKER_DIR, str(tmp_path))
-    monkeypatch.setenv(_FAIL_SHARD, fail_controller)
-    import repro.runtime.engine as engine_module
-
-    monkeypatch.setattr(
-        engine_module, "run_replay_shard", _fail_once_shard_body
-    )
-    result = replay_process(
-        layout, LeastLoadedFirst(), demands, config, workers=2,
-        max_task_retries=1,
-    )
-    assert _runs(tmp_path, fail_controller) == 2
-    serial = replay_serial(layout, LeastLoadedFirst(), demands, config)
-    assert result.sessions == serial.sessions
-    assert result.events_processed == serial.events_processed
-
-
-def test_auto_replay_checkpoints_and_resumes_on_one_busy_shard(
-    small_workload, tmp_path, monkeypatch
-):
-    """``auto`` would replay one busy shard serially, which cannot
-    checkpoint; asked for a run directory it must take the pool instead,
-    and an explicit ``engine='serial'`` must refuse one."""
-    layout = small_workload.world.layout
-    config = small_workload.config.replay
-    controller = layout.controller_ids[0]
-    demands = [
-        d
-        for d in small_workload.test_demands
-        if layout.buildings[d.building_id].controller_id == controller
-    ]
-    monkeypatch.setenv(_MARKER_DIR, str(tmp_path))
-    monkeypatch.setenv(_FAIL_SHARD, "none")
-    import repro.runtime.engine as engine_module
-
-    monkeypatch.setattr(
-        engine_module, "run_replay_shard", _fail_once_shard_body
-    )
-    run_dir = tmp_path / "run"
-    first = replay(layout, LeastLoadedFirst(), demands, config, run_dir=run_dir)
-    assert list(run_dir.glob("task-*.pkl"))
-    again = replay(layout, LeastLoadedFirst(), demands, config, run_dir=run_dir)
-    assert _runs(tmp_path, controller) == 1  # resumed from the checkpoint
-    serial = replay_serial(layout, LeastLoadedFirst(), demands, config)
-    assert first.sessions == again.sessions == serial.sessions
-    for options in ({"run_dir": tmp_path / "other"}, {"max_task_retries": 1}):
-        with pytest.raises(ValueError, match="cannot checkpoint"):
-            replay(
-                layout, LeastLoadedFirst(), demands, config, engine="serial",
-                **options,
-            )
-
-
-def test_replay_refuses_a_shared_memory_run_directory(small_workload, tmp_path):
-    """A run directory checkpointed under ``transport=shm-v1`` is refused."""
-    layout = small_workload.world.layout
-    config = small_workload.config.replay
-    controller = layout.controller_ids[0]
-    demands = [
-        d
-        for d in small_workload.test_demands
-        if layout.buildings[d.building_id].controller_id == controller
-    ]
-    run_dir = tmp_path / "run"
-    replay_process(
-        layout, LeastLoadedFirst(), demands, config, workers=1,
-        run_dir=run_dir,
-    )
-    meta_path = run_dir / "meta.json"
-    meta = meta_path.read_text(encoding="utf-8")
-    assert "|transport=value-v2|" in meta
-    meta_path.write_text(
-        meta.replace("|transport=value-v2|", "|transport=shm-v1|"),
-        encoding="utf-8",
-    )
-    with pytest.raises(RuntimeError, match="belongs to a different run"):
-        replay_process(
-            layout, LeastLoadedFirst(), demands, config, workers=1,
-            run_dir=run_dir,
-        )
 
 
 # ------------------------------------------------- checkpoint corruption

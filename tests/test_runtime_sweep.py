@@ -11,6 +11,8 @@ import pytest
 
 from repro.experiments.ablations import plan_threshold
 from repro.experiments.config import TINY
+from repro.obs import metrics as obs_metrics
+from repro.obs.journal import render_journal, strip_wall
 from repro.runtime.sweep import (
     SweepPlan,
     balance_task,
@@ -81,3 +83,23 @@ def test_process_sweep_matches_plain_calls():
 def test_balance_task_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy"):
         balance_task(TINY, strategy="rssi")
+
+
+def test_process_sweep_records_host_scoped_pool_series():
+    """The pool's backpressure gauge lives under ``"wall"`` only: present
+    in the rendered journal, gone after ``strip_wall``."""
+    plan = SweepPlan([make_task(f"sq/{n}", _square, x=n) for n in range(3)])
+    registry = obs_metrics.get_metrics()
+    try:
+        registry.reset()
+        registry.enabled = True
+        run_sweep(plan, engine="process", workers=2)
+        records = obs_metrics.metric_records()
+    finally:
+        registry.reset()
+        registry.enabled = False
+    host_names = {r.name for r in records if r.scope == "host"}
+    assert "runtime.pool_pending" in host_names
+    text = render_journal(list(records))
+    assert "runtime.pool_pending" in text
+    assert "runtime.pool_pending" not in strip_wall(text)

@@ -1,24 +1,14 @@
-"""Columnar transposes of the three record families: exact round-trips.
+"""Columnar transposes of the flow and session records.
 
-:class:`~repro.trace.columnar.DemandArrays` is what the process engine
-sends each worker group by value, so its round-trip is the replay's
-input fidelity; :class:`~repro.trace.columnar.SessionArrays` row slices
-must keep their id tables so codes stay comparable across slices.
+:class:`~repro.trace.columnar.FlowArrays` round-trips exactly;
+:class:`~repro.trace.columnar.SessionArrays` row slices must keep their
+id tables so codes stay comparable across slices.
 """
 
 from __future__ import annotations
 
-from repro.trace.columnar import DemandArrays, FlowArrays, SessionArrays
-from repro.trace.records import DemandSession, FlowRecord, SessionRecord
-
-
-def _demands():
-    realms = tuple(float(i) for i in range(6))
-    return [
-        DemandSession("u-b", "bldg-1", 0.0, 10.5, realms, group_id="g-1"),
-        DemandSession("u-a", "bldg-2", 1.25, 2.75, realms, group_id=None),
-        DemandSession("u-a", "bldg-1", 3.0, 9.0, realms, group_id="g-0"),
-    ]
+from repro.trace.columnar import FlowArrays, SessionArrays
+from repro.trace.records import FlowRecord, SessionRecord
 
 
 def _flows():
@@ -42,15 +32,6 @@ def _sessions():
         SessionRecord("u-a", "ap-1", "ctl-1", 1.0, 2.0, 20.0),
         SessionRecord("u-a", "ap-2", "ctl-2", 3.0, 8.0, 30.0),
     ]
-
-
-def test_demand_arrays_round_trip_exact():
-    demands = _demands()
-    arrays = DemandArrays.from_demands(demands)
-    assert arrays.to_demands() == demands
-    # group -1 encodes "no ground-truth group"
-    assert int(arrays.group[1]) == -1
-    assert DemandArrays.from_demands([]).to_demands() == []
 
 
 def test_flow_arrays_round_trip_exact():

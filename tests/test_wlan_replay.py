@@ -20,6 +20,7 @@ from repro.wlan.replay import (
     StationRssi,
     collect_trace,
     demand_constants,
+    window_for,
 )
 from repro.wlan.strategies import LeastLoadedFirst, S3Strategy, StrongestSignal
 from tests.selection_oracle import rebuilt
@@ -54,6 +55,28 @@ class TestReplayBasics:
         result = ReplayEngine(layout, LeastLoadedFirst()).run([])
         assert result.sessions == []
         assert result.series == {}
+
+    def test_window_spans_first_arrival_to_last_departure(self, small_workload):
+        demands = small_workload.test_demands
+        config = small_workload.config.replay
+        window = window_for(demands, config)
+        assert window.start == min(d.arrival for d in demands)
+        assert window.horizon == (
+            max(d.departure for d in demands) + config.batch_window
+        )
+        # Every controller's sampler grid starts at the window start and
+        # stops short of the horizon.
+        result = ReplayEngine(
+            small_workload.world.layout, LeastLoadedFirst(), config
+        ).run(demands)
+        assert len(result.series) == len(small_workload.world.layout.controller_ids)
+        for series in result.series.values():
+            assert series.times[0] == window.start
+            assert series.times[-1] <= window.horizon
+
+    def test_window_of_no_demands_is_an_error(self):
+        with pytest.raises(ValueError, match="zero demands"):
+            window_for([], ReplayConfig())
 
     def test_overlapping_demand_for_same_user_dropped(self, layout):
         demands = [
