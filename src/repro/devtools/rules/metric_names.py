@@ -1,7 +1,6 @@
 """metric-name-registry: every metric name is declared, owned, kind-true.
 
-Metric names are merge keys: the cross-worker fold in
-:meth:`repro.obs.metrics.MetricsRegistry.merge` and the journal's byte
+Metric names are series keys: the registry and the journal's byte
 contract both key series by name, so two modules emitting the same name
 silently interleave their windows — a collision no per-file rule can
 see.  This whole-program rule checks every instrumentation site against

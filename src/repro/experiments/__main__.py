@@ -13,13 +13,14 @@ appends a :mod:`repro.perf` timer/counter table after each experiment
 (reset in between, so each table covers exactly one experiment — note the
 in-process workload cache means only the first experiment pays generation
 and training).  ``--journal PATH`` enables the :mod:`repro.obs` tracer
-and writes the whole run's structured journal — spans, association
-decisions, balance samples, perf footer — to ``PATH`` (render it with
-``python -m repro.obs.report PATH``).  ``--metrics`` additionally turns
-on the :mod:`repro.obs.metrics` registry, so the journal carries the
-windowed metric series and rollup (export them with ``python -m
-repro.obs.metrics PATH``).  ``--trace`` enables the tracer
-and prints the aggregated span table instead of persisting it.  With
+and streams the whole run's structured journal — spans, association
+decisions, balance samples, perf footer — to ``PATH`` as the run goes
+(render it with ``python -m repro.obs.report PATH``).  ``--metrics``
+additionally turns on the :mod:`repro.obs.metrics` registry, so the
+journal carries the windowed metric series and rollup (export them with
+``python -m repro.obs.metrics PATH``).  ``--trace`` enables the tracer
+and prints the aggregated span table (read back from the journal when
+one is streamed).  With
 either flag the perf registry is reset once up front rather than between
 experiments, so the journal footer covers the full run.  This is the
 human-facing sibling of the benchmark harness (``pytest benchmarks/``),
@@ -29,7 +30,8 @@ which runs the same code and asserts the qualitative shapes.
 from __future__ import annotations
 
 import sys
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from typing import ContextManager, Optional, Sequence
 
 from repro import obs, perf
 from repro.obs import report as obs_report
@@ -168,44 +170,46 @@ def main(argv: Sequence[str]) -> int:
         perf.reset()
     if with_metrics:
         obs.metrics.enable(reset=True)
+    streaming: ContextManager[object] = nullcontext()
+    if journal_path is not None:
+        streaming = obs.streamed_journal(
+            journal_path,
+            {
+                "preset": preset.name,
+                "seed": preset.seed,
+                "experiments": list(names),
+            },
+        )
     try:
-        for name in names:
-            if not observing:
-                perf.reset()
-            before = perf.PERF.total("experiment.total")
-            with perf.timer("experiment.total"):
-                with obs.span(f"experiment.{name}", preset=preset.name):
-                    result = EXPERIMENTS[name].run(preset)
-            elapsed = perf.PERF.total("experiment.total") - before
-            print(f"\n=== {name} (preset {preset.name}, {elapsed:.1f}s) " + "=" * 20)
-            print(result.render())
-            if show_perf:
-                print()
-                print(perf.report(title=f"--- perf: {name} ---"))
+        with streaming:
+            for name in names:
+                if not observing:
+                    perf.reset()
+                before = perf.PERF.total("experiment.total")
+                with perf.timer("experiment.total"):
+                    with obs.span(f"experiment.{name}", preset=preset.name):
+                        result = EXPERIMENTS[name].run(preset)
+                elapsed = perf.PERF.total("experiment.total") - before
+                print(
+                    f"\n=== {name} (preset {preset.name}, {elapsed:.1f}s) "
+                    + "=" * 20
+                )
+                print(result.render())
+                if show_perf:
+                    print()
+                    print(perf.report(title=f"--- perf: {name} ---"))
         if journal_path is not None:
-            tracer = obs.get_tracer()
-            obs.write_journal(
-                journal_path,
-                tracer=tracer,
-                meta={
-                    "preset": preset.name,
-                    "seed": preset.seed,
-                    "experiments": list(names),
-                },
-            )
-            metric_windows = (
-                len(obs.metrics.metric_records()) if with_metrics else 0
-            )
-            print(
-                f"\njournal: {journal_path} ({len(tracer.spans())} spans, "
-                f"{len(tracer.decisions())} decisions, "
-                f"{len(tracer.samples())} samples, "
-                f"{metric_windows} metric windows)"
-            )
+            print(f"\njournal: {journal_path}")
         if show_trace:
+            # A streamed run keeps no records in memory: read them back.
+            spans = (
+                obs.get_tracer().spans()
+                if journal_path is None
+                else obs.read_journal(journal_path).spans
+            )
             print()
             print("--- spans ---")
-            print(obs_report.format_top_spans(obs.get_tracer().spans()))
+            print(obs_report.format_top_spans(spans))
     finally:
         if observing:
             obs.disable()

@@ -15,23 +15,21 @@ These back both the benchmark harness (``benchmarks/test_bench_ablation_
 *.py``) and the command-line runner.
 
 Each sweep is expressed as a :class:`~repro.runtime.SweepPlan` (one task
-per variant, built by the ``plan_*`` twins) and executed through
-:func:`repro.runtime.run_sweep`.  The default is the serial engine —
-task-for-task the same call sequence as the original loops — while a
-``runtime=RuntimeOptions(engine="process", ...)`` argument fans the
-variants out over a process pool and/or checkpoints them to a run
+per variant, built by the ``plan_*`` twins) and executed serially
+through :func:`repro.runtime.run_sweep` — task-for-task the same call
+sequence as the original loops.  ``python -m repro.runtime sweep`` runs
+the same plans on a process pool and/or checkpoints them to a run
 directory for resume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.selection import Candidates, S3Selector, SelectionConfig
 from repro.experiments.config import PAPER, ExperimentConfig
 from repro.experiments.reporting import format_table
-from repro.runtime.options import RuntimeOptions
 from repro.runtime.sweep import SweepPlan, balance_task, make_task, run_sweep
 from repro.sim.timeline import MINUTE
 from repro.wlan.strategies import SelectionStrategy
@@ -78,17 +76,6 @@ class OnlineOnlyS3(SelectionStrategy):
         return self.selector.select(user_id, aps)
 
 
-def _execute(plan: SweepPlan, runtime: Optional[RuntimeOptions]) -> Dict[str, Any]:
-    """Run ``plan`` under ``runtime`` (serial, in order, by default)."""
-    options = runtime if runtime is not None else RuntimeOptions(engine="serial")
-    return run_sweep(
-        plan,
-        engine=options.engine,
-        workers=options.workers,
-        run_dir=options.run_dir,
-    )
-
-
 _TERM_VARIANTS = ("full", "no-type-prior", "type-prior-only", "llf-baseline")
 
 
@@ -117,12 +104,9 @@ def plan_terms(config: ExperimentConfig = PAPER) -> SweepPlan:
     )
 
 
-def run_terms(
-    config: ExperimentConfig = PAPER,
-    runtime: Optional[RuntimeOptions] = None,
-) -> AblationResult:
+def run_terms(config: ExperimentConfig = PAPER) -> AblationResult:
     """Social-index term knockout: full vs alpha=0 vs conditional-off."""
-    values = _execute(plan_terms(config), runtime)
+    values = run_sweep(plan_terms(config), engine="serial")
     rows: List[Tuple[object, ...]] = [
         (label, values[f"terms/{label}"]) for label in _TERM_VARIANTS
     ]
@@ -149,12 +133,9 @@ def plan_batching(config: ExperimentConfig = PAPER) -> SweepPlan:
     )
 
 
-def run_batching(
-    config: ExperimentConfig = PAPER,
-    runtime: Optional[RuntimeOptions] = None,
-) -> AblationResult:
+def run_batching(config: ExperimentConfig = PAPER) -> AblationResult:
     """Clique-based batch distribution vs online-only selection."""
-    values = _execute(plan_batching(config), runtime)
+    values = run_sweep(plan_batching(config), engine="serial")
     rows: List[Tuple[object, ...]] = [
         ("clique-batched", values["batching/clique-batched"]),
         ("online-only", values["batching/online-only"]),
@@ -189,10 +170,9 @@ def plan_threshold(
 def run_threshold(
     config: ExperimentConfig = PAPER,
     thresholds: Sequence[float] = (0.05, 0.3, 0.6, 1.5),
-    runtime: Optional[RuntimeOptions] = None,
 ) -> AblationResult:
     """Sweep of the social-graph edge threshold (paper: 0.3)."""
-    values = _execute(plan_threshold(config, thresholds), runtime)
+    values = run_sweep(plan_threshold(config, thresholds), engine="serial")
     rows: List[Tuple[object, ...]] = [
         (threshold, values[f"threshold/{threshold!r}"])
         for threshold in thresholds
@@ -215,17 +195,14 @@ class AllAblations:
         return "\n\n".join(result.render() for result in self.results)
 
 
-def run(
-    config: ExperimentConfig = PAPER,
-    runtime: Optional[RuntimeOptions] = None,
-) -> AllAblations:
+def run(config: ExperimentConfig = PAPER) -> AllAblations:
     """Run all four ablations (the ``ablations`` runner entry)."""
     return AllAblations(
         results=[
-            run_terms(config, runtime=runtime),
-            run_batching(config, runtime=runtime),
-            run_threshold(config, runtime=runtime),
-            run_staleness(config, runtime=runtime),
+            run_terms(config),
+            run_batching(config),
+            run_threshold(config),
+            run_staleness(config),
         ]
     )
 
@@ -256,10 +233,9 @@ def plan_staleness(
 def run_staleness(
     config: ExperimentConfig = PAPER,
     poll_intervals: Sequence[float] = (1.0, 5 * MINUTE, 15 * MINUTE),
-    runtime: Optional[RuntimeOptions] = None,
 ) -> AblationResult:
     """Load-measurement staleness sweep for LLF vs S³."""
-    values = _execute(plan_staleness(config, poll_intervals), runtime)
+    values = run_sweep(plan_staleness(config, poll_intervals), engine="serial")
     rows: List[Tuple[object, ...]] = [
         (
             interval,

@@ -83,12 +83,10 @@ from repro.obs.tracer import (
 
 if TYPE_CHECKING:
     from repro.obs import metrics
-    from repro.obs.metrics import MemoryProbe, MetricsRegistry, MetricsSnapshot
+    from repro.obs.metrics import MemoryProbe, MetricsRegistry
 
 #: Names served lazily by :func:`__getattr__` from :mod:`repro.obs.metrics`.
-_METRICS_ATTRS = frozenset(
-    {"metrics", "MemoryProbe", "MetricsRegistry", "MetricsSnapshot"}
-)
+_METRICS_ATTRS = frozenset({"metrics", "MemoryProbe", "MetricsRegistry"})
 
 
 def __getattr__(name: str) -> Any:
@@ -127,7 +125,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "MetricsRollupRecord",
-    "MetricsSnapshot",
     "NULL_SPAN",
     "PerfRecord",
     "RecoveryRecord",

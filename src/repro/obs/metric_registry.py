@@ -27,7 +27,7 @@ Scope is part of the declaration:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 #: Histogram bucket bounds used when a spec declares none.
 DEFAULT_BUCKETS: Tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
@@ -65,6 +65,11 @@ class MetricSpec:
     def effective_buckets(self) -> Tuple[float, ...]:
         """The bucket bounds a histogram series of this spec uses."""
         return self.buckets if self.buckets else DEFAULT_BUCKETS
+
+    def __reduce__(self) -> Tuple[Callable[[str], "MetricSpec"], Tuple[str]]:
+        # A series' spec pickles as its registered name: a checkpoint
+        # holding the metrics registry carries no spec descriptions.
+        return (spec_for, (self.name,))
 
 
 METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
@@ -181,8 +186,8 @@ METRIC_REGISTRY: Tuple[MetricSpec, ...] = (
     ),
     # ------------------------------------- service (run-scoped recovery)
     # Recovery bookkeeping is deterministic for a given seeded fault
-    # plan: the same crashes/losses replay the same way every run, and
-    # the counters merge order-independently.  (Byte-diffs of a crashed
+    # plan: the same crashes/losses replay the same way every run, and a
+    # restore copies the counters back by value.  (Byte-diffs of a crashed
     # run against an *uninterrupted* one are made with metrics off — a
     # run that recovered necessarily counted its recoveries.)
     MetricSpec(

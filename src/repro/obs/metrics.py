@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import perf as perf_module
@@ -94,6 +94,13 @@ class CounterSeries:
         self.total += amount
         registry._touch(idx, sim_time)
 
+    def copy(self, registry: "MetricsRegistry") -> "CounterSeries":
+        """This series by value, recording into ``registry``."""
+        twin = CounterSeries(self.spec, self.labels, registry)
+        twin.windows = dict(self.windows)
+        twin.total = self.total
+        return twin
+
 
 class GaugeSeries:
     """A point-in-time value; each window keeps its last-written point."""
@@ -122,6 +129,13 @@ class GaugeSeries:
             self.last = (sim_time, value)
         registry._touch(idx, sim_time)
 
+    def copy(self, registry: "MetricsRegistry") -> "GaugeSeries":
+        """This series by value, recording into ``registry``."""
+        twin = GaugeSeries(self.spec, self.labels, registry)
+        twin.windows = dict(self.windows)
+        twin.last = self.last
+        return twin
+
 
 @dataclass
 class HistogramWindow:
@@ -130,18 +144,6 @@ class HistogramWindow:
     counts: List[int]
     total: float = 0.0
     count: int = 0
-
-    def combine(self, other: "HistogramWindow") -> None:
-        """Fold another window (same bucket layout) into this one."""
-        for i, value in enumerate(other.counts):
-            self.counts[i] += value
-        self.total += other.total
-        self.count += other.count
-
-    def clone(self) -> "HistogramWindow":
-        return HistogramWindow(
-            counts=list(self.counts), total=self.total, count=self.count
-        )
 
 
 class HistogramSeries:
@@ -177,6 +179,17 @@ class HistogramSeries:
         window.total += value
         window.count += 1
         registry._touch(idx, sim_time)
+
+    def copy(self, registry: "MetricsRegistry") -> "HistogramSeries":
+        """This series by value, recording into ``registry``."""
+        twin = HistogramSeries(self.spec, self.labels, registry)
+        twin.windows = {
+            idx: HistogramWindow(
+                list(window.counts), window.total, window.count
+            )
+            for idx, window in self.windows.items()
+        }
+        return twin
 
 
 AnySeries = Union[CounterSeries, GaugeSeries, HistogramSeries]
@@ -218,56 +231,6 @@ class MemoryProbe:
         sources = self.sources()
         for name in sorted(sources):
             registry.gauge(name).set(float(sources[name]()), sim_time)
-
-
-# ------------------------------------------------------------ snapshots
-
-
-@dataclass
-class SeriesSnapshot:
-    """One series' picklable state (exactly one windows dict populated)."""
-
-    name: str
-    kind: str
-    scope: str
-    labels: Labels = ()
-    buckets: Tuple[float, ...] = ()
-    counter_windows: Dict[int, float] = field(default_factory=dict)
-    gauge_windows: Dict[int, Tuple[float, float]] = field(default_factory=dict)
-    hist_windows: Dict[int, HistogramWindow] = field(default_factory=dict)
-
-
-@dataclass
-class MetricsSnapshot:
-    """A registry's picklable state — the cross-process hand-off format.
-
-    Like :class:`repro.perf.PerfSnapshot`: a checkpoint carries one, and
-    :meth:`MetricsRegistry.restore_state` folds it back in with
-    :meth:`MetricsRegistry.merge`.  Series are sorted by
-    ``(name, labels)`` so the snapshot itself is deterministic.
-    """
-
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-    series: List[SeriesSnapshot] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.series)
-
-
-@dataclass
-class RegistryState:
-    """A registry's full checkpointable state (series plus lifecycle).
-
-    Where :class:`MetricsSnapshot` is the cross-process *merge* format,
-    this wraps it with the enabled flag, window size and frontier so a
-    supervised service restore puts the process-global registry back
-    exactly where a crash left the checkpointed one.
-    """
-
-    enabled: bool = False
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-    frontier: Optional[int] = None
-    snapshot: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
 # ------------------------------------------------------------- registry
@@ -395,76 +358,6 @@ class MetricsRegistry:
     def __bool__(self) -> bool:
         return bool(self._series)
 
-    # ----------------------------------------------- snapshot and merge
-
-    def snapshot(self) -> MetricsSnapshot:
-        """A deep, picklable copy of every series."""
-        out: List[SeriesSnapshot] = []
-        for series in self.series():
-            snap = SeriesSnapshot(
-                name=series.spec.name,
-                kind=series.kind,
-                scope=series.spec.scope,
-                labels=series.labels,
-            )
-            if isinstance(series, CounterSeries):
-                snap.counter_windows = dict(series.windows)
-            elif isinstance(series, GaugeSeries):
-                snap.gauge_windows = dict(series.windows)
-            else:
-                snap.buckets = series.buckets
-                snap.hist_windows = {
-                    idx: window.clone()
-                    for idx, window in series.windows.items()
-                }
-            out.append(snap)
-        return MetricsSnapshot(window_seconds=self.window_seconds, series=out)
-
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a snapshot into this registry, deterministically.
-
-        Counters add per window; gauges keep the lexicographically
-        largest ``(sim_time, value)`` point per window; histograms add
-        bucket counts.  The result is independent of the order snapshots
-        arrive in.
-        """
-        if snapshot.window_seconds != self.window_seconds:
-            raise ValueError(
-                f"cannot merge window {snapshot.window_seconds}s into "
-                f"window {self.window_seconds}s"
-            )
-        for snap in snapshot.series:
-            if snap.kind == "counter":
-                counter = self.counter(snap.name, snap.labels)
-                for idx in sorted(snap.counter_windows):
-                    amount = snap.counter_windows[idx]
-                    counter.windows[idx] = (
-                        counter.windows.get(idx, 0.0) + amount
-                    )
-                    counter.total += amount
-            elif snap.kind == "gauge":
-                gauge = self.gauge(snap.name, snap.labels)
-                for idx in sorted(snap.gauge_windows):
-                    point = snap.gauge_windows[idx]
-                    current = gauge.windows.get(idx)
-                    if current is None or point >= current:
-                        gauge.windows[idx] = point
-                    if gauge.last is None or point >= gauge.last:
-                        gauge.last = point
-            else:
-                histogram = self.histogram(snap.name, snap.labels)
-                if snap.buckets != histogram.buckets:
-                    raise ValueError(
-                        f"histogram {snap.name!r}: bucket layout "
-                        f"{snap.buckets} != {histogram.buckets}"
-                    )
-                for idx in sorted(snap.hist_windows):
-                    window = histogram.windows.get(idx)
-                    if window is None:
-                        histogram.windows[idx] = snap.hist_windows[idx].clone()
-                    else:
-                        window.combine(snap.hist_windows[idx])
-
     # -------------------------------------------------------- lifecycle
 
     def reset(self) -> None:
@@ -472,24 +365,29 @@ class MetricsRegistry:
         self._series.clear()
         self._frontier = None
 
-    def export_state(self) -> RegistryState:
-        """A checkpointable copy of the whole registry (see
-        :class:`RegistryState`)."""
-        return RegistryState(
-            enabled=self.enabled,
-            window_seconds=self.window_seconds,
-            frontier=self._frontier,
-            snapshot=self.snapshot(),
-        )
+    def capture(self) -> "MetricsRegistry":
+        """A by-value copy of this registry, for a checkpoint.
 
-    def restore_state(self, state: RegistryState) -> None:
-        """Reset this registry to a previously exported state."""
-        self.reset()
-        self.window_seconds = state.window_seconds
-        if state.snapshot:
-            self.merge(state.snapshot)
-        self._frontier = state.frontier
-        self.enabled = state.enabled
+        Copies the series, window size, frontier and enabled flag.  The
+        memory probe is host configuration, not state: the copy's probe
+        samples nothing.
+        """
+        captured = MetricsRegistry(probe=MemoryProbe({}))
+        captured._copy_from(self)
+        return captured
+
+    def install(self, captured: "MetricsRegistry") -> None:
+        """Put this registry back to a :meth:`capture`, by value (the
+        capture stays reusable and this registry keeps its own probe)."""
+        self._copy_from(captured)
+
+    def _copy_from(self, source: "MetricsRegistry") -> None:
+        self.enabled = source.enabled
+        self.window_seconds = source.window_seconds
+        self._frontier = source._frontier
+        self._series = {
+            key: series.copy(self) for key, series in source._series.items()
+        }
 
 
 #: The process-global registry every instrumented layer records into.
@@ -576,7 +474,7 @@ def metric_records(
     """One :class:`MetricRecord` per (series, window), canonically sorted.
 
     Sorted by ``(name, labels, window)`` — the journal's metric block is
-    therefore independent of recording and merge order, which is what
+    therefore independent of recording order, which is what
     extends the ``strip_wall`` byte contract to metrics.
     """
     registry = registry if registry is not None else REGISTRY

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ContextManager, Dict, Iterator, List, Optional
 
 
@@ -134,17 +134,17 @@ class PerfRegistry:
     def snapshot(self) -> PerfSnapshot:
         """A deep, picklable copy of the current timers and counters."""
         return PerfSnapshot(
-            timers={
-                name: TimerStat(
-                    calls=stat.calls,
-                    total=stat.total,
-                    minimum=stat.minimum,
-                    maximum=stat.maximum,
-                )
-                for name, stat in self._timers.items()
-            },
+            timers={name: replace(stat) for name, stat in self._timers.items()},
             counters=dict(self._counters),
         )
+
+    def install(self, snapshot: PerfSnapshot) -> None:
+        """Make this registry a by-value copy of ``snapshot`` (what a
+        checkpoint restore does; :meth:`merge` folds one in instead)."""
+        self._timers = {
+            name: replace(stat) for name, stat in snapshot.timers.items()
+        }
+        self._counters = dict(snapshot.counters)
 
     def merge(self, snapshot: PerfSnapshot) -> None:
         """Fold a snapshot (typically from a worker process) into this

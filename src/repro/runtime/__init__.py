@@ -19,7 +19,6 @@ See ``docs/runtime.md`` for the contract.
 """
 
 from repro.runtime.checkpoint import RunDirectory
-from repro.runtime.options import RuntimeOptions
 from repro.runtime.resilience import TaskFailure, shutdown_pools
 from repro.runtime.sweep import (
     SweepPlan,
@@ -31,7 +30,6 @@ from repro.runtime.sweep import (
 
 __all__ = [
     "RunDirectory",
-    "RuntimeOptions",
     "SweepPlan",
     "SweepTask",
     "TaskFailure",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.options import ENGINES
+from repro.runtime.sweep import ENGINES
 
 _USAGE = (
     "usage: python -m repro.runtime replay [preset] [--strategy llf|s3]\n"

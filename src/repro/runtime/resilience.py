@@ -114,27 +114,6 @@ TaskT = TypeVar("TaskT")
 OutcomeT = TypeVar("OutcomeT")
 
 
-def _run_task_chunk(
-    runner: Callable[[Any], Any], tasks: Sequence[Any]
-) -> List[Tuple[bool, Any]]:
-    """Worker-side chunk body: run tasks sequentially, isolate soft failures.
-
-    Returns one ``(ok, value)`` pair per task — the outcome on success,
-    the exception object on failure — so a raising task does not abort
-    its chunk-mates and the parent keeps per-task retry accounting.  A
-    *hard* death (``os._exit``, OOM, SIGKILL) still takes the whole
-    chunk down with the worker, exactly as it takes down every in-flight
-    future of a per-task pool.
-    """
-    results: List[Tuple[bool, Any]] = []
-    for task in tasks:
-        try:
-            results.append((True, runner(task)))
-        except Exception as exc:
-            results.append((False, exc))
-    return results
-
-
 @dataclass(frozen=True)
 class TaskFailure:
     """A task that exhausted its retries.
@@ -183,7 +162,6 @@ def run_pool_with_retries(
     on_result: Callable[[TaskT, OutcomeT], None],
     workers: Optional[int] = None,
     max_retries: int = 0,
-    chunk_size: int = 1,
 ) -> Tuple[Dict[str, TaskFailure], Optional[BaseException]]:
     """Execute ``tasks`` on process pools with bounded per-task retries.
 
@@ -193,24 +171,14 @@ def run_pool_with_retries(
     exception observed — callers running ``on_failure="raise"`` re-raise
     exactly that object, preserving the original type and message.
 
+    Every task is its own future, so a task's failure, soft (it raised)
+    or hard (its worker died), reaches the parent through that future.
     Each retry round gets a fresh :class:`ProcessPoolExecutor`: a worker
     killed hard (``os._exit``, OOM, SIGKILL) breaks the pool for every
     in-flight future, so survivors of the round are retried on a new one.
-
-    ``chunk_size`` groups that many tasks into one submission
-    (:func:`_run_task_chunk`), cutting pool round-trips when tasks are
-    few and short — each handoff costs wakeups through the executor's
-    management thread, which dominates short tasks.  Failure semantics
-    are unchanged: soft failures are caught per-task inside the chunk,
-    and a hard-killed worker burns one attempt for every task of its
-    chunk — just as it breaks every in-flight future today.  The one
-    trade: a chunk's finished outcomes ride home with the chunk, so a
-    crash mid-chunk re-runs its already-completed tasks on retry.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     pending: List[TaskT] = list(tasks)
     attempts: Dict[str, int] = {}
     failures: Dict[str, TaskFailure] = {}
@@ -224,34 +192,21 @@ def run_pool_with_retries(
         pool = _acquire_pool(pool_size)
         round_clean = True
         try:
-            chunks = [
-                list(pending[i : i + chunk_size])
-                for i in range(0, len(pending), chunk_size)
-            ]
-            futures: Dict[Future[List[Tuple[bool, Any]]], List[TaskT]] = {
-                pool.submit(_run_task_chunk, runner, chunk): chunk
-                for chunk in chunks
+            futures: Dict[Future[OutcomeT], TaskT] = {
+                pool.submit(runner, task): task for task in pending
             }
             for future in as_completed(futures):
-                chunk = futures[future]
+                task = futures[future]
                 try:
-                    items = future.result()
+                    outcome = future.result()
                 except Exception as exc:
-                    # The chunk died with its worker: every task in it
-                    # burns one attempt, like every in-flight future of
-                    # a broken per-task pool.
-                    items = [(False, exc)] * len(chunk)
-                for task, (ok, value) in zip(chunk, items):
-                    if ok:
-                        on_result(task, value)
-                        continue
-                    task_id = task_id_of(task)
                     round_clean = False
                     if first_error is None:
-                        first_error = value
+                        first_error = exc
+                    task_id = task_id_of(task)
                     count = attempts.get(task_id, 0) + 1
                     attempts[task_id] = count
-                    error = f"{type(value).__name__}: {value}"
+                    error = f"{type(exc).__name__}: {exc}"
                     if count <= max_retries:
                         _LOG.warning(
                             "task %s failed attempt %d/%d, retrying: %s",
@@ -266,6 +221,8 @@ def run_pool_with_retries(
                         failures[task_id] = TaskFailure(
                             task_id=task_id, error=error, attempts=count
                         )
+                else:
+                    on_result(task, outcome)
         except BaseException:
             round_clean = False
             raise

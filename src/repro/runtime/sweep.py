@@ -67,6 +67,10 @@ class SweepPlan:
         return f"sweep:{len(self.tasks)}:{digest:08x}"
 
 
+#: The engine names :func:`run_sweep` accepts.
+ENGINES = ("auto", "serial", "process")
+
+
 def run_sweep(
     plan: SweepPlan,
     *,
@@ -93,7 +97,7 @@ def run_sweep(
     sweep with a :class:`~repro.runtime.resilience.TaskFailure` as that
     task's value.
     """
-    if engine not in ("auto", "serial", "process"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     _check_on_failure(on_failure)
     if engine == "auto":

@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from repro import perf
 from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import RegistryState
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TRACER, TracerState
 from repro.runtime.checkpoint import RunDirectory
 from repro.service.loop import ControllerService
@@ -53,8 +53,10 @@ from repro.service.loop import ControllerService
 #: a :class:`~repro.wlan.entities.ControllerRuntime`, which version-5
 #: pickles do not have; version 7 drops the social model's per-user
 #: generation stamps and pickles service events through ``__reduce__``;
-#: version 8 services carry the event-time bound of their apps.
-CHECKPOINT_VERSION = 8
+#: version 8 services carry the event-time bound of their apps; version 9
+#: carries the metrics registry as a by-value copy
+#: (:meth:`~repro.obs.metrics.MetricsRegistry.capture`).
+CHECKPOINT_VERSION = 9
 
 #: Slot-name prefix of service snapshots inside a run directory.
 SNAPSHOT_PREFIX = "snapshot-"
@@ -82,8 +84,8 @@ class ServiceCheckpoint:
     service_pickle: bytes
     #: Tracer lifecycle and journal byte offset as of the capture.
     tracer: TracerState
-    #: Metrics registry state as of the capture.
-    metrics: RegistryState
+    #: A by-value copy of the metrics registry as of the capture.
+    metrics: MetricsRegistry
     #: Perf timers/counters as of the capture.
     perf: perf.PerfSnapshot
 
@@ -118,7 +120,7 @@ def capture_checkpoint(
             service_pickle=pickle.dumps(
                 service, protocol=pickle.HIGHEST_PROTOCOL
             ),
-            metrics=obs_metrics.get_metrics().export_state(),
+            metrics=obs_metrics.get_metrics().capture(),
             perf=perf.snapshot(),
         )
 
@@ -128,8 +130,9 @@ def restore_checkpoint(
 ) -> ControllerService:
     """Rebuild the world as of ``checkpoint``; returns the service.
 
-    Resets the process-global tracer, metrics registry and perf registry
-    to their captured states — the streamed journal is truncated to the
+    Puts the process-global tracer, metrics registry and perf registry
+    back to their captured states, copied by value so the checkpoint
+    stays reusable — the streamed journal is truncated to the
     captured offset, so records emitted after the capture (by the
     timeline the crash destroyed) are discarded, to be re-emitted by the
     WAL replay.  The returned service is unpickled afresh, so restoring
@@ -153,9 +156,8 @@ def restore_checkpoint(
                 "not a ControllerService"
             )
         TRACER.restore_state(checkpoint.tracer)
-        obs_metrics.get_metrics().restore_state(checkpoint.metrics)
-        perf.reset()
-        perf.merge(checkpoint.perf)
+        obs_metrics.get_metrics().install(checkpoint.metrics)
+        perf.PERF.install(checkpoint.perf)
     return service
 
 

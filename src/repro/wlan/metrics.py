@@ -9,7 +9,7 @@ figure in the paper's evaluation is built from).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional
 
 import numpy as np
 
@@ -74,26 +74,17 @@ class MetricsCollector:
         self,
         now: float,
         campus: CampusRuntime,
-        controller_ids: Optional[Sequence[str]] = None,
         changed: Optional[Collection[str]] = None,
     ) -> None:
-        """Record one snapshot of every controller (or a fixed subset).
+        """Record one snapshot of every controller, in sorted id order.
 
-        ``controller_ids`` restricts the snapshot to a subset of
-        controllers; it must be sorted and stable across calls, so each
-        controller's series lines up sample for sample.  ``changed``,
-        when given, names the
-        controllers whose association tables may have moved since the
-        previous sample: every other controller already sampled repeats
-        its previous rows, which are what a fresh read would give.
+        ``changed``, when given, names the controllers whose association
+        tables may have moved since the previous sample: every other
+        controller already sampled repeats its previous rows, which are
+        what a fresh read would give.
         """
         self._times.append(now)
-        ids = (
-            sorted(campus.controllers)
-            if controller_ids is None
-            else controller_ids
-        )
-        for controller_id in ids:
+        for controller_id in sorted(campus.controllers):
             rows = self._loads.get(controller_id)
             if rows and changed is not None and controller_id not in changed:
                 rows.append(rows[-1])

@@ -254,17 +254,11 @@ class ChangeTracker:
             controller.refresh_measurements()
 
     def sample(
-        self,
-        collector: MetricsCollector,
-        now: float,
-        campus: CampusRuntime,
-        controller_ids: Sequence[str],
+        self, collector: MetricsCollector, now: float, campus: CampusRuntime
     ) -> None:
-        """One metrics sample of ``controller_ids``, fresh rows only for
+        """One metrics sample of every controller, fresh rows only for
         the controllers that moved."""
-        collector.sample(
-            now, campus, controller_ids=controller_ids, changed=self._unsampled
-        )
+        collector.sample(now, campus, changed=self._unsampled)
         self._unsampled.clear()
 
 
@@ -715,7 +709,7 @@ class ReplayEngine:
             sim.post(event.time, partial(fire_fault, event), _PRIORITY_FAULT)
 
         def take_sample() -> None:
-            changes.sample(collector, sim.now, campus, sampled)
+            changes.sample(collector, sim.now, campus)
             metrics_on = obs_metrics.REGISTRY.enabled
             if tracer.enabled or metrics_on:
                 for controller_id in sampled:

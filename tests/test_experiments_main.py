@@ -5,12 +5,27 @@ experiment end-to-end on the TINY preset — this exercises all runner
 code paths (including sweeps and the forecast) in one go.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import obs, perf
+from repro.devtools.project import default_repo_root
 from repro.experiments import workload as workload_module
 from repro.experiments.__main__ import EXPERIMENTS, main
-from repro.obs.journal import read_journal
+from repro.obs.journal import read_journal, strip_wall
+
+REPO = default_repo_root()
+
+#: SHA-256 of ``tiny fig2 --journal J --metrics``'s ``strip_wall``
+#: journal, as the at-exit journal writer rendered it before the runner
+#: streamed its journal.
+TINY_FIG2_METRICS_SHA256 = (
+    "8186fcf35045dbd4ee44cc04445e99ff0932ef6663b2285a11c8cb9063c582b5"
+)
 
 
 class TestRunnerRegistry:
@@ -72,6 +87,35 @@ class TestJournalFlag:
         assert journal.perf is not None and journal.perf.counters
         # the runner turns the tracer back off on exit
         assert not obs.get_tracer().enabled
+
+    def test_journal_is_streamed_with_the_pinned_bytes(self, tmp_path):
+        # A fresh interpreter, as the command runs: the perf footer holds
+        # the run's whole history, workload build included.  The at-exit
+        # writer is stubbed to fail, so the bytes must stream.
+        path = tmp_path / "metrics.jsonl"
+        script = (
+            "import sys\n"
+            "from repro import obs\n"
+            "from repro.obs import journal\n"
+            "def at_exit(*args, **kwargs):\n"
+            "    raise AssertionError('the journal must be streamed')\n"
+            "obs.write_journal = journal.write_journal = at_exit\n"
+            "from repro.experiments.__main__ import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        argv = ["tiny", "fig2", "--journal", str(path), "--metrics", "--trace"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=REPO,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"journal: {path}" in proc.stdout
+        assert "wall_total" in proc.stdout  # --trace read the spans back
+        body = strip_wall(path.read_text(encoding="utf-8")).encode("utf-8")
+        assert hashlib.sha256(body).hexdigest() == TINY_FIG2_METRICS_SHA256
 
     def test_journal_flag_requires_a_path(self, capsys):
         assert main(["tiny", "fig2", "--journal"]) == 2

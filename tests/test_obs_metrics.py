@@ -1,8 +1,8 @@
 """Unit tests for the windowed metrics layer (:mod:`repro.obs.metrics`).
 
 Covers the windowing arithmetic, histogram ``le`` bucket semantics at
-the boundaries, the snapshot/merge fold (order independence — the
-property checkpoint restore rests on), the registry-name and label
+the boundaries, the by-value capture/install pair a service checkpoint
+restores through, the registry-name and label
 contracts, the memory probe, the allocation-free disabled path, and the
 byte identity of a fault-armed replay's run-scoped series across two
 same-seed runs.
@@ -153,7 +153,7 @@ class TestNameAndLabelContracts:
         assert not registry
 
 
-class TestSnapshotMerge:
+class TestCaptureInstall:
     def fill(self, registry, offset=0.0, amount=1.0):
         registry.inc("replay.decisions", amount, sim_time=offset)
         registry.set_gauge(
@@ -163,53 +163,41 @@ class TestSnapshotMerge:
             "replay.candidate_set_size", 2.0 + amount, sim_time=offset
         )
 
-    def test_merge_is_order_independent(self):
-        a, b = fresh_registry(), fresh_registry()
-        self.fill(a, offset=10.0, amount=1.0)
-        self.fill(b, offset=WINDOW + 5.0, amount=3.0)
-        self.fill(b, offset=20.0, amount=2.0)  # overlaps a's window
-
-        ab, ba = fresh_registry(), fresh_registry()
-        for target, order in ((ab, (a, b)), (ba, (b, a))):
-            for source in order:
-                target.merge(source.snapshot())
-        assert metric_records(ab) == metric_records(ba)
-
-    def test_merge_reproduces_serial_recording(self):
-        serial = fresh_registry()
-        events = [(10.0, 1.0), (20.0, 2.0), (WINDOW + 5.0, 3.0)]
-        for offset, amount in events:
-            self.fill(serial, offset=offset, amount=amount)
-
-        workers = [fresh_registry(), fresh_registry()]
-        for i, (offset, amount) in enumerate(events):
-            self.fill(workers[i % 2], offset=offset, amount=amount)
-        merged = fresh_registry()
-        for worker in workers:
-            merged.merge(worker.snapshot())
-
-        assert metric_records(merged) == metric_records(serial)
-        assert (
-            metrics_rollup(merged).run_series
-            == metrics_rollup(serial).run_series
-        )
-
-    def test_merge_window_mismatch_rejected(self):
-        registry = fresh_registry()
-        other = fresh_registry(window_seconds=60.0)
-        other.inc("replay.decisions", 1.0)
-        with pytest.raises(ValueError, match="cannot merge window"):
-            registry.merge(other.snapshot())
-
-    def test_snapshot_is_deep_and_pickles(self):
+    def test_capture_is_deep_and_pickles(self):
         registry = fresh_registry()
         self.fill(registry, offset=5.0)
-        snap = registry.snapshot()
-        registry.inc("replay.decisions", 99.0, sim_time=5.0)
-        restored = pickle.loads(pickle.dumps(snap))
-        fresh = fresh_registry()
-        fresh.merge(restored)
-        assert fresh.counter("replay.decisions").total == 1.0
+        records = metric_records(registry)
+        captured = registry.capture()
+        pickled = pickle.loads(pickle.dumps(captured))
+        # Specs pickle as their names and unpickle as the table's entries.
+        assert all(s.spec is spec_for(s.spec.name) for s in pickled.series())
+        self.fill(registry, offset=6.0, amount=99.0)  # same windows
+        for source in (captured, pickled):
+            fresh = fresh_registry()
+            fresh.install(source)
+            assert metric_records(fresh) == records
+            assert fresh.counter("replay.decisions").total == 1.0
+            # The installed series are copies: recording into them
+            # leaves the capture as it was.
+            self.fill(fresh, offset=7.0, amount=5.0)
+            assert metric_records(source) == records
+
+    def test_install_restores_lifecycle_and_keeps_the_probe(self):
+        source = fresh_registry(window_seconds=60.0)
+        self.fill(source, offset=130.0)
+        polled = []
+        probe = MemoryProbe(sources={"mem.peak_rss_bytes": lambda: 1.0})
+        probe.sample = lambda *args: polled.append(args)  # type: ignore[method-assign]
+        target = MetricsRegistry(probe=probe)
+        target.install(source.capture())
+        assert target.enabled and target.window_seconds == 60.0
+        assert target.probe is probe
+        assert metric_records(target) == metric_records(source)
+        # The frontier came along: window 2 is not a new crossing.
+        target.inc("replay.decisions", 1.0, sim_time=150.0)
+        assert polled == []
+        target.inc("replay.decisions", 1.0, sim_time=185.0)
+        assert len(polled) == 1
 
 
 class TestGlobalLifecycle:

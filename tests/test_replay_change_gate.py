@@ -128,8 +128,8 @@ def test_gated_polls_and_samples_equal_ungated(ops: list) -> None:
                 campus.ap(ap_id).record_measurement(load)
             changes.mark(LAYOUT.controller_of_ap(ap_id))
         else:
-            changes.sample(gated_rows, 0.0, gated, CONTROLLERS)
-            plain_rows.sample(0.0, plain, controller_ids=CONTROLLERS)
+            changes.sample(gated_rows, 0.0, gated)
+            plain_rows.sample(0.0, plain)
         assert _measured(gated) == _measured(plain)
         assert _snapshots(gated) == _snapshots(plain)
     for controller_id in CONTROLLERS:
@@ -162,10 +162,10 @@ def test_unmarked_poll_and_sample_do_no_work() -> None:
     collector = MetricsCollector()
     controller = campus.controllers[CONTROLLERS[0]]
     changes.poll(controller)
-    changes.sample(collector, 0.0, campus, CONTROLLERS)
+    changes.sample(collector, 0.0, campus)
     snapshot = controller.ranked[0].snapshot()
     changes.poll(controller)
-    changes.sample(collector, 300.0, campus, CONTROLLERS)
+    changes.sample(collector, 300.0, campus)
     # No refresh: the cached snapshot object survives.
     assert controller.ranked[0].snapshot() is snapshot
     loads = collector._loads[CONTROLLERS[0]]

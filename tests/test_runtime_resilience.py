@@ -1,14 +1,10 @@
-"""Chunked pool submission: grouping tasks must not change failure semantics."""
+"""Pool submission: one future per task, per-task failure accounting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.resilience import (
-    _run_task_chunk,
-    run_pool_with_retries,
-    shutdown_pools,
-)
+from repro.runtime.resilience import run_pool_with_retries, shutdown_pools
 
 
 def _double(x: int) -> int:
@@ -35,7 +31,6 @@ def test_chunked_submission_returns_every_result():
         str,
         lambda task, value: out.__setitem__(task, value),
         workers=2,
-        chunk_size=3,
     )
     assert failures == {} and first_error is None
     assert out == {i: i * 2 for i in range(7)}
@@ -49,9 +44,8 @@ def test_soft_failure_does_not_poison_chunk_mates():
         str,
         lambda task, value: out.__setitem__(task, value),
         workers=1,
-        chunk_size=5,
     )
-    # every chunk-mate of the raising task still delivered its result
+    # every task sharing the worker with the raising one still delivered
     assert out == {i: i * 2 for i in range(5) if i != 3}
     assert set(failures) == {"3"}
     assert failures["3"].attempts == 1
@@ -67,23 +61,8 @@ def test_soft_failure_retry_accounting_in_chunks():
         str,
         lambda task, value: out.__setitem__(task, value),
         workers=1,
-        chunk_size=2,
         max_retries=2,
     )
     assert set(failures) == {"3"}
     assert failures["3"].attempts == 3  # first try + 2 retries
     assert out == {i: i * 2 for i in range(5) if i != 3}
-
-
-def test_chunk_body_isolates_exceptions_in_order():
-    items = _run_task_chunk(_fail_on_three, [1, 3, 5])
-    assert [ok for ok, _ in items] == [True, False, True]
-    assert items[0][1] == 2 and items[2][1] == 10
-    assert isinstance(items[1][1], ValueError)
-
-
-def test_chunk_size_must_be_positive():
-    with pytest.raises(ValueError, match="chunk_size"):
-        run_pool_with_retries(
-            [1], _double, str, lambda t, v: None, chunk_size=0
-        )

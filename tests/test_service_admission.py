@@ -111,15 +111,15 @@ def test_backpressure_metrics_recorded() -> None:
     _offer(queue, 2, 4.0)
     _offer(queue, 3, 5.0)
     queue.maybe_flush(6.0)  # second batch of 2
-    snapshot = {s.name: s for s in obs_metrics.REGISTRY.snapshot().series}
+    series = {s.spec.name: s for s in obs_metrics.REGISTRY.series()}
     obs_metrics.disable()
-    assert sum(snapshot["service.decisions"].counter_windows.values()) == 4.0
-    batch_windows = snapshot["service.batch_size"].hist_windows.values()
+    assert sum(series["service.decisions"].windows.values()) == 4.0
+    batch_windows = series["service.batch_size"].windows.values()
     assert sum(w.count for w in batch_windows) == 2  # two flushes...
     assert sum(w.total for w in batch_windows) == 4.0  # ...of two joins each
-    depth_points = snapshot["service.queue_depth"].gauge_windows.values()
+    depth_points = series["service.queue_depth"].windows.values()
     assert all(value == 0.0 for _, value in depth_points)  # reset by flushes
-    latency_windows = snapshot["service.decision_latency"].hist_windows.values()
+    latency_windows = series["service.decision_latency"].windows.values()
     assert sum(w.count for w in latency_windows) == 4
 
 

@@ -33,9 +33,9 @@ _GAP_HORIZON = 5.0
 
 
 def _implicit_leaves() -> float:
-    series = {s.name: s for s in obs_metrics.REGISTRY.snapshot().series}
+    series = {s.spec.name: s for s in obs_metrics.REGISTRY.series()}
     counter = series.get("service.implicit_leaves")
-    return 0.0 if counter is None else sum(counter.counter_windows.values())
+    return 0.0 if counter is None else sum(counter.windows.values())
 
 
 def test_seed13_lost_leave_then_rejoin_completes(tmp_path: Path) -> None:

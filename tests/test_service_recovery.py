@@ -319,8 +319,8 @@ def test_recovery_ledger_survives_restores_past_earlier_crashes(
         c.time for c in _crashes_at(0.2, 0.5, 0.8)
     ]
     assert [r.snapshot_seq for r in journal.recoveries] == [0, 0, 0]
-    snapshot = {s.name: s for s in obs_metrics.REGISTRY.snapshot().series}
-    assert sum(snapshot["service.recoveries"].counter_windows.values()) == 3.0
+    series = {s.spec.name: s for s in obs_metrics.REGISTRY.series()}
+    assert sum(series["service.recoveries"].windows.values()) == 3.0
 
 
 def test_recovery_written_at_the_snapshot_offset_is_rejournaled(
@@ -479,13 +479,41 @@ def test_checkpoint_guards_version_and_fingerprint() -> None:
     # pairs one object at a time, version 5 ones keep the associator's
     # own AP table instead of a controller domain, version 6 ones carry
     # the social model's per-user generation stamps, version 7 services
-    # have no event-time bound; their pickles must be refused, never
+    # have no event-time bound, version 8 ones hold the metrics registry
+    # in the shard-era merge format; their pickles must be refused, never
     # mis-restored.
-    assert CHECKPOINT_VERSION == 8
-    for version in (1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1):
+    assert CHECKPOINT_VERSION == 9
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, CHECKPOINT_VERSION + 1):
         stale = replace(checkpoint, version=version)
         with pytest.raises(RuntimeError, match="version"):
             restore_checkpoint(stale, fingerprint)
+
+
+def test_restore_puts_metrics_and_perf_back_to_the_capture() -> None:
+    obs_metrics.enable(reset=True)
+    perf.reset()
+    service, fingerprint = _run_prefix(80)
+    perf.count("test.before_capture")
+    checkpoint = capture_checkpoint(service, fingerprint)
+    records = obs_metrics.metric_records()
+    rollup = obs_metrics.metrics_rollup()
+    counters = perf.PERF.counters()
+    assert records and counters
+    # Everything recorded after the capture is the crashed timeline's.
+    for event in synthetic_events(_SPEC)[80:120]:
+        service.submit(event)
+    obs_metrics.inc("service.recoveries", 1.0, 10.0**6)
+    perf.count("test.after_capture")
+    assert obs_metrics.metric_records() != records
+    assert perf.PERF.counters() != counters
+    for _ in range(2):  # the capture survives a restore unchanged
+        restore_checkpoint(checkpoint, fingerprint)
+        assert obs_metrics.metric_records() == records
+        assert obs_metrics.metrics_rollup() == rollup
+        assert perf.PERF.counters() == counters
+        assert obs_metrics.REGISTRY.enabled
+        obs_metrics.inc("service.recoveries", 1.0, 10.0**6)
+    perf.reset()
 
 
 def test_checkpoint_holds_state_not_history(tmp_path: Path) -> None:
@@ -602,11 +630,11 @@ def test_supervisor_counts_land_in_metrics(tmp_path: Path) -> None:
         metrics=True,
         snapshot_every=40,
     )
-    snapshot = {s.name: s for s in obs_metrics.REGISTRY.snapshot().series}
+    series = {s.spec.name: s for s in obs_metrics.REGISTRY.series()}
     obs_metrics.disable()
-    recoveries = sum(snapshot["service.recoveries"].counter_windows.values())
+    recoveries = sum(series["service.recoveries"].windows.values())
     replayed = sum(
-        snapshot["service.replayed_events"].counter_windows.values()
+        series["service.replayed_events"].windows.values()
     )
     assert recoveries == float(summary["recoveries"]) == 1.0
     assert replayed == float(summary["replayed_events"]) > 0.0
